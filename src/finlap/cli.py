@@ -48,7 +48,7 @@ def build_metric(kind: str, eps: float, g=None, theta=None,
     def as_g():
         if g is None:
             return np.eye(2)
-        arr = np.asarray(g, dtype=float)
+        arr = _array(g, "metric.g")
         if arr.shape != (2, 2):
             raise ConfigError("metric.g must be a 2x2 matrix")
         return arr
@@ -60,7 +60,7 @@ def build_metric(kind: str, eps: float, g=None, theta=None,
     elif kind == "flat-torus":
         metric = riemannian(as_g(), chart=TORUS)
     elif kind == "randers":
-        th = np.array([eps, 0.0]) if theta is None else np.asarray(theta, dtype=float)
+        th = np.array([eps, 0.0]) if theta is None else _array(theta, "metric.theta")
         if th.shape != (2,):
             raise ConfigError("metric.theta must have 2 components")
         metric = randers(as_g(), th, chart=TORUS)
@@ -73,6 +73,23 @@ def build_metric(kind: str, eps: float, g=None, theta=None,
             raise ConfigError("metric.conformal must be a number "
                               "(constant log-factor)") from exc
     return metric
+
+
+def _array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must hold numbers, got {value!r}") from exc
+
+
+def _number(conv, value, name: str):
+    """``conv(value)`` (float or int), None kept; bad values are config errors."""
+    if value is None:
+        return None
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
 def _atomic_write(path: str, text: str):
@@ -94,7 +111,10 @@ def write_result(path: Optional[str], doc: dict, csv_rows=None, csv_header=None)
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     text = json.dumps(doc, indent=2) + "\n"
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         _atomic_write(path, text)
         if csv_rows is not None:
             csv_path = os.path.splitext(path)[0] + ".csv"
@@ -103,8 +123,9 @@ def write_result(path: Optional[str], doc: dict, csv_rows=None, csv_header=None)
                 if csv_header:
                     writer.writerow(csv_header)
                 writer.writerows(csv_rows)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {exc.filename or path}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -134,18 +155,20 @@ def _merged(args, cfg: dict):
 
     merged = argparse.Namespace()
     merged.metric = pick(getattr(args, "metric", None), metric_cfg.get("kind"), "kz-torus")
-    merged.eps = float(pick(getattr(args, "eps", None), metric_cfg.get("eps"), 0.0))
+    merged.eps = _number(float, pick(getattr(args, "eps", None), metric_cfg.get("eps"), 0.0),
+                         "metric.eps")
     merged.g = metric_cfg.get("g")
     merged.theta = metric_cfg.get("theta")
     merged.conformal = metric_cfg.get("conformal")
-    merged.fiber_n = int(pick(getattr(args, "fiber_n", None), res_cfg.get("fiber_n"), 256))
-    merged.grid = pick(getattr(args, "grid", None), res_cfg.get("grid_n"), None)
-    merged.lmax = pick(getattr(args, "lmax", None), res_cfg.get("lmax"), None)
-    merged.k = pick(getattr(args, "k", None), res_cfg.get("k"), None)
-    merged.pmax = pick(getattr(args, "pmax", None), res_cfg.get("pmax"), None)
-    merged.qmax = pick(getattr(args, "qmax", None), res_cfg.get("qmax"), None)
+    merged.fiber_n = _number(int, pick(getattr(args, "fiber_n", None),
+                                       res_cfg.get("fiber_n"), 256), "resolution.fiber_n")
+    for key, cfg_key in (("grid", "grid_n"), ("lmax", "lmax"), ("k", "k"),
+                         ("pmax", "pmax"), ("qmax", "qmax")):
+        setattr(merged, key, _number(int, pick(getattr(args, key, None),
+                                               res_cfg.get(cfg_key), None),
+                                     f"resolution.{cfg_key}"))
     merged.out = pick(getattr(args, "out", None), cfg.get("output"), None)
-    merged.seed = int(pick(getattr(args, "seed", None), cfg.get("seed"), 0))
+    merged.seed = _number(int, pick(getattr(args, "seed", None), cfg.get("seed"), 0), "seed")
     merged.csv = bool(getattr(args, "csv", False))
     return merged
 
@@ -169,17 +192,17 @@ def cmd_spectrum(args) -> int:
     m = _merged(args, _load_config(args.config))
     doc = {"config_echo": _config_echo(m), "task": "spectrum"}
     if m.metric == "kz-torus" and (m.pmax is not None or m.qmax is not None) and m.grid is None:
-        pmax = int(m.pmax if m.pmax is not None else 2)
-        qmax = int(m.qmax if m.qmax is not None else 2)
+        pmax = m.pmax if m.pmax is not None else 2
+        qmax = m.qmax if m.qmax is not None else 2
         result = torus_spectrum(m.eps, pmax, qmax)
     elif m.metric == "kz-sphere":
-        lmax = int(m.lmax if m.lmax is not None else 10)
-        k = int(m.k if m.k is not None else 5)
+        lmax = m.lmax if m.lmax is not None else 10
+        k = m.k if m.k is not None else 5
         result = sphere_spectrum(m.eps, lmax, k)
     else:
         metric = build_metric(m.metric, m.eps, m.g, m.theta, m.conformal)
-        n = int(m.grid if m.grid is not None else 32)
-        k = int(m.k if m.k is not None else 10)
+        n = m.grid if m.grid is not None else 32
+        k = m.k if m.k is not None else 10
         prob = assemble_eigenproblem(metric, TorusGridBasis(n=n, fiber_n=m.fiber_n))
         result = solve_eigen(prob, k=k)
     doc["eigenvalues"] = [

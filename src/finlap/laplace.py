@@ -11,7 +11,24 @@ Averaging the spray expansion gives the coefficient form
 
 with the symbol sigma = (1/pi) * Int V V^T dAngle (V the projected
 spray), drift Z from the fiber average of spray derivatives, and the
-volume density making the operator symmetric.
+volume density rho making the operator symmetric.  Symmetry for the
+canonical volume forces the divergence form
+
+    Lap f = (1/rho) div(rho sigma grad f)
+
+so the pair (sigma, rho) determines the operator.
+
+Production path: :func:`symbol_density` computes (sigma, rho) from the
+fiber quadrature and the indicatrix alone (V equals the indicatrix point
+of its direction), and :func:`conservative_pencil` assembles the torus
+pencil in divergence form; it is symmetric, negative semidefinite and
+annihilates constants by construction.
+
+Oracles: :func:`operator_coefficients` (symbol and drift from the Reeb
+field), the coefficient stencil :func:`assemble_torus_operator`, the
+geodesic route of :func:`laplacian_apply` and
+:func:`weighted_symmetry_residual` are independent evaluations kept for
+tests, ``finlap symbol`` and ``finlap verify``.
 """
 
 from __future__ import annotations
@@ -23,14 +40,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .charts import ChartPoint, SPHERE, TORUS
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DegenerateContactError, NumericError
 from .fields import field_gradient, field_hessian
-from .hilbert import _rk4_step, reeb_profile
+from .hilbert import DENSITY_FLOOR, _rk4_step, reeb_profile
 from .measures import DEFAULT_FIBER_N, fiber_quadrature, fiber_quadrature_adaptive
-from .metrics import FinslerMetric2D
+from .metrics import FinslerMetric2D, indicatrix_point
 
-H_X = 1e-5
-H_PHI = 1e-5
 GEODESIC_STEP = 1e-3
 _COEFF_CACHE_ATTR = "_finlap_coeff_cache"
 
@@ -236,6 +251,104 @@ def assemble_torus_operator(metric: FinslerMetric2D, n: int,
         shape=(n * n, n * n),
     )
     return L, vol
+
+
+def symbol_density(metric: FinslerMetric2D, x: ChartPoint,
+                   fiber_n: int = DEFAULT_FIBER_N):
+    """Symbol and volume density at a torus-chart point, without the drift.
+
+    Returns ``(sigma, rho)`` with sigma = (1/pi) Sum_k w_k V_k V_k^T over
+    the fiber quadrature and rho its volume.  The horizontal Reeb
+    component V is the indicatrix point of its direction, so neither the
+    Reeb solve nor any base-point differencing is needed.
+    """
+    quad = fiber_quadrature(metric, x, fiber_n)
+    # the weights are the contact density normalized to total 2*pi
+    lam_min = quad.weights.min() * quad.volume * len(quad.nodes) / (2.0 * math.pi)
+    if lam_min < DENSITY_FLOOR:
+        raise DegenerateContactError(
+            f"contact density below {DENSITY_FLOOR} at ({x.u}, {x.v})"
+        )
+    V = indicatrix_point(metric, x, quad.nodes)
+    sigma = (V * quad.weights[:, None]).T @ V / math.pi
+    return 0.5 * (sigma + sigma.T), quad.volume
+
+
+def grid_symbol_density(metric: FinslerMetric2D, n: int,
+                        fiber_n: int = DEFAULT_FIBER_N):
+    """(sigma, rho) on the periodic n x n torus grid as read-only arrays of
+    shapes (n, n, 2, 2) and (n, n); grid points are (i/n, j/n).
+
+    Position-independent metrics are evaluated at one point.  Raises
+    :class:`NumericError` unless sigma is positive definite and rho
+    positive everywhere.
+    """
+    if metric.chart != TORUS:
+        raise ConfigError("grid assembly requires the torus chart")
+    if metric.position_independent:
+        s, r = symbol_density(metric, ChartPoint(TORUS, 0.0, 0.0), fiber_n)
+        sigma, rho = s[None, None], np.array([[r]])
+    else:
+        sigma = np.empty((n, n, 2, 2))
+        rho = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                sigma[i, j], rho[i, j] = symbol_density(
+                    metric, ChartPoint(TORUS, i / n, j / n), fiber_n)
+    ev = np.linalg.eigvalsh(sigma)
+    if not np.all(ev[..., 0] > 0.0):
+        raise NumericError(f"symbol not positive definite: smallest eigenvalue "
+                           f"{ev[..., 0].min()}")
+    if not np.all(rho > 0.0):
+        raise NumericError("volume density must be positive")
+    return np.broadcast_to(sigma, (n, n, 2, 2)), np.broadcast_to(rho, (n, n))
+
+
+def conservative_pencil(sigma: np.ndarray, rho: np.ndarray):
+    """Divergence-form pencil ``(S, M)`` of the operator on the periodic grid.
+
+    With K = rho sigma and h = 1/n, -f^T S f is the discrete energy
+
+        Sum_nodes [ (K11/2)(a+^2 + a-^2) + (K22/2)(b+^2 + b-^2)
+                    + (K12/2)(a+ + a-)(b+ + b-) ] h^2
+
+    where a+-, b+- are the one-sided differences of f in u and v at the
+    node.  Each node's quadratic form is positive definite when K is, so
+    S is symmetric (entry for entry, in floating point), -S is positive
+    semidefinite and its kernel is the constants.  Equivalently the u and
+    v fluxes use edge-midpoint averages of K11 and K22 and the mixed term
+    is D0u K12 D0v + D0v K12 D0u with central differences D0; for
+    constant K this is the centered 9-point stencil of
+    :func:`assemble_torus_operator`.  M = diag(rho h^2).
+    """
+    n = rho.shape[0]
+    K = rho[..., None, None] * sigma
+    k11, k22, k12 = K[..., 0, 0], K[..., 1, 1], K[..., 0, 1]
+
+    def at(a, du, dv):
+        """a at the neighbour (i + du, j + dv) of every node (i, j)."""
+        return np.roll(a, (-du, -dv), axis=(0, 1))
+
+    e1 = 0.5 * (k11 + at(k11, 1, 0))    # on the edge (i, j) -- (i+1, j)
+    e2 = 0.5 * (k22 + at(k22, 0, 1))    # on the edge (i, j) -- (i, j+1)
+    e1m, e2m = at(e1, -1, 0), at(e2, 0, -1)
+    stencil = [
+        ((0, 0), -(e1 + e1m + e2 + e2m)),
+        ((1, 0), e1), ((-1, 0), e1m), ((0, 1), e2), ((0, -1), e2m),
+        ((1, 1), 0.25 * (at(k12, 1, 0) + at(k12, 0, 1))),
+        ((-1, -1), 0.25 * (at(k12, -1, 0) + at(k12, 0, -1))),
+        ((1, -1), -0.25 * (at(k12, 0, -1) + at(k12, 1, 0))),
+        ((-1, 1), -0.25 * (at(k12, 0, 1) + at(k12, -1, 0))),
+    ]
+    # every row holds the same nine offsets
+    idx = np.arange(n * n).reshape(n, n)
+    cols = np.stack([at(idx, du, dv).ravel() for (du, dv), _ in stencil], axis=1)
+    vals = np.stack([v.ravel() for _, v in stencil], axis=1)
+    indptr = np.arange(0, vals.size + 1, len(stencil))
+    S = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n * n, n * n))
+    S.sort_indices()
+    M = sp.diags(rho.ravel() * (1.0 / n**2)).tocsr()
+    return S, M
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,9 @@ import numpy as np
 from .charts import ChartPoint, PLANE, SPHERE, TORUS
 from .errors import DomainError, InvalidMetricError
 
-# Finite-difference steps (chart units); built-in metrics carry analytic
-# derivatives, the steps are used by the fallback and cross-checks.
+# Relative fiber step of the finite-difference vertical derivative;
+# built-in metrics carry analytic derivatives.
 H_V_REL = 1e-5
-H_X = 1e-5
 
 # dual_norm search resolution
 DUAL_COARSE_N = 256

@@ -2,9 +2,12 @@
 
 Eigenvalues of the negative operator are computed from the symmetric
 pencil (S, M): S the volume-weighted discrete operator form, M the
-volume mass matrix.  Small dense pencils go through Cholesky reduction
-plus cyclic Jacobi rotations; large sparse grids use shift-invert
-Lanczos (deterministic start vector).
+volume mass matrix.  Torus grids assemble S in divergence form from the
+symbol and volume density alone (:func:`finlap.laplace.conservative_pencil`),
+so it is symmetric with the constants in its kernel by construction;
+sphere sectors use the Galerkin matrices.  Small dense pencils go
+through Cholesky reduction plus cyclic Jacobi rotations; large sparse
+grids use shift-invert Lanczos (deterministic start vector).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradient
 from .hilbert import reeb_profile
-from .laplace import assemble_torus_operator
+from .laplace import conservative_pencil, grid_symbol_density
 from .measures import DEFAULT_FIBER_N, fiber_quadrature, fiber_quadrature_adaptive
 from .metrics import FinslerMetric2D, KatokZillerMetric
 
@@ -55,6 +58,8 @@ class SpectralProblem:
     mass: Union[np.ndarray, sp.spmatrix]
     metric_tag: str
     sym_defect: float
+    #: ||S 1||_inf / max|S| for torus grid pencils (None for sphere sectors)
+    zero_mode_residual: Optional[float] = None
 
     def __post_init__(self):
         if sp.issparse(self.mass):
@@ -217,22 +222,24 @@ def _sym_defect(a) -> float:
 def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
     """Assemble the symmetric pencil for a torus grid or a sphere sector.
 
-    The stiffness is the volume-weighted operator form symmetrized by
-    averaging with its transpose; the asymmetry defect is recorded.
+    On the torus only the symbol and the volume density are computed at
+    the grid points; the stiffness is the conservative divergence-form
+    stencil, symmetric and annihilating constants as assembled.  Its
+    asymmetry defect and zero-mode residual are recorded.  Sphere sectors
+    use the Galerkin matrices, whose quadrature roundoff asymmetry is
+    recorded and averaged away.
     """
     if isinstance(basis, TorusGridBasis):
         if metric.chart != TORUS:
             raise ConfigError("torus grid basis needs a torus metric")
         if basis.n < 16:
             raise ConfigError(f"torus grid needs n >= 16, got {basis.n}")
-        L, vol = assemble_torus_operator(metric, basis.n, basis.fiber_n)
-        h2 = 1.0 / basis.n**2
-        M = sp.diags(vol.ravel() * h2).tocsr()
-        ML = (M @ L).tocsr()
-        defect = _sym_defect(ML)
-        S = (ML + ML.T) * 0.5
-        return SpectralProblem(basis=basis, stiffness=S.tocsr(), mass=M,
-                               metric_tag=f"{metric.kind} on torus", sym_defect=defect)
+        sigma, rho = grid_symbol_density(metric, basis.n, basis.fiber_n)
+        S, M = conservative_pencil(sigma, rho)
+        zero_mode = float(np.abs(S @ np.ones(S.shape[0])).max() / np.abs(S.data).max())
+        return SpectralProblem(basis=basis, stiffness=S, mass=M,
+                               metric_tag=f"{metric.kind} on torus",
+                               sym_defect=_sym_defect(S), zero_mode_residual=zero_mode)
     if isinstance(basis, SphereHarmonicBasis):
         from .katok_ziller import galerkin_matrices
 
@@ -311,6 +318,8 @@ def solve_eigen(problem: SpectralProblem, k: int,
         "metric": problem.metric_tag,
         "sym_defect": problem.sym_defect,
     }
+    if problem.zero_mode_residual is not None:
+        meta["zero_mode_residual"] = problem.zero_mode_residual
 
     if method == "jacobi":
         Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)

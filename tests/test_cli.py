@@ -187,6 +187,24 @@ class TestConfigFile:
         rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
+    def test_non_numeric_config_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"metric": {"kind": "kz-torus", "eps": "abc"}}))
+        rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("finlap: config error:") and "metric.eps" in err
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.json"
+        rc = main(["spectrum", "--metric", "kz-torus", "--eps", "0.3", "--pmax", "1",
+                   "--qmax", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("finlap: config error: cannot write output")
+        assert len(err.splitlines()) == 1
+
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         out = tmp_path / "x.json"
         main(["spectrum", "--metric", "kz-torus", "--eps", "0", "--pmax", "1",

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 import finlap as fl
+from conftest import builtin_metrics
+from finlap.laplace import assemble_torus_operator, symbol_density
 
 
 class TestEnergy:
@@ -132,6 +135,91 @@ class TestAssembly:
             fl.SpectralProblem(basis=None, stiffness=np.eye(2),
                                mass=np.array([[1.0, 2.0], [2.0, 1.0]]),
                                metric_tag="bad", sym_defect=0.0)
+
+
+def wave(amp, ku, kv, phase):
+    """p -> amp * sin(2 pi (ku u + kv v) + phase)."""
+    return lambda p: amp * math.sin(2 * math.pi * (ku * p.u + kv * p.v) + phase)
+
+
+@st.composite
+def torus_metrics(draw):
+    """Position-dependent Riemannian or Randers torus metric.
+
+    g = [[a + wa, c + wc], [c + wc, b + wb]] with |wa| <= 0.4a, |wb| <= 0.4b
+    and |c| + |wc| <= 0.2 min(a, b), so its smallest eigenvalue is at
+    least 0.4 min(a, b); the Randers 1-form stays below 0.8 in g-norm.
+    """
+    amp = st.floats(0.0, 1.0)
+    mode = st.integers(0, 2)
+    phase = st.floats(0.0, 2 * math.pi)
+    a, b = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    off = 0.1 * min(a, b)
+    c = draw(st.floats(-off, off))
+    wa = wave(0.4 * a * draw(amp), draw(mode), 1, draw(phase))
+    wb = wave(0.4 * b * draw(amp), 1, draw(mode), draw(phase))
+    wc = wave(off * draw(amp), draw(mode), draw(mode), draw(phase))
+
+    def g(p):
+        g12 = c + wc(p)
+        return np.array([[a + wa(p), g12], [g12, b + wb(p)]])
+
+    if not draw(st.booleans()):
+        return fl.riemannian(g, chart=fl.TORUS)
+    t = 0.8 * math.sqrt(0.4 * min(a, b)) * draw(st.floats(0.0, 1.0)) / math.sqrt(2.0)
+    t1 = wave(t, draw(mode), 1, draw(phase))
+    t2 = wave(t, 1, draw(mode), draw(phase))
+    return fl.make_randers(g, lambda p: np.array([t1(p), t2(p)]), chart=fl.TORUS)
+
+
+class TestConservativePencil:
+    def test_constant_coefficients_match_coefficient_stencil(self):
+        # for a position-independent metric the drift vanishes and both
+        # discretizations are the same 9-point stencil
+        m = fl.kz_torus(0.5)
+        prob = fl.assemble_eigenproblem(m, fl.TorusGridBasis(n=16))
+        L, _ = assemble_torus_operator(m, 16)
+        ML = prob.mass @ L
+        assert abs(prob.stiffness - ML).max() <= 1e-11 * abs(ML).max()
+
+    def test_symbol_density_matches_oracle(self):
+        m = builtin_metrics()["randers-var"]
+        x = fl.torus_point(0.3, 0.7)
+        sigma, rho = symbol_density(m, x)
+        c = fl.operator_coefficients(m, x)
+        assert np.abs(sigma - c.sigma).max() < 1e-11
+        assert rho == c.vol_density
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_variable_randers_spectrum_nonnegative(self, n):
+        prob = fl.assemble_eigenproblem(builtin_metrics()["randers-var"], fl.TorusGridBasis(n=n))
+        S = prob.stiffness
+        assert abs(S - S.T).max() == 0.0
+        assert np.abs(S @ np.ones(prob.dim)).max() <= 1e-12 * abs(S).max()
+        res = fl.solve_eigen(prob, k=8)
+        vals = res.expand()
+        assert abs(vals[0]) <= 1e-9 * np.abs(vals).max()
+        assert vals[1] > 1.0
+        assert res.meta["sym_defect"] == 0.0
+        assert res.meta["zero_mode_residual"] <= 1e-12
+
+    def test_degenerate_contact_density_rejected(self):
+        tiny = fl.riemannian(1e-14 * np.eye(2), chart=fl.TORUS)
+        with pytest.raises(fl.DegenerateContactError):
+            fl.assemble_eigenproblem(tiny, fl.TorusGridBasis(n=16))
+
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(torus_metrics())
+    def test_pencil_properties_random_metrics(self, metric):
+        prob = fl.assemble_eigenproblem(metric, fl.TorusGridBasis(n=16, fiber_n=64))
+        S = prob.stiffness.toarray()
+        scale = np.abs(S).max()
+        assert np.abs(S - S.T).max() <= 1e-14 * scale
+        assert np.abs(S.sum(axis=1)).max() <= 1e-12 * scale
+        w = np.linalg.eigvalsh(-S)
+        assert w[0] >= -1e-12 * scale
+        # the kernel is the constants alone
+        assert w[1] > 1e-6 * scale
 
 
 class TestSolver:
