@@ -15,6 +15,7 @@ nonzero eigenvalue of the negative operator is exactly 2 - 2 eps^2.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -204,6 +205,16 @@ def _quad_order(lmax: int, nquad: Optional[int]) -> int:
     return nquad
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(nq: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order nq, computed once per
+    order and returned read-only."""
+    c, w = leggauss(nq)
+    c.flags.writeable = False
+    w.flags.writeable = False
+    return c, w
+
+
 def galerkin_matrices(eps: float, m: int, lmax: int,
                       nquad: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Stiffness and mass for the harmonic sector e^{i m theta}.
@@ -218,7 +229,7 @@ def galerkin_matrices(eps: float, m: int, lmax: int,
     if lmax < m:
         raise ConfigError(f"lmax = {lmax} below |m| = {m}")
     nq = _quad_order(lmax, nquad)
-    c, w = leggauss(nq)
+    c, w = _gauss_legendre(nq)
     P, dP = legendre_block(m, lmax, c)
     op = SphereOperator(eps)
     rho = (1.0 - eps**2 * (1.0 - c * c)) ** (-1.5)

@@ -39,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .charts import ChartPoint, SPHERE, TORUS
+from .charts import ChartPoint, TORUS
 from .errors import ConfigError, DegenerateContactError, NumericError
 from .fields import field_gradient, field_hessian
 from .hilbert import DENSITY_FLOOR, _rk4_step, reeb_profile
-from .measures import DEFAULT_FIBER_N, fiber_quadrature, fiber_quadrature_adaptive
+from .measures import DEFAULT_FIBER_N, chart_fiber_quadrature, fiber_quadrature
 from .metrics import FinslerMetric2D, indicatrix_point
 
 GEODESIC_STEP = 1e-3
@@ -91,11 +91,7 @@ def operator_coefficients(metric: FinslerMetric2D, x: ChartPoint,
         return cache[1]
 
     h_phi, h_x = _steps(metric, h_phi, h_x)
-    if metric.chart == SPHERE:
-        # fibers grow eccentric toward the poles; refine until converged
-        quad = fiber_quadrature_adaptive(metric, x, fiber_n)
-    else:
-        quad = fiber_quadrature(metric, x, fiber_n)
+    quad = chart_fiber_quadrature(metric, x, fiber_n)
     w = quad.weights
     V, Xphi, _ = reeb_profile(metric, x, quad.nodes, h_phi, h_x)
 

@@ -8,16 +8,20 @@ density is cross-checked against the Holmes-Thompson construction:
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartPoint
+from .charts import ChartPoint, SPHERE
 from .errors import ConfigError, DomainError
 from .hilbert import density_profile
 from .metrics import FinslerMetric2D, indicatrix_point
 
 DEFAULT_FIBER_N = 256
+
+log = logging.getLogger("finlap.measures")
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,17 @@ class FiberQuadrature:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
+def _trapezoid_nodes(n: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+def _quadrature(x: ChartPoint, lam: np.ndarray) -> FiberQuadrature:
+    """Quadrature on the trapezoid nodes from contact-density samples."""
+    return FiberQuadrature(base=x, nodes=_trapezoid_nodes(len(lam)),
+                           weights=2.0 * np.pi * lam / lam.sum(),
+                           volume=float(lam.mean()))
+
+
 def fiber_quadrature(metric: FinslerMetric2D, x: ChartPoint,
                      n: int = DEFAULT_FIBER_N) -> FiberQuadrature:
     """Trapezoidal nodes with weights proportional to the contact density.
@@ -53,51 +68,84 @@ def fiber_quadrature(metric: FinslerMetric2D, x: ChartPoint,
     """
     if n < 16:
         raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {n}")
-    nodes = 2.0 * np.pi * np.arange(n) / n
-    lam = density_profile(metric, x, nodes)
-    weights = 2.0 * np.pi * lam / lam.sum()
-    return FiberQuadrature(base=x, nodes=nodes, weights=weights,
-                           volume=float(lam.mean()))
+    return _quadrature(x, density_profile(metric, x, _trapezoid_nodes(n)))
 
 
 def volume_density(metric: FinslerMetric2D, x: ChartPoint,
                    n: int = DEFAULT_FIBER_N) -> float:
     """Density of the canonical volume against du ^ dv."""
-    nodes = 2.0 * np.pi * np.arange(n) / n
-    return float(density_profile(metric, x, nodes).mean())
+    return float(density_profile(metric, x, _trapezoid_nodes(n)).mean())
 
 
-def _converged_fiber_n(metric: FinslerMetric2D, x: ChartPoint,
-                       n0: int, rtol: float, n_max: int) -> int:
-    """Smallest doubling of n0 on which the fiber volume has converged.
+def _converged_profile(metric: FinslerMetric2D, x: ChartPoint,
+                       n0: int, rtol: float, n_max: int) -> np.ndarray:
+    """Contact density on the trapezoid nodes of the smallest doubling of
+    n0 on which the fiber volume has converged (at most n_max nodes).
 
     Needed where the indicatrix is strongly eccentric in the chart basis
     (sphere chart near the poles): the contact density then peaks on an
     angular scale ~ sin(phi) and a fixed trapezoid under-resolves it.
+    The nodes of size n are the even nodes of size 2n, so each doubling
+    evaluates only the n new odd nodes and interleaves them with the
+    samples it has; the result equals a fresh evaluation at the final
+    size bit for bit.  Stopping at n_max unconverged is logged at DEBUG.
     """
-    n = n0
-    prev = volume_density(metric, x, n)
-    while n < n_max:
-        n *= 2
-        cur = volume_density(metric, x, n)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return n
+    lam = density_profile(metric, x, _trapezoid_nodes(n0))
+    prev = float(lam.mean())
+    change = math.nan
+    while len(lam) < n_max:
+        n = 2 * len(lam)
+        fine = np.empty(n)
+        fine[0::2] = lam
+        fine[1::2] = density_profile(metric, x, 2.0 * np.pi * np.arange(1, n, 2) / n)
+        lam = fine
+        cur = float(lam.mean())
+        scale = max(abs(cur), 1e-300)
+        if abs(cur - prev) <= rtol * scale:
+            return lam
+        change = abs(cur - prev) / scale
         prev = cur
-    return n
+    log.debug("fiber quadrature at %s (%.6g, %.6g) stopped at the cap of %d nodes "
+              "unconverged: last relative volume change %.3g",
+              x.chart, x.u, x.v, len(lam), change)
+    return lam
 
 
 def volume_density_adaptive(metric: FinslerMetric2D, x: ChartPoint,
                             n0: int = DEFAULT_FIBER_N, rtol: float = 1e-9,
                             n_max: int = 1 << 15) -> float:
-    """Volume density with fiber-node doubling until convergence."""
-    return volume_density(metric, x, _converged_fiber_n(metric, x, n0, rtol, n_max))
+    """Volume density with fiber-node doubling until convergence.
+
+    Each doubling reuses the samples of the previous size; a fiber that
+    stops at ``n_max`` unconverged is logged on ``finlap.measures``.
+    """
+    return float(_converged_profile(metric, x, n0, rtol, n_max).mean())
 
 
 def fiber_quadrature_adaptive(metric: FinslerMetric2D, x: ChartPoint,
                               n0: int = DEFAULT_FIBER_N, rtol: float = 1e-9,
                               n_max: int = 1 << 15) -> FiberQuadrature:
-    """Fiber quadrature with node count doubled until the volume converges."""
-    return fiber_quadrature(metric, x, _converged_fiber_n(metric, x, n0, rtol, n_max))
+    """Fiber quadrature with node count doubled until the volume converges.
+
+    Equals :func:`fiber_quadrature` at the converged size, nodes and
+    weights included; each doubling reuses the samples of the previous
+    size and a fiber that stops at ``n_max`` unconverged is logged on
+    ``finlap.measures``.
+    """
+    lam = _converged_profile(metric, x, n0, rtol, n_max)
+    if len(lam) < 16:
+        raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {len(lam)}")
+    return _quadrature(x, lam)
+
+
+def chart_fiber_quadrature(metric: FinslerMetric2D, x: ChartPoint,
+                           n: int = DEFAULT_FIBER_N) -> FiberQuadrature:
+    """Fiber quadrature suited to the metric's chart: adaptive from n nodes
+    on the sphere chart, whose fibers grow eccentric toward the poles, and
+    the fixed n-node rule elsewhere."""
+    if metric.chart == SPHERE:
+        return fiber_quadrature_adaptive(metric, x, n)
+    return fiber_quadrature(metric, x, n)
 
 
 def sphere_total_volume(metric: FinslerMetric2D, n_phi: int = 96,

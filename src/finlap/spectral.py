@@ -6,8 +6,10 @@ volume mass matrix.  Torus grids assemble S in divergence form from the
 symbol and volume density alone (:func:`finlap.laplace.conservative_pencil`),
 so it is symmetric with the constants in its kernel by construction;
 sphere sectors use the Galerkin matrices.  Small dense pencils go
-through Cholesky reduction plus cyclic Jacobi rotations; large sparse
-grids use shift-invert Lanczos (deterministic start vector).
+through one LAPACK generalized symmetric solve (``scipy.linalg.eigh``);
+large sparse grids use shift-invert Lanczos (deterministic start
+vector).  :func:`jacobi_eigh` is an independent dense eigensolver kept
+as a test oracle.
 """
 
 from __future__ import annotations
@@ -17,18 +19,20 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradient
-from .hilbert import reeb_profile
 from .laplace import conservative_pencil, grid_symbol_density
-from .measures import DEFAULT_FIBER_N, fiber_quadrature, fiber_quadrature_adaptive
-from .metrics import FinslerMetric2D, KatokZillerMetric
+from .measures import DEFAULT_FIBER_N, chart_fiber_quadrature
+from .metrics import FinslerMetric2D, KatokZillerMetric, indicatrix_point
 
 MERGE_TOL = 1e-9
+#: largest dimension that ``method="auto"`` solves densely (the name
+#: predates the LAPACK dense solver; perfbench/tracer.py reads it)
 JACOBI_MAX_DENSE = 200
 
 
@@ -136,32 +140,25 @@ def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
     return BaseQuadrature(points=tuple(pts), weights=np.array(wts))
 
 
-def _point_quadrature(metric: FinslerMetric2D, x: ChartPoint, fiber_n: int):
-    # sphere fibers grow eccentric toward the poles; refine there
-    if metric.chart == SPHERE:
-        return fiber_quadrature_adaptive(metric, x, fiber_n)
-    return fiber_quadrature(metric, x, fiber_n)
-
-
 def energy(metric: FinslerMetric2D, u, base: BaseQuadrature,
            fiber_n: int = DEFAULT_FIBER_N) -> float:
     """Dirichlet-type energy: (1/pi) Int (grad u . V)^2 over the fiber bundle.
 
     Equals -<u, Lap u> against the canonical volume up to discretization
-    (the Green identity).
+    (the Green identity).  The horizontal Reeb component V is the
+    indicatrix point of its direction, so no Reeb solve is needed.
     """
     shared = None
     if metric.position_independent and base.points:
-        quad = _point_quadrature(metric, base.points[0], fiber_n)
-        V, _, _ = reeb_profile(metric, base.points[0], quad.nodes)
-        shared = (quad, V)
+        quad = chart_fiber_quadrature(metric, base.points[0], fiber_n)
+        shared = (quad, indicatrix_point(metric, base.points[0], quad.nodes))
     total = 0.0
     for x, wx in zip(base.points, base.weights):
         if shared is not None:
             quad, V = shared
         else:
-            quad = _point_quadrature(metric, x, fiber_n)
-            V, _, _ = reeb_profile(metric, x, quad.nodes)
+            quad = chart_fiber_quadrature(metric, x, fiber_n)
+            V = indicatrix_point(metric, x, quad.nodes)
         du = field_gradient(u, x)
         rates = V @ du
         total += wx * quad.volume * float(quad.weights @ rates**2)
@@ -173,12 +170,12 @@ def omega_norm_sq(metric: FinslerMetric2D, u, base: BaseQuadrature,
     """Integral of u^2 against the canonical volume."""
     shared_vol = None
     if metric.position_independent and base.points:
-        shared_vol = _point_quadrature(metric, base.points[0], fiber_n).volume
+        shared_vol = chart_fiber_quadrature(metric, base.points[0], fiber_n).volume
     total = 0.0
     for x, wx in zip(base.points, base.weights):
         vol = shared_vol
         if vol is None:
-            vol = _point_quadrature(metric, x, fiber_n).volume
+            vol = chart_fiber_quadrature(metric, x, fiber_n).volume
         total += wx * vol * float(u(x)) ** 2
     return total
 
@@ -188,12 +185,12 @@ def omega_mean(metric: FinslerMetric2D, u, base: BaseQuadrature,
     """Volume-weighted mean of u (for projecting out constants)."""
     shared_vol = None
     if metric.position_independent and base.points:
-        shared_vol = _point_quadrature(metric, base.points[0], fiber_n).volume
+        shared_vol = chart_fiber_quadrature(metric, base.points[0], fiber_n).volume
     num = den = 0.0
     for x, wx in zip(base.points, base.weights):
         vol = shared_vol
         if vol is None:
-            vol = _point_quadrature(metric, x, fiber_n).volume
+            vol = chart_fiber_quadrature(metric, x, fiber_n).volume
         num += wx * vol * float(u(x))
         den += wx * vol
     return num / den
@@ -300,15 +297,18 @@ def solve_eigen(problem: SpectralProblem, k: int,
                 method: str = "auto") -> SpectrumResult:
     """Lowest k eigenvalues of the negative operator for the pencil.
 
-    ``method="jacobi"`` reduces with a mass Cholesky factor and runs
-    cyclic Jacobi (dense, dimensions up to a few hundred);
+    ``method="dense"`` solves the generalized symmetric problem with
+    LAPACK (``scipy.linalg.eigh``; dimensions up to a few hundred);
     ``method="lanczos"`` uses shift-invert Lanczos with a fixed start
-    vector.  ``"auto"`` picks by dimension.
+    vector, and the dense solve when k >= dim - 1, which ARPACK cannot
+    do.  ``"auto"`` picks by dimension.
     """
     if k < 1 or k > problem.dim:
         raise ConfigError(f"k = {k} outside 1..{problem.dim}")
     if method == "auto":
-        method = "jacobi" if problem.dim <= JACOBI_MAX_DENSE else "lanczos"
+        method = "dense" if problem.dim <= JACOBI_MAX_DENSE else "lanczos"
+    if method not in ("dense", "lanczos"):
+        raise ConfigError(f"unknown solver method {method!r}")
     S = problem.stiffness
     M = problem.mass
     meta = {
@@ -321,32 +321,17 @@ def solve_eigen(problem: SpectralProblem, k: int,
     if problem.zero_mode_residual is not None:
         meta["zero_mode_residual"] = problem.zero_mode_residual
 
-    if method == "jacobi":
+    if method == "dense" or k >= problem.dim - 1:
         Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
         Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-        L = np.linalg.cholesky(Md)
-        Y = np.linalg.solve(L, -Sd)
-        B = np.linalg.solve(L, Y.T).T
-        B = 0.5 * (B + B.T)
-        w, _ = jacobi_eigh(B)
-        vals = w[:k]
-    elif method == "lanczos":
-        if k >= problem.dim - 1:
-            # ARPACK needs k < dim - 1; fall back to a dense solve
-            import scipy.linalg as sla
-
-            Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
-            Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-            vals = np.sort(sla.eigh(-Sd, Md, eigvals_only=True))[:k]
-        else:
-            Ss = sp.csr_matrix(S) if not sp.issparse(S) else S
-            Ms = sp.csr_matrix(M) if not sp.issparse(M) else M
-            v0 = np.full(problem.dim, 1.0 / math.sqrt(problem.dim))
-            vals = spla.eigsh(-Ss, k=k, M=Ms, sigma=-1.0, which="LM",
-                              v0=v0, return_eigenvectors=False)
-            vals = np.sort(vals)
+        vals = sla.eigh(-Sd, Md, eigvals_only=True)[:k]
     else:
-        raise ConfigError(f"unknown solver method {method!r}")
+        Ss = sp.csr_matrix(S) if not sp.issparse(S) else S
+        Ms = sp.csr_matrix(M) if not sp.issparse(M) else M
+        v0 = np.full(problem.dim, 1.0 / math.sqrt(problem.dim))
+        vals = spla.eigsh(-Ss, k=k, M=Ms, sigma=-1.0, which="LM",
+                          v0=v0, return_eigenvectors=False)
+        vals = np.sort(vals)
     return SpectrumResult.from_values(vals, meta=meta)
 
 

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 import finlap as fl
+import finlap.measures as measures
 from conftest import builtin_metrics, random_point
 
 
@@ -84,6 +86,58 @@ class TestVolumeDensity:
             v128 = fl.volume_density(m, x, n=128)
             v256 = fl.volume_density(m, x, n=256)
             assert abs(v256 - v128) < 1e-8, name
+
+
+# outermost phi node of the 96-point Gauss-Legendre rule of sphere_total_volume
+OUTER_PHI = 0.5 * math.pi * (np.polynomial.legendre.leggauss(96)[0][0] + 1.0)
+
+
+class TestAdaptiveQuadrature:
+    @pytest.mark.parametrize("phi", [OUTER_PHI, 0.01, math.pi / 2])
+    def test_equals_fixed_rule_at_converged_n(self, phi):
+        m = fl.kz_sphere(0.3)
+        x = fl.sphere_point(phi, 0.0)
+        q = fl.fiber_quadrature_adaptive(m, x)
+        n = len(q.nodes)
+        ref = fl.fiber_quadrature(m, x, n)
+        assert np.all(q.nodes == ref.nodes)
+        assert np.all(q.weights == ref.weights)
+        assert q.volume == ref.volume
+        assert fl.volume_density_adaptive(m, x) == fl.volume_density(m, x, n) == ref.volume
+
+    @pytest.mark.parametrize("phi", [OUTER_PHI, 0.01, math.pi / 2])
+    def test_each_angle_evaluated_once(self, phi, monkeypatch):
+        m = fl.kz_sphere(0.3)
+        x = fl.sphere_point(phi, 0.0)
+        angles = []
+        original = measures.density_profile
+
+        def counting(metric, x, phis, *args):
+            angles.append(len(phis))
+            return original(metric, x, phis, *args)
+
+        monkeypatch.setattr(measures, "density_profile", counting)
+        n = len(fl.fiber_quadrature_adaptive(m, x).nodes)
+        assert sum(angles) == n
+        angles.clear()
+        fl.volume_density_adaptive(m, x)
+        assert sum(angles) == n
+
+    def test_cap_is_logged(self, caplog):
+        m = fl.kz_sphere(0.3)
+        with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
+            fl.volume_density_adaptive(m, fl.sphere_point(OUTER_PHI, 0.0))
+        (record,) = [r for r in caplog.records if r.name == "finlap.measures"]
+        msg = record.getMessage()
+        assert f"{OUTER_PHI:.6g}" in msg and "32768 nodes" in msg
+        # the volume still moves by 6.7e-4 between 16384 and 32768 nodes
+        assert float(msg.rsplit(" ", 1)[-1]) == pytest.approx(6.7e-4, rel=0.05)
+
+    def test_converged_fiber_not_logged(self, caplog):
+        m = fl.kz_sphere(0.3)
+        with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
+            fl.volume_density_adaptive(m, fl.sphere_point(math.pi / 2, 0.0))
+        assert not [r for r in caplog.records if r.name == "finlap.measures"]
 
 
 class TestHolmesThompson:

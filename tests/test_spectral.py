@@ -6,6 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import finlap as fl
+import finlap.hilbert as hilbert
 from conftest import builtin_metrics
 from finlap.laplace import assemble_torus_operator, symbol_density
 
@@ -45,6 +46,50 @@ class TestEnergy:
             acc += w * c.vol_density * u(x) * c.apply(fl.field_gradient(u, x),
                                                       fl.field_hessian(u, x))
         assert abs(e + acc) <= 1e-3 * e
+
+
+def tilted_randers():
+    return fl.make_randers(
+        np.array([[1.5, -0.2], [-0.2, 0.8]]),
+        lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v),
+                            0.2 * math.cos(2 * math.pi * p.u)]),
+        chart=fl.TORUS)
+
+
+class TestEnergyFromIndicatrix:
+    # (energy, rayleigh) on torus_base(8) with V from the Reeb solve, as
+    # computed before energy took V from the indicatrix
+    REEB_VALUES = {
+        "randers-var": (40.4174024075195, 64.66784385382027),
+        "randers-tilted": (43.37296284415542, 64.43325602672941),
+    }
+
+    @staticmethod
+    def metric(name):
+        return builtin_metrics()[name] if name == "randers-var" else tilted_randers()
+
+    @pytest.mark.parametrize("name", sorted(REEB_VALUES))
+    def test_matches_reeb_route(self, name):
+        u = fl.SumField([fl.SeparableTrigField(1.0, "cos", 1, "one", 0),
+                         fl.SeparableTrigField(0.5, "one", 0, "sin", 2)])
+        base = fl.torus_base(8)
+        e, r = self.REEB_VALUES[name]
+        assert fl.energy(self.metric(name), u, base) == pytest.approx(e, rel=1e-8)
+        assert fl.rayleigh(self.metric(name), u, base) == pytest.approx(r, rel=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(REEB_VALUES))
+    def test_three_fiber_derivative_calls_per_point(self, name, monkeypatch):
+        calls = []
+        original = hilbert.vertical_derivative
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hilbert, "vertical_derivative", counting)
+        base = fl.torus_base(8)
+        fl.energy(self.metric(name), fl.SeparableTrigField(1.0, "cos", 1, "one", 0), base)
+        assert len(calls) == 3 * len(base.points)
 
 
 class TestRayleigh:
@@ -232,11 +277,36 @@ class TestSolver:
         assert np.abs(w_j - w_ref).max() < 1e-10
         assert np.abs(V @ np.diag(w_j) @ V.T - S).max() < 1e-9
 
-    def test_jacobi_vs_lanczos_pencil(self):
+    def test_dense_vs_lanczos_pencil(self):
         prob = fl.assemble_eigenproblem(fl.kz_torus(0.5), fl.TorusGridBasis(n=16))
-        res_j = fl.solve_eigen(prob, k=6, method="jacobi")
+        res_d = fl.solve_eigen(prob, k=6, method="dense")
         res_l = fl.solve_eigen(prob, k=6, method="lanczos")
-        assert np.abs(res_j.expand()[:6] - res_l.expand()[:6]).max() < 1e-8
+        assert res_d.meta["solver"] == "dense"
+        assert np.abs(res_d.expand()[:6] - res_l.expand()[:6]).max() < 1e-8
+
+    def test_unknown_method_rejected(self):
+        prob = fl.assemble_eigenproblem(fl.kz_sphere(0.1),
+                                        fl.SphereHarmonicBasis(lmax=8, m=0))
+        for method in ("jacobi", "arpack"):
+            with pytest.raises(fl.ConfigError):
+                fl.solve_eigen(prob, k=3, method=method)
+
+    def test_sphere_spectrum_matches_jacobi_oracle(self):
+        # each sector pencil reduced with the mass Cholesky factor and
+        # diagonalized by cyclic Jacobi, independently of LAPACK's eigh
+        eps, lmax, k = 0.3, 12, 20
+        values = []
+        for m_ in range(lmax + 1):
+            prob = fl.assemble_eigenproblem(fl.kz_sphere(eps),
+                                            fl.SphereHarmonicBasis(lmax=lmax, m=m_))
+            L = np.linalg.cholesky(prob.mass)
+            B = np.linalg.solve(L, np.linalg.solve(L, -prob.stiffness).T).T
+            w, _ = fl.jacobi_eigh(0.5 * (B + B.T))
+            values.extend(w.tolist() * (1 if m_ == 0 else 2))
+        oracle = np.sort(values)[:k]
+        got = fl.sphere_spectrum(eps, lmax, k).expand()
+        assert got.size == k
+        assert np.all(np.abs(got - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
     def test_flat_torus_spectrum(self):
         m = fl.riemannian(np.eye(2), chart=fl.TORUS)
@@ -266,13 +336,8 @@ class TestSolver:
 
     def test_zero_mode_is_constant(self):
         prob = fl.assemble_eigenproblem(fl.kz_torus(0.4), fl.TorusGridBasis(n=16))
-        S = prob.stiffness.toarray()
-        M = prob.mass.toarray()
-        L = np.linalg.cholesky(M)
-        B = np.linalg.solve(L, np.linalg.solve(L, -S).T).T
-        w, V = fl.jacobi_eigh(0.5 * (B + B.T))
-        vec = np.linalg.solve(L.T, V[:, 0])
-        vec /= np.linalg.norm(vec)
+        w, V = sla.eigh(-prob.stiffness.toarray(), prob.mass.toarray())
+        vec = V[:, 0] / np.linalg.norm(V[:, 0])
         assert abs(w[0]) < 1e-9
         assert np.abs(np.abs(vec) - 1.0 / math.sqrt(len(vec))).max() < 1e-8
 
