@@ -22,64 +22,18 @@ import sys
 import tempfile
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .charts import ChartPoint, SPHERE, TORUS
+from .catalog import METRIC_KINDS, build_metric
+from .charts import ChartPoint, SPHERE
 from .errors import ConfigError, FinlapError
-from .fields import ConstantField
 from .hilbert import FiberPoint, geodesic_integrate
 from .laplace import operator_coefficients
 from .measures import holmes_thompson_density, volume_density
-from .metrics import (FinslerMetric2D, kz_sphere, kz_torus, randers, riemannian,
-                      scale_conformal)
+from .metrics import FinslerMetric2D
 from .spectral import (TorusGridBasis, assemble_eigenproblem, solve_eigen,
                        sphere_spectrum)
 from .katok_ziller import torus_spectrum
 from .verify import run_suite
-
-METRIC_KINDS = ("kz-torus", "kz-sphere", "flat-torus", "randers")
-
-
-def build_metric(kind: str, eps: float, g=None, theta=None,
-                 conformal=None) -> FinslerMetric2D:
-    """Metric from config data: named kind, optional constant g/theta
-    tensors (randers/flat-torus) and a constant conformal log-factor."""
-    def as_g():
-        if g is None:
-            return np.eye(2)
-        arr = _array(g, "metric.g")
-        if arr.shape != (2, 2):
-            raise ConfigError("metric.g must be a 2x2 matrix")
-        return arr
-
-    if kind == "kz-torus":
-        metric = kz_torus(eps)
-    elif kind == "kz-sphere":
-        metric = kz_sphere(eps)
-    elif kind == "flat-torus":
-        metric = riemannian(as_g(), chart=TORUS)
-    elif kind == "randers":
-        th = np.array([eps, 0.0]) if theta is None else _array(theta, "metric.theta")
-        if th.shape != (2,):
-            raise ConfigError("metric.theta must have 2 components")
-        metric = randers(as_g(), th, chart=TORUS)
-    else:
-        raise ConfigError(f"unknown metric kind {kind!r}")
-    if conformal is not None:
-        try:
-            metric = scale_conformal(metric, ConstantField(float(conformal)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("metric.conformal must be a number "
-                              "(constant log-factor)") from exc
-    return metric
-
-
-def _array(value, name: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must hold numbers, got {value!r}") from exc
 
 
 def _number(conv, value, name: str):
@@ -290,7 +244,8 @@ def cmd_verify(args) -> int:
         params["grid_n"] = int(args.grid)
     results = run_suite(args.suite, params, seed=m.seed)
     report = [
-        {"check": r.check, "status": r.status, "defect": r.defect, "tolerance": r.tolerance}
+        {"check": r.check, "status": r.status, "defect": r.defect,
+         "tolerance": r.tolerance, "seconds": r.seconds}
         for r in results
     ]
     doc = {"config_echo": _config_echo(m), "task": "verify", "report": report}

@@ -82,14 +82,29 @@ def _steps(metric: FinslerMetric2D, h_phi, h_x):
     return h_phi, h_x
 
 
+def _phi_jet(metric: FinslerMetric2D, x: ChartPoint, phis: np.ndarray, h_phi):
+    """(p, q) at the angles phis and its central phi-difference."""
+    pq = _a_components(metric, x, phis)
+    dpq = (_a_components(metric, x, phis + h_phi)
+           - _a_components(metric, x, phis - h_phi)) / (2.0 * h_phi)
+    return pq, dpq
+
+
+def _curl(metric: FinslerMetric2D, x: ChartPoint, phis: np.ndarray, h_x) -> np.ndarray:
+    """dq/du - dp/dv at the angles phis, by central differences in u and v."""
+    pq_du = (_a_components(metric, x.shifted(h_x, 0.0), phis)
+             - _a_components(metric, x.shifted(-h_x, 0.0), phis)) / (2.0 * h_x)
+    pq_dv = (_a_components(metric, x.shifted(0.0, h_x), phis)
+             - _a_components(metric, x.shifted(0.0, -h_x), phis)) / (2.0 * h_x)
+    return pq_du[:, 1] - pq_dv[:, 0]
+
+
 def density_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
                     h_phi=None) -> np.ndarray:
     """lambda(x, phi) over an array of angles (vectorized)."""
     h_phi, _ = _steps(metric, h_phi, None)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    pq = _a_components(metric, x, phis)
-    dpq = (_a_components(metric, x, phis + h_phi)
-           - _a_components(metric, x, phis - h_phi)) / (2.0 * h_phi)
+    pq, dpq = _phi_jet(metric, x, phis, h_phi)
     return np.abs(pq[:, 1] * dpq[:, 0] - pq[:, 0] * dpq[:, 1])
 
 
@@ -107,11 +122,8 @@ def contact_orientation(metric: FinslerMetric2D, fp: FiberPoint,
                         h_phi=None) -> int:
     """Sign of A ^ dA relative to dphi ^ du ^ dv (+1 or -1)."""
     h_phi, _ = _steps(metric, h_phi, None)
-    phis = np.array([fp.phi])
-    pq = _a_components(metric, fp.base, phis)[0]
-    dpq = (_a_components(metric, fp.base, phis + h_phi)
-           - _a_components(metric, fp.base, phis - h_phi))[0] / (2.0 * h_phi)
-    value = pq[1] * dpq[0] - pq[0] * dpq[1]
+    pq, dpq = _phi_jet(metric, fp.base, np.array([fp.phi]), h_phi)
+    value = pq[0, 1] * dpq[0, 0] - pq[0, 0] * dpq[0, 1]
     return 1 if value >= 0.0 else -1
 
 
@@ -131,13 +143,8 @@ def reeb_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     n = len(phis)
 
-    pq = _a_components(metric, x, phis)
-    dpq = (_a_components(metric, x, phis + h_phi)
-           - _a_components(metric, x, phis - h_phi)) / (2.0 * h_phi)
-    pq_du = (_a_components(metric, x.shifted(h_x, 0.0), phis)
-             - _a_components(metric, x.shifted(-h_x, 0.0), phis)) / (2.0 * h_x)
-    pq_dv = (_a_components(metric, x.shifted(0.0, h_x), phis)
-             - _a_components(metric, x.shifted(0.0, -h_x), phis)) / (2.0 * h_x)
+    pq, dpq = _phi_jet(metric, x, phis, h_phi)
+    curl = _curl(metric, x, phis, h_x)
 
     p, q = pq[:, 0], pq[:, 1]
     p_phi, q_phi = dpq[:, 0], dpq[:, 1]
@@ -146,7 +153,6 @@ def reeb_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
         raise DegenerateContactError(
             f"contact density below {DENSITY_FLOOR} at ({x.u}, {x.v})"
         )
-    curl = pq_du[:, 1] - pq_dv[:, 0]  # dq/du - dp/dv
 
     # rows: A(X) = 1; dphi-component of i_X dA; du- or dv-component.
     M = np.zeros((n, 3, 3))
@@ -187,14 +193,8 @@ def reeb_residuals_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
         h_x = 0.5 * sx
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     V, Xphi, _ = reeb_profile(metric, x, phis)
-    pq = _a_components(metric, x, phis)
-    dpq = (_a_components(metric, x, phis + h_phi)
-           - _a_components(metric, x, phis - h_phi)) / (2.0 * h_phi)
-    pq_du = (_a_components(metric, x.shifted(h_x, 0.0), phis)
-             - _a_components(metric, x.shifted(-h_x, 0.0), phis)) / (2.0 * h_x)
-    pq_dv = (_a_components(metric, x.shifted(0.0, h_x), phis)
-             - _a_components(metric, x.shifted(0.0, -h_x), phis)) / (2.0 * h_x)
-    curl = pq_du[:, 1] - pq_dv[:, 0]
+    pq, dpq = _phi_jet(metric, x, phis, h_phi)
+    curl = _curl(metric, x, phis, h_x)
     r_a = np.abs(pq[:, 0] * V[:, 0] + pq[:, 1] * V[:, 1] - 1.0)
     r_du = np.abs(-curl * V[:, 1] + dpq[:, 0] * Xphi)
     r_dv = np.abs(curl * V[:, 0] + dpq[:, 1] * Xphi)

@@ -169,29 +169,40 @@ def sphere_total_volume(metric: FinslerMetric2D, n_phi: int = 96,
     return float(total)
 
 
+def _boundary_scan(metric: FinslerMetric2D, x: ChartPoint,
+                   n_boundary: int) -> tuple:
+    """``(phis, vs)``: the indicatrix at x on ``n_boundary`` equally spaced
+    Euclidean directions, the dense scan behind :func:`_dual_radii`."""
+    phis = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    return phis, indicatrix_point(metric, x, phis)
+
+
 def _dual_radii(metric: FinslerMetric2D, x: ChartPoint, betas: np.ndarray,
-                n_boundary: int, refine_steps: int = 4) -> np.ndarray:
+                scan: tuple, refine_steps: int = 4) -> np.ndarray:
     """Radii of the dual unit disc boundary along covector directions betas.
 
-    The support of the indicatrix is scanned on a dense grid, then the
-    maximizing angle of each ray is sharpened by iterated parabolic
-    refinement with re-evaluation (robust on eccentric indicatrices,
-    where the support peaks on a narrow angular scale).
+    The support of the indicatrix is maximized over the dense ``scan``
+    from :func:`_boundary_scan` (one scan serves any number of calls at
+    the same x), then the maximizing angle of each ray is sharpened by
+    iterated parabolic refinement with re-evaluation (robust on eccentric
+    indicatrices, where the support peaks on a narrow angular scale).
+    The support matrix is built rays-major, so that the maximum over the
+    scan runs along contiguous rows.
     """
-    phis = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
-    vs = indicatrix_point(metric, x, phis)            # (n_boundary, 2)
-    beams = np.stack([np.cos(betas), np.sin(betas)])  # (2, n_rays)
-    support = vs @ beams                              # (n_boundary, n_rays)
-    idx = np.argmax(support, axis=0)
+    phis, vs = scan
+    beams = np.stack([np.cos(betas), np.sin(betas)], axis=-1)  # (n_rays, 2)
+    support = beams @ vs.T                                     # (n_rays, n_boundary)
+    rows = np.arange(len(betas))
+    idx = np.argmax(support, axis=1)
 
     def eval_support(ph):
         # ph: (n_rays,) angles; support of each ray's covector at its angle
         v = indicatrix_point(metric, x, ph)
-        return np.einsum("ij,ji->i", v, beams)
+        return np.einsum("ij,ij->i", v, beams)
 
     center = phis[idx]
-    half = np.full_like(center, 2.0 * np.pi / n_boundary)
-    y2 = support[idx, np.arange(support.shape[1])]
+    half = np.full_like(center, 2.0 * np.pi / len(phis))
+    y2 = support[rows, idx]
     best = y2.copy()
     for _ in range(refine_steps):
         y1 = eval_support(center - half)
@@ -216,7 +227,7 @@ def holmes_thompson_density(metric: FinslerMetric2D, x: ChartPoint,
     :func:`volume_density`.
     """
     betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
-    r = _dual_radii(metric, x, betas, n_boundary)
+    r = _dual_radii(metric, x, betas, _boundary_scan(metric, x, n_boundary))
     area = 0.5 * float(np.sum(r**2)) * (2.0 * np.pi / n_rays)
     return area / np.pi
 
@@ -226,15 +237,18 @@ def dual_norm_sampled(metric: FinslerMetric2D, x: ChartPoint, v,
     """Double dual F**(x, v) = sup { p(v) : F*(x, p) = 1 }.
 
     The dual unit circle is sampled along ``n_rays`` covector directions
-    (each radius from an ``n_boundary``-point support scan) and the
-    support of v over it is maximized with parabolic refinement.
+    and the support of v over it is maximized with parabolic refinement.
+    Every radius, of the first ``n_rays`` and of each refinement step,
+    comes from the same ``n_boundary``-point indicatrix scan, taken once
+    per call.
     """
     v = np.asarray(v, dtype=float)
     if np.hypot(v[0], v[1]) == 0.0:
         raise DomainError("double dual undefined at the zero vector")
+    scan = _boundary_scan(metric, x, n_boundary)
 
     def support_of_v(bs):
-        r = _dual_radii(metric, x, bs, n_boundary)
+        r = _dual_radii(metric, x, bs, scan)
         return r * (np.cos(bs) * v[0] + np.sin(bs) * v[1])
 
     betas = 2.0 * np.pi * np.arange(n_rays) / n_rays

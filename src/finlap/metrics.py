@@ -31,11 +31,19 @@ MatrixField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
 CovectorField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
 
 
+def _frozen(value) -> np.ndarray:
+    """Read-only float copy of a constant tensor, so that it cannot change
+    after it has been checked."""
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_matrix_field(g: MatrixField):
     """Normalize a 2x2 SPD field to (callable, is_constant)."""
     if callable(g):
         return g, False
-    arr = np.asarray(g, dtype=float)
+    arr = _frozen(g)
     if arr.shape != (2, 2):
         raise InvalidMetricError(f"metric tensor must be 2x2, got {arr.shape}")
     return (lambda x: arr), True
@@ -44,7 +52,7 @@ def _as_matrix_field(g: MatrixField):
 def _as_covector_field(theta: CovectorField):
     if callable(theta):
         return theta, False
-    arr = np.asarray(theta, dtype=float)
+    arr = _frozen(theta)
     if arr.shape != (2,):
         raise InvalidMetricError(f"1-form must have 2 components, got {arr.shape}")
     return (lambda x: arr), True
@@ -55,6 +63,10 @@ def _check_spd(g: np.ndarray, where: str):
         raise InvalidMetricError(f"metric tensor not symmetric at {where}")
     if g[0, 0] <= 0.0 or np.linalg.det(g) <= 0.0:
         raise InvalidMetricError(f"metric tensor not positive definite at {where}")
+
+
+def _covector_norm(g: np.ndarray, th: np.ndarray) -> float:
+    return float(math.sqrt(th @ np.linalg.solve(g, th)))
 
 
 class FinslerMetric2D:
@@ -92,20 +104,41 @@ class FinslerMetric2D:
             )
 
 
-class RiemannianMetric(FinslerMetric2D):
+class _TensorFieldMetric(FinslerMetric2D):
+    """A metric built on an SPD tensor field g.
+
+    A constant field is checked once, on its first evaluation, and the
+    checked tensor is kept; a callable field is checked at every point.
+    A constant field that fails its check raises at every evaluation.
+    Subclasses keep their own checked constant data in ``_checked`` the
+    same way.
+    """
+
+    _g_checked: Optional[np.ndarray] = None
+    _checked = None
+
+    def __init__(self, g: MatrixField, chart: str):
+        self.chart = chart
+        self.g_field, self.g_constant = _as_matrix_field(g)
+
+    def g(self, x: ChartPoint) -> np.ndarray:
+        if self._g_checked is not None:
+            return self._g_checked
+        g = np.asarray(self.g_field(x), dtype=float)
+        _check_spd(g, f"({x.u}, {x.v})")
+        if self.g_constant:
+            self._g_checked = g
+        return g
+
+
+class RiemannianMetric(_TensorFieldMetric):
     """F = sqrt(g(v, v)) for an SPD tensor field g."""
 
     kind = "riemannian"
 
     def __init__(self, g: MatrixField, chart: str = TORUS):
-        self.chart = chart
-        self.g_field, g_const = _as_matrix_field(g)
-        self.position_independent = g_const and chart != SPHERE
-
-    def g(self, x: ChartPoint) -> np.ndarray:
-        g = np.asarray(self.g_field(x), dtype=float)
-        _check_spd(g, f"({x.u}, {x.v})")
-        return g
+        super().__init__(g, chart)
+        self.position_independent = self.g_constant and chart != SPHERE
 
     def _f(self, x, vs):
         g = self.g(x)
@@ -118,54 +151,51 @@ class RiemannianMetric(FinslerMetric2D):
         return gv / norm[..., None]
 
 
-class RandersMetric(FinslerMetric2D):
+class RandersMetric(_TensorFieldMetric):
     """F = sqrt(g(v, v)) + theta(v), with the g-norm of theta below 1."""
 
     kind = "randers"
 
     def __init__(self, g: MatrixField, theta: CovectorField, chart: str = TORUS):
-        self.chart = chart
-        self.g_field, g_const = _as_matrix_field(g)
-        self.theta_field, t_const = _as_covector_field(theta)
-        self.position_independent = g_const and t_const and chart != SPHERE
-
-    def g(self, x: ChartPoint) -> np.ndarray:
-        g = np.asarray(self.g_field(x), dtype=float)
-        _check_spd(g, f"({x.u}, {x.v})")
-        return g
+        super().__init__(g, chart)
+        self.theta_field, self.theta_constant = _as_covector_field(theta)
+        self.position_independent = (self.g_constant and self.theta_constant
+                                     and chart != SPHERE)
 
     def theta(self, x: ChartPoint) -> np.ndarray:
         return np.asarray(self.theta_field(x), dtype=float)
 
     def theta_norm(self, x: ChartPoint) -> float:
         """g-norm of the 1-form theta at x (covector norm)."""
+        return _covector_norm(self.g(x), self.theta(x))
+
+    def _g_theta(self, x: ChartPoint):
+        """(g, theta) at x, with the g-norm of theta checked below 1."""
+        if self._checked is not None:
+            return self._checked
         g = self.g(x)
         th = self.theta(x)
-        return float(math.sqrt(th @ np.linalg.solve(g, th)))
-
-    def _validate(self, x: ChartPoint):
-        nrm = self.theta_norm(x)
+        nrm = _covector_norm(g, th)
         if nrm >= 1.0:
             raise InvalidMetricError(
                 f"Randers 1-form has g-norm {nrm:.6f} >= 1 at ({x.u}, {x.v})"
             )
+        if self.g_constant and self.theta_constant:
+            self._checked = (g, th)
+        return g, th
 
     def _f(self, x, vs):
-        self._validate(x)
-        g = self.g(x)
-        th = self.theta(x)
+        g, th = self._g_theta(x)
         return np.sqrt(np.einsum("...i,ij,...j->...", vs, g, vs)) + vs @ th
 
     def _d_vf(self, x, vs):
-        self._validate(x)
-        g = self.g(x)
-        th = self.theta(x)
+        g, th = self._g_theta(x)
         gv = np.einsum("ij,...j->...i", g, vs)
         norm = np.sqrt(np.einsum("...i,...i->...", vs, gv))
         return gv / norm[..., None] + th
 
 
-class KatokZillerMetric(FinslerMetric2D):
+class KatokZillerMetric(_TensorFieldMetric):
     """One-parameter deformation of a Riemannian metric along a Killing field.
 
     F_eps(x, v) = [sqrt(g(v,v)*(1 - eps^2*|V|^2) + eps^2*g(V,v)^2)
@@ -180,21 +210,19 @@ class KatokZillerMetric(FinslerMetric2D):
                  chart: str = TORUS):
         if not 0.0 <= eps < 1.0:
             raise InvalidMetricError(f"deformation parameter must be in [0,1), got {eps}")
-        self.chart = chart
+        super().__init__(g, chart)
         self.eps = float(eps)
-        self.g_field, g_const = _as_matrix_field(g)
-        self.killing_field, v_const = _as_covector_field(killing)
-        self.position_independent = g_const and v_const and chart != SPHERE
-
-    def g(self, x: ChartPoint) -> np.ndarray:
-        g = np.asarray(self.g_field(x), dtype=float)
-        _check_spd(g, f"({x.u}, {x.v})")
-        return g
+        self.killing_field, self.killing_constant = _as_covector_field(killing)
+        self.position_independent = (self.g_constant and self.killing_constant
+                                     and chart != SPHERE)
 
     def killing(self, x: ChartPoint) -> np.ndarray:
         return np.asarray(self.killing_field(x), dtype=float)
 
     def _gv_c(self, x: ChartPoint):
+        """(g, gV, c) at x, with c = 1 - eps^2 g(V, V) checked positive."""
+        if self._checked is not None:
+            return self._checked
         g = self.g(x)
         V = self.killing(x)
         gV = g @ V
@@ -203,6 +231,8 @@ class KatokZillerMetric(FinslerMetric2D):
             raise InvalidMetricError(
                 f"eps^2 * g(V,V) >= 1 at ({x.u}, {x.v}); deformation too large"
             )
+        if self.g_constant and self.killing_constant:
+            self._checked = (g, gV, c)
         return g, gV, c
 
     def _f(self, x, vs):

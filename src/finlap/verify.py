@@ -2,17 +2,21 @@
 
 Each suite runs a batch of library-level identity checks and returns a
 list of :class:`CheckResult` rows; a suite passes when every row does.
-The random samples are driven by a seed so runs are reproducible.
+:func:`run_suite` times each suite and stamps its wall time on every row
+it returned.  The random samples are driven by a seed so runs are
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .catalog import build_metric
 from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError
 from .fields import SeparableTrigField, SumField
@@ -32,6 +36,8 @@ class CheckResult:
     status: str     # "pass" | "fail"
     defect: float
     tolerance: float
+    #: wall time of the whole suite that produced the row (set by run_suite)
+    seconds: float = 0.0
 
     @classmethod
     def from_defect(cls, check: str, defect: float, tolerance: float) -> "CheckResult":
@@ -53,17 +59,8 @@ def _random_vector(rng) -> np.ndarray:
 
 
 def _default_metric(params: Dict) -> FinslerMetric2D:
-    kind = params.get("metric", "kz-torus")
-    eps = float(params.get("eps", 0.6))
-    if kind == "kz-torus":
-        return kz_torus(eps)
-    if kind == "kz-sphere":
-        return kz_sphere(eps)
-    if kind == "flat-torus":
-        return riemannian(np.eye(2), chart=TORUS)
-    if kind == "randers":
-        return randers(np.eye(2), np.array([eps, 0.0]), chart=TORUS)
-    raise ConfigError(f"unknown metric kind {kind!r}")
+    """The run's metric kind and eps, by default the kz-torus at eps 0.6."""
+    return build_metric(params.get("metric", "kz-torus"), float(params.get("eps", 0.6)))
 
 
 def _metric_family(params: Dict) -> List[FinslerMetric2D]:
@@ -226,15 +223,25 @@ SUITES: Dict[str, Callable] = {
 }
 
 
+def _timed(name: str, params: Dict, rng) -> List[CheckResult]:
+    t0 = time.perf_counter()
+    rows = SUITES[name](params, rng)
+    seconds = time.perf_counter() - t0
+    for row in rows:
+        row.seconds = seconds
+    return rows
+
+
 def run_suite(name: str, params: Optional[Dict] = None, seed: int = 0) -> List[CheckResult]:
-    """Run one suite (or "all") and return its check rows."""
+    """Run one suite (or "all") and return its check rows, each carrying
+    the wall time of its suite in ``seconds``."""
     params = dict(params or {})
     rng = np.random.default_rng(seed)
     if name == "all":
         rows: List[CheckResult] = []
         for key in SUITES:
-            rows.extend(SUITES[key](params, rng))
+            rows.extend(_timed(key, params, rng))
         return rows
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](params, rng)
+    return _timed(name, params, rng)

@@ -135,6 +135,51 @@ class TestOtherCommands:
                    "--out", str(tmp_path / "f.json")])
         assert rc == 1
 
+    def test_verify_rows_carry_suite_seconds(self, tmp_path):
+        out = tmp_path / "rep.json"
+        rc = main(["verify", "--suite", "holmes-thompson", "--out", str(out), "--csv"])
+        assert rc == 0
+        rows = read_json(out)["report"]
+        assert len(rows) == 2
+        for row in rows:
+            assert isinstance(row["seconds"], float) and row["seconds"] >= 0.0
+        # one suite, one time
+        assert rows[0]["seconds"] == rows[1]["seconds"]
+        header = (tmp_path / "rep.csv").read_text().splitlines()[0]
+        assert header == "check,status,defect,tolerance"
+
+    def test_run_suite_times_each_suite(self, monkeypatch):
+        import time
+
+        import finlap.verify as verify_mod
+
+        def suite(pause):
+            def run(params, rng):
+                time.sleep(pause)
+                return [verify_mod.CheckResult.from_defect(f"row{i}", 0.0, 1.0)
+                        for i in range(2)]
+            return run
+
+        monkeypatch.setattr(verify_mod, "SUITES", {"short": suite(0.0), "long": suite(0.05)})
+        rows = verify_mod.run_suite("all")
+        assert [r.seconds for r in rows[:2]] == [rows[0].seconds] * 2
+        assert [r.seconds for r in rows[2:]] == [rows[2].seconds] * 2
+        assert rows[0].seconds >= 0.0 and rows[2].seconds >= 0.05
+
+    def test_metric_kinds_shared_with_verify(self):
+        import finlap.verify as verify_mod
+        from finlap import catalog
+        from finlap.cli import build_metric
+        from finlap.errors import ConfigError
+
+        assert build_metric is catalog.build_metric
+        m = verify_mod._default_metric({"metric": "randers", "eps": 0.4})
+        assert m.kind == "randers" and list(m.theta(None)) == [0.4, 0.0]
+        with pytest.raises(ConfigError, match="unknown metric kind"):
+            build_metric("no-such-kind", 0.1)
+        with pytest.raises(ConfigError, match="unknown metric kind"):
+            verify_mod._default_metric({"metric": "no-such-kind"})
+
     def test_invalid_metric_parameter_numeric_error(self, tmp_path):
         rc = main(["symbol", "--metric", "kz-torus", "--eps", "1.7",
                    "--out", str(tmp_path / "x.json")])

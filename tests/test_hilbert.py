@@ -135,6 +135,42 @@ class TestReebField:
             fl.reeb_field(m, fl.FiberPoint(fl.torus_point(0.5, 0.5), 0.0))
 
 
+class TestFiberJet:
+    def _record_calls(self, monkeypatch):
+        import finlap.hilbert as hilbert
+
+        calls = []
+        original = hilbert.vertical_derivative
+
+        def recording(metric, x, v, *args):
+            calls.append((x.u, x.v, math.atan2(v[0, 1], v[0, 0])))
+            return original(metric, x, v, *args)
+
+        monkeypatch.setattr(hilbert, "vertical_derivative", recording)
+        return calls
+
+    def test_call_order(self, monkeypatch):
+        h = fl.hilbert.H_PHI
+        calls = self._record_calls(monkeypatch)
+        m = fl.kz_torus(0.6)
+        x = fl.torus_point(0.25, 0.5)
+        fl.hilbert.density_profile(m, x, [1.0])
+        assert calls == pytest.approx([(0.25, 0.5, 1.0), (0.25, 0.5, 1.0 + h),
+                                       (0.25, 0.5, 1.0 - h)], abs=1e-15)
+        calls.clear()
+        fl.reeb_profile(m, x, [1.0])
+        assert calls == pytest.approx([
+            (0.25, 0.5, 1.0), (0.25, 0.5, 1.0 + h), (0.25, 0.5, 1.0 - h),
+            (0.25 + h, 0.5, 1.0), (0.25 - h, 0.5, 1.0),
+            (0.25, 0.5 + h, 1.0), (0.25, 0.5 - h, 1.0)], abs=1e-15)
+        calls.clear()
+        fl.hilbert.reeb_residuals_profile(m, x, [1.0])
+        assert len(calls) == 14
+
+    def test_sphere_total_volume_unchanged(self):
+        assert fl.sphere_total_volume(fl.kz_sphere(0.3), 96, 2) == 13.809198476223967
+
+
 class TestGeodesics:
     def test_flat_plane_unit_speed(self):
         m = fl.riemannian(np.eye(2), chart=fl.PLANE)

@@ -180,6 +180,22 @@ class TestSymmetryAndDivergenceForm:
         rate = math.log2(d16 / d32)
         assert 1.6 < rate < 2.4
 
+    @pytest.mark.parametrize("metric, fiber_n", [
+        (fl.kz_torus(0.6), 256),
+        (fl.make_randers(np.eye(2),
+                         lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0])), 64),
+    ], ids=["kz-torus", "randers-var"])
+    def test_symmetry_defect_equals_dense_formula(self, metric, fiber_n):
+        import scipy.sparse as sp
+        from finlap.laplace import assemble_torus_operator
+
+        n = 16
+        L, vol = assemble_torus_operator(metric, n, fiber_n)
+        S = (sp.diags(vol.ravel() / n**2) @ L).toarray()
+        dense = float(np.abs(S - S.T).max() / np.abs(S).max())
+        rep = fl.weighted_symmetry_residual(metric, n, fiber_n=fiber_n)
+        assert rep.symmetry_defect == dense
+
     def test_drift_uniqueness_cross_check(self, rng):
         # quadrature drift equals the divergence-form drift implied by
         # (sigma, volume) through symmetry

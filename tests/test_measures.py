@@ -161,3 +161,89 @@ class TestHolmesThompson:
                 ht = fl.holmes_thompson_density(m, x)
                 vd = fl.volume_density(m, x)
                 assert abs(ht - vd) <= 1e-5 * max(1.0, vd), name
+
+
+def _per_call_dual_radii(metric, x, betas, n_boundary, refine_steps=4):
+    """Reference: the dual radii with a fresh boundary scan on every call
+    and the support matrix built boundary-major."""
+    phis = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    vs = fl.indicatrix_point(metric, x, phis)
+    beams = np.stack([np.cos(betas), np.sin(betas)])
+    support = vs @ beams
+    idx = np.argmax(support, axis=0)
+
+    def eval_support(ph):
+        return np.einsum("ij,ji->i", fl.indicatrix_point(metric, x, ph), beams)
+
+    center = phis[idx]
+    half = np.full_like(center, 2.0 * np.pi / n_boundary)
+    y2 = support[idx, np.arange(support.shape[1])]
+    best = y2.copy()
+    for _ in range(refine_steps):
+        y1 = eval_support(center - half)
+        y3 = eval_support(center + half)
+        denom = y1 - 2.0 * y2 + y3
+        shift = np.where(np.abs(denom) > 1e-300, 0.5 * half * (y1 - y3) / denom, 0.0)
+        center = center + np.clip(shift, -half, half)
+        y2 = eval_support(center)
+        best = np.maximum.reduce([best, y1, y2, y3])
+        half *= 0.25
+    return 1.0 / np.maximum(best, y2)
+
+
+def _per_call_dual_norm_sampled(metric, x, v, n_rays=512, n_boundary=1024):
+    def support_of_v(bs):
+        r = _per_call_dual_radii(metric, x, bs, n_boundary)
+        return r * (np.cos(bs) * v[0] + np.sin(bs) * v[1])
+
+    betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    vals = support_of_v(betas)
+    i = int(np.argmax(vals))
+    center, half = betas[i], 2.0 * np.pi / n_rays
+    y2 = best = vals[i]
+    for _ in range(5):
+        y1, y3 = support_of_v(np.array([center - half, center + half]))
+        denom = y1 - 2.0 * y2 + y3
+        if abs(denom) > 1e-300:
+            center += float(np.clip(0.5 * half * (y1 - y3) / denom, -half, half))
+        y2 = float(support_of_v(np.array([center]))[0])
+        best = max(best, y1, y2, y3)
+        half *= 0.25
+    return float(best)
+
+
+def _per_call_holmes_thompson(metric, x, n_rays=512, n_boundary=2048):
+    betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    r = _per_call_dual_radii(metric, x, betas, n_boundary)
+    return 0.5 * float(np.sum(r**2)) * (2.0 * np.pi / n_rays) / np.pi
+
+
+class TestDualBoundaryScan:
+    def test_one_boundary_scan_per_dual_norm_call(self, monkeypatch):
+        sizes = []
+        original = measures.indicatrix_point
+
+        def counting(metric, x, phi):
+            sizes.append(np.size(phi))
+            return original(metric, x, phi)
+
+        monkeypatch.setattr(measures, "indicatrix_point", counting)
+        m = fl.kz_torus(0.6)
+        fl.dual_norm_sampled(m, fl.torus_point(0.2, 0.4), [0.3, -1.1], n_boundary=1024)
+        assert sizes.count(1024) == 1
+        sizes.clear()
+        fl.holmes_thompson_density(m, fl.torus_point(0.2, 0.4), n_boundary=2048)
+        assert sizes.count(2048) == 1
+
+    def test_matches_per_call_scan(self):
+        from finlap.verify import _metric_family, _random_point, _random_vector
+
+        rng = np.random.default_rng(2024)
+        for m in _metric_family({"eps": 0.6}):
+            for _ in range(3):
+                x = _random_point(m, rng)
+                v = _random_vector(rng)
+                ref = _per_call_dual_norm_sampled(m, x, v)
+                assert abs(fl.dual_norm_sampled(m, x, v) - ref) <= 1e-13 * ref, m.kind
+                ref = _per_call_holmes_thompson(m, x)
+                assert abs(fl.holmes_thompson_density(m, x) - ref) <= 1e-13 * ref, m.kind

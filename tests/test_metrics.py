@@ -211,3 +211,66 @@ class TestKZGeneralVsSpecialized:
             x = fl.sphere_point(phi, rng.uniform(0, 2 * math.pi))
             v = random_vector(rng)
             assert abs(fl.eval_f(m, x, v) - fl.sphere_closed_form(eps, phi, v)) < 1e-12
+
+
+class TestConstantTensorsCheckedOnce:
+    def _count_spd_checks(self, monkeypatch):
+        import finlap.metrics as metrics
+
+        calls = []
+        original = metrics._check_spd
+
+        def counting(g, where):
+            calls.append(where)
+            return original(g, where)
+
+        monkeypatch.setattr(metrics, "_check_spd", counting)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        lambda g: fl.riemannian(g, chart=fl.TORUS),
+        lambda g: fl.RandersMetric(g, np.array([0.3, 0.1])),
+        lambda g: fl.KatokZillerMetric(g, np.array([1.0, 0.0]), 0.5),
+    ])
+    def test_constant_g_checked_once(self, make, monkeypatch, rng):
+        calls = self._count_spd_checks(monkeypatch)
+        m = make(np.eye(2))
+        for _ in range(20):
+            x = random_point(m, rng)
+            fl.eval_f(m, x, random_vector(rng))
+            fl.vertical_derivative(m, x, random_vector(rng))
+        assert len(calls) == 1
+
+    def test_callable_g_checked_at_every_evaluation(self, monkeypatch, rng):
+        calls = self._count_spd_checks(monkeypatch)
+        m = fl.riemannian(lambda x: np.eye(2), chart=fl.TORUS)
+        for _ in range(20):
+            fl.eval_f(m, random_point(m, rng), random_vector(rng))
+        assert len(calls) == 20
+
+    def test_bad_constant_randers_form_raises_every_time(self):
+        bad = fl.RandersMetric(np.eye(2), np.array([1.05, 0.0]))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(fl.InvalidMetricError) as err:
+                fl.eval_f(bad, fl.torus_point(0, 0), [1, 0])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "g-norm 1.050000 >= 1" in messages[0]
+
+    def test_bad_constant_g_raises_every_time(self):
+        bad = fl.riemannian(np.array([[1.0, 0.0], [0.0, -1.0]]), chart=fl.TORUS)
+        for _ in range(2):
+            with pytest.raises(fl.InvalidMetricError, match="not positive definite"):
+                fl.eval_f(bad, fl.torus_point(0, 0), [1, 0])
+
+    def test_mutating_the_passed_arrays_leaves_f_unchanged(self):
+        g = np.eye(2)
+        theta = np.array([0.3, 0.0])
+        m = fl.RandersMetric(g, theta)
+        x = fl.torus_point(0.1, 0.2)
+        before = fl.eval_f(m, x, [1.0, 1.0])
+        g[0, 0] = 4.0
+        theta[0] = -0.5
+        assert fl.eval_f(m, x, [1.0, 1.0]) == before
+        assert not m.g(x).flags.writeable
