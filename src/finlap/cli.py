@@ -244,8 +244,7 @@ def cmd_verify(args) -> int:
         params["grid_n"] = int(args.grid)
     results = run_suite(args.suite, params, seed=m.seed)
     report = [
-        {"check": r.check, "status": r.status, "defect": r.defect,
-         "tolerance": r.tolerance, "seconds": r.seconds}
+        {"check": r.check, "status": r.status, "defect": r.defect, "tolerance": r.tolerance}
         for r in results
     ]
     doc = {"config_echo": _config_echo(m), "task": "verify", "report": report}

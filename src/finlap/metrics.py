@@ -110,23 +110,20 @@ class _TensorFieldMetric(FinslerMetric2D):
     A constant field is checked once, on its first evaluation, and the
     checked tensor is kept; a callable field is checked at every point.
     A constant field that fails its check raises at every evaluation.
-    Subclasses keep their own checked constant data in ``_checked`` the
-    same way.
     """
 
     _g_checked: Optional[np.ndarray] = None
-    _checked = None
 
     def __init__(self, g: MatrixField, chart: str):
         self.chart = chart
-        self.g_field, self.g_constant = _as_matrix_field(g)
+        self.g_field, self._g_constant = _as_matrix_field(g)
 
     def g(self, x: ChartPoint) -> np.ndarray:
         if self._g_checked is not None:
             return self._g_checked
         g = np.asarray(self.g_field(x), dtype=float)
         _check_spd(g, f"({x.u}, {x.v})")
-        if self.g_constant:
+        if self._g_constant:
             self._g_checked = g
         return g
 
@@ -138,7 +135,7 @@ class RiemannianMetric(_TensorFieldMetric):
 
     def __init__(self, g: MatrixField, chart: str = TORUS):
         super().__init__(g, chart)
-        self.position_independent = self.g_constant and chart != SPHERE
+        self.position_independent = self._g_constant and chart != SPHERE
 
     def _f(self, x, vs):
         g = self.g(x)
@@ -155,11 +152,13 @@ class RandersMetric(_TensorFieldMetric):
     """F = sqrt(g(v, v)) + theta(v), with the g-norm of theta below 1."""
 
     kind = "randers"
+    #: checked (g, theta) of a constant metric, set on its first evaluation
+    _checked = None
 
     def __init__(self, g: MatrixField, theta: CovectorField, chart: str = TORUS):
         super().__init__(g, chart)
-        self.theta_field, self.theta_constant = _as_covector_field(theta)
-        self.position_independent = (self.g_constant and self.theta_constant
+        self.theta_field, self._theta_constant = _as_covector_field(theta)
+        self.position_independent = (self._g_constant and self._theta_constant
                                      and chart != SPHERE)
 
     def theta(self, x: ChartPoint) -> np.ndarray:
@@ -180,7 +179,7 @@ class RandersMetric(_TensorFieldMetric):
             raise InvalidMetricError(
                 f"Randers 1-form has g-norm {nrm:.6f} >= 1 at ({x.u}, {x.v})"
             )
-        if self.g_constant and self.theta_constant:
+        if self._g_constant and self._theta_constant:
             self._checked = (g, th)
         return g, th
 
@@ -205,6 +204,8 @@ class KatokZillerMetric(_TensorFieldMetric):
     """
 
     kind = "katok-ziller"
+    #: checked (g, gV, c) of a constant metric, set on its first evaluation
+    _checked = None
 
     def __init__(self, g: MatrixField, killing: CovectorField, eps: float,
                  chart: str = TORUS):
@@ -212,8 +213,8 @@ class KatokZillerMetric(_TensorFieldMetric):
             raise InvalidMetricError(f"deformation parameter must be in [0,1), got {eps}")
         super().__init__(g, chart)
         self.eps = float(eps)
-        self.killing_field, self.killing_constant = _as_covector_field(killing)
-        self.position_independent = (self.g_constant and self.killing_constant
+        self.killing_field, self._killing_constant = _as_covector_field(killing)
+        self.position_independent = (self._g_constant and self._killing_constant
                                      and chart != SPHERE)
 
     def killing(self, x: ChartPoint) -> np.ndarray:
@@ -231,7 +232,7 @@ class KatokZillerMetric(_TensorFieldMetric):
             raise InvalidMetricError(
                 f"eps^2 * g(V,V) >= 1 at ({x.u}, {x.v}); deformation too large"
             )
-        if self.g_constant and self.killing_constant:
+        if self._g_constant and self._killing_constant:
             self._checked = (g, gV, c)
         return g, gV, c
 
