@@ -22,7 +22,7 @@ import numpy as np
 
 from .charts import ChartPoint, PHI_MIN, SPHERE
 from .errors import DegenerateContactError, DomainError
-from .metrics import FinslerMetric2D, vertical_derivative
+from .metrics import FinslerMetric2D, at_points, vertical_derivative
 
 H_PHI = 1e-5
 H_X = 1e-5
@@ -68,10 +68,11 @@ def _rays(phis: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(phis), np.sin(phis)], axis=-1)
 
 
-def _a_components(metric: FinslerMetric2D, x: ChartPoint, phis: np.ndarray) -> np.ndarray:
-    """(p, q) along the rays of angles phi; d_vF is 0-homogeneous so the
+def _a_components(metric: FinslerMetric2D, x, phis: np.ndarray) -> np.ndarray:
+    """(p, q) along the rays of angles phi, at one base point or at every
+    point of a block (leading point axis); d_vF is 0-homogeneous so the
     rays need not be normalized to the indicatrix."""
-    return vertical_derivative(metric, x, _rays(phis))
+    return vertical_derivative(metric, x, at_points(x, _rays(phis)))
 
 
 def _steps(metric: FinslerMetric2D, h_phi, h_x):
@@ -82,8 +83,9 @@ def _steps(metric: FinslerMetric2D, h_phi, h_x):
     return h_phi, h_x
 
 
-def _phi_jet(metric: FinslerMetric2D, x: ChartPoint, phis: np.ndarray, h_phi):
-    """(p, q) at the angles phis and its central phi-difference."""
+def _phi_jet(metric: FinslerMetric2D, x, phis: np.ndarray, h_phi):
+    """(p, q) at the angles phis and its central phi-difference, at one
+    base point or over a block of base points."""
     pq = _a_components(metric, x, phis)
     dpq = (_a_components(metric, x, phis + h_phi)
            - _a_components(metric, x, phis - h_phi)) / (2.0 * h_phi)
@@ -99,13 +101,17 @@ def _curl(metric: FinslerMetric2D, x: ChartPoint, phis: np.ndarray, h_x) -> np.n
     return pq_du[:, 1] - pq_dv[:, 0]
 
 
-def density_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
+def density_profile(metric: FinslerMetric2D, x, phis,
                     h_phi=None) -> np.ndarray:
-    """lambda(x, phi) over an array of angles (vectorized)."""
+    """lambda(x, phi) over an array of angles (vectorized).
+
+    ``x`` is one base point, or a block of P base points (a sequence of
+    ChartPoint), for which the result has shape (P, len(phis)).
+    """
     h_phi, _ = _steps(metric, h_phi, None)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     pq, dpq = _phi_jet(metric, x, phis, h_phi)
-    return np.abs(pq[:, 1] * dpq[:, 0] - pq[:, 0] * dpq[:, 1])
+    return np.abs(pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1])
 
 
 def hilbert_density(metric: FinslerMetric2D, fp: FiberPoint,

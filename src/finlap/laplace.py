@@ -43,10 +43,15 @@ from .charts import ChartPoint, TORUS
 from .errors import ConfigError, DegenerateContactError, NumericError
 from .fields import field_gradient, field_hessian
 from .hilbert import DENSITY_FLOOR, _rk4_step, reeb_profile
-from .measures import DEFAULT_FIBER_N, chart_fiber_quadrature, fiber_quadrature
+from .measures import (DEFAULT_FIBER_N, chart_fiber_quadrature, fiber_quadrature,
+                       fiber_weights)
 from .metrics import FinslerMetric2D, indicatrix_point
 
 GEODESIC_STEP = 1e-3
+#: rays per block of base points in :func:`grid_symbol_density`: large
+#: enough that the Python overhead of a block is small against its
+#: arithmetic, small enough that each (P, n, 2) temporary stays at 64 KiB
+BLOCK_RAYS = 4096
 _COEFF_CACHE_ATTR = "_finlap_coeff_cache"
 
 
@@ -254,25 +259,35 @@ def _coefficient_stencil(sigma: np.ndarray, drift: np.ndarray):
     )
 
 
-def symbol_density(metric: FinslerMetric2D, x: ChartPoint,
-                   fiber_n: int = DEFAULT_FIBER_N):
-    """Symbol and volume density at a torus-chart point, without the drift.
+def _symbol_density_block(metric: FinslerMetric2D, xs, fiber_n: int):
+    """``(sigma, rho)`` over a block of P base points, shapes (P, 2, 2) and
+    (P,), in one set of array operations.
 
-    Returns ``(sigma, rho)`` with sigma = (1/pi) Sum_k w_k V_k V_k^T over
-    the fiber quadrature and rho its volume.  The horizontal Reeb
-    component V is the indicatrix point of its direction, so neither the
-    Reeb solve nor any base-point differencing is needed.
+    sigma = (1/pi) Sum_k w_k V_k V_k^T over the fiber quadrature and rho
+    its volume.  The horizontal Reeb component V is the indicatrix point
+    of its direction, so neither the Reeb solve nor any base-point
+    differencing is needed.
     """
-    quad = fiber_quadrature(metric, x, fiber_n)
+    nodes, weights, rho = fiber_weights(metric, xs, fiber_n)
     # the weights are the contact density normalized to total 2*pi
-    lam_min = quad.weights.min() * quad.volume * len(quad.nodes) / (2.0 * math.pi)
-    if lam_min < DENSITY_FLOOR:
+    lam_min = weights.min(axis=-1) * rho * fiber_n / (2.0 * math.pi)
+    low = lam_min < DENSITY_FLOOR
+    if np.any(low):
+        x = xs[int(np.argmax(low))]
         raise DegenerateContactError(
             f"contact density below {DENSITY_FLOOR} at ({x.u}, {x.v})"
         )
-    V = indicatrix_point(metric, x, quad.nodes)
-    sigma = (V * quad.weights[:, None]).T @ V / math.pi
-    return 0.5 * (sigma + sigma.T), quad.volume
+    V = indicatrix_point(metric, xs, nodes)
+    sigma = (V * weights[..., None]).swapaxes(-1, -2) @ V / math.pi
+    return 0.5 * (sigma + sigma.swapaxes(-1, -2)), rho
+
+
+def symbol_density(metric: FinslerMetric2D, x: ChartPoint,
+                   fiber_n: int = DEFAULT_FIBER_N):
+    """Symbol and volume density ``(sigma, rho)`` at a torus-chart point,
+    without the drift: the one-point case of the grid kernel."""
+    sigma, rho = _symbol_density_block(metric, (x,), fiber_n)
+    return sigma[0], float(rho[0])
 
 
 def grid_symbol_density(metric: FinslerMetric2D, n: int,
@@ -280,7 +295,9 @@ def grid_symbol_density(metric: FinslerMetric2D, n: int,
     """(sigma, rho) on the periodic n x n torus grid as read-only arrays of
     shapes (n, n, 2, 2) and (n, n); grid points are (i/n, j/n).
 
-    Position-independent metrics are evaluated at one point.  Raises
+    The points are evaluated in row-major blocks of ``BLOCK_RAYS //
+    fiber_n`` points, each in one set of array operations; a
+    position-independent metric is evaluated at one point.  Raises
     :class:`NumericError` unless sigma is positive definite and rho
     positive everywhere.
     """
@@ -290,12 +307,12 @@ def grid_symbol_density(metric: FinslerMetric2D, n: int,
         s, r = symbol_density(metric, ChartPoint(TORUS, 0.0, 0.0), fiber_n)
         sigma, rho = s[None, None], np.array([[r]])
     else:
-        sigma = np.empty((n, n, 2, 2))
-        rho = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                sigma[i, j], rho[i, j] = symbol_density(
-                    metric, ChartPoint(TORUS, i / n, j / n), fiber_n)
+        points = [ChartPoint(TORUS, i / n, j / n) for i in range(n) for j in range(n)]
+        size = max(1, BLOCK_RAYS // fiber_n)
+        blocks = [_symbol_density_block(metric, points[k:k + size], fiber_n)
+                  for k in range(0, n * n, size)]
+        sigma = np.concatenate([s for s, _ in blocks]).reshape(n, n, 2, 2)
+        rho = np.concatenate([r for _, r in blocks]).reshape(n, n)
     ev = np.linalg.eigvalsh(sigma)
     if not np.all(ev[..., 0] > 0.0):
         raise NumericError(f"symbol not positive definite: smallest eigenvalue "

@@ -35,11 +35,7 @@ class FiberQuadrature:
     volume: float
 
     def __post_init__(self):
-        w = self.weights
-        if abs(float(w.sum()) - 2.0 * np.pi) > 1e-10:
-            raise DomainError("fiber weights must sum to 2*pi")
-        if np.any(w <= 0.0):
-            raise DomainError("fiber weights must be positive")
+        _check_weights(self.weights)
         if np.any(np.diff(self.nodes) <= 0.0):
             raise DomainError("fiber nodes must be strictly increasing")
 
@@ -48,15 +44,28 @@ class FiberQuadrature:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
+def _check_weights(w: np.ndarray):
+    """Angle-form weights of one fiber, or of a block of fibers along the
+    last axis, must be positive and sum to 2*pi."""
+    if np.any(np.abs(w.sum(axis=-1) - 2.0 * np.pi) > 1e-10):
+        raise DomainError("fiber weights must sum to 2*pi")
+    if np.any(w <= 0.0):
+        raise DomainError("fiber weights must be positive")
+
+
 def _trapezoid_nodes(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
+
+
+def _weights(lam: np.ndarray) -> np.ndarray:
+    """Angle-form weights from contact-density samples (last axis)."""
+    return 2.0 * np.pi * lam / lam.sum(axis=-1, keepdims=True)
 
 
 def _quadrature(x: ChartPoint, lam: np.ndarray) -> FiberQuadrature:
     """Quadrature on the trapezoid nodes from contact-density samples."""
     return FiberQuadrature(base=x, nodes=_trapezoid_nodes(len(lam)),
-                           weights=2.0 * np.pi * lam / lam.sum(),
-                           volume=float(lam.mean()))
+                           weights=_weights(lam), volume=float(lam.mean()))
 
 
 def fiber_quadrature(metric: FinslerMetric2D, x: ChartPoint,
@@ -69,6 +78,23 @@ def fiber_quadrature(metric: FinslerMetric2D, x: ChartPoint,
     if n < 16:
         raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {n}")
     return _quadrature(x, density_profile(metric, x, _trapezoid_nodes(n)))
+
+
+def fiber_weights(metric: FinslerMetric2D, xs, n: int = DEFAULT_FIBER_N):
+    """:func:`fiber_quadrature` over a block of P base points at once.
+
+    Returns ``(nodes, weights, volumes)`` with shapes (n,), (P, n) and
+    (P,), equal to the nodes, weights and volumes of the one-point
+    quadratures; the weights are checked as :class:`FiberQuadrature`
+    checks them.
+    """
+    if n < 16:
+        raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {n}")
+    nodes = _trapezoid_nodes(n)
+    lam = density_profile(metric, xs, nodes)
+    weights = _weights(lam)
+    _check_weights(weights)
+    return nodes, weights, lam.mean(axis=-1)
 
 
 def volume_density(metric: FinslerMetric2D, x: ChartPoint,

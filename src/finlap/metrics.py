@@ -5,8 +5,12 @@ indicatrix parametrization, vertical derivative, Legendre transform,
 dual norm and conformal rescaling.
 
 All vector/covector arguments are numpy arrays of shape ``(..., 2)`` in
-the chart basis; metric evaluators are vectorized over the leading axes
-at a fixed base point.
+the chart basis.  Metric evaluators take either one base point, with rays
+of any leading shape, or a block of base points (a sequence of
+:class:`~finlap.charts.ChartPoint`) with rays of shape ``(P, n, 2)``, one
+row of rays per point.  The built-in metrics evaluate a block in one set
+of array operations: their formulas are written once, over fields that
+carry a leading point axis on a block and none at one point.
 """
 
 from __future__ import annotations
@@ -65,8 +69,38 @@ def _check_spd(g: np.ndarray, where: str):
         raise InvalidMetricError(f"metric tensor not positive definite at {where}")
 
 
+def _spd_ok(g: np.ndarray) -> bool:
+    """Whether every tensor of g, shape (..., 2, 2), passes :func:`_check_spd`."""
+    g01 = g[..., 0, 1]
+    bad = ((np.abs(g01 - g[..., 1, 0]) > 1e-12 * (1.0 + np.abs(g01)))
+           | (g[..., 0, 0] <= 0.0) | (np.linalg.det(g) <= 0.0))
+    return not np.any(bad)
+
+
 def _covector_norm(g: np.ndarray, th: np.ndarray) -> float:
     return float(math.sqrt(th @ np.linalg.solve(g, th)))
+
+
+def _inner(vs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Euclidean pairing of rays along the last axis (two products and a
+    sum: cheaper than einsum from one ray to thousands)."""
+    return vs[..., 0] * ws[..., 0] + vs[..., 1] * ws[..., 1]
+
+
+def _dot(vs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a(v) for the rays vs and a 1-form a: (2,) at one point, or (P, 1, 2)
+    over a block, whose rays vs have shape (P, n, 2)."""
+    if a.ndim == 1:
+        return vs @ a
+    return (vs @ a.swapaxes(-1, -2))[..., 0]
+
+
+def at_points(x, rays: np.ndarray) -> np.ndarray:
+    """The rays (n, 2) at one base point as they are, and at every point of
+    a block as a read-only (P, n, 2) view."""
+    if isinstance(x, ChartPoint):
+        return rays
+    return np.broadcast_to(rays, (len(x),) + rays.shape)
 
 
 class FinslerMetric2D:
@@ -74,7 +108,9 @@ class FinslerMetric2D:
 
     Subclasses implement ``_f(x, vs)`` (vectorized over ``vs`` with shape
     ``(..., 2)``) and, when available, the analytic vertical derivative
-    ``_d_vf(x, vs) -> (..., 2)``.
+    ``_d_vf(x, vs) -> (..., 2)``.  Their block forms ``_f_block(xs, vs)``
+    and ``_d_vf_block(xs, vs)`` take a sequence of P base points and rays
+    of shape ``(P, n, 2)``; by default they loop over the points.
     """
 
     chart: str = TORUS
@@ -92,10 +128,33 @@ class FinslerMetric2D:
     def _d_vf(self, x: ChartPoint, vs: np.ndarray) -> Optional[np.ndarray]:
         return None
 
-    def f(self, x: ChartPoint, vs: np.ndarray) -> np.ndarray:
-        """Vectorized norm evaluation; no zero-vector check."""
-        self._check_chart(x)
-        return self._f(x, np.asarray(vs, dtype=float))
+    def _f_block(self, xs, vs: np.ndarray) -> np.ndarray:
+        return np.stack([self._f(x, v) for x, v in zip(xs, vs)])
+
+    def _d_vf_block(self, xs, vs: np.ndarray) -> Optional[np.ndarray]:
+        ds = [self._d_vf(x, v) for x, v in zip(xs, vs)]
+        return None if ds[0] is None else np.stack(ds)
+
+    def f(self, x, vs: np.ndarray) -> np.ndarray:
+        """Vectorized norm evaluation; no zero-vector check.
+
+        ``x`` is one base point, or a block of base points (a sequence of
+        ChartPoint) for which ``vs`` has shape ``(len(x), n, 2)``.
+        """
+        vs = np.asarray(vs, dtype=float)
+        if isinstance(x, ChartPoint):
+            self._check_chart(x)
+            return self._f(x, vs)
+        for p in x:
+            self._check_chart(p)
+        return self._f_block(x, vs)
+
+    def d_vf(self, x, vs: np.ndarray) -> Optional[np.ndarray]:
+        """Analytic fiber derivative at one point or over a block (as
+        :meth:`f`), or None when the metric has none."""
+        if isinstance(x, ChartPoint):
+            return self._d_vf(x, vs)
+        return self._d_vf_block(x, vs)
 
     def _check_chart(self, x: ChartPoint):
         if x.chart != self.chart:
@@ -105,7 +164,17 @@ class FinslerMetric2D:
 
 
 class _TensorFieldMetric(FinslerMetric2D):
-    """A metric built on an SPD tensor field g.
+    """A metric built on an SPD tensor field g and possibly a 1-form field.
+
+    Each subclass writes its norm and fiber derivative once, in ``_norm``
+    and ``_grad``, over its checked fields: those of one point from
+    ``_fields(x)``, or those of a block from ``_gather(xs)``.  On a block,
+    g has shape (P, 2, 2), a 1-form (P, 1, 2) and a scalar (P, 1), so that
+    they broadcast against rays (P, n, 2); a constant field keeps its
+    one-point shape.  A callable field is called once per point and a
+    block is checked as a whole; when the check fails, the points are
+    checked again one at a time, so that the error names the first failing
+    point exactly as the one-point path does.
 
     A constant field is checked once, on its first evaluation, and the
     checked tensor is kept; a callable field is checked at every point.
@@ -127,6 +196,39 @@ class _TensorFieldMetric(FinslerMetric2D):
             self._g_checked = g
         return g
 
+    def _g_block(self, xs):
+        """(g over the block, whether it passed the SPD check)."""
+        if self._g_constant:
+            return self.g(xs[0]), True
+        g = np.array([self.g_field(x) for x in xs], dtype=float)
+        return g, _spd_ok(g)
+
+    def _block_fields(self, xs):
+        fields, ok = self._gather(xs)
+        if not ok:
+            for x in xs:
+                self._fields(x)
+        return fields
+
+    def _f(self, x, vs):
+        return self._norm(self._fields(x), vs)
+
+    def _d_vf(self, x, vs):
+        return self._grad(self._fields(x), vs)
+
+    def _f_block(self, xs, vs):
+        return self._norm(self._block_fields(xs), vs)
+
+    def _d_vf_block(self, xs, vs):
+        return self._grad(self._block_fields(xs), vs)
+
+
+def _covector_block(field, constant: bool, xs) -> np.ndarray:
+    """A 1-form field over a block: (2,) when constant, else (P, 2)."""
+    if constant:
+        return np.asarray(field(xs[0]), dtype=float)
+    return np.array([field(x) for x in xs], dtype=float)
+
 
 class RiemannianMetric(_TensorFieldMetric):
     """F = sqrt(g(v, v)) for an SPD tensor field g."""
@@ -137,15 +239,20 @@ class RiemannianMetric(_TensorFieldMetric):
         super().__init__(g, chart)
         self.position_independent = self._g_constant and chart != SPHERE
 
-    def _f(self, x, vs):
-        g = self.g(x)
-        return np.sqrt(np.einsum("...i,ij,...j->...", vs, g, vs))
+    def _fields(self, x):
+        return self.g(x)
 
-    def _d_vf(self, x, vs):
-        g = self.g(x)
-        gv = np.einsum("ij,...j->...i", g, vs)
-        norm = np.sqrt(np.einsum("...i,...i->...", vs, gv))
-        return gv / norm[..., None]
+    def _gather(self, xs):
+        return self._g_block(xs)
+
+    @staticmethod
+    def _norm(g, vs):
+        return np.sqrt(_inner(vs, vs @ g))
+
+    @staticmethod
+    def _grad(g, vs):
+        gv = vs @ g
+        return gv / np.sqrt(_inner(vs, gv))[..., None]
 
 
 class RandersMetric(_TensorFieldMetric):
@@ -183,15 +290,28 @@ class RandersMetric(_TensorFieldMetric):
             self._checked = (g, th)
         return g, th
 
-    def _f(self, x, vs):
-        g, th = self._g_theta(x)
-        return np.sqrt(np.einsum("...i,ij,...j->...", vs, g, vs)) + vs @ th
+    _fields = _g_theta
 
-    def _d_vf(self, x, vs):
-        g, th = self._g_theta(x)
-        gv = np.einsum("ij,...j->...i", g, vs)
-        norm = np.sqrt(np.einsum("...i,...i->...", vs, gv))
-        return gv / norm[..., None] + th
+    def _gather(self, xs):
+        if self._g_constant and self._theta_constant:
+            return self._g_theta(xs[0]), True
+        g, ok = self._g_block(xs)
+        th = _covector_block(self.theta_field, self._theta_constant, xs)
+        if ok:
+            sol = np.linalg.solve(g, th[..., None])[..., 0]
+            ok = not np.any(np.sqrt(_inner(th, sol)) >= 1.0)
+        return (g, th if th.ndim == 1 else th[:, None]), ok
+
+    @staticmethod
+    def _norm(fields, vs):
+        g, th = fields
+        return np.sqrt(_inner(vs, vs @ g)) + _dot(vs, th)
+
+    @staticmethod
+    def _grad(fields, vs):
+        g, th = fields
+        gv = vs @ g
+        return gv / np.sqrt(_inner(vs, gv))[..., None] + th
 
 
 class KatokZillerMetric(_TensorFieldMetric):
@@ -227,7 +347,7 @@ class KatokZillerMetric(_TensorFieldMetric):
         g = self.g(x)
         V = self.killing(x)
         gV = g @ V
-        c = 1.0 - self.eps**2 * float(V @ gV)
+        c = 1.0 - self.eps**2 * (V @ gV)
         if c <= 0.0:
             raise InvalidMetricError(
                 f"eps^2 * g(V,V) >= 1 at ({x.u}, {x.v}); deformation too large"
@@ -236,17 +356,30 @@ class KatokZillerMetric(_TensorFieldMetric):
             self._checked = (g, gV, c)
         return g, gV, c
 
-    def _f(self, x, vs):
-        g, gV, c = self._gv_c(x)
-        w = vs @ gV
-        q = np.einsum("...i,ij,...j->...", vs, g, vs)
+    _fields = _gv_c
+
+    def _gather(self, xs):
+        if self._g_constant and self._killing_constant:
+            return self._gv_c(xs[0]), True
+        g, ok = self._g_block(xs)
+        V = _covector_block(self.killing_field, self._killing_constant, xs)
+        gV = (g @ V[..., None])[..., 0]
+        c = 1.0 - self.eps**2 * _inner(V, gV)
+        ok = ok and not np.any(c <= 0.0)
+        return (g, gV[:, None], c[:, None]), ok
+
+    def _norm(self, fields, vs):
+        g, gV, c = fields
+        w = _dot(vs, gV)
+        q = _inner(vs, vs @ g)
         return (np.sqrt(q * c + (self.eps * w) ** 2) - self.eps * w) / c
 
-    def _d_vf(self, x, vs):
-        g, gV, c = self._gv_c(x)
-        w = vs @ gV
-        gvs = np.einsum("ij,...j->...i", g, vs)
-        s = np.sqrt(np.einsum("...i,...i->...", vs, gvs) * c + (self.eps * w) ** 2)
+    def _grad(self, fields, vs):
+        g, gV, c = fields
+        w = _dot(vs, gV)
+        gvs = vs @ g
+        s = np.sqrt(_inner(vs, gvs) * c + (self.eps * w) ** 2)
+        c = c[..., None]
         grad_s = (c * gvs + (self.eps**2 * w)[..., None] * gV) / s[..., None]
         return (grad_s - self.eps * gV) / c
 
@@ -256,7 +389,8 @@ class CustomMetric(FinslerMetric2D):
 
     The evaluator should be vectorized over ``vs`` of shape ``(..., 2)``;
     scalar-only evaluators are looped over transparently.  Must be safe
-    for concurrent evaluation.
+    for concurrent evaluation.  Blocks of base points are evaluated one
+    point at a time.
     """
 
     kind = "custom"
@@ -284,7 +418,10 @@ class CustomMetric(FinslerMetric2D):
 
 
 class ConformalMetric(FinslerMetric2D):
-    """exp(f(x)) * F for a base metric F and a scalar field f."""
+    """exp(f(x)) * F for a base metric F and a scalar field f.
+
+    Blocks of base points are evaluated one point at a time.
+    """
 
     kind = "conformal"
 
@@ -364,32 +501,34 @@ def _circle(phis) -> np.ndarray:
     return np.stack([np.cos(phis), np.sin(phis)], axis=-1)
 
 
-def indicatrix_point(metric: FinslerMetric2D, x: ChartPoint, phi) -> np.ndarray:
+def indicatrix_point(metric: FinslerMetric2D, x, phi) -> np.ndarray:
     """Point of the unit level set {F(x, .) = 1} in Euclidean direction phi.
 
     Vectorized over phi; the map phi -> v(phi) traverses the indicatrix
-    once since F is positive on the unit circle.
+    once since F is positive on the unit circle.  Over a block of P base
+    points the result has shape (P, len(phi), 2).
     """
     e = _circle(phi)
-    vals = metric.f(x, e)
+    vals = metric.f(x, at_points(x, e))
     if np.any(vals <= 0.0):
         raise InvalidMetricError("F is not positive on the unit circle")
     return e / np.asarray(vals)[..., None]
 
 
-def vertical_derivative(metric: FinslerMetric2D, x: ChartPoint, v,
+def vertical_derivative(metric: FinslerMetric2D, x, v,
                         method: str = "auto") -> np.ndarray:
     """The fiber derivative d_vF = (dF/dv1, dF/dv2); 0-homogeneous in v.
 
     Uses the metric's analytic derivative when available (``method="auto"``),
     otherwise central differences with step ``H_V_REL * |v|``.  Satisfies
-    the Euler identity d_vF(v) . v = F(x, v).
+    the Euler identity d_vF(v) . v = F(x, v).  ``x`` may be a block of base
+    points, with ``v`` of shape (P, n, 2) (see :meth:`FinslerMetric2D.f`).
     """
     v = np.asarray(v, dtype=float)
     if method not in ("auto", "fd", "analytic"):
         raise DomainError(f"unknown method {method!r}")
     if method in ("auto", "analytic"):
-        d = metric._d_vf(x, v)
+        d = metric.d_vf(x, v)
         if d is not None:
             return np.asarray(d)
         if method == "analytic":

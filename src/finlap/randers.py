@@ -93,12 +93,11 @@ def make_randers(g: MatrixField, theta: CovectorField,
     """Build sqrt(g) + theta; the g-norm of theta must stay below 1.
 
     The norm condition is enforced at every evaluation point; the first
-    offending point is reported.
+    offending point is reported.  Constant ``g`` and ``theta`` stay
+    constant: they are checked once, and make the metric
+    position-independent off the sphere chart.
     """
-    gf, _ = _as_matrix_field(g)
-    tf, _ = _as_covector_field(theta)
-    metric = RandersMetric(gf, tf, chart)
-    return metric
+    return RandersMetric(g, theta, chart)
 
 
 def randers_data(metric_or_g, theta: Optional[CovectorField] = None,

@@ -301,7 +301,8 @@ def solve_eigen(problem: SpectralProblem, k: int,
     LAPACK (``scipy.linalg.eigh``; dimensions up to a few hundred);
     ``method="lanczos"`` uses shift-invert Lanczos with a fixed start
     vector, and the dense solve when k >= dim - 1, which ARPACK cannot
-    do.  ``"auto"`` picks by dimension.
+    do.  ``"auto"`` picks by dimension.  A solver that fails to converge
+    or breaks down raises :class:`NumericError`.
     """
     if k < 1 or k > problem.dim:
         raise ConfigError(f"k = {k} outside 1..{problem.dim}")
@@ -321,17 +322,21 @@ def solve_eigen(problem: SpectralProblem, k: int,
     if problem.zero_mode_residual is not None:
         meta["zero_mode_residual"] = problem.zero_mode_residual
 
-    if method == "dense" or k >= problem.dim - 1:
-        Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
-        Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-        vals = sla.eigh(-Sd, Md, eigvals_only=True)[:k]
-    else:
-        Ss = sp.csr_matrix(S) if not sp.issparse(S) else S
-        Ms = sp.csr_matrix(M) if not sp.issparse(M) else M
-        v0 = np.full(problem.dim, 1.0 / math.sqrt(problem.dim))
-        vals = spla.eigsh(-Ss, k=k, M=Ms, sigma=-1.0, which="LM",
-                          v0=v0, return_eigenvectors=False)
-        vals = np.sort(vals)
+    try:
+        if method == "dense" or k >= problem.dim - 1:
+            Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
+            Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+            vals = sla.eigh(-Sd, Md, eigvals_only=True)[:k]
+        else:
+            Ss = sp.csr_matrix(S) if not sp.issparse(S) else S
+            Ms = sp.csr_matrix(M) if not sp.issparse(M) else M
+            v0 = np.full(problem.dim, 1.0 / math.sqrt(problem.dim))
+            vals = np.sort(spla.eigsh(-Ss, k=k, M=Ms, sigma=-1.0, which="LM",
+                                      v0=v0, return_eigenvectors=False))
+    except spla.ArpackNoConvergence as exc:
+        raise NumericError(f"Lanczos solve did not converge: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{method} eigensolve failed: {exc}") from exc
     return SpectrumResult.from_values(vals, meta=meta)
 
 

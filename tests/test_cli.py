@@ -2,8 +2,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from finlap import spectral
 from finlap.cli import main
 
 
@@ -190,6 +193,36 @@ class TestOtherCommands:
         rc = main(["symbol", "--metric", "kz-torus", "--eps", "1.7",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 3
+
+
+class TestSolverFailures:
+    """A failed eigensolve is a numeric error: exit 3 and one line on stderr."""
+
+    @staticmethod
+    def _assert_numeric_error(rc, capsys, what):
+        assert rc == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("finlap: numeric error:") and what in err
+        assert len(err.splitlines()) == 1
+
+    def test_arpack_no_convergence(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence after 10 iterations",
+                                           np.zeros(0), np.zeros((16, 0)))
+
+        monkeypatch.setattr(spectral.spla, "eigsh", no_convergence)
+        rc = main(["spectrum", "--metric", "kz-torus", "--eps", "0.3", "--grid", "16",
+                   "--out", str(tmp_path / "x.json")])
+        self._assert_numeric_error(rc, capsys, "did not converge")
+
+    def test_lapack_failure(self, tmp_path, capsys, monkeypatch):
+        def breakdown(*args, **kwargs):
+            raise np.linalg.LinAlgError("the leading minor of order 3 is not positive")
+
+        monkeypatch.setattr(spectral.sla, "eigh", breakdown)
+        rc = main(["spectrum", "--metric", "kz-sphere", "--eps", "0.3", "--lmax", "6",
+                   "--out", str(tmp_path / "x.json")])
+        self._assert_numeric_error(rc, capsys, "dense eigensolve failed")
 
 
 class TestConfigFile:

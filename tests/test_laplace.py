@@ -218,3 +218,102 @@ class TestRoundSphereHarmonics:
             x = random_point(metric, rng)
             got = apply_coeffs(metric, f, x)
             assert abs(got + l * (l + 1) * f(x)) < 1e-6
+
+
+def _grid_point(n, k):
+    return fl.torus_point(k // n / n, k % n / n)
+
+
+def _bad_at_one_point(n, k, good, bad):
+    """A field equal to ``good(p)`` except at grid point k, where it is ``bad``."""
+    target = _grid_point(n, k)
+
+    def field(p):
+        return np.asarray(bad if (p.u, p.v) == (target.u, target.v) else good(p))
+    return field, target
+
+
+class TestBlockedGrid:
+    """grid_symbol_density evaluates blocks of base points at once; it must
+    agree with the one-point kernel and the Reeb-route oracle, and fail as
+    the one-point path fails."""
+
+    # (n, fiber_n): n^2 is not a multiple of the BLOCK_RAYS // fiber_n points
+    # of a block, so the last block is short
+    @pytest.mark.parametrize("n, fiber_n", [(16, 96), (18, 256)])
+    @pytest.mark.parametrize("name", ["riemannian-var", "randers-var", "custom-quartic"])
+    def test_matches_points_and_oracle(self, name, n, fiber_n):
+        from finlap.laplace import BLOCK_RAYS, grid_symbol_density, symbol_density
+
+        assert (n * n) % (BLOCK_RAYS // fiber_n) != 0
+        m = builtin_metrics()[name]
+        sigma, rho = grid_symbol_density(m, n, fiber_n)
+        for k in range(n * n):
+            x = _grid_point(n, k)
+            s1, r1 = symbol_density(m, x, fiber_n)
+            i, j = divmod(k, n)
+            assert np.abs(sigma[i, j] - s1).max() <= 1e-15 * np.abs(s1).max()
+            assert rho[i, j] == r1
+            if k % 23 == 0:
+                # the Reeb route differences d_vF once more than (sigma, rho),
+                # which magnifies the error of a finite-difference d_vF
+                tol = 1e-10 if m.analytic_fiber_derivative else 1e-8
+                c = fl.operator_coefficients(m, x, fiber_n)
+                assert np.abs(sigma[i, j] - c.sigma).max() < tol
+                assert abs(rho[i, j] - c.vol_density) <= 1e-15 * c.vol_density
+
+    def test_non_spd_g_at_one_point_names_it(self):
+        from finlap.laplace import grid_symbol_density
+
+        g, bad = _bad_at_one_point(16, 37, builtin_metrics()["riemannian-var"].g_field,
+                                   [[1.0, 0.0], [0.0, -1.0]])
+        m = fl.riemannian(g, chart=fl.TORUS)
+        with pytest.raises(fl.InvalidMetricError) as one_point:
+            fl.eval_f(m, bad, [1.0, 0.0])
+        with pytest.raises(fl.InvalidMetricError) as grid:
+            grid_symbol_density(m, 16)
+        assert str(grid.value) == str(one_point.value)
+        assert str(grid.value) == f"metric tensor not positive definite at ({bad.u}, {bad.v})"
+
+    def test_randers_form_too_long_at_one_point_names_it(self):
+        from finlap.laplace import grid_symbol_density
+
+        theta, bad = _bad_at_one_point(
+            16, 200, lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]),
+            [0.0, 1.25])
+        m = fl.make_randers(np.eye(2), theta)
+        with pytest.raises(fl.InvalidMetricError) as grid:
+            grid_symbol_density(m, 16)
+        assert str(grid.value) == f"Randers 1-form has g-norm 1.250000 >= 1 at ({bad.u}, {bad.v})"
+
+    def test_degenerate_contact_at_one_point_names_it(self):
+        from finlap.laplace import grid_symbol_density
+
+        g, bad = _bad_at_one_point(16, 90, lambda p: np.eye(2), 1e-14 * np.eye(2))
+        with pytest.raises(fl.DegenerateContactError, match=fr"at \({bad.u}, {bad.v}\)$"):
+            grid_symbol_density(fl.riemannian(g, chart=fl.TORUS), 16)
+
+    def test_fiber_derivative_calls_per_block(self, monkeypatch):
+        # 3 vertical_derivative calls (the phi jet) and one indicatrix scan
+        # per block of points; one point at a time made 3 * n^2 = 3072 and n^2
+        import finlap.hilbert as hilbert
+        import finlap.laplace as laplace
+        from finlap.measures import DEFAULT_FIBER_N
+
+        calls = {"vd": 0, "ind": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(hilbert, "vertical_derivative",
+                            counting("vd", hilbert.vertical_derivative))
+        monkeypatch.setattr(laplace, "indicatrix_point",
+                            counting("ind", laplace.indicatrix_point))
+        n = 32
+        laplace.grid_symbol_density(builtin_metrics()["randers-var"], n)
+        blocks = math.ceil(n * n / (laplace.BLOCK_RAYS // DEFAULT_FIBER_N))
+        assert 0 < calls["vd"] <= 3 * blocks
+        assert calls["ind"] == blocks

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finlap as fl
-from conftest import builtin_metrics, random_point, random_vector
+from conftest import builtin_metrics, quartic_norm, random_point, random_vector
 
 
 class TestEvalF:
@@ -231,10 +232,12 @@ class TestConstantTensorsCheckedOnce:
         lambda g: fl.riemannian(g, chart=fl.TORUS),
         lambda g: fl.RandersMetric(g, np.array([0.3, 0.1])),
         lambda g: fl.KatokZillerMetric(g, np.array([1.0, 0.0]), 0.5),
+        lambda g: fl.make_randers(g, [0.6, 0.0]),
     ])
     def test_constant_g_checked_once(self, make, monkeypatch, rng):
         calls = self._count_spd_checks(monkeypatch)
         m = make(np.eye(2))
+        assert m.position_independent
         for _ in range(20):
             x = random_point(m, rng)
             fl.eval_f(m, x, random_vector(rng))
@@ -249,14 +252,15 @@ class TestConstantTensorsCheckedOnce:
         assert len(calls) == 20
 
     def test_bad_constant_randers_form_raises_every_time(self):
-        bad = fl.RandersMetric(np.eye(2), np.array([1.05, 0.0]))
-        messages = []
-        for _ in range(2):
-            with pytest.raises(fl.InvalidMetricError) as err:
-                fl.eval_f(bad, fl.torus_point(0, 0), [1, 0])
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert "g-norm 1.050000 >= 1" in messages[0]
+        for make in (fl.RandersMetric, fl.make_randers):
+            bad = make(np.eye(2), np.array([1.05, 0.0]))
+            messages = []
+            for _ in range(2):
+                with pytest.raises(fl.InvalidMetricError) as err:
+                    fl.eval_f(bad, fl.torus_point(0, 0), [1, 0])
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+            assert "g-norm 1.050000 >= 1" in messages[0]
 
     def test_bad_constant_g_raises_every_time(self):
         bad = fl.riemannian(np.array([[1.0, 0.0], [0.0, -1.0]]), chart=fl.TORUS)
@@ -274,3 +278,77 @@ class TestConstantTensorsCheckedOnce:
         theta[0] = -0.5
         assert fl.eval_f(m, x, [1.0, 1.0]) == before
         assert not m.g(x).flags.writeable
+
+
+def _wave(amp, p_, q_):
+    return lambda x: amp * math.sin(2 * math.pi * (p_ * x.u + q_ * x.v) + 0.3)
+
+
+def _g_var(x):
+    g12 = 0.2 * math.cos(2 * math.pi * x.u)
+    return np.array([[1.4 + 0.3 * math.sin(2 * math.pi * x.v), g12],
+                     [g12, 0.9 + 0.2 * math.cos(2 * math.pi * (x.u + x.v))]])
+
+
+def block_metrics():
+    """Metrics whose fields are callable, or mixed callable and constant."""
+    conftest_metrics = builtin_metrics()
+    return {
+        "riemannian-var": conftest_metrics["riemannian-var"],
+        "randers-var": conftest_metrics["randers-var"],
+        "randers-callable": fl.RandersMetric(
+            _g_var, lambda x: np.array([_wave(0.4, 1, 0)(x), _wave(0.3, 1, 1)(x)])),
+        "kz-callable": fl.KatokZillerMetric(
+            _g_var, lambda x: np.array([1.0, _wave(0.3, 0, 1)(x)]), 0.5),
+        "kz-sphere-03": conftest_metrics["kz-sphere-03"],
+        "custom-quartic": fl.custom(quartic_norm, chart=fl.TORUS),
+        "conformal": fl.scale_conformal(conftest_metrics["randers-var"],
+                                        fl.SeparableTrigField(0.3, "sin", 1, "cos", 1)),
+    }
+
+
+BLOCK_METRICS = block_metrics()
+
+
+@st.composite
+def blocks(draw):
+    """(metric name, P base points, rays of shape (P, n, 2)) from a seed."""
+    name = draw(st.sampled_from(sorted(BLOCK_METRICS)))
+    n_points, n_rays = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = BLOCK_METRICS[name]
+    xs = [random_point(m, rng) for _ in range(n_points)]
+    angles = rng.uniform(0, 2 * math.pi, size=(n_points, n_rays))
+    radii = 10.0 ** rng.uniform(-2, 2, size=(n_points, n_rays, 1))
+    vs = radii * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return name, xs, vs
+
+
+class TestBlockEvaluation:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(blocks())
+    def test_block_equals_points(self, block):
+        name, xs, vs = block
+        m = BLOCK_METRICS[name]
+        f = m.f(xs, vs)
+        d = fl.vertical_derivative(m, xs, vs)
+        assert f.shape == vs.shape[:-1] and d.shape == vs.shape
+        for x, v, fx, dx in zip(xs, vs, f, d):
+            f1 = m.f(x, v)
+            d1 = fl.vertical_derivative(m, x, v)
+            assert np.all(np.abs(fx - f1) <= 1e-15 * f1), name
+            assert np.all(np.abs(dx - d1) <= 1e-15 * np.abs(d1).max(axis=-1, keepdims=True)), name
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(blocks(), st.floats(1e-3, 1e3))
+    def test_homogeneity_and_euler_identity(self, block, t):
+        name, xs, vs = block
+        m = BLOCK_METRICS[name]
+        f = m.f(xs, vs)
+        assert np.all(f > 0.0), name
+        assert np.all(np.abs(m.f(xs, t * vs) - t * f) <= 1e-13 * t * f), name
+        # a finite-difference d_vF is exact to about its roundoff, 1e-16 / H_V_REL
+        tol = 1e-12 if m.analytic_fiber_derivative else 1e-9
+        d = fl.vertical_derivative(m, xs, vs)
+        euler = np.einsum("...i,...i->...", d, vs)
+        assert np.all(np.abs(euler - f) <= tol * f), name
