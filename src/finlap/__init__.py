@@ -15,7 +15,7 @@ from .hilbert import (FiberPoint, ReebVector, Trajectory, contact_orientation,
                       geodesic_integrate, hilbert_density, reeb_field,
                       reeb_profile)
 from .katok_ziller import (SphereHarmonicField, SphereOperator, galerkin_matrices,
-                           harmonic_action, kz_metric, legendre_block,
+                           harmonic_action, legendre_block,
                            perturbation_eigenvalue, sphere_closed_form,
                            sphere_operator, torus_closed_form, torus_eigenvalue,
                            torus_operator, torus_spectrum)

@@ -1,15 +1,25 @@
 """Hilbert contact form, canonical volume density and Reeb field.
 
-The fiber circle over a base point x is parametrized by the Euclidean
-angle phi of :func:`finlap.metrics.indicatrix_point`.  In the chart
-coordinates (u, v, phi) the Hilbert form reads A = p du + q dv with
-(p, q) = d_vF evaluated on the ray of direction phi, and the contact
-volume A ^ dA has density
+The fiber circle over a base point x is parametrized by the frame angle
+psi: the ray of psi is A(x) e(psi), with e(psi) = (cos psi, sin psi) and
+A = diag(1, 1/sin phi) on the sphere chart (the orthonormal frame of the
+round metric at polar angle phi), the identity on the torus and plane
+charts.  In the chart coordinates (u, v, psi) the Hilbert form reads
+A = p du + q dv with (p, q) = d_vF evaluated on the ray of psi, and the
+contact volume A ^ dA has density
 
-    lambda(x, phi) = | q dp/dphi - p dq/dphi |
+    lambda(x, psi) = | q dp/dpsi - p dq/dpsi |
 
-with respect to dphi ^ du ^ dv.  The sign is dropped; orientation is
-tracked separately where needed.
+with respect to dpsi ^ du ^ dv.  d_vF is 0-homogeneous, so the length
+of the ray does not matter and lambda_psi dpsi = lambda_phi dphi, where
+phi is the chart (Euclidean) angle of the ray, the angle of
+:func:`finlap.metrics.indicatrix_point`; fiber volumes and angle forms do
+not depend on the parametrization.  Near the poles the chart angle
+resolves the fiber on a scale of sin phi, the frame angle on a scale of
+one, so a fixed trapezoid rule in psi converges at every base point.
+Fiber points, the Reeb field and geodesics use the chart angle; the
+sign of the density is dropped, and orientation is tracked separately
+where needed.
 """
 
 from __future__ import annotations
@@ -68,11 +78,53 @@ def _rays(phis: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(phis), np.sin(phis)], axis=-1)
 
 
-def _a_components(metric: FinslerMetric2D, x, phis: np.ndarray) -> np.ndarray:
-    """(p, q) along the rays of angles phi, at one base point or at every
-    point of a block (leading point axis); d_vF is 0-homogeneous so the
-    rays need not be normalized to the indicatrix."""
-    return vertical_derivative(metric, x, at_points(x, _rays(phis)))
+def _chart_rays(x, phis: np.ndarray) -> np.ndarray:
+    """The rays e(phi) of the chart angles phis, at one base point (n, 2)
+    or at every point of a block (P, n, 2)."""
+    return at_points(x, _rays(phis))
+
+
+def _theta_stretch(x):
+    """The factor 1/sin(phi) of the sphere frame, a float at one base point
+    and (P, 1) over a block; None on the torus and plane charts, whose
+    frame is the identity."""
+    if isinstance(x, ChartPoint):
+        return 1.0 / math.sin(x.u) if x.chart == SPHERE else None
+    if x[0].chart != SPHERE:
+        return None
+    return 1.0 / np.sin([p.u for p in x])[:, None]
+
+
+def _frame_rays(x, psis: np.ndarray) -> np.ndarray:
+    """The rays A(x) e(psi) of the frame angles psis, shaped as
+    :func:`_chart_rays`; they are the chart rays where A is the identity."""
+    stretch = _theta_stretch(x)
+    if stretch is None:
+        return _chart_rays(x, psis)
+    c, s = np.broadcast_arrays(np.cos(psis), np.sin(psis) * stretch)
+    return np.stack([c, s], axis=-1)
+
+
+def chart_angles(x, psis: np.ndarray) -> np.ndarray:
+    """Chart angle in [0, 2*pi) of the ray of each frame angle in psis,
+    which increase strictly from 0 when the psis do: the psis themselves
+    where the frame is the identity, else (n,) at one base point and
+    (P, n) over a block."""
+    stretch = _theta_stretch(x)
+    if stretch is None:
+        return psis
+    return np.mod(np.arctan2(np.sin(psis) * stretch, np.cos(psis)), 2.0 * np.pi)
+
+
+def _frame_angle(x: ChartPoint, phi: float):
+    """``(psi, dpsi/dphi)``: the frame angle whose ray has the chart angle
+    phi, and its derivative in phi."""
+    stretch = _theta_stretch(x)
+    if stretch is None:
+        return phi, 1.0
+    # A^-1 e(phi) = (cos phi, sin(phi) sin(u))
+    c, s = math.cos(phi), math.sin(phi) / stretch
+    return math.atan2(s, c), (1.0 / stretch) / (c * c + s * s)
 
 
 def _steps(metric: FinslerMetric2D, h_phi, h_x):
@@ -83,54 +135,65 @@ def _steps(metric: FinslerMetric2D, h_phi, h_x):
     return h_phi, h_x
 
 
-def _phi_jet(metric: FinslerMetric2D, x, phis: np.ndarray, h_phi):
-    """(p, q) at the angles phis and its central phi-difference, at one
-    base point or over a block of base points."""
-    pq = _a_components(metric, x, phis)
-    dpq = (_a_components(metric, x, phis + h_phi)
-           - _a_components(metric, x, phis - h_phi)) / (2.0 * h_phi)
+def _angle_jet(metric: FinslerMetric2D, x, rays, angles: np.ndarray, h):
+    """(p, q) = d_vF on the rays of the angles and its central difference
+    in the angle, at one base point or over a block of base points;
+    ``rays`` is :func:`_chart_rays` or :func:`_frame_rays`.  d_vF is
+    0-homogeneous, so the rays need not be normalized to the indicatrix."""
+    pq = vertical_derivative(metric, x, rays(x, angles))
+    dpq = (vertical_derivative(metric, x, rays(x, angles + h))
+           - vertical_derivative(metric, x, rays(x, angles - h))) / (2.0 * h)
     return pq, dpq
 
 
 def _curl(metric: FinslerMetric2D, x: ChartPoint, phis: np.ndarray, h_x) -> np.ndarray:
-    """dq/du - dp/dv at the angles phis, by central differences in u and v."""
-    pq_du = (_a_components(metric, x.shifted(h_x, 0.0), phis)
-             - _a_components(metric, x.shifted(-h_x, 0.0), phis)) / (2.0 * h_x)
-    pq_dv = (_a_components(metric, x.shifted(0.0, h_x), phis)
-             - _a_components(metric, x.shifted(0.0, -h_x), phis)) / (2.0 * h_x)
+    """dq/du - dp/dv at the chart angles phis, by central differences in u and v."""
+    rays = _rays(phis)
+    pq_du = (vertical_derivative(metric, x.shifted(h_x, 0.0), rays)
+             - vertical_derivative(metric, x.shifted(-h_x, 0.0), rays)) / (2.0 * h_x)
+    pq_dv = (vertical_derivative(metric, x.shifted(0.0, h_x), rays)
+             - vertical_derivative(metric, x.shifted(0.0, -h_x), rays)) / (2.0 * h_x)
     return pq_du[:, 1] - pq_dv[:, 0]
 
 
-def density_profile(metric: FinslerMetric2D, x, phis,
+def _signed_density(metric: FinslerMetric2D, x, psis, h_phi) -> np.ndarray:
+    """q dp/dpsi - p dq/dpsi at the frame angles psis."""
+    h_phi, _ = _steps(metric, h_phi, None)
+    psis = np.atleast_1d(np.asarray(psis, dtype=float))
+    pq, dpq = _angle_jet(metric, x, _frame_rays, psis, h_phi)
+    return pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1]
+
+
+def density_profile(metric: FinslerMetric2D, x, psis,
                     h_phi=None) -> np.ndarray:
-    """lambda(x, phi) over an array of angles (vectorized).
+    """lambda(x, psi) against dpsi over an array of frame angles
+    (vectorized).
 
     ``x`` is one base point, or a block of P base points (a sequence of
-    ChartPoint), for which the result has shape (P, len(phis)).
+    ChartPoint), for which the result has shape (P, len(psis)).
     """
-    h_phi, _ = _steps(metric, h_phi, None)
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    pq, dpq = _phi_jet(metric, x, phis, h_phi)
-    return np.abs(pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1])
+    return np.abs(_signed_density(metric, x, psis, h_phi))
 
 
 def hilbert_density(metric: FinslerMetric2D, fp: FiberPoint,
                     h_phi=None) -> float:
-    """Density of A ^ dA against dphi ^ du ^ dv at a fiber point.
+    """Density of A ^ dA against dphi ^ du ^ dv at a fiber point, phi the
+    chart angle: lambda(x, psi) dpsi/dphi at the frame angle psi of phi.
 
     The absolute value is returned; :func:`contact_orientation` carries
     the sign of the form in this coordinate ordering.
     """
-    return float(density_profile(metric, fp.base, [fp.phi], h_phi)[0])
+    psi, dpsi_dphi = _frame_angle(fp.base, fp.phi)
+    return float(density_profile(metric, fp.base, [psi], h_phi)[0]) * dpsi_dphi
 
 
 def contact_orientation(metric: FinslerMetric2D, fp: FiberPoint,
                         h_phi=None) -> int:
-    """Sign of A ^ dA relative to dphi ^ du ^ dv (+1 or -1)."""
-    h_phi, _ = _steps(metric, h_phi, None)
-    pq, dpq = _phi_jet(metric, fp.base, np.array([fp.phi]), h_phi)
-    value = pq[0, 1] * dpq[0, 0] - pq[0, 0] * dpq[0, 1]
-    return 1 if value >= 0.0 else -1
+    """Sign of A ^ dA relative to dphi ^ du ^ dv (+1 or -1); the frame
+    angle increases with the chart angle, so it is the sign against
+    dpsi ^ du ^ dv."""
+    psi, _ = _frame_angle(fp.base, fp.phi)
+    return 1 if _signed_density(metric, fp.base, [psi], h_phi)[0] >= 0.0 else -1
 
 
 def reeb_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
@@ -139,7 +202,8 @@ def reeb_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
 
     Returns ``(V, Xphi, lam)`` where ``V`` has shape ``(n, 2)`` (chart
     components of the spray, equal to the indicatrix point of direction
-    phi), ``Xphi`` the fiber component and ``lam`` the contact density.
+    phi), ``Xphi`` the fiber component and ``lam`` the contact density,
+    all against the chart angle phi.
 
     The field solves A(X) = 1 together with two independent components
     of i_X dA = 0; the fiber (dphi) component is always kept and the
@@ -149,7 +213,7 @@ def reeb_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     n = len(phis)
 
-    pq, dpq = _phi_jet(metric, x, phis, h_phi)
+    pq, dpq = _angle_jet(metric, x, _chart_rays, phis, h_phi)
     curl = _curl(metric, x, phis, h_x)
 
     p, q = pq[:, 0], pq[:, 1]
@@ -199,7 +263,7 @@ def reeb_residuals_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
         h_x = 0.5 * sx
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     V, Xphi, _ = reeb_profile(metric, x, phis)
-    pq, dpq = _phi_jet(metric, x, phis, h_phi)
+    pq, dpq = _angle_jet(metric, x, _chart_rays, phis, h_phi)
     curl = _curl(metric, x, phis, h_x)
     r_a = np.abs(pq[:, 0] * V[:, 0] + pq[:, 1] * V[:, 1] - 1.0)
     r_du = np.abs(-curl * V[:, 1] + dpq[:, 0] * Xphi)

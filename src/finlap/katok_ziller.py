@@ -24,23 +24,13 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .charts import ChartPoint, TORUS
+from .charts import ChartPoint
 from .errors import ConfigError, InvalidMetricError
-from .metrics import CovectorField, KatokZillerMetric, MatrixField
-
-
-def kz_metric(g: MatrixField, killing: CovectorField, eps: float,
-              chart: str = TORUS) -> KatokZillerMetric:
-    """General Katok-Ziller metric from (g, Killing field V, eps).
-
-    Requires eps^2 * sup g(V, V) < 1; violations are reported at
-    evaluation points.
-    """
-    return KatokZillerMetric(g, killing, eps, chart)
 
 
 def torus_closed_form(eps: float, xi) -> float:
-    """Specialized flat-torus formula, for cross-checking kz_metric."""
+    """Specialized flat-torus formula, for cross-checking the general
+    :class:`~finlap.metrics.KatokZillerMetric` of :func:`~finlap.metrics.kz_torus`."""
     xi = np.asarray(xi, dtype=float)
     return float(
         (math.sqrt(xi[0] ** 2 + (1.0 - eps**2) * xi[1] ** 2) - eps * xi[0])

@@ -43,15 +43,10 @@ from .charts import ChartPoint, TORUS
 from .errors import ConfigError, DegenerateContactError, NumericError
 from .fields import field_gradient, field_hessian
 from .hilbert import DENSITY_FLOOR, _rk4_step, reeb_profile
-from .measures import (DEFAULT_FIBER_N, chart_fiber_quadrature, fiber_quadrature,
-                       fiber_weights)
+from .measures import BLOCK_RAYS, DEFAULT_FIBER_N, fiber_quadrature, fiber_weights
 from .metrics import FinslerMetric2D, indicatrix_point
 
 GEODESIC_STEP = 1e-3
-#: rays per block of base points in :func:`grid_symbol_density`: large
-#: enough that the Python overhead of a block is small against its
-#: arithmetic, small enough that each (P, n, 2) temporary stays at 64 KiB
-BLOCK_RAYS = 4096
 _COEFF_CACHE_ATTR = "_finlap_coeff_cache"
 
 
@@ -96,7 +91,7 @@ def operator_coefficients(metric: FinslerMetric2D, x: ChartPoint,
         return cache[1]
 
     h_phi, h_x = _steps(metric, h_phi, h_x)
-    quad = chart_fiber_quadrature(metric, x, fiber_n)
+    quad = fiber_quadrature(metric, x, fiber_n)
     w = quad.weights
     V, Xphi, _ = reeb_profile(metric, x, quad.nodes, h_phi, h_x)
 

@@ -1,9 +1,15 @@
 """Canonical angle and volume measures.
 
 The contact volume splits into a normalized angle form on each fiber
-(total weight 2*pi) and a volume density on the base.  The volume
-density is cross-checked against the Holmes-Thompson construction:
-1/pi times the area of the dual unit disc.
+(total weight 2*pi) and a volume density on the base.  Each fiber is
+parametrized by the frame angle psi of :mod:`finlap.hilbert`, in which
+the contact density has no feature finer than the fiber itself at any
+base point, the poles of the sphere chart included; a fixed trapezoid
+rule in psi is therefore spectrally accurate everywhere.  Its nodes are
+stored as the chart angles of their rays, so that consumers evaluate
+the indicatrix and the Reeb field at them unchanged.  The volume
+density is cross-checked against the Holmes-Thompson construction: 1/pi
+times the area of the dual unit disc.
 """
 
 from __future__ import annotations
@@ -16,17 +22,23 @@ import numpy as np
 
 from .charts import ChartPoint, SPHERE
 from .errors import ConfigError, DomainError
-from .hilbert import density_profile
+from .hilbert import chart_angles, density_profile
 from .metrics import FinslerMetric2D, indicatrix_point
 
 DEFAULT_FIBER_N = 256
+#: rays per block of base points evaluated together (the torus grid of
+#: :func:`finlap.laplace.grid_symbol_density`, the sphere volume): large
+#: enough that the Python overhead of a block is small against its
+#: arithmetic, small enough that each (P, n, 2) temporary stays at 64 KiB
+BLOCK_RAYS = 4096
 
 log = logging.getLogger("finlap.measures")
 
 
 @dataclass(frozen=True)
 class FiberQuadrature:
-    """Angular nodes and angle-form weights on one fiber circle."""
+    """Angular nodes (chart angles) and angle-form weights on one fiber
+    circle."""
 
     base: ChartPoint
     nodes: np.ndarray
@@ -62,22 +74,29 @@ def _weights(lam: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi * lam / lam.sum(axis=-1, keepdims=True)
 
 
+def _fiber_density(metric: FinslerMetric2D, x, n: int) -> np.ndarray:
+    """The fiber rule: the contact density on the n trapezoid nodes in the
+    frame angle, at one base point (n,) or over a block (P, n)."""
+    if n < 16:
+        raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {n}")
+    return density_profile(metric, x, _trapezoid_nodes(n))
+
+
 def _quadrature(x: ChartPoint, lam: np.ndarray) -> FiberQuadrature:
     """Quadrature on the trapezoid nodes from contact-density samples."""
-    return FiberQuadrature(base=x, nodes=_trapezoid_nodes(len(lam)),
+    return FiberQuadrature(base=x, nodes=chart_angles(x, _trapezoid_nodes(len(lam))),
                            weights=_weights(lam), volume=float(lam.mean()))
 
 
 def fiber_quadrature(metric: FinslerMetric2D, x: ChartPoint,
                      n: int = DEFAULT_FIBER_N) -> FiberQuadrature:
-    """Trapezoidal nodes with weights proportional to the contact density.
+    """n trapezoidal nodes in the frame angle, stored as chart angles, with
+    weights proportional to the contact density.
 
     Normalization Sum(w) = 2*pi holds by construction; the trapezoid rule
     on the periodic fiber is spectrally accurate for smooth metrics.
     """
-    if n < 16:
-        raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {n}")
-    return _quadrature(x, density_profile(metric, x, _trapezoid_nodes(n)))
+    return _quadrature(x, _fiber_density(metric, x, n))
 
 
 def fiber_weights(metric: FinslerMetric2D, xs, n: int = DEFAULT_FIBER_N):
@@ -85,22 +104,21 @@ def fiber_weights(metric: FinslerMetric2D, xs, n: int = DEFAULT_FIBER_N):
 
     Returns ``(nodes, weights, volumes)`` with shapes (n,), (P, n) and
     (P,), equal to the nodes, weights and volumes of the one-point
-    quadratures; the weights are checked as :class:`FiberQuadrature`
-    checks them.
+    quadratures; on the sphere chart, whose frame varies with the base
+    point, the nodes have shape (P, n).  The weights are checked as
+    :class:`FiberQuadrature` checks them.
     """
-    if n < 16:
-        raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {n}")
-    nodes = _trapezoid_nodes(n)
-    lam = density_profile(metric, xs, nodes)
+    lam = _fiber_density(metric, xs, n)
     weights = _weights(lam)
     _check_weights(weights)
-    return nodes, weights, lam.mean(axis=-1)
+    return chart_angles(xs, _trapezoid_nodes(n)), weights, lam.mean(axis=-1)
 
 
 def volume_density(metric: FinslerMetric2D, x: ChartPoint,
                    n: int = DEFAULT_FIBER_N) -> float:
-    """Density of the canonical volume against du ^ dv."""
-    return float(density_profile(metric, x, _trapezoid_nodes(n)).mean())
+    """Density of the canonical volume against du ^ dv: the volume of
+    :func:`fiber_quadrature`."""
+    return float(_fiber_density(metric, x, n).mean())
 
 
 def _converged_profile(metric: FinslerMetric2D, x: ChartPoint,
@@ -108,9 +126,6 @@ def _converged_profile(metric: FinslerMetric2D, x: ChartPoint,
     """Contact density on the trapezoid nodes of the smallest doubling of
     n0 on which the fiber volume has converged (at most n_max nodes).
 
-    Needed where the indicatrix is strongly eccentric in the chart basis
-    (sphere chart near the poles): the contact density then peaks on an
-    angular scale ~ sin(phi) and a fixed trapezoid under-resolves it.
     The nodes of size n are the even nodes of size 2n, so each doubling
     evaluates only the n new odd nodes and interleaves them with the
     samples it has; the result equals a fresh evaluation at the final
@@ -140,7 +155,8 @@ def _converged_profile(metric: FinslerMetric2D, x: ChartPoint,
 def volume_density_adaptive(metric: FinslerMetric2D, x: ChartPoint,
                             n0: int = DEFAULT_FIBER_N, rtol: float = 1e-9,
                             n_max: int = 1 << 15) -> float:
-    """Volume density with fiber-node doubling until convergence.
+    """Volume density with fiber-node doubling until convergence; a test
+    oracle for the fixed rule of :func:`volume_density`.
 
     Each doubling reuses the samples of the previous size; a fiber that
     stops at ``n_max`` unconverged is logged on ``finlap.measures``.
@@ -151,7 +167,8 @@ def volume_density_adaptive(metric: FinslerMetric2D, x: ChartPoint,
 def fiber_quadrature_adaptive(metric: FinslerMetric2D, x: ChartPoint,
                               n0: int = DEFAULT_FIBER_N, rtol: float = 1e-9,
                               n_max: int = 1 << 15) -> FiberQuadrature:
-    """Fiber quadrature with node count doubled until the volume converges.
+    """Fiber quadrature with node count doubled until the volume converges;
+    a test oracle for :func:`fiber_quadrature`.
 
     Equals :func:`fiber_quadrature` at the converged size, nodes and
     weights included; each doubling reuses the samples of the previous
@@ -164,35 +181,26 @@ def fiber_quadrature_adaptive(metric: FinslerMetric2D, x: ChartPoint,
     return _quadrature(x, lam)
 
 
-def chart_fiber_quadrature(metric: FinslerMetric2D, x: ChartPoint,
-                           n: int = DEFAULT_FIBER_N) -> FiberQuadrature:
-    """Fiber quadrature suited to the metric's chart: adaptive from n nodes
-    on the sphere chart, whose fibers grow eccentric toward the poles, and
-    the fixed n-node rule elsewhere."""
-    if metric.chart == SPHERE:
-        return fiber_quadrature_adaptive(metric, x, n)
-    return fiber_quadrature(metric, x, n)
-
-
 def sphere_total_volume(metric: FinslerMetric2D, n_phi: int = 96,
                         n_theta: int = 16) -> float:
     """Total canonical volume of a sphere-chart metric.
 
     Gauss-Legendre in phi (nodes interior, poles never sampled) times a
-    uniform theta rule, with adaptive fiber quadrature per node.
+    uniform theta rule.  The volume densities at the n_phi * n_theta base
+    points come from the fixed fiber rule of :func:`fiber_weights` at
+    ``DEFAULT_FIBER_N`` nodes, in blocks of ``BLOCK_RAYS //
+    DEFAULT_FIBER_N`` points.
     """
     t, w = np.polynomial.legendre.leggauss(n_phi)
     phis = 0.5 * np.pi * (t + 1.0)
     wphi = 0.5 * np.pi * w
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    total = 0.0
-    for phi, wp in zip(phis, wphi):
-        ring = float(np.mean([
-            volume_density_adaptive(metric, ChartPoint("sphere", phi, th))
-            for th in thetas
-        ]))
-        total += wp * 2.0 * np.pi * ring
-    return float(total)
+    points = [ChartPoint(SPHERE, phi, th) for phi in phis for th in thetas]
+    size = max(1, BLOCK_RAYS // DEFAULT_FIBER_N)
+    rho = np.concatenate([fiber_weights(metric, points[k:k + size])[2]
+                          for k in range(0, len(points), size)])
+    rings = rho.reshape(n_phi, n_theta).mean(axis=1)
+    return float(2.0 * np.pi * (wphi @ rings))
 
 
 def _boundary_scan(metric: FinslerMetric2D, x: ChartPoint,

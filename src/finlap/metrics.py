@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .charts import ChartPoint, PLANE, SPHERE, TORUS
-from .errors import DomainError, InvalidMetricError
+from .errors import DomainError, FinlapError, InvalidMetricError
 
 # Relative fiber step of the finite-difference vertical derivative;
 # built-in metrics carry analytic derivatives.
@@ -97,10 +97,11 @@ def _dot(vs: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def at_points(x, rays: np.ndarray) -> np.ndarray:
     """The rays (n, 2) at one base point as they are, and at every point of
-    a block as a read-only (P, n, 2) view."""
+    a block as a read-only (P, n, 2) view; a block's rays may already be
+    per point, (P, n, 2)."""
     if isinstance(x, ChartPoint):
         return rays
-    return np.broadcast_to(rays, (len(x),) + rays.shape)
+    return np.broadcast_to(rays, (len(x),) + rays.shape[-2:])
 
 
 class FinslerMetric2D:
@@ -388,9 +389,12 @@ class CustomMetric(FinslerMetric2D):
     """Wrap a user evaluator f(x, vs) -> F values.
 
     The evaluator should be vectorized over ``vs`` of shape ``(..., 2)``;
-    scalar-only evaluators are looped over transparently.  Must be safe
-    for concurrent evaluation.  Blocks of base points are evaluated one
-    point at a time.
+    a scalar-only evaluator, one that rejects the array with a
+    ``TypeError`` or ``ValueError`` or returns the wrong shape, is looped
+    over the rays.  Any other failure of the evaluator is raised as
+    :class:`InvalidMetricError` naming the point, the original exception
+    chained.  Must be safe for concurrent evaluation.  Blocks of base
+    points are evaluated one point at a time.
     """
 
     kind = "custom"
@@ -406,15 +410,31 @@ class CustomMetric(FinslerMetric2D):
         if self._vectorized is not False:
             try:
                 out = np.asarray(self._func(x, vs), dtype=float)
-                if out.shape == vs.shape[:-1]:
-                    self._vectorized = True
-                    return out
-            except Exception:
-                pass
+            except (TypeError, ValueError):
+                out = None      # a scalar-only evaluator rejects the array
+            except FinlapError:
+                raise
+            except Exception as exc:
+                raise _evaluator_failure(x, exc) from exc
+            if out is not None and out.shape == vs.shape[:-1]:
+                self._vectorized = True
+                return out
             self._vectorized = False
         flat = vs.reshape(-1, 2)
-        out = np.array([float(self._func(x, v)) for v in flat])
-        return out.reshape(vs.shape[:-1])
+        return np.array([self._scalar(x, v) for v in flat]).reshape(vs.shape[:-1])
+
+    def _scalar(self, x: ChartPoint, v: np.ndarray) -> float:
+        try:
+            return float(self._func(x, v))
+        except FinlapError:
+            raise
+        except Exception as exc:
+            raise _evaluator_failure(x, exc) from exc
+
+
+def _evaluator_failure(x: ChartPoint, exc: Exception) -> InvalidMetricError:
+    return InvalidMetricError(
+        f"metric evaluator failed at ({x.u}, {x.v}): {type(exc).__name__}: {exc}")
 
 
 class ConformalMetric(FinslerMetric2D):
@@ -506,7 +526,8 @@ def indicatrix_point(metric: FinslerMetric2D, x, phi) -> np.ndarray:
 
     Vectorized over phi; the map phi -> v(phi) traverses the indicatrix
     once since F is positive on the unit circle.  Over a block of P base
-    points the result has shape (P, len(phi), 2).
+    points the result has shape (P, n, 2), for n angles shared by the
+    block or (P, n) angles, one row per point.
     """
     e = _circle(phi)
     vals = metric.f(x, at_points(x, e))

@@ -27,7 +27,7 @@ from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradient
 from .laplace import conservative_pencil, grid_symbol_density
-from .measures import DEFAULT_FIBER_N, chart_fiber_quadrature
+from .measures import DEFAULT_FIBER_N, fiber_quadrature
 from .metrics import FinslerMetric2D, KatokZillerMetric, indicatrix_point
 
 MERGE_TOL = 1e-9
@@ -150,14 +150,14 @@ def energy(metric: FinslerMetric2D, u, base: BaseQuadrature,
     """
     shared = None
     if metric.position_independent and base.points:
-        quad = chart_fiber_quadrature(metric, base.points[0], fiber_n)
+        quad = fiber_quadrature(metric, base.points[0], fiber_n)
         shared = (quad, indicatrix_point(metric, base.points[0], quad.nodes))
     total = 0.0
     for x, wx in zip(base.points, base.weights):
         if shared is not None:
             quad, V = shared
         else:
-            quad = chart_fiber_quadrature(metric, x, fiber_n)
+            quad = fiber_quadrature(metric, x, fiber_n)
             V = indicatrix_point(metric, x, quad.nodes)
         du = field_gradient(u, x)
         rates = V @ du
@@ -170,12 +170,12 @@ def omega_norm_sq(metric: FinslerMetric2D, u, base: BaseQuadrature,
     """Integral of u^2 against the canonical volume."""
     shared_vol = None
     if metric.position_independent and base.points:
-        shared_vol = chart_fiber_quadrature(metric, base.points[0], fiber_n).volume
+        shared_vol = fiber_quadrature(metric, base.points[0], fiber_n).volume
     total = 0.0
     for x, wx in zip(base.points, base.weights):
         vol = shared_vol
         if vol is None:
-            vol = chart_fiber_quadrature(metric, x, fiber_n).volume
+            vol = fiber_quadrature(metric, x, fiber_n).volume
         total += wx * vol * float(u(x)) ** 2
     return total
 
@@ -185,12 +185,12 @@ def omega_mean(metric: FinslerMetric2D, u, base: BaseQuadrature,
     """Volume-weighted mean of u (for projecting out constants)."""
     shared_vol = None
     if metric.position_independent and base.points:
-        shared_vol = chart_fiber_quadrature(metric, base.points[0], fiber_n).volume
+        shared_vol = fiber_quadrature(metric, base.points[0], fiber_n).volume
     num = den = 0.0
     for x, wx in zip(base.points, base.weights):
         vol = shared_vol
         if vol is None:
-            vol = chart_fiber_quadrature(metric, x, fiber_n).volume
+            vol = fiber_quadrature(metric, x, fiber_n).volume
         num += wx * vol * float(u(x))
         den += wx * vol
     return num / den

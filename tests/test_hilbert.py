@@ -50,6 +50,26 @@ class TestHilbertDensity:
             expected = 2 * math.pi * math.sin(phi0) / (1 - E) ** 1.5
             assert total == pytest.approx(expected, rel=1e-9)
 
+    def test_kz_sphere_chart_angle_density(self):
+        # against dphi the density is lambda_psi dpsi/dphi at the frame angle
+        # psi = atan2(sin(u) sin(phi), cos(phi)) of the chart angle phi
+        m = fl.kz_sphere(0.3)
+        for u in (0.01, 0.3, 1.2, 2.5):
+            x = fl.sphere_point(u, 0.4)
+            k = math.sin(u)
+            for phi in np.linspace(0.1, 2 * math.pi + 0.1, 7, endpoint=False):
+                psi = math.atan2(k * math.sin(phi), math.cos(phi))
+                dpsi_dphi = k / (math.cos(phi) ** 2 + (k * math.sin(phi)) ** 2)
+                lam_psi = fl.hilbert.density_profile(m, x, [psi])[0]
+                got = fl.hilbert_density(m, fl.FiberPoint(x, phi))
+                # psi rounds differently here; the difference quotient
+                # amplifies that by 1/H_PHI
+                assert got == pytest.approx(lam_psi * dpsi_dphi, rel=1e-10)
+                if u >= 0.3:
+                    # the Reeb solve differences in the chart angle itself
+                    _, _, lam_phi = fl.reeb_profile(m, x, [phi])
+                    assert got == pytest.approx(lam_phi[0], rel=1e-7)
+
     def test_positive_everywhere(self, rng):
         for name, m in builtin_metrics().items():
             x = random_point(m, rng)
@@ -166,9 +186,6 @@ class TestFiberJet:
         calls.clear()
         fl.hilbert.reeb_residuals_profile(m, x, [1.0])
         assert len(calls) == 14
-
-    def test_sphere_total_volume_unchanged(self):
-        assert fl.sphere_total_volume(fl.kz_sphere(0.3), 96, 2) == 13.809198476223967
 
 
 class TestGeodesics:

@@ -6,6 +6,7 @@ import pytest
 
 import finlap as fl
 import finlap.measures as measures
+from finlap.laplace import symbol_density
 from conftest import builtin_metrics, random_point
 
 
@@ -124,20 +125,108 @@ class TestAdaptiveQuadrature:
         assert sum(angles) == n
 
     def test_cap_is_logged(self, caplog):
+        # rtol = 0 never converges, so the doubling stops at n_max
         m = fl.kz_sphere(0.3)
         with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
-            fl.volume_density_adaptive(m, fl.sphere_point(OUTER_PHI, 0.0))
+            fl.volume_density_adaptive(m, fl.sphere_point(OUTER_PHI, 0.0),
+                                       n0=16, rtol=0.0, n_max=32)
         (record,) = [r for r in caplog.records if r.name == "finlap.measures"]
         msg = record.getMessage()
-        assert f"{OUTER_PHI:.6g}" in msg and "32768 nodes" in msg
-        # the volume still moves by 6.7e-4 between 16384 and 32768 nodes
-        assert float(msg.rsplit(" ", 1)[-1]) == pytest.approx(6.7e-4, rel=0.05)
+        assert f"{OUTER_PHI:.6g}" in msg and "32 nodes" in msg
 
     def test_converged_fiber_not_logged(self, caplog):
+        # the frame-angle rule converges at the outermost Gauss node too
         m = fl.kz_sphere(0.3)
         with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
-            fl.volume_density_adaptive(m, fl.sphere_point(math.pi / 2, 0.0))
+            for phi in (OUTER_PHI, math.pi / 2):
+                fl.volume_density_adaptive(m, fl.sphere_point(phi, 0.0))
         assert not [r for r in caplog.records if r.name == "finlap.measures"]
+
+
+def _kz_sphere_density(eps, phi):
+    """Closed-form volume density (1 - E)^(-3/2) sin(phi), E = eps^2 sin^2 phi."""
+    return (1.0 - (eps * math.sin(phi)) ** 2) ** -1.5 * math.sin(phi)
+
+
+def _identity_frame_trapezoid(metric, x, n):
+    """Reference: nodes, weights and volume of the n-node trapezoid in the
+    chart angle, the contact density differenced in that angle."""
+    h, _ = fl.hilbert._steps(metric, None, None)
+    nodes = 2.0 * np.pi * np.arange(n) / n
+
+    def pq(phis):
+        return fl.vertical_derivative(metric, x, np.stack([np.cos(phis), np.sin(phis)], -1))
+
+    p, dp = pq(nodes), (pq(nodes + h) - pq(nodes - h)) / (2.0 * h)
+    lam = np.abs(p[:, 1] * dp[:, 0] - p[:, 0] * dp[:, 1])
+    return nodes, 2.0 * np.pi * lam / lam.sum(), float(lam.mean())
+
+
+class TestFrameRule:
+    @pytest.mark.parametrize("phi", [OUTER_PHI, 0.01, 0.3, math.pi / 2])
+    def test_sixteen_nodes_match_closed_form(self, phi):
+        eps = 0.3
+        q = fl.fiber_quadrature(fl.kz_sphere(eps), fl.sphere_point(phi, 0.7), 16)
+        assert abs(q.volume / _kz_sphere_density(eps, phi) - 1.0) <= 1e-9
+
+    def test_nodes_are_chart_angles(self):
+        # the node of frame angle psi is the chart angle of (cos psi, sin psi / sin phi)
+        m = fl.kz_sphere(0.3)
+        x = fl.sphere_point(0.01, 0.0)
+        q = fl.fiber_quadrature(m, x, 16)
+        psis = 2.0 * np.pi * np.arange(16) / 16
+        rays = np.stack([np.cos(psis), np.sin(psis) / math.sin(x.u)], -1)
+        expected = rays / m.f(x, rays)[:, None]
+        got = fl.indicatrix_point(m, x, q.nodes)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+    def test_sphere_total_volume_closed_form(self, eps, caplog):
+        with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
+            total = fl.sphere_total_volume(fl.kz_sphere(eps), 96, 2)
+        assert abs(total / (8.0 * math.pi / (2.0 - 2.0 * eps**2)) - 1.0) <= 1e-9
+        assert not [r for r in caplog.records if r.name == "finlap.measures"]
+
+    def test_sphere_total_volume_angle_count(self, monkeypatch):
+        angles = []
+        original = measures.density_profile
+
+        def counting(metric, x, psis, *args):
+            points = 1 if isinstance(x, fl.ChartPoint) else len(x)
+            angles.append(points * len(psis))
+            return original(metric, x, psis, *args)
+
+        monkeypatch.setattr(measures, "density_profile", counting)
+        fl.sphere_total_volume(fl.kz_sphere(0.3), 96, 2)
+        assert sum(angles) <= 96 * 2 * measures.DEFAULT_FIBER_N
+
+    def test_sphere_block_equals_points(self):
+        m = fl.kz_sphere(0.3)
+        xs = [fl.sphere_point(p, t) for p in (OUTER_PHI, 0.3, 2.9) for t in (0.0, 2.0)]
+        nodes, weights, vols = measures.fiber_weights(m, xs, 64)
+        for i, x in enumerate(xs):
+            q = fl.fiber_quadrature(m, x, 64)
+            assert np.array_equal(nodes[i], q.nodes)
+            assert np.array_equal(weights[i], q.weights)
+            assert vols[i] == q.volume == fl.volume_density(m, x, 64)
+            sigma, rho = symbol_density(m, x, 64)
+            assert sigma.shape == (2, 2) and rho == q.volume
+
+    def test_identity_frame_unchanged(self):
+        metrics = {name: m for name, m in builtin_metrics().items() if m.chart != fl.SPHERE}
+        metrics["plane"] = fl.riemannian(np.array([[1.2, 0.3], [0.3, 0.8]]), chart=fl.PLANE)
+        for name, m in metrics.items():
+            xs = [fl.ChartPoint(m.chart, 0.1, 0.7), fl.ChartPoint(m.chart, 0.6, 0.2)]
+            nodes, weights, vols = measures.fiber_weights(m, xs, 32)
+            for i, x in enumerate(xs):
+                ref_nodes, ref_weights, ref_vol = _identity_frame_trapezoid(m, x, 32)
+                q = fl.fiber_quadrature(m, x, 32)
+                assert np.array_equal(q.nodes, ref_nodes), name
+                assert np.array_equal(q.weights, ref_weights), name
+                assert q.volume == ref_vol == fl.volume_density(m, x, 32), name
+                assert np.array_equal(nodes, ref_nodes), name
+                assert np.array_equal(weights[i], ref_weights), name
+                assert vols[i] == ref_vol, name
 
 
 class TestHolmesThompson:

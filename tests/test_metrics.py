@@ -195,6 +195,38 @@ class TestConvexity:
                 assert fl.convexity_margin(m, x, phi) > 0.0, name
 
 
+class TestCustomEvaluator:
+    def test_scalar_only_evaluator_is_looped(self):
+        def scalar_norm(x, v):
+            return math.hypot(v[0], 2.0 * v[1])      # TypeError on an array
+
+        def wrong_shape(x, vs):
+            vs = np.asarray(vs, dtype=float)
+            return np.hypot(vs[..., 0], 2.0 * vs[..., 1]).sum()    # one value
+
+        vs = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 2.0]])
+        for f in (scalar_norm, wrong_shape):
+            m = fl.custom(f, chart=fl.PLANE)
+            assert np.allclose(m.f(fl.plane_point(0.2, 0.3), vs), [1.0, 2.0, 5.0],
+                               rtol=1e-15)
+
+    def test_evaluator_failure_is_typed(self):
+        def broken(x, vs):
+            raise ZeroDivisionError("bad evaluator")
+
+        def scalar_only_broken(x, v):
+            if v[1] > 0.5:
+                raise ValueError("bad ray")
+            return math.hypot(v[0], v[1])
+
+        x = fl.plane_point(0.25, -1.5)
+        for f, cause in ((broken, ZeroDivisionError), (scalar_only_broken, ValueError)):
+            m = fl.custom(f, chart=fl.PLANE)
+            with pytest.raises(fl.InvalidMetricError, match=r"\(0\.25, -1\.5\)") as info:
+                m.f(x, np.array([[1.0, 0.0], [0.0, 1.0]]))
+            assert isinstance(info.value.__cause__, cause)
+
+
 class TestKZGeneralVsSpecialized:
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.6])
     def test_torus(self, eps, rng):

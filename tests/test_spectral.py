@@ -123,7 +123,7 @@ class TestRayleigh:
         lam1 = 2 - 2 * eps**2
         geom = []
         for x in base.points:
-            quad = fl.fiber_quadrature_adaptive(m, x, 128)
+            quad = fl.fiber_quadrature(m, x, 128)
             V, _, _ = fl.reeb_profile(m, x, quad.nodes)
             geom.append((x, quad, V))
         fields = [fl.SphereHarmonicField(l, mm, kind)
