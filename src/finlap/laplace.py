@@ -18,17 +18,18 @@ canonical volume forces the divergence form
 
 so the pair (sigma, rho) determines the operator.
 
-Production path: :func:`symbol_density` computes (sigma, rho) from the
-fiber quadrature and the indicatrix alone (V equals the indicatrix point
-of its direction), and :func:`conservative_pencil` assembles the torus
-pencil in divergence form; it is symmetric, negative semidefinite and
-annihilates constants by construction.
+Production path: :func:`symbol_densities` computes (sigma, rho) at any
+base points, in blocks, from the fiber quadrature and the indicatrix
+alone (V equals the indicatrix point of its direction), and
+:func:`conservative_pencil` assembles the torus pencil in divergence
+form; it is symmetric, negative semidefinite and annihilates constants
+by construction.
 
 Oracles: :func:`operator_coefficients` (symbol and drift from the Reeb
-field), the coefficient stencil :func:`assemble_torus_operator`, the
-geodesic route of :func:`laplacian_apply` and
-:func:`weighted_symmetry_residual` are independent evaluations kept for
-tests, ``finlap symbol`` and ``finlap verify``.
+field), the coefficient stencil :func:`assemble_torus_operator` and the
+geodesic route of :func:`laplacian_apply` are independent evaluations
+kept for tests, ``finlap symbol`` and ``finlap verify``;
+:func:`weighted_symmetry_residual` checks the stencil against the pencil.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .charts import ChartPoint, TORUS
 from .errors import ConfigError, DegenerateContactError, NumericError
 from .fields import field_gradient, field_hessian
 from .hilbert import DENSITY_FLOOR, _rk4_step, reeb_profile
-from .measures import BLOCK_RAYS, DEFAULT_FIBER_N, fiber_quadrature, fiber_weights
+from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _over_points, fiber_quadrature,
+                       fiber_weights, torus_base)
 from .metrics import FinslerMetric2D, indicatrix_point
 
 GEODESIC_STEP = 1e-3
@@ -279,42 +281,38 @@ def _symbol_density_block(metric: FinslerMetric2D, xs, fiber_n: int):
 
 def symbol_density(metric: FinslerMetric2D, x: ChartPoint,
                    fiber_n: int = DEFAULT_FIBER_N):
-    """Symbol and volume density ``(sigma, rho)`` at a torus-chart point,
-    without the drift: the one-point case of the grid kernel."""
+    """Symbol and volume density ``(sigma, rho)`` at one base point of any
+    chart, without the drift: the one-point case of the block kernel."""
     sigma, rho = _symbol_density_block(metric, (x,), fiber_n)
     return sigma[0], float(rho[0])
+
+
+def symbol_densities(metric: FinslerMetric2D, points,
+                     fiber_n: int = DEFAULT_FIBER_N):
+    """``(sigma, rho)`` at a sequence of base points of any chart, shapes
+    (P, 2, 2) and (P,), in blocks of base points (read-only broadcasts of
+    one point for a position-independent metric)."""
+    return _over_points(_symbol_density_block, metric, points, fiber_n)
 
 
 def grid_symbol_density(metric: FinslerMetric2D, n: int,
                         fiber_n: int = DEFAULT_FIBER_N):
     """(sigma, rho) on the periodic n x n torus grid as read-only arrays of
-    shapes (n, n, 2, 2) and (n, n); grid points are (i/n, j/n).
-
-    The points are evaluated in row-major blocks of ``BLOCK_RAYS //
-    fiber_n`` points, each in one set of array operations; a
-    position-independent metric is evaluated at one point.  Raises
-    :class:`NumericError` unless sigma is positive definite and rho
-    positive everywhere.
+    shapes (n, n, 2, 2) and (n, n): :func:`symbol_densities` over
+    :func:`finlap.measures.torus_base`.  Raises :class:`NumericError`
+    unless sigma is positive definite and rho positive everywhere.
     """
     if metric.chart != TORUS:
         raise ConfigError("grid assembly requires the torus chart")
-    if metric.position_independent:
-        s, r = symbol_density(metric, ChartPoint(TORUS, 0.0, 0.0), fiber_n)
-        sigma, rho = s[None, None], np.array([[r]])
-    else:
-        points = [ChartPoint(TORUS, i / n, j / n) for i in range(n) for j in range(n)]
-        size = max(1, BLOCK_RAYS // fiber_n)
-        blocks = [_symbol_density_block(metric, points[k:k + size], fiber_n)
-                  for k in range(0, n * n, size)]
-        sigma = np.concatenate([s for s, _ in blocks]).reshape(n, n, 2, 2)
-        rho = np.concatenate([r for _, r in blocks]).reshape(n, n)
+    sigma, rho = symbol_densities(metric, torus_base(n).points, fiber_n)
+    sigma, rho = sigma.reshape(n, n, 2, 2), rho.reshape(n, n)
     ev = np.linalg.eigvalsh(sigma)
     if not np.all(ev[..., 0] > 0.0):
         raise NumericError(f"symbol not positive definite: smallest eigenvalue "
                            f"{ev[..., 0].min()}")
     if not np.all(rho > 0.0):
         raise NumericError("volume density must be positive")
-    return np.broadcast_to(sigma, (n, n, 2, 2)), np.broadcast_to(rho, (n, n))
+    return np.broadcast_to(sigma, sigma.shape), np.broadcast_to(rho, rho.shape)
 
 
 def conservative_pencil(sigma: np.ndarray, rho: np.ndarray):
@@ -381,9 +379,9 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
     grid and reports the relative asymmetry max |S - S^T| / max |S| of
     S = M L, from the stored entries of the sparse matrices alone (no
     dense n^2 x n^2 copy at any grid size).  Also compares the
-    coefficient path against the conservative (divergence-form)
-    discretization (1/rho) div(rho sigma grad f) applied to a smooth test
-    field f; that defect decays at second order under refinement.
+    coefficient path against (1/rho) div(rho sigma grad f) of a smooth
+    test field f, discretized by :func:`conservative_pencil` as production
+    spectra are; that defect decays at second order under refinement.
     """
     from .fields import SeparableTrigField, SumField
 
@@ -401,43 +399,17 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
     diff = S - S.T
     sym_defect = float(np.abs(diff.data).max() / np.abs(S.data).max()) if diff.nnz else 0.0
 
-    a = vol * sigma[..., 0, 0]
-    b = vol * sigma[..., 0, 1]
-    c22 = vol * sigma[..., 1, 1]
-    fx = np.array([[float(f(ChartPoint(TORUS, i / n, j / n))) for j in range(n)]
-                   for i in range(n)])
-
-    def up(arr):
-        return np.roll(arr, -1, axis=0)
-
-    def dn(arr):
-        return np.roll(arr, 1, axis=0)
-
-    def rt(arr):
-        return np.roll(arr, -1, axis=1)
-
-    def lt(arr):
-        return np.roll(arr, 1, axis=1)
-
-    # compact conservative fluxes with midpoint coefficient averages
-    flux_u = 0.5 * (a + up(a)) * (up(fx) - fx) / h
-    flux_v = 0.5 * (c22 + rt(c22)) * (rt(fx) - fx) / h
-    div = (flux_u - dn(flux_u)) / h + (flux_v - lt(flux_v)) / h
-    # mixed terms d_u(b d_v f) + d_v(b d_u f)
-    dv_half_u = (rt(fx) + rt(up(fx)) - lt(fx) - lt(up(fx))) / (4.0 * h)
-    cross_u = 0.5 * (b + up(b)) * dv_half_u
-    du_half_v = (up(fx) + up(rt(fx)) - dn(fx) - dn(rt(fx))) / (4.0 * h)
-    cross_v = 0.5 * (b + rt(b)) * du_half_v
-    div += (cross_u - dn(cross_u)) / h + (cross_v - lt(cross_v)) / h
-    div_form = div / vol
+    # the divergence form is the conservative pencil's S f / (rho h^2)
+    points = torus_base(n).points
+    fx = np.array([float(f(x)) for x in points])
+    div_form = (conservative_pencil(sigma, vol)[0] @ fx).reshape(n, n) / (vol * h**2)
 
     coeff = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            x = ChartPoint(TORUS, i / n, j / n)
-            c = OperatorCoefficients(sigma=sigma[i, j], drift=drift[i, j],
-                                     vol_density=vol[i, j])
-            coeff[i, j] = c.apply(field_gradient(f, x), field_hessian(f, x))
+    for k, x in enumerate(points):
+        i, j = divmod(k, n)
+        c = OperatorCoefficients(sigma=sigma[i, j], drift=drift[i, j],
+                                 vol_density=vol[i, j])
+        coeff[i, j] = c.apply(field_gradient(f, x), field_hessian(f, x))
     scale = np.abs(coeff).max()
     div_defect = float(np.abs(coeff - div_form).max() / scale)
     return SymmetryReport(symmetry_defect=sym_defect, divergence_defect=div_defect,

@@ -10,25 +10,29 @@ stored as the chart angles of their rays, so that consumers evaluate
 the indicatrix and the Reeb field at them unchanged.  The volume
 density is cross-checked against the Holmes-Thompson construction: 1/pi
 times the area of the dual unit disc.
+
+The base quadratures live here too, with the one walk over their points
+(:func:`_over_points`) behind :func:`volume_densities` and
+:func:`finlap.laplace.symbol_densities`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartPoint, SPHERE
+from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError
 from .hilbert import chart_angles, density_profile
 from .metrics import FinslerMetric2D, indicatrix_point
 
 DEFAULT_FIBER_N = 256
-#: rays per block of base points evaluated together (the torus grid of
-#: :func:`finlap.laplace.grid_symbol_density`, the sphere volume): large
-#: enough that the Python overhead of a block is small against its
+#: rays per block of base points evaluated together by :func:`_over_points`:
+#: large enough that the Python overhead of a block is small against its
 #: arithmetic, small enough that each (P, n, 2) temporary stays at 64 KiB
 BLOCK_RAYS = 4096
 
@@ -181,26 +185,91 @@ def fiber_quadrature_adaptive(metric: FinslerMetric2D, x: ChartPoint,
     return _quadrature(x, lam)
 
 
+@dataclass(frozen=True)
+class BaseQuadrature:
+    """Base-manifold quadrature: chart points and cell weights."""
+
+    points: Sequence
+    weights: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.points):
+            raise ConfigError("base quadrature needs at least one point")
+        if np.shape(self.weights) != (len(self.points),):
+            raise ConfigError(f"base quadrature has {np.size(self.weights)} weights "
+                              f"for {len(self.points)} points")
+
+
+class _TorusGrid(Sequence):
+    """The points (i/n, j/n) of the n x n torus grid, row-major, each built
+    when read: a position-independent walk reads one, not n^2."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n * self.n
+
+    def __getitem__(self, k):
+        ks = range(len(self))[k]
+        if isinstance(ks, range):
+            return tuple(self[i] for i in ks)
+        i, j = divmod(ks, self.n)
+        return ChartPoint(TORUS, i / self.n, j / self.n)
+
+
+def torus_base(n: int) -> BaseQuadrature:
+    """The periodic n x n grid (i/n, j/n), row-major, with equal weights."""
+    if n < 1:
+        raise ConfigError(f"torus base needs n >= 1, got {n}")
+    return BaseQuadrature(points=_TorusGrid(n), weights=np.full(n * n, 1.0 / n**2))
+
+
+def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
+    """Gauss-Legendre in phi (pole-free) times uniform theta, phi-major."""
+    if min(n_phi, n_theta) < 1:
+        raise ConfigError(f"sphere base needs n_phi, n_theta >= 1, got {n_phi}, {n_theta}")
+    t, w = np.polynomial.legendre.leggauss(n_phi)
+    phis = 0.5 * math.pi * (t + 1.0)
+    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    pts = tuple(ChartPoint(SPHERE, p, th) for p in phis for th in thetas)
+    wts = np.repeat(0.5 * math.pi * w * (2.0 * math.pi / n_theta), n_theta)
+    return BaseQuadrature(points=pts, weights=wts)
+
+
+def _over_points(kernel, metric: FinslerMetric2D, points, n: int) -> tuple:
+    """``kernel(metric, block, n)`` over blocks of the base points of
+    ``BLOCK_RAYS`` rays each, its per-point arrays concatenated.
+
+    A position-independent metric is evaluated at the first point only,
+    and each array is a read-only broadcast of that value over the points.
+    """
+    if metric.position_independent:
+        return tuple(np.broadcast_to(a, (len(points),) + a.shape[1:])
+                     for a in kernel(metric, points[:1], n))
+    size = max(1, BLOCK_RAYS // n)
+    blocks = [kernel(metric, points[k:k + size], n) for k in range(0, len(points), size)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+
+
+def _volume_block(metric: FinslerMetric2D, xs, n: int) -> tuple:
+    return (fiber_weights(metric, xs, n)[2],)
+
+
+def volume_densities(metric: FinslerMetric2D, points,
+                     n: int = DEFAULT_FIBER_N) -> np.ndarray:
+    """:func:`volume_density` at a sequence of base points, shape (P,), from
+    the block kernel of :func:`fiber_weights` (no indicatrix)."""
+    return _over_points(_volume_block, metric, points, n)[0]
+
+
 def sphere_total_volume(metric: FinslerMetric2D, n_phi: int = 96,
                         n_theta: int = 16) -> float:
-    """Total canonical volume of a sphere-chart metric.
-
-    Gauss-Legendre in phi (nodes interior, poles never sampled) times a
-    uniform theta rule.  The volume densities at the n_phi * n_theta base
-    points come from the fixed fiber rule of :func:`fiber_weights` at
-    ``DEFAULT_FIBER_N`` nodes, in blocks of ``BLOCK_RAYS //
-    DEFAULT_FIBER_N`` points.
-    """
-    t, w = np.polynomial.legendre.leggauss(n_phi)
-    phis = 0.5 * np.pi * (t + 1.0)
-    wphi = 0.5 * np.pi * w
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    points = [ChartPoint(SPHERE, phi, th) for phi in phis for th in thetas]
-    size = max(1, BLOCK_RAYS // DEFAULT_FIBER_N)
-    rho = np.concatenate([fiber_weights(metric, points[k:k + size])[2]
-                          for k in range(0, len(points), size)])
-    rings = rho.reshape(n_phi, n_theta).mean(axis=1)
-    return float(2.0 * np.pi * (wphi @ rings))
+    """Total canonical volume of a sphere-chart metric: the volume densities
+    of :func:`volume_densities` at ``DEFAULT_FIBER_N`` fiber nodes,
+    integrated over :func:`sphere_base`."""
+    base = sphere_base(n_phi, n_theta)
+    return float(base.weights @ volume_densities(metric, base.points))
 
 
 def _boundary_scan(metric: FinslerMetric2D, x: ChartPoint,

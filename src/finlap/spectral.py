@@ -1,5 +1,12 @@
 """Energy, Rayleigh quotients and generalized eigenproblems.
 
+The energy Int rho grad u . sigma grad u and the volume norms are sums
+over a base quadrature (:func:`finlap.measures.torus_base`,
+:func:`finlap.measures.sphere_base`) of the pair ``(sigma, rho)`` or of
+``rho`` alone, evaluated in blocks of base points by
+:func:`finlap.laplace.symbol_densities` and
+:func:`finlap.measures.volume_densities`.
+
 Eigenvalues of the negative operator are computed from the symmetric
 pencil (S, M): S the volume-weighted discrete operator form, M the
 volume mass matrix.  Torus grids assemble S in divergence form from the
@@ -23,12 +30,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .charts import ChartPoint, SPHERE, TORUS
+from .charts import SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradient
-from .laplace import conservative_pencil, grid_symbol_density
-from .measures import DEFAULT_FIBER_N, fiber_quadrature
-from .metrics import FinslerMetric2D, KatokZillerMetric, indicatrix_point
+from .laplace import conservative_pencil, grid_symbol_density, symbol_densities
+from .measures import (DEFAULT_FIBER_N, BaseQuadrature, sphere_base, torus_base,
+                       volume_densities)
+from .metrics import FinslerMetric2D, KatokZillerMetric
 
 MERGE_TOL = 1e-9
 #: largest dimension that ``method="auto"`` solves densely (the name
@@ -112,88 +120,35 @@ class SpectrumResult:
         return np.repeat(self.eigenvalues, self.multiplicities)
 
 
-@dataclass(frozen=True)
-class BaseQuadrature:
-    """Base-manifold quadrature: chart points and cell weights."""
-
-    points: tuple
-    weights: np.ndarray
-
-
-def torus_base(n: int) -> BaseQuadrature:
-    pts = tuple(ChartPoint(TORUS, i / n, j / n) for i in range(n) for j in range(n))
-    return BaseQuadrature(points=pts, weights=np.full(n * n, 1.0 / n**2))
-
-
-def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
-    """Gauss-Legendre in phi (pole-free) times uniform theta."""
-    t, w = np.polynomial.legendre.leggauss(n_phi)
-    phis = 0.5 * math.pi * (t + 1.0)
-    wphi = 0.5 * math.pi * w
-    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    wtheta = 2.0 * math.pi / n_theta
-    pts, wts = [], []
-    for p, wp in zip(phis, wphi):
-        for th in thetas:
-            pts.append(ChartPoint(SPHERE, p, th))
-            wts.append(wp * wtheta)
-    return BaseQuadrature(points=tuple(pts), weights=np.array(wts))
-
-
 def energy(metric: FinslerMetric2D, u, base: BaseQuadrature,
            fiber_n: int = DEFAULT_FIBER_N) -> float:
-    """Dirichlet-type energy: (1/pi) Int (grad u . V)^2 over the fiber bundle.
+    """Dirichlet-type energy Int rho grad u . sigma grad u over the base.
 
-    Equals -<u, Lap u> against the canonical volume up to discretization
-    (the Green identity).  The horizontal Reeb component V is the
-    indicatrix point of its direction, so no Reeb solve is needed.
+    sigma is the fiber average (1/pi) Int V V^T dAngle, so this is
+    (1/pi) Int (grad u . V)^2 over the fiber bundle, and it equals
+    -<u, Lap u> against the canonical volume up to discretization (the
+    Green identity).  ``(sigma, rho)`` come from
+    :func:`finlap.laplace.symbol_densities` at the base points.
     """
-    shared = None
-    if metric.position_independent and base.points:
-        quad = fiber_quadrature(metric, base.points[0], fiber_n)
-        shared = (quad, indicatrix_point(metric, base.points[0], quad.nodes))
-    total = 0.0
-    for x, wx in zip(base.points, base.weights):
-        if shared is not None:
-            quad, V = shared
-        else:
-            quad = fiber_quadrature(metric, x, fiber_n)
-            V = indicatrix_point(metric, x, quad.nodes)
-        du = field_gradient(u, x)
-        rates = V @ du
-        total += wx * quad.volume * float(quad.weights @ rates**2)
-    return total / math.pi
+    sigma, rho = symbol_densities(metric, base.points, fiber_n)
+    du = np.array([field_gradient(u, x) for x in base.points])
+    return float((base.weights * rho) @ np.einsum("pi,pij,pj->p", du, sigma, du))
 
 
 def omega_norm_sq(metric: FinslerMetric2D, u, base: BaseQuadrature,
                   fiber_n: int = DEFAULT_FIBER_N) -> float:
     """Integral of u^2 against the canonical volume."""
-    shared_vol = None
-    if metric.position_independent and base.points:
-        shared_vol = fiber_quadrature(metric, base.points[0], fiber_n).volume
-    total = 0.0
-    for x, wx in zip(base.points, base.weights):
-        vol = shared_vol
-        if vol is None:
-            vol = fiber_quadrature(metric, x, fiber_n).volume
-        total += wx * vol * float(u(x)) ** 2
-    return total
+    w = base.weights * volume_densities(metric, base.points, fiber_n)
+    vals = np.array([float(u(x)) for x in base.points])
+    return float(w @ vals**2)
 
 
 def omega_mean(metric: FinslerMetric2D, u, base: BaseQuadrature,
                fiber_n: int = DEFAULT_FIBER_N) -> float:
     """Volume-weighted mean of u (for projecting out constants)."""
-    shared_vol = None
-    if metric.position_independent and base.points:
-        shared_vol = fiber_quadrature(metric, base.points[0], fiber_n).volume
-    num = den = 0.0
-    for x, wx in zip(base.points, base.weights):
-        vol = shared_vol
-        if vol is None:
-            vol = fiber_quadrature(metric, x, fiber_n).volume
-        num += wx * vol * float(u(x))
-        den += wx * vol
-    return num / den
+    w = base.weights * volume_densities(metric, base.points, fiber_n)
+    vals = np.array([float(u(x)) for x in base.points])
+    return float(w @ vals / w.sum())
 
 
 def rayleigh(metric: FinslerMetric2D, u, base: BaseQuadrature,

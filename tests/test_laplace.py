@@ -180,6 +180,20 @@ class TestSymmetryAndDivergenceForm:
         rate = math.log2(d16 / d32)
         assert 1.6 < rate < 2.4
 
+    def test_variable_randers_divergence_defect_pinned(self):
+        # the value from an independent flux-form stencil, which for this
+        # separable test field equals the pencil's up to rounding
+        m = fl.make_randers(np.eye(2),
+                            lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
+        d16 = fl.weighted_symmetry_residual(m, 16, fiber_n=128).divergence_defect
+        assert d16 == pytest.approx(0.01363114917865216, rel=1e-9)
+
+    def test_grid_of_no_points_is_config_error(self):
+        from finlap.laplace import grid_symbol_density
+
+        with pytest.raises(fl.ConfigError):
+            grid_symbol_density(builtin_metrics()["randers-var"], 0)
+
     @pytest.mark.parametrize("metric, fiber_n", [
         (fl.kz_torus(0.6), 256),
         (fl.make_randers(np.eye(2),

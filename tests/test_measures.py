@@ -229,6 +229,44 @@ class TestFrameRule:
                 assert vols[i] == ref_vol, name
 
 
+class TestBaseQuadrature:
+    """Base quadratures reject sizes that hold no point, with ConfigError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: fl.torus_base(0),
+        lambda: fl.sphere_base(0, 4),
+        lambda: fl.sphere_base(4, 0),
+        lambda: fl.sphere_total_volume(fl.kz_sphere(0.3), 0, 2),
+        lambda: fl.sphere_total_volume(fl.kz_sphere(0.3), 4, 0),
+    ], ids=["torus-0", "sphere-0-4", "sphere-4-0", "volume-0-2", "volume-4-0"])
+    def test_empty_base_is_config_error(self, call):
+        with pytest.raises(fl.ConfigError):
+            call()
+
+    def test_points_and_weights_must_match(self):
+        points = fl.torus_base(2).points
+        with pytest.raises(fl.ConfigError):
+            fl.BaseQuadrature(points=(), weights=np.array([]))
+        with pytest.raises(fl.ConfigError):
+            fl.BaseQuadrature(points=points, weights=np.ones(3))
+
+    def test_torus_points_row_major(self):
+        n = 5
+        points = fl.torus_base(n).points
+        expected = [fl.ChartPoint(fl.TORUS, i / n, j / n) for i in range(n) for j in range(n)]
+        assert len(points) == n * n
+        assert list(points) == expected
+        assert points[-1] == expected[-1]
+        assert points[3:17:2] == tuple(expected[3:17:2])
+        with pytest.raises(IndexError):
+            points[n * n]
+
+    def test_sphere_weights_total_area(self):
+        base = fl.sphere_base(12, 5)
+        assert len(base.points) == 60
+        assert base.weights.sum() == pytest.approx(2.0 * math.pi**2, rel=1e-14)
+
+
 class TestHolmesThompson:
     def test_flat(self):
         m = fl.riemannian(np.eye(2), chart=fl.TORUS)

@@ -79,6 +79,9 @@ class TestEnergyFromIndicatrix:
 
     @pytest.mark.parametrize("name", sorted(REEB_VALUES))
     def test_three_fiber_derivative_calls_per_point(self, name, monkeypatch):
+        # 3 calls (the phi jet) per block of BLOCK_RAYS // fiber_n base points
+        from finlap.measures import BLOCK_RAYS, DEFAULT_FIBER_N
+
         calls = []
         original = hilbert.vertical_derivative
 
@@ -89,7 +92,82 @@ class TestEnergyFromIndicatrix:
         monkeypatch.setattr(hilbert, "vertical_derivative", counting)
         base = fl.torus_base(8)
         fl.energy(self.metric(name), fl.SeparableTrigField(1.0, "cos", 1, "one", 0), base)
-        assert len(calls) == 3 * len(base.points)
+        assert len(calls) == 3 * math.ceil(len(base.points) / (BLOCK_RAYS // DEFAULT_FIBER_N))
+        assert len(calls) == 12
+
+
+def _per_point_energy(metric, u, base):
+    """energy one base point at a time, from the fiber nodes:
+    (1/pi) Sum_x w_x rho_x Sum_k w_k (V_k . grad u)^2."""
+    total = 0.0
+    for x, wx in zip(base.points, base.weights):
+        quad = fl.fiber_quadrature(metric, x)
+        V = fl.indicatrix_point(metric, x, quad.nodes)
+        rates = V @ fl.field_gradient(u, x)
+        total += wx * quad.volume * float(quad.weights @ rates**2)
+    return total / math.pi
+
+
+def _per_point_volume_sums(metric, u, base):
+    """(Sum w rho u^2, Sum w rho u, Sum w rho), one base point at a time."""
+    sq = num = den = 0.0
+    for x, wx in zip(base.points, base.weights):
+        vol = fl.fiber_quadrature(metric, x).volume
+        sq += wx * vol * float(u(x)) ** 2
+        num += wx * vol * float(u(x))
+        den += wx * vol
+    return sq, num, den
+
+
+class TestBlockedBaseIntegrals:
+    """energy, omega_norm_sq and omega_mean walk the base in blocks of points;
+    they must equal the per-point fiber-node formulas."""
+
+    CASES = {
+        # 35 points: blocks of 16, 16 and 3
+        "kz-sphere-03": (lambda: fl.kz_sphere(0.3), lambda: fl.sphere_base(5, 7),
+                         lambda: fl.SumField([fl.SphereHarmonicField(1, 1, "cos"),
+                                              fl.SphereHarmonicField(2, 0, "cos")])),
+        "randers-var": (lambda: builtin_metrics()["randers-var"], lambda: fl.torus_base(8),
+                        lambda: fl.SumField([fl.SeparableTrigField(1.0, "cos", 1, "one", 0),
+                                             fl.SeparableTrigField(0.5, "one", 0, "sin", 2),
+                                             fl.ConstantField(0.3)])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_match_per_point_formulas(self, name):
+        metric, base, u = (make() for make in self.CASES[name])
+        sq, num, den = _per_point_volume_sums(metric, u, base)
+        assert fl.energy(metric, u, base) == pytest.approx(
+            _per_point_energy(metric, u, base), rel=1e-13)
+        assert fl.omega_norm_sq(metric, u, base) == pytest.approx(sq, rel=1e-13)
+        assert fl.omega_mean(metric, u, base) == pytest.approx(num / den, rel=1e-13)
+
+    def test_position_independent_metric_evaluated_once(self, monkeypatch):
+        import finlap.measures as measures
+
+        calls = []
+        original = measures.density_profile
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "density_profile", counting)
+        m = fl.kz_torus(0.6)
+        u = fl.SeparableTrigField(1.0, "cos", 1, "one", 0)
+        base = fl.torus_base(16)
+        fl.energy(m, u, base)
+        assert len(calls) == 1
+        fl.omega_norm_sq(m, u, base)
+        assert len(calls) == 2
+
+    def test_energy_rejects_degenerate_contact(self):
+        bad = fl.ChartPoint(fl.TORUS, 0.25, 0.5)
+        m = fl.riemannian(lambda p: 1e-14 * np.eye(2) if p == bad else np.eye(2),
+                          chart=fl.TORUS)
+        with pytest.raises(fl.DegenerateContactError, match=r"at \(0.25, 0.5\)$"):
+            fl.energy(m, fl.SeparableTrigField(1.0, "cos", 1, "one", 0), fl.torus_base(8))
 
 
 class TestRayleigh:
