@@ -217,6 +217,10 @@ def cmd_volume(args) -> int:
 
 def cmd_geodesic(args) -> int:
     m = _merged(args, _load_config(args.config))
+    if not math.isfinite(args.t_end):
+        raise ConfigError(f"--t-end must be finite, got {args.t_end}")
+    if not (math.isfinite(args.dt) and args.dt > 0.0):
+        raise ConfigError(f"--dt must be finite and positive, got {args.dt}")
     metric = build_metric(m.metric, m.eps, m.g, m.theta, m.conformal)
     u0, v0, phi0 = args.start
     fp = FiberPoint(ChartPoint(metric.chart, float(u0), float(v0)), float(phi0))

@@ -146,14 +146,30 @@ def _angle_jet(metric: FinslerMetric2D, x, rays, angles: np.ndarray, h):
     return pq, dpq
 
 
-def _curl(metric: FinslerMetric2D, x: ChartPoint, phis: np.ndarray, h_x) -> np.ndarray:
-    """dq/du - dp/dv at the chart angles phis, by central differences in u and v."""
-    rays = _rays(phis)
-    pq_du = (vertical_derivative(metric, x.shifted(h_x, 0.0), rays)
-             - vertical_derivative(metric, x.shifted(-h_x, 0.0), rays)) / (2.0 * h_x)
-    pq_dv = (vertical_derivative(metric, x.shifted(0.0, h_x), rays)
-             - vertical_derivative(metric, x.shifted(0.0, -h_x), rays)) / (2.0 * h_x)
-    return pq_du[:, 1] - pq_dv[:, 0]
+def _shifted(x, du: float, dv: float):
+    """The base point x, or every point of a block, displaced by (du, dv)."""
+    if isinstance(x, ChartPoint):
+        return x.shifted(du, dv)
+    return [p.shifted(du, dv) for p in x]
+
+
+def _curl(metric: FinslerMetric2D, x, phis: np.ndarray, h_x) -> np.ndarray:
+    """dq/du - dp/dv at the chart angles phis, by central differences in u
+    and v, at one base point or over a block (shifted as a block)."""
+    rays = _chart_rays(x, phis)
+    pq_du = (vertical_derivative(metric, _shifted(x, h_x, 0.0), rays)
+             - vertical_derivative(metric, _shifted(x, -h_x, 0.0), rays)) / (2.0 * h_x)
+    pq_dv = (vertical_derivative(metric, _shifted(x, 0.0, h_x), rays)
+             - vertical_derivative(metric, _shifted(x, 0.0, -h_x), rays)) / (2.0 * h_x)
+    return pq_du[..., 1] - pq_dv[..., 0]
+
+
+def _first_point(x, bad: np.ndarray) -> ChartPoint:
+    """The base point x, or the first point of a block whose row of
+    ``bad`` (shape (P, ...)) holds anywhere."""
+    if isinstance(x, ChartPoint):
+        return x
+    return x[int(np.argmax(bad.reshape(len(x), -1).any(axis=1)))]
 
 
 def _signed_density(metric: FinslerMetric2D, x, psis, h_phi) -> np.ndarray:
@@ -196,7 +212,7 @@ def contact_orientation(metric: FinslerMetric2D, fp: FiberPoint,
     return 1 if _signed_density(metric, fp.base, [psi], h_phi)[0] >= 0.0 else -1
 
 
-def reeb_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
+def reeb_profile(metric: FinslerMetric2D, x, phis,
                  h_phi=None, h_x=None):
     """Reeb field at all angles phi over the base point x.
 
@@ -205,41 +221,49 @@ def reeb_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
     phi), ``Xphi`` the fiber component and ``lam`` the contact density,
     all against the chart angle phi.
 
+    ``x`` may be a block of P base points (a sequence of ChartPoint), with
+    ``phis`` of shape (n,) shared by the block or (P, n), one row per
+    point; the results then have shapes (P, n, 2), (P, n) and (P, n), and
+    the block makes the seven fiber-derivative calls of one point.  A
+    degenerate contact density raises :class:`DegenerateContactError`
+    naming the first point of the block where it occurs.
+
     The field solves A(X) = 1 together with two independent components
     of i_X dA = 0; the fiber (dphi) component is always kept and the
     base component is chosen by the larger pivot.
     """
     h_phi, h_x = _steps(metric, h_phi, h_x)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    n = len(phis)
 
     pq, dpq = _angle_jet(metric, x, _chart_rays, phis, h_phi)
     curl = _curl(metric, x, phis, h_x)
 
-    p, q = pq[:, 0], pq[:, 1]
-    p_phi, q_phi = dpq[:, 0], dpq[:, 1]
+    p, q = pq[..., 0], pq[..., 1]
+    p_phi, q_phi = dpq[..., 0], dpq[..., 1]
     lam = np.abs(q * p_phi - p * q_phi)
     if np.any(lam < DENSITY_FLOOR):
+        pt = _first_point(x, lam < DENSITY_FLOOR)
         raise DegenerateContactError(
-            f"contact density below {DENSITY_FLOOR} at ({x.u}, {x.v})"
+            f"contact density below {DENSITY_FLOOR} at ({pt.u}, {pt.v})"
         )
 
     # rows: A(X) = 1; dphi-component of i_X dA; du- or dv-component.
-    M = np.zeros((n, 3, 3))
-    rhs = np.zeros((n, 3))
-    M[:, 0, 0], M[:, 0, 1] = p, q
-    rhs[:, 0] = 1.0
-    M[:, 1, 0], M[:, 1, 1] = p_phi, q_phi
+    M = np.zeros(lam.shape + (3, 3))
+    rhs = np.zeros(lam.shape + (3,))
+    M[..., 0, 0], M[..., 0, 1] = p, q
+    rhs[..., 0] = 1.0
+    M[..., 1, 0], M[..., 1, 1] = p_phi, q_phi
     use_du = np.abs(p_phi) >= np.abs(q_phi)
-    M[:, 2, 1] = np.where(use_du, -curl, 0.0)
-    M[:, 2, 0] = np.where(use_du, 0.0, curl)
-    M[:, 2, 2] = np.where(use_du, p_phi, q_phi)
+    M[..., 2, 1] = np.where(use_du, -curl, 0.0)
+    M[..., 2, 0] = np.where(use_du, 0.0, curl)
+    M[..., 2, 2] = np.where(use_du, p_phi, q_phi)
 
     try:
-        sol = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+        sol = np.linalg.solve(M, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise DegenerateContactError(f"Reeb system singular at ({x.u}, {x.v})") from exc
-    return sol[:, :2], sol[:, 2], lam
+        pt = _first_point(x, np.linalg.det(M) == 0.0)
+        raise DegenerateContactError(f"Reeb system singular at ({pt.u}, {pt.v})") from exc
+    return sol[..., :2], sol[..., 2], lam
 
 
 def reeb_field(metric: FinslerMetric2D, fp: FiberPoint,
@@ -249,12 +273,14 @@ def reeb_field(metric: FinslerMetric2D, fp: FiberPoint,
     return ReebVector(float(V[0, 0]), float(V[0, 1]), float(Xphi[0]))
 
 
-def reeb_residuals_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
+def reeb_residuals_profile(metric: FinslerMetric2D, x, phis,
                            h_phi=None, h_x=None):
     """Defining-equation residuals of the Reeb field over an angle array.
 
     Re-evaluates the contact form derivatives at independent step sizes
-    and returns arrays ``(|A(X) - 1|, max |i_X dA components|)``.
+    and returns arrays ``(|A(X) - 1|, max |i_X dA components|)``, shaped
+    as ``phis``; ``x`` and ``phis`` may be a block, as in
+    :func:`reeb_profile`.
     """
     sp, sx = _steps(metric, None, None)
     if h_phi is None:
@@ -265,67 +291,99 @@ def reeb_residuals_profile(metric: FinslerMetric2D, x: ChartPoint, phis,
     V, Xphi, _ = reeb_profile(metric, x, phis)
     pq, dpq = _angle_jet(metric, x, _chart_rays, phis, h_phi)
     curl = _curl(metric, x, phis, h_x)
-    r_a = np.abs(pq[:, 0] * V[:, 0] + pq[:, 1] * V[:, 1] - 1.0)
-    r_du = np.abs(-curl * V[:, 1] + dpq[:, 0] * Xphi)
-    r_dv = np.abs(curl * V[:, 0] + dpq[:, 1] * Xphi)
-    r_dphi = np.abs(-dpq[:, 0] * V[:, 0] - dpq[:, 1] * V[:, 1])
+    r_a = np.abs(pq[..., 0] * V[..., 0] + pq[..., 1] * V[..., 1] - 1.0)
+    r_du = np.abs(-curl * V[..., 1] + dpq[..., 0] * Xphi)
+    r_dv = np.abs(curl * V[..., 0] + dpq[..., 1] * Xphi)
+    r_dphi = np.abs(-dpq[..., 0] * V[..., 0] - dpq[..., 1] * V[..., 1])
     return r_a, np.maximum.reduce([r_du, r_dv, r_dphi])
 
 
-def reeb_residuals(metric: FinslerMetric2D, fp: FiberPoint,
-                   h_phi=None, h_x=None):
-    """Scalar version of :func:`reeb_residuals_profile`."""
-    r_a, r_da = reeb_residuals_profile(metric, fp.base, [fp.phi], h_phi, h_x)
-    return float(r_a[0]), float(r_da[0])
-
-
-def _sphere_inside(u: float) -> bool:
-    return PHI_MIN <= u <= math.pi - PHI_MIN
+def _spray(metric: FinslerMetric2D, chart: str, s: np.ndarray) -> np.ndarray:
+    """(Xu, Xv, Xphi) of the Reeb field at the fiber states s = (u, v, phi),
+    of shape (3,), or (B, 3) for one block call over B states."""
+    if s.ndim == 1:
+        x = ChartPoint(chart, s[0], s[1])
+    else:
+        x = [ChartPoint(chart, u, v) for u, v in s[:, :2]]
+    V, Xphi, _ = reeb_profile(metric, x, s[..., 2:])
+    return np.concatenate([V[..., 0, :], Xphi], axis=-1)
 
 
 def _rk4_step(metric: FinslerMetric2D, chart: str, state: np.ndarray,
               dt: float) -> np.ndarray:
-    def deriv(s):
-        x = ChartPoint(chart, s[0], s[1])
-        V, Xphi, _ = reeb_profile(metric, x, [s[2]])
-        return np.array([V[0, 0], V[0, 1], Xphi[0]])
-
-    k1 = deriv(state)
-    k2 = deriv(state + 0.5 * dt * k1)
-    k3 = deriv(state + 0.5 * dt * k2)
-    k4 = deriv(state + dt * k3)
+    """One classical RK4 step of the Reeb flow from the state (u, v, phi),
+    shape (3,), or from each row of a (B, 3) batch of states."""
+    k1 = _spray(metric, chart, state)
+    k2 = _spray(metric, chart, state + 0.5 * dt * k1)
+    k3 = _spray(metric, chart, state + 0.5 * dt * k2)
+    k4 = _spray(metric, chart, state + dt * k3)
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def geodesic_integrate(metric: FinslerMetric2D, fp: FiberPoint,
-                       t_end: float, dt: float) -> Trajectory:
+def _batch_step(metric: FinslerMetric2D, chart: str, states: np.ndarray,
+                dt: float) -> tuple:
+    """``(new states, left)``: one RK4 step of a (B, 3) batch, and for each
+    row whether a stage left the chart (its new row is then NaN).  The
+    batch steps as one; when a stage raises :class:`DomainError`, the rows
+    step one at a time to find those that left."""
+    try:
+        return _rk4_step(metric, chart, states, dt), np.zeros(len(states), dtype=bool)
+    except DomainError:
+        pass
+    new = np.full_like(states, np.nan)
+    left = np.zeros(len(states), dtype=bool)
+    for k, state in enumerate(states):
+        try:
+            new[k] = _rk4_step(metric, chart, state, dt)
+        except DomainError:
+            left[k] = True
+    return new, left
+
+
+def geodesic_integrate(metric: FinslerMetric2D, fp, t_end: float, dt: float):
     """Integrate the Reeb field with classical RK4 steps of size dt.
 
     On the sphere chart the trajectory is truncated with status
     "chart_exit" when it approaches a pole.
+
+    ``fp`` is one FiberPoint, giving a :class:`Trajectory`, or a sequence
+    of them, giving a list of trajectories in the same order.  A batch
+    integrates together: each RK4 stage is one block
+    :func:`reeb_profile` call over the trajectories still running, and a
+    trajectory that leaves the chart stops while the others go on, so
+    each trajectory is the one its own integration gives.
+
+    Raises
+    ------
+    DomainError
+        If ``t_end`` or ``dt`` is not finite, or ``dt`` is not positive.
     """
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise DomainError(f"t_end and dt must be finite, got {t_end} and {dt}")
     if dt <= 0.0:
         raise DomainError("dt must be positive")
+    fps = [fp] if isinstance(fp, FiberPoint) else list(fp)
     chart = metric.chart
-    traj = Trajectory()
-    state = np.array([fp.base.u, fp.base.v, fp.phi])
+    trajs = [Trajectory(times=[0.0], points=[p]) for p in fps]
+    states = np.array([[p.base.u, p.base.v, p.phi] for p in fps]).reshape(-1, 3)
+    running = np.arange(len(fps))
     t = 0.0
-    traj.times.append(t)
-    traj.points.append(fp)
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     for _ in range(n_steps):
         step = min(dt, t_end - t)
-        if step <= 0.0:
+        if step <= 0.0 or running.size == 0:
             break
-        try:
-            state = _rk4_step(metric, chart, state, step)
-        except DomainError:
-            traj.status = "chart_exit"
-            break
+        new, left = _batch_step(metric, chart, states[running], step)
         t += step
-        if chart == SPHERE and not _sphere_inside(state[0]):
-            traj.status = "chart_exit"
-            break
-        traj.times.append(t)
-        traj.points.append(FiberPoint(ChartPoint(chart, state[0], state[1]), state[2]))
-    return traj
+        if chart == SPHERE:
+            left |= ~((PHI_MIN <= new[:, 0]) & (new[:, 0] <= math.pi - PHI_MIN))
+        for k, state, gone in zip(running, new, left):
+            if gone:
+                trajs[k].status = "chart_exit"
+                continue
+            states[k] = state
+            trajs[k].times.append(t)
+            trajs[k].points.append(FiberPoint(ChartPoint(chart, state[0], state[1]),
+                                              state[2]))
+        running = running[~left]
+    return trajs[0] if isinstance(fp, FiberPoint) else trajs

@@ -306,10 +306,13 @@ def grid_symbol_density(metric: FinslerMetric2D, n: int,
         raise ConfigError("grid assembly requires the torus chart")
     sigma, rho = symbol_densities(metric, torus_base(n).points, fiber_n)
     sigma, rho = sigma.reshape(n, n, 2, 2), rho.reshape(n, n)
-    ev = np.linalg.eigvalsh(sigma)
-    if not np.all(ev[..., 0] > 0.0):
+    # a symmetric 2x2 matrix is positive definite iff s11 > 0 and det > 0
+    # (its lower triangle, which eigvalsh reads)
+    s11 = sigma[..., 0, 0]
+    det = s11 * sigma[..., 1, 1] - sigma[..., 1, 0] ** 2
+    if not (np.all(s11 > 0.0) and np.all(det > 0.0)):
         raise NumericError(f"symbol not positive definite: smallest eigenvalue "
-                           f"{ev[..., 0].min()}")
+                           f"{np.linalg.eigvalsh(sigma)[..., 0].min()}")
     if not np.all(rho > 0.0):
         raise NumericError("volume density must be positive")
     return np.broadcast_to(sigma, sigma.shape), np.broadcast_to(rho, rho.shape)

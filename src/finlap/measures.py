@@ -272,15 +272,24 @@ def sphere_total_volume(metric: FinslerMetric2D, n_phi: int = 96,
     return float(base.weights @ volume_densities(metric, base.points))
 
 
-def _boundary_scan(metric: FinslerMetric2D, x: ChartPoint,
-                   n_boundary: int) -> tuple:
+def _boundary_scan(metric: FinslerMetric2D, x, n_boundary: int) -> tuple:
     """``(phis, vs)``: the indicatrix at x on ``n_boundary`` equally spaced
-    Euclidean directions, the dense scan behind :func:`_dual_radii`."""
+    Euclidean directions, the dense scan behind :func:`_dual_radii`; over a
+    block of P base points vs has shape (P, n_boundary, 2)."""
     phis = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     return phis, indicatrix_point(metric, x, phis)
 
 
-def _dual_radii(metric: FinslerMetric2D, x: ChartPoint, betas: np.ndarray,
+def _scan_max(beams: np.ndarray, vs: np.ndarray) -> tuple:
+    """Index and value of the largest support of each ray's covector over
+    one point's scan.  The support matrix is built rays-major, so that
+    the maximum runs along contiguous rows."""
+    support = beams @ vs.T                                     # (n_rays, n_boundary)
+    idx = np.argmax(support, axis=1)
+    return idx, support[np.arange(len(idx)), idx]
+
+
+def _dual_radii(metric: FinslerMetric2D, x, betas: np.ndarray,
                 scan: tuple, refine_steps: int = 4) -> np.ndarray:
     """Radii of the dual unit disc boundary along covector directions betas.
 
@@ -289,23 +298,28 @@ def _dual_radii(metric: FinslerMetric2D, x: ChartPoint, betas: np.ndarray,
     the same x), then the maximizing angle of each ray is sharpened by
     iterated parabolic refinement with re-evaluation (robust on eccentric
     indicatrices, where the support peaks on a narrow angular scale).
-    The support matrix is built rays-major, so that the maximum over the
-    scan runs along contiguous rows.
+
+    Over a block of P base points the betas are shared, (n_rays,), or per
+    point, (P, n_rays), and so are the radii, (P, n_rays).  The maximum
+    over the scan is taken one point at a time, so that only one point's
+    (n_rays, n_boundary) support matrix is held at once; each refinement
+    step evaluates the whole block.
     """
     phis, vs = scan
-    beams = np.stack([np.cos(betas), np.sin(betas)], axis=-1)  # (n_rays, 2)
-    support = beams @ vs.T                                     # (n_rays, n_boundary)
-    rows = np.arange(len(betas))
-    idx = np.argmax(support, axis=1)
+    beams = np.stack([np.cos(betas), np.sin(betas)], axis=-1)  # (..., n_rays, 2)
+    if vs.ndim == 2:
+        idx, y2 = _scan_max(beams, vs)
+    else:
+        per_point = np.broadcast_to(beams, vs.shape[:1] + beams.shape[-2:])
+        idx, y2 = map(np.stack, zip(*map(_scan_max, per_point, vs)))
 
     def eval_support(ph):
-        # ph: (n_rays,) angles; support of each ray's covector at its angle
+        # ph: (..., n_rays) angles; support of each ray's covector at its angle
         v = indicatrix_point(metric, x, ph)
-        return np.einsum("ij,ij->i", v, beams)
+        return np.einsum("...ij,...ij->...i", v, beams)
 
     center = phis[idx]
     half = np.full_like(center, 2.0 * np.pi / len(phis))
-    y2 = support[rows, idx]
     best = y2.copy()
     for _ in range(refine_steps):
         y1 = eval_support(center - half)
@@ -321,22 +335,23 @@ def _dual_radii(metric: FinslerMetric2D, x: ChartPoint, betas: np.ndarray,
     return 1.0 / np.maximum(best, y2)
 
 
-def holmes_thompson_density(metric: FinslerMetric2D, x: ChartPoint,
-                            n_rays: int = 512, n_boundary: int = 2048) -> float:
+def holmes_thompson_density(metric: FinslerMetric2D, x,
+                            n_rays: int = 512, n_boundary: int = 2048):
     """Area of the dual unit disc {p : F*(x, p) < 1} divided by pi.
 
     Computed by radial quadrature of the dual boundary; independent of
     the contact-density route, so it serves as an oracle for
-    :func:`volume_density`.
+    :func:`volume_density`.  A float at one base point; over a block of P
+    base points shape (P,), the dual radii of the block found together.
     """
     betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
     r = _dual_radii(metric, x, betas, _boundary_scan(metric, x, n_boundary))
-    area = 0.5 * float(np.sum(r**2)) * (2.0 * np.pi / n_rays)
-    return area / np.pi
+    area = 0.5 * np.sum(r**2, axis=-1) * (2.0 * np.pi / n_rays) / np.pi
+    return float(area) if isinstance(x, ChartPoint) else area
 
 
-def dual_norm_sampled(metric: FinslerMetric2D, x: ChartPoint, v,
-                      n_rays: int = 512, n_boundary: int = 1024) -> float:
+def dual_norm_sampled(metric: FinslerMetric2D, x, v,
+                      n_rays: int = 512, n_boundary: int = 1024):
     """Double dual F**(x, v) = sup { p(v) : F*(x, p) = 1 }.
 
     The dual unit circle is sampled along ``n_rays`` covector directions
@@ -344,29 +359,36 @@ def dual_norm_sampled(metric: FinslerMetric2D, x: ChartPoint, v,
     Every radius, of the first ``n_rays`` and of each refinement step,
     comes from the same ``n_boundary``-point indicatrix scan, taken once
     per call.
+
+    ``x`` is one base point with a vector of shape (2,), giving a float,
+    or a block of P base points with vectors of shape (P, 2), giving shape
+    (P,); the block shares one scan call and each refinement step.
     """
     v = np.asarray(v, dtype=float)
-    if np.hypot(v[0], v[1]) == 0.0:
+    shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
+    if v.shape != shape:
+        raise DomainError(f"vector must have shape {shape}, got {v.shape}")
+    if np.any(np.hypot(v[..., 0], v[..., 1]) == 0.0):
         raise DomainError("double dual undefined at the zero vector")
     scan = _boundary_scan(metric, x, n_boundary)
+    v0, v1 = v[..., 0, None], v[..., 1, None]
 
     def support_of_v(bs):
         r = _dual_radii(metric, x, bs, scan)
-        return r * (np.cos(bs) * v[0] + np.sin(bs) * v[1])
+        return r * (np.cos(bs) * v0 + np.sin(bs) * v1)
 
     betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
     vals = support_of_v(betas)
-    i = int(np.argmax(vals))
-    center = betas[i]
+    center = betas[np.argmax(vals, axis=-1)]
     half = 2.0 * np.pi / n_rays
-    y2 = vals[i]
-    best = y2
+    y2 = best = vals.max(axis=-1)
     for _ in range(5):
-        y1, y3 = support_of_v(np.array([center - half, center + half]))
+        y = support_of_v(np.stack([center - half, center + half], axis=-1))
+        y1, y3 = y[..., 0], y[..., 1]
         denom = y1 - 2.0 * y2 + y3
-        if abs(denom) > 1e-300:
-            center += float(np.clip(0.5 * half * (y1 - y3) / denom, -half, half))
-        y2 = float(support_of_v(np.array([center]))[0])
-        best = max(best, y1, y2, y3)
+        shift = np.where(np.abs(denom) > 1e-300, 0.5 * half * (y1 - y3) / denom, 0.0)
+        center = center + np.clip(shift, -half, half)
+        y2 = support_of_v(center[..., None])[..., 0]
+        best = np.maximum.reduce([best, y1, y2, y3])
         half *= 0.25
-    return float(best)
+    return float(best) if isinstance(x, ChartPoint) else best

@@ -575,45 +575,61 @@ def legendre_forward(metric: FinslerMetric2D, x: ChartPoint, v,
     return np.asarray(f)[..., None] * vertical_derivative(metric, x, v, method)
 
 
-def _support_values(metric: FinslerMetric2D, x: ChartPoint, p: np.ndarray,
+def _support_values(metric: FinslerMetric2D, x, p: np.ndarray,
                     phis: np.ndarray) -> np.ndarray:
+    """p(v) on the indicatrix at the angles phis: (n,) at one base point,
+    (P, n) over a block, whose covectors p have shape (P, 2)."""
     vs = indicatrix_point(metric, x, phis)
-    return vs @ p
+    return vs @ p if p.ndim == 1 else _dot(vs, p[:, None])
 
 
-def dual_norm(metric: FinslerMetric2D, x: ChartPoint, p,
-              coarse_n: int = DUAL_COARSE_N, tol: float = DUAL_PHI_TOL) -> float:
+def dual_norm(metric: FinslerMetric2D, x, p,
+              coarse_n: int = DUAL_COARSE_N, tol: float = DUAL_PHI_TOL):
     """Dual norm F*(x, p) = sup { p(v) : F(x, v) = 1 }.
 
     Coarse scan of the indicatrix followed by golden-section refinement
-    of the maximizing angle to ``tol``.
+    of the maximizing angle to ``tol``.  ``x`` is one base point with a
+    covector of shape (2,), giving a float, or a block of P base points
+    with covectors of shape (P, 2), giving shape (P,): each refinement
+    step evaluates the whole block at once, and a point whose interval is
+    below ``tol`` keeps its values, so that every entry equals its
+    one-point search.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
-        raise DomainError(f"covector must have shape (2,), got {p.shape}")
-    if np.hypot(p[0], p[1]) == 0.0:
+    shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
+    if p.shape != shape:
+        raise DomainError(f"covector must have shape {shape}, got {p.shape}")
+    if np.any(np.hypot(p[..., 0], p[..., 1]) == 0.0):
         raise DomainError("dual norm undefined for the zero covector")
+
+    def support_at(angles):
+        return _support_values(metric, x, p, angles[..., None])[..., 0]
+
     phis = 2.0 * np.pi * np.arange(coarse_n) / coarse_n
     vals = _support_values(metric, x, p, phis)
-    i = int(np.argmax(vals))
+    i = np.argmax(vals, axis=-1)
     step = 2.0 * np.pi / coarse_n
     a, b = phis[i] - step, phis[i] + step
 
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv * (b - a)
     d = a + inv * (b - a)
-    fc = float(_support_values(metric, x, p, np.array([c]))[0])
-    fd = float(_support_values(metric, x, p, np.array([d]))[0])
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = float(_support_values(metric, x, p, np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = float(_support_values(metric, x, p, np.array([d]))[0])
-    return max(fc, fd, float(vals[i]))
+    fc, fd = support_at(c), support_at(d)
+    while True:
+        active = b - a > tol
+        if not np.any(active):
+            break
+        # fc > fd: the maximum is in [a, d], probe a new c; else in [c, b]
+        right = fc > fd
+        lo, hi = np.where(right, a, c), np.where(right, d, b)
+        probe = np.where(right, hi - inv * (hi - lo), lo + inv * (hi - lo))
+        f_probe = support_at(probe)
+        moved = (lo, hi, np.where(right, probe, d), np.where(right, c, probe),
+                 np.where(right, f_probe, fd), np.where(right, fc, f_probe))
+        a, b, c, d, fc, fd = (np.where(active, new, old)
+                              for new, old in zip(moved, (a, b, c, d, fc, fd)))
+    best = np.maximum.reduce([fc, fd, vals.max(axis=-1)])
+    return float(best) if isinstance(x, ChartPoint) else best
 
 
 def scale_conformal(metric: FinslerMetric2D, f) -> ConformalMetric:

@@ -104,6 +104,47 @@ class TestOtherCommands:
         assert doc["trajectory"]["status"] == "ok"
         assert (tmp_path / "geo.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--t-end", "nan"), ("--t-end", "inf"),
+                                             ("--dt", "nan"), ("--dt", "0"),
+                                             ("--dt", "-0.1")])
+    def test_geodesic_bad_time_is_config_error(self, tmp_path, capsys, flag, value):
+        argv = ["geodesic", "--metric", "kz-torus", "--eps", "0.6",
+                "--start", "0", "0", "0", "--out", str(tmp_path / "geo.json")]
+        rc = main(argv + [flag, value])
+        assert rc == 2
+        assert f"config error: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "geo.json").exists()
+
+    def test_block_suites_match_per_sample_checks(self):
+        # the suites draw their samples in order and check them in block
+        # calls: same rows as one call per sample, same stream afterwards
+        import finlap as fl
+        import finlap.verify as verify_mod
+
+        rng = np.random.default_rng(11)
+        ht_rows = verify_mod.suite_holmes_thompson({}, rng)
+        reeb_rows = verify_mod.suite_reeb({}, rng)
+        after = rng.random()
+
+        ref = np.random.default_rng(11)
+        m = verify_mod._default_metric({})
+        worst = 0.0
+        for _ in range(20):
+            x = verify_mod._random_point(m, ref)
+            worst = max(worst, abs(fl.holmes_thompson_density(m, x)
+                                   - fl.volume_density(m, x)))
+        assert ht_rows[0].defect == pytest.approx(worst, rel=1e-9, abs=1e-15)
+        for k, m in enumerate(verify_mod._metric_family({})):
+            worst_a = worst_da = 0.0
+            for _ in range(50):
+                fp = fl.FiberPoint(verify_mod._random_point(m, ref),
+                                   ref.uniform(0.0, 2.0 * math.pi))
+                r_a, r_da = fl.hilbert.reeb_residuals_profile(m, fp.base, [fp.phi])
+                worst_a, worst_da = max(worst_a, r_a[0]), max(worst_da, r_da[0])
+            assert reeb_rows[2 * k].defect == pytest.approx(worst_a, rel=1e-9, abs=1e-15)
+            assert reeb_rows[2 * k + 1].defect == pytest.approx(worst_da, rel=1e-9, abs=1e-15)
+        assert ref.random() == after
+
     def test_verify_pass(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
         rc = main(["verify", "--suite", "randers-symbol", "--out", str(out)])

@@ -233,3 +233,103 @@ class TestGeodesics:
         with pytest.raises(fl.DomainError):
             fl.geodesic_integrate(fl.kz_torus(0.1),
                                   fl.FiberPoint(fl.torus_point(0, 0), 0.0), 1.0, -1.0)
+
+
+def _degenerate_right_half(x, vs):
+    """Euclidean on u < 0.5; a nearly flat unit ball, whose contact
+    density vanishes at the chart angle 0, on u >= 0.5."""
+    vs = np.asarray(vs, dtype=float)
+    k = 2.0 if x.u < 0.5 else 16.0
+    return (np.abs(vs[..., 0]) ** k + np.abs(vs[..., 1]) ** k) ** (1.0 / k)
+
+
+class TestReebBlock:
+    """Entry i of a block Reeb call equals the one-point call at point i."""
+
+    @pytest.mark.parametrize("name", list(builtin_metrics()))
+    def test_shared_and_per_point_angles(self, name, rng):
+        m = builtin_metrics()[name]
+        xs = [random_point(m, rng) for _ in range(4)]
+        shared = rng.uniform(0, 2 * math.pi, size=6)
+        per_point = rng.uniform(0, 2 * math.pi, size=(4, 6))
+        for phis in (shared, per_point):
+            V, Xphi, lam = fl.reeb_profile(m, xs, phis)
+            r_a, r_da = fl.hilbert.reeb_residuals_profile(m, xs, phis)
+            assert V.shape == (4, 6, 2) and Xphi.shape == lam.shape == r_a.shape == (4, 6)
+            for i, x in enumerate(xs):
+                row = phis if phis.ndim == 1 else phis[i]
+                V1, Xphi1, lam1 = fl.reeb_profile(m, x, row)
+                assert np.abs(V[i] - V1).max() <= 1e-13 * np.abs(V1).max()
+                assert np.abs(Xphi[i] - Xphi1).max() <= 1e-13 * max(1.0, np.abs(Xphi1).max())
+                assert np.abs(lam[i] - lam1).max() <= 1e-13 * lam1.max()
+                ra1, rda1 = fl.hilbert.reeb_residuals_profile(m, x, row)
+                assert np.abs(r_a[i] - ra1).max() <= 1e-13
+                assert np.abs(r_da[i] - rda1).max() <= 1e-13
+
+    def test_block_makes_seven_fiber_derivative_calls(self, monkeypatch, rng):
+        import finlap.hilbert as hilbert
+
+        calls = []
+        original = hilbert.vertical_derivative
+
+        def counting(metric, x, v, *args):
+            calls.append(np.shape(v))
+            return original(metric, x, v, *args)
+
+        monkeypatch.setattr(hilbert, "vertical_derivative", counting)
+        m = fl.kz_sphere(0.3)
+        fl.reeb_profile(m, [random_point(m, rng) for _ in range(5)], [0.1, 2.0, 4.0])
+        assert calls == [(5, 3, 2)] * 7
+
+    def test_degenerate_point_named(self):
+        m = fl.custom(_degenerate_right_half, chart=fl.TORUS)
+        good, bad = fl.torus_point(0.2, 0.1), fl.torus_point(0.7, 0.3)
+        fl.reeb_profile(m, good, [0.0])
+        with pytest.raises(fl.DegenerateContactError) as one:
+            fl.reeb_profile(m, bad, [0.0])
+        with pytest.raises(fl.DegenerateContactError) as block:
+            fl.reeb_profile(m, [good, bad, good], [0.0])
+        assert "(0.7, 0.3)" in str(block.value)
+        assert str(block.value) == str(one.value)
+
+
+class TestGeodesicBatch:
+    @staticmethod
+    def _assert_same(batch, single):
+        assert batch.status == single.status
+        assert len(batch.points) == len(single.points)
+        assert batch.times == single.times
+        for a, b in zip(batch.points, single.points):
+            assert abs(a.base.u - b.base.u) <= 1e-12
+            assert abs(a.base.v - b.base.v) <= 1e-12
+            assert abs(a.phi - b.phi) <= 1e-12
+
+    def test_sphere_one_leaves_the_chart(self):
+        m = fl.kz_sphere(0.0)
+        starts = [fl.FiberPoint(fl.sphere_point(math.pi / 2, 0.0), math.pi / 2),
+                  fl.FiberPoint(fl.sphere_point(0.3, 0.0), math.pi),   # to the pole
+                  fl.FiberPoint(fl.sphere_point(1.2, 2.0), 0.7)]
+        trajs = fl.geodesic_integrate(m, starts, 1.0, 1e-2)
+        assert [t.status for t in trajs] == ["ok", "chart_exit", "ok"]
+        assert len(trajs[1].points) < len(trajs[0].points) == 101
+        for traj, fp in zip(trajs, starts):
+            self._assert_same(traj, fl.geodesic_integrate(m, fp, 1.0, 1e-2))
+
+    def test_torus_batch(self, rng):
+        m = builtin_metrics()["randers-var"]
+        starts = [fl.FiberPoint(random_point(m, rng), rng.uniform(0, 2 * math.pi))
+                  for _ in range(3)]
+        trajs = fl.geodesic_integrate(m, starts, 0.3, 0.04)
+        assert [len(t.points) for t in trajs] == [9, 9, 9]
+        for traj, fp in zip(trajs, starts):
+            self._assert_same(traj, fl.geodesic_integrate(m, fp, 0.3, 0.04))
+
+    def test_empty_batch(self):
+        assert fl.geodesic_integrate(fl.kz_torus(0.1), [], 1.0, 0.1) == []
+
+    @pytest.mark.parametrize("t_end, dt", [(math.nan, 0.1), (math.inf, 0.1),
+                                           (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_inputs(self, t_end, dt):
+        with pytest.raises(fl.DomainError):
+            fl.geodesic_integrate(fl.kz_torus(0.1),
+                                  fl.FiberPoint(fl.torus_point(0, 0), 0.0), t_end, dt)

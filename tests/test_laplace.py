@@ -331,3 +331,34 @@ class TestBlockedGrid:
         blocks = math.ceil(n * n / (laplace.BLOCK_RAYS // DEFAULT_FIBER_N))
         assert 0 < calls["vd"] <= 3 * blocks
         assert calls["ind"] == blocks
+
+    @pytest.mark.parametrize("sigma", [
+        [[-1.0, 0.0], [0.0, 2.0]],      # s11 < 0
+        [[1.0, 2.0], [2.0, 1.0]],       # s11 > 0, det < 0
+        [[1.0, 1.0], [1.0, 1.0]],       # singular
+    ], ids=["negative", "indefinite", "singular"])
+    def test_non_spd_symbol_raises(self, monkeypatch, sigma):
+        from finlap import laplace
+
+        n = 4
+        bad = np.array(sigma)
+        expected = np.linalg.eigvalsh(bad)[0]
+
+        def symbols(metric, points, fiber_n):
+            s = np.tile(np.eye(2), (len(points), 1, 1))
+            s[5] = bad
+            return s, np.ones(len(points))
+
+        monkeypatch.setattr(laplace, "symbol_densities", symbols)
+        with pytest.raises(fl.NumericError, match="smallest eigenvalue") as err:
+            laplace.grid_symbol_density(fl.kz_torus(0.3), n)
+        assert f"{expected}" in str(err.value)
+
+    def test_broadcast_symbol_passes_unchanged(self):
+        from finlap import laplace
+
+        m = fl.kz_torus(0.55)
+        sigma, rho = laplace.grid_symbol_density(m, 8)
+        s1, r1 = laplace.symbol_density(m, fl.torus_point(0.0, 0.0))
+        assert np.array_equal(sigma, np.broadcast_to(s1, sigma.shape))
+        assert np.array_equal(rho, np.full(rho.shape, r1))

@@ -374,3 +374,70 @@ class TestDualBoundaryScan:
                 assert abs(fl.dual_norm_sampled(m, x, v) - ref) <= 1e-13 * ref, m.kind
                 ref = _per_call_holmes_thompson(m, x)
                 assert abs(fl.holmes_thompson_density(m, x) - ref) <= 1e-13 * ref, m.kind
+
+
+def _block_metrics():
+    """The four metrics of the verify family and the variable Randers metric."""
+    from finlap.verify import _metric_family
+
+    names = ["riemannian", "randers", "kz-torus", "kz-sphere"]
+    metrics = dict(zip(names, _metric_family({"eps": 0.6})))
+    metrics["randers-var"] = builtin_metrics()["randers-var"]
+    return metrics
+
+
+class TestBlockDualForms:
+    """Entry i of a block call equals the one-point call at point i."""
+
+    @staticmethod
+    def _samples(m, rng, count):
+        from finlap.verify import _random_point, _random_vector
+
+        xs = [_random_point(m, rng) for _ in range(count)]
+        return xs, np.array([_random_vector(rng) for _ in range(count)])
+
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("name", list(_block_metrics()))
+    def test_block_equals_one_point(self, name, count, rng):
+        m = _block_metrics()[name]
+        xs, vs = self._samples(m, rng, count)
+        ps = np.array([fl.legendre_forward(m, x, v) for x, v in zip(xs, vs)])
+        dn = fl.dual_norm(m, xs, ps)
+        dds = fl.dual_norm_sampled(m, xs, vs)
+        ht = fl.holmes_thompson_density(m, xs)
+        assert dn.shape == dds.shape == ht.shape == (count,)
+        for i, (x, v, p) in enumerate(zip(xs, vs, ps)):
+            ref = fl.dual_norm(m, x, p)
+            assert abs(dn[i] - ref) <= 1e-13 * ref
+            ref = fl.dual_norm_sampled(m, x, v)
+            assert abs(dds[i] - ref) <= 1e-13 * ref
+            ref = fl.holmes_thompson_density(m, x)
+            assert abs(ht[i] - ref) <= 1e-13 * ref
+
+    def test_one_scan_per_block(self, monkeypatch, rng):
+        sizes = []
+        original = measures.indicatrix_point
+
+        def counting(metric, x, phi):
+            sizes.append(np.shape(phi))
+            return original(metric, x, phi)
+
+        monkeypatch.setattr(measures, "indicatrix_point", counting)
+        m = fl.kz_torus(0.6)
+        xs, vs = self._samples(m, rng, 5)
+        fl.dual_norm_sampled(m, xs, vs, n_boundary=1024)
+        assert sizes.count((1024,)) == 1
+        # one scan and 5 refinement steps of 3 evaluations per radius call
+        assert len(sizes) == 1 + 11 * 3 * 4
+
+    def test_block_shape_and_zero_rejected(self):
+        m = fl.kz_torus(0.6)
+        xs = [fl.torus_point(0.1, 0.2), fl.torus_point(0.3, 0.4)]
+        with pytest.raises(fl.DomainError):
+            fl.dual_norm(m, xs, [1.0, 0.0])
+        with pytest.raises(fl.DomainError):
+            fl.dual_norm(m, xs, [[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(fl.DomainError):
+            fl.dual_norm_sampled(m, xs, [[1.0, 0.0]])
+        with pytest.raises(fl.DomainError):
+            fl.dual_norm_sampled(m, xs, [[1.0, 0.0], [0.0, 0.0]])
