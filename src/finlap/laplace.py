@@ -25,11 +25,15 @@ alone (V equals the indicatrix point of its direction), and
 form; it is symmetric, negative semidefinite and annihilates constants
 by construction.
 
-Oracles: :func:`operator_coefficients` (symbol and drift from the Reeb
-field), the coefficient stencil :func:`assemble_torus_operator` and the
-geodesic route of :func:`laplacian_apply` are independent evaluations
-kept for tests, ``finlap symbol`` and ``finlap verify``;
+Oracles: :func:`coefficients_at` (symbol, drift and density from the
+Reeb field, in blocks of base points; :func:`operator_coefficients` is
+its one-point case, :func:`grid_coefficients` the torus grid), the
+coefficient stencil :func:`assemble_torus_operator` and the geodesic
+route of :func:`laplacian_apply` are independent evaluations kept for
+tests, ``finlap symbol`` and ``finlap verify``;
 :func:`weighted_symmetry_residual` checks the stencil against the pencil.
+Both routes walk base points with :func:`finlap.measures._over_points`,
+the one place that chooses blocks or the position-independent shortcut.
 """
 
 from __future__ import annotations
@@ -43,13 +47,12 @@ import scipy.sparse as sp
 from .charts import ChartPoint, TORUS
 from .errors import ConfigError, DegenerateContactError, NumericError
 from .fields import field_gradient, field_hessian
-from .hilbert import DENSITY_FLOOR, _rk4_step, reeb_profile
+from .hilbert import DENSITY_FLOOR, _rk4_step, _shifted, _steps, reeb_profile
 from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _over_points, fiber_quadrature,
                        fiber_weights, torus_base)
 from .metrics import FinslerMetric2D, indicatrix_point
 
 GEODESIC_STEP = 1e-3
-_COEFF_CACHE_ATTR = "_finlap_coeff_cache"
 
 
 @dataclass(frozen=True)
@@ -63,59 +66,86 @@ class OperatorCoefficients:
     def __post_init__(self):
         s = 0.5 * (self.sigma + self.sigma.T)
         object.__setattr__(self, "sigma", s)
-        ev = np.linalg.eigvalsh(s)
-        if ev[0] <= 0.0:
-            raise NumericError(f"symbol not positive definite: eigenvalues {ev}")
-        if not self.vol_density > 0.0:
-            raise NumericError("volume density must be positive")
+        _check_symbol(s, self.vol_density)
 
     def apply(self, grad: np.ndarray, hess: np.ndarray) -> float:
         """sigma : Hess + Z . grad for given derivatives of f."""
         return float(np.sum(self.sigma * hess) + self.drift @ grad)
 
 
-def operator_coefficients(metric: FinslerMetric2D, x: ChartPoint,
-                          fiber_n: int = DEFAULT_FIBER_N,
-                          h_x=None, h_phi=None) -> OperatorCoefficients:
-    """Symbol, drift and volume density at a base point.
+def _check_symbol(sigma: np.ndarray, rho):
+    """Raise :class:`NumericError` unless each symmetric sigma (last two
+    axes) is positive definite and each rho positive."""
+    # a symmetric 2x2 matrix is positive definite iff s11 > 0 and det > 0
+    # (its lower triangle, which eigvalsh reads)
+    s11 = sigma[..., 0, 0]
+    det = s11 * sigma[..., 1, 1] - sigma[..., 1, 0] ** 2
+    if not (np.all(s11 > 0.0) and np.all(det > 0.0)):
+        raise NumericError(f"symbol not positive definite: smallest eigenvalue "
+                           f"{np.linalg.eigvalsh(sigma)[..., 0].min()}")
+    if not np.all(rho > 0.0):
+        raise NumericError("volume density must be positive")
 
-    sigma_ij  = (1/pi) Sum_k w_k V_i V_j
-    drift_i   = (1/pi) Sum_k w_k (V_j dV_i/dx_j + Xphi dV_i/dphi)
+
+def _coefficients(metric: FinslerMetric2D, x, fiber_n: int):
+    """``(sigma, drift, rho)`` from the Reeb field at one base point, shapes
+    (2, 2), (2,) and (), or over a block of P points, (P, 2, 2), (P, 2)
+    and (P,):
+
+        sigma_ij = (1/pi) Sum_k w_k V_i V_j
+        drift_i  = (1/pi) Sum_k w_k (V_j dV_i/dx_j + Xphi dV_i/dphi)
 
     with V, Xphi the Reeb components at the fiber nodes and w the angle
-    weights.  Spatial and fiber derivatives of V are central differences.
-    Position-independent metrics are computed once and cached.
+    weights.  The derivatives of V are central differences, the spatial
+    ones with the block shifted as a block: seven Reeb-field calls.
     """
-    from .hilbert import _steps
+    h_phi, h_x = _steps(metric, None, None)
+    nodes, w, rho = fiber_weights(metric, x, fiber_n)
+    V, Xphi, _ = reeb_profile(metric, x, nodes)
 
-    cache = getattr(metric, _COEFF_CACHE_ATTR, None)
-    if metric.position_independent and cache is not None and cache[0] == fiber_n:
-        return cache[1]
+    def diff(xp, xm, phis_p, phis_m, h):
+        return (reeb_profile(metric, xp, phis_p)[0]
+                - reeb_profile(metric, xm, phis_m)[0]) / (2.0 * h)
 
-    h_phi, h_x = _steps(metric, h_phi, h_x)
-    quad = fiber_quadrature(metric, x, fiber_n)
-    w = quad.weights
-    V, Xphi, _ = reeb_profile(metric, x, quad.nodes, h_phi, h_x)
+    dV_du = diff(_shifted(x, h_x, 0.0), _shifted(x, -h_x, 0.0), nodes, nodes, h_x)
+    dV_dv = diff(_shifted(x, 0.0, h_x), _shifted(x, 0.0, -h_x), nodes, nodes, h_x)
+    dV_dphi = diff(x, x, nodes + h_phi, nodes - h_phi, h_phi)
+    advect = V[..., 0, None] * dV_du + V[..., 1, None] * dV_dv + Xphi[..., None] * dV_dphi
 
-    sigma = np.einsum("k,ki,kj->ij", w, V, V) / math.pi
+    sigma = (V * w[..., None]).swapaxes(-1, -2) @ V / math.pi
+    drift = (w[..., None, :] @ advect)[..., 0, :] / math.pi
+    return 0.5 * (sigma + sigma.swapaxes(-1, -2)), drift, rho
 
-    Vpu, _, _ = reeb_profile(metric, x.shifted(h_x, 0.0), quad.nodes, h_phi, h_x)
-    Vmu, _, _ = reeb_profile(metric, x.shifted(-h_x, 0.0), quad.nodes, h_phi, h_x)
-    Vpv, _, _ = reeb_profile(metric, x.shifted(0.0, h_x), quad.nodes, h_phi, h_x)
-    Vmv, _, _ = reeb_profile(metric, x.shifted(0.0, -h_x), quad.nodes, h_phi, h_x)
-    dV_du = (Vpu - Vmu) / (2.0 * h_x)
-    dV_dv = (Vpv - Vmv) / (2.0 * h_x)
-    Vpp, _, _ = reeb_profile(metric, x, quad.nodes + h_phi, h_phi, h_x)
-    Vmp, _, _ = reeb_profile(metric, x, quad.nodes - h_phi, h_phi, h_x)
-    dV_dphi = (Vpp - Vmp) / (2.0 * h_phi)
 
-    advect = V[:, 0, None] * dV_du + V[:, 1, None] * dV_dv + Xphi[:, None] * dV_dphi
-    drift = w @ advect / math.pi
+def operator_coefficients(metric: FinslerMetric2D, x: ChartPoint,
+                          fiber_n: int = DEFAULT_FIBER_N) -> OperatorCoefficients:
+    """Symbol, drift and volume density at one base point from the Reeb
+    field, the one-point case of :func:`coefficients_at`: one fiber rule
+    and seven Reeb-field calls of ``fiber_n`` rays each.  Nothing is kept
+    between calls."""
+    sigma, drift, rho = _coefficients(metric, x, fiber_n)
+    return OperatorCoefficients(sigma=sigma, drift=drift, vol_density=float(rho))
 
-    coeffs = OperatorCoefficients(sigma=sigma, drift=drift, vol_density=quad.volume)
-    if metric.position_independent:
-        setattr(metric, _COEFF_CACHE_ATTR, (fiber_n, coeffs))
-    return coeffs
+
+def coefficients_at(metric: FinslerMetric2D, points,
+                    fiber_n: int = DEFAULT_FIBER_N):
+    """:func:`operator_coefficients` at a sequence of base points of any
+    chart: ``(sigma, drift, rho)`` of shapes (P, 2, 2), (P, 2) and (P,),
+    in blocks of base points (read-only broadcasts of one point for a
+    position-independent metric).  Raises :class:`NumericError` unless
+    sigma is positive definite and rho positive everywhere.
+    """
+    sigma, drift, rho = _over_points(_coefficients, metric, points, fiber_n)
+    _check_symbol(sigma, rho)
+    return sigma, drift, rho
+
+
+def coefficient_form(sigma: np.ndarray, drift: np.ndarray, f, points) -> np.ndarray:
+    """sigma : Hess f + drift . grad f at P base points, shape (P,), from
+    coefficients of shapes (P, 2, 2) and (P, 2)."""
+    grad = np.array([field_gradient(f, x) for x in points])
+    hess = np.array([field_hessian(f, x) for x in points])
+    return (sigma * hess).sum(axis=(-2, -1)) + (drift * grad).sum(axis=-1)
 
 
 def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
@@ -130,23 +160,22 @@ def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
       derivatives (analytic when the field provides them);
     * ``"geodesic"`` -- fiber average of the centered second difference
       of f along the geodesic through x in each fiber direction; the
-      backward branch is the flow for -h_geo.
+      backward branch is the flow for -h_geo, and each branch is one RK4
+      step of the batch of all fiber nodes.
     """
     if path == "coefficient":
         coeffs = operator_coefficients(metric, x, fiber_n)
         return coeffs.apply(field_gradient(f, x), field_hessian(f, x))
     if path == "geodesic":
         quad = fiber_quadrature(metric, x, fiber_n)
-        f0 = float(f(x))
-        acc = 0.0
-        for phi, wk in zip(quad.nodes, quad.weights):
-            state = np.array([x.u, x.v, phi])
-            sp_ = _rk4_step(metric, metric.chart, state, h_geo)
-            sm_ = _rk4_step(metric, metric.chart, state, -h_geo)
-            fp = float(f(ChartPoint(metric.chart, sp_[0], sp_[1])))
-            fm = float(f(ChartPoint(metric.chart, sm_[0], sm_[1])))
-            acc += wk * (fp - 2.0 * f0 + fm) / h_geo**2
-        return acc / math.pi
+        states = np.column_stack([np.full(fiber_n, x.u), np.full(fiber_n, x.v), quad.nodes])
+
+        def f_after(dt):
+            ends = _rk4_step(metric, metric.chart, states, dt)
+            return np.array([float(f(ChartPoint(metric.chart, u, v))) for u, v in ends[:, :2]])
+
+        second = (f_after(h_geo) - 2.0 * float(f(x)) + f_after(-h_geo)) / h_geo**2
+        return float(quad.weights @ second) / math.pi
     raise ConfigError(f"unknown path {path!r}")
 
 
@@ -160,19 +189,18 @@ def divergence_form_drift(metric: FinslerMetric2D, x: ChartPoint,
     of the quadrature drift.  The sign of the gradient term is the one
     forced by symmetry.
     """
-    def rho_sigma(pt):
-        c = operator_coefficients(metric, pt, fiber_n)
-        return c.vol_density * c.sigma
-
-    c0 = operator_coefficients(metric, x, fiber_n)
-    d_du = (rho_sigma(x.shifted(h, 0.0)) - rho_sigma(x.shifted(-h, 0.0))) / (2.0 * h)
-    d_dv = (rho_sigma(x.shifted(0.0, h)) - rho_sigma(x.shifted(0.0, -h))) / (2.0 * h)
-    return (d_du[0, :] + d_dv[1, :]) / c0.vol_density
+    pts = [x, x.shifted(h, 0.0), x.shifted(-h, 0.0), x.shifted(0.0, h), x.shifted(0.0, -h)]
+    sigma, _, rho = coefficients_at(metric, pts, fiber_n)
+    K = rho[:, None, None] * sigma
+    d_du = (K[1] - K[2]) / (2.0 * h)
+    d_dv = (K[3] - K[4]) / (2.0 * h)
+    return (d_du[0, :] + d_dv[1, :]) / rho[0]
 
 
 def grid_coefficients(metric: FinslerMetric2D, n: int,
                       fiber_n: int = DEFAULT_FIBER_N):
-    """Operator coefficients on the periodic n x n torus grid.
+    """Operator coefficients on the periodic n x n torus grid:
+    :func:`coefficients_at` over :func:`finlap.measures.torus_base`.
 
     Returns ``(sigma, drift, vol)`` with shapes (n, n, 2, 2), (n, n, 2)
     and (n, n).  Grid points are (i/n, j/n).
@@ -181,22 +209,8 @@ def grid_coefficients(metric: FinslerMetric2D, n: int,
         raise ConfigError("grid assembly requires the torus chart")
     if n < 4:
         raise ConfigError(f"grid too coarse: n = {n}")
-    sigma = np.empty((n, n, 2, 2))
-    drift = np.empty((n, n, 2))
-    vol = np.empty((n, n))
-    if metric.position_independent:
-        c = operator_coefficients(metric, ChartPoint(TORUS, 0.0, 0.0), fiber_n)
-        sigma[...] = c.sigma
-        drift[...] = c.drift
-        vol[...] = c.vol_density
-        return sigma, drift, vol
-    for i in range(n):
-        for j in range(n):
-            c = operator_coefficients(metric, ChartPoint(TORUS, i / n, j / n), fiber_n)
-            sigma[i, j] = c.sigma
-            drift[i, j] = c.drift
-            vol[i, j] = c.vol_density
-    return sigma, drift, vol
+    sigma, drift, vol = coefficients_at(metric, torus_base(n).points, fiber_n)
+    return sigma.reshape(n, n, 2, 2), drift.reshape(n, n, 2), vol.reshape(n, n)
 
 
 def assemble_torus_operator(metric: FinslerMetric2D, n: int,
@@ -306,15 +320,7 @@ def grid_symbol_density(metric: FinslerMetric2D, n: int,
         raise ConfigError("grid assembly requires the torus chart")
     sigma, rho = symbol_densities(metric, torus_base(n).points, fiber_n)
     sigma, rho = sigma.reshape(n, n, 2, 2), rho.reshape(n, n)
-    # a symmetric 2x2 matrix is positive definite iff s11 > 0 and det > 0
-    # (its lower triangle, which eigvalsh reads)
-    s11 = sigma[..., 0, 0]
-    det = s11 * sigma[..., 1, 1] - sigma[..., 1, 0] ** 2
-    if not (np.all(s11 > 0.0) and np.all(det > 0.0)):
-        raise NumericError(f"symbol not positive definite: smallest eigenvalue "
-                           f"{np.linalg.eigvalsh(sigma)[..., 0].min()}")
-    if not np.all(rho > 0.0):
-        raise NumericError("volume density must be positive")
+    _check_symbol(sigma, rho)
     return np.broadcast_to(sigma, sigma.shape), np.broadcast_to(rho, rho.shape)
 
 
@@ -407,12 +413,8 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
     fx = np.array([float(f(x)) for x in points])
     div_form = (conservative_pencil(sigma, vol)[0] @ fx).reshape(n, n) / (vol * h**2)
 
-    coeff = np.empty((n, n))
-    for k, x in enumerate(points):
-        i, j = divmod(k, n)
-        c = OperatorCoefficients(sigma=sigma[i, j], drift=drift[i, j],
-                                 vol_density=vol[i, j])
-        coeff[i, j] = c.apply(field_gradient(f, x), field_hessian(f, x))
+    coeff = coefficient_form(sigma.reshape(-1, 2, 2), drift.reshape(-1, 2), f,
+                             points).reshape(n, n)
     scale = np.abs(coeff).max()
     div_defect = float(np.abs(coeff - div_form).max() / scale)
     return SymmetryReport(symmetry_defect=sym_defect, divergence_defect=div_defect,

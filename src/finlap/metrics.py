@@ -116,8 +116,8 @@ class FinslerMetric2D:
 
     chart: str = TORUS
     kind: str = "custom"
-    #: True when F(x, v) does not depend on the base point x; enables
-    #: one-shot coefficient evaluation in grid assembly.
+    #: True when F(x, v) does not depend on the base point x; a walk over
+    #: base points (measures._over_points) then evaluates only the first.
     position_independent: bool = False
     #: False when d_vF falls back to finite differences; consumers then
     #: widen their own differencing steps above the nested-FD noise floor.
@@ -257,7 +257,12 @@ class RiemannianMetric(_TensorFieldMetric):
 
 
 class RandersMetric(_TensorFieldMetric):
-    """F = sqrt(g(v, v)) + theta(v), with the g-norm of theta below 1."""
+    """F = sqrt(g(v, v)) + theta(v), with the g-norm of theta below 1.
+
+    The norm condition is checked at every evaluation point and the first
+    offending point is reported; constant ``g`` and ``theta`` are checked
+    once and make the metric position-independent off the sphere chart.
+    """
 
     kind = "randers"
     #: checked (g, theta) of a constant metric, set on its first evaluation

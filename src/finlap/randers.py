@@ -88,18 +88,6 @@ class RandersData:
         return RandersMetric(self.g_field, self.theta_field, self.chart)
 
 
-def make_randers(g: MatrixField, theta: CovectorField,
-                 chart: str = TORUS) -> RandersMetric:
-    """Build sqrt(g) + theta; the g-norm of theta must stay below 1.
-
-    The norm condition is enforced at every evaluation point; the first
-    offending point is reported.  Constant ``g`` and ``theta`` stay
-    constant: they are checked once, and make the metric
-    position-independent off the sphere chart.
-    """
-    return RandersMetric(g, theta, chart)
-
-
 def randers_data(metric_or_g, theta: Optional[CovectorField] = None,
                  chart: str = TORUS) -> RandersData:
     """RandersData from a RandersMetric or from (g, theta) fields."""

@@ -41,8 +41,8 @@ def builtin_metrics():
             ]),
             chart=fl.TORUS,
         ),
-        "randers-06": fl.make_randers(np.eye(2), np.array([0.6, 0.0]), chart=fl.TORUS),
-        "randers-var": fl.make_randers(
+        "randers-06": fl.RandersMetric(np.eye(2), np.array([0.6, 0.0]), chart=fl.TORUS),
+        "randers-var": fl.RandersMetric(
             np.eye(2),
             lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]),
             chart=fl.TORUS,

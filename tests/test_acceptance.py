@@ -189,7 +189,7 @@ def test_criterion_07_holmes_thompson():
     g = np.array([[1.2, 0.1], [0.1, 0.8]])
     worst_r = 0.0
     for nrm in (0.0, 0.3, 0.6, 0.85):
-        m = fl.make_randers(g, nrm * np.array([math.cos(1.0), math.sin(1.0)]))
+        m = fl.RandersMetric(g, nrm * np.array([math.cos(1.0), math.sin(1.0)]))
         x = fl.torus_point(rng.uniform(0, 1), rng.uniform(0, 1))
         worst_r = max(worst_r, abs(fl.volume_density(m, x) - math.sqrt(np.linalg.det(g))))
     ok = worst <= 1e-5 and worst_r <= 1e-6
@@ -225,8 +225,8 @@ def test_criterion_09_symmetry_and_green():
         rep = fl.weighted_symmetry_residual(metric, 64)
         const_defect = max(const_defect, rep.symmetry_defect)
 
-    mv = fl.make_randers(np.eye(2),
-                         lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
+    mv = fl.RandersMetric(np.eye(2),
+                          lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
     reps = [fl.weighted_symmetry_residual(mv, n, fiber_n=128) for n in (16, 32, 64)]
     var_defect = max(r.symmetry_defect for r in reps)
     decay_ok = all(reps[i].symmetry_defect / reps[i + 1].symmetry_defect >= 3.0

@@ -88,7 +88,7 @@ class TestHilbertDensity:
         # contact density of sqrt(g)+theta = (1 + theta(spray_g)) * Riemannian density
         g = np.array([[1.3, 0.2], [0.2, 0.9]])
         th = np.array([0.25, -0.3])
-        m = fl.make_randers(g, th)
+        m = fl.RandersMetric(g, th)
         m0 = fl.riemannian(g)
         x = fl.torus_point(0.3, 0.8)
         phis = np.linspace(0, 2 * math.pi, 23, endpoint=False)

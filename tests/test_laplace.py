@@ -127,8 +127,8 @@ class TestLaplacianApply:
             assert abs(c - g) <= 1e-4 * max(1.0, abs(c))
 
     def test_geodesic_path_variable_metric(self, rng):
-        m = fl.make_randers(np.eye(2),
-                            lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
+        m = fl.RandersMetric(np.eye(2),
+                             lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
         f = fl.SeparableTrigField(1.0, "cos", 1, "sin", 1)
         x = fl.torus_point(0.21, 0.83)
         c = fl.laplacian_apply(m, f, x, path="coefficient")
@@ -172,8 +172,8 @@ class TestSymmetryAndDivergenceForm:
         assert rep.symmetry_defect <= 1e-10
 
     def test_variable_randers_divergence_refinement(self):
-        m = fl.make_randers(np.eye(2),
-                            lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
+        m = fl.RandersMetric(np.eye(2),
+                             lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
         d16 = fl.weighted_symmetry_residual(m, 16, fiber_n=128).divergence_defect
         d32 = fl.weighted_symmetry_residual(m, 32, fiber_n=128).divergence_defect
         assert d32 <= 4e-3
@@ -183,8 +183,8 @@ class TestSymmetryAndDivergenceForm:
     def test_variable_randers_divergence_defect_pinned(self):
         # the value from an independent flux-form stencil, which for this
         # separable test field equals the pencil's up to rounding
-        m = fl.make_randers(np.eye(2),
-                            lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
+        m = fl.RandersMetric(np.eye(2),
+                             lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]))
         d16 = fl.weighted_symmetry_residual(m, 16, fiber_n=128).divergence_defect
         assert d16 == pytest.approx(0.01363114917865216, rel=1e-9)
 
@@ -196,8 +196,8 @@ class TestSymmetryAndDivergenceForm:
 
     @pytest.mark.parametrize("metric, fiber_n", [
         (fl.kz_torus(0.6), 256),
-        (fl.make_randers(np.eye(2),
-                         lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0])), 64),
+        (fl.RandersMetric(np.eye(2),
+                          lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0])), 64),
     ], ids=["kz-torus", "randers-var"])
     def test_symmetry_defect_equals_dense_formula(self, metric, fiber_n):
         import scipy.sparse as sp
@@ -213,9 +213,9 @@ class TestSymmetryAndDivergenceForm:
     def test_drift_uniqueness_cross_check(self, rng):
         # quadrature drift equals the divergence-form drift implied by
         # (sigma, volume) through symmetry
-        m = fl.make_randers(np.eye(2),
-                            lambda p: np.array([0.25 * math.sin(2 * math.pi * p.v),
-                                                0.1 * math.cos(2 * math.pi * p.u)]))
+        m = fl.RandersMetric(np.eye(2),
+                             lambda p: np.array([0.25 * math.sin(2 * math.pi * p.v),
+                                                 0.1 * math.cos(2 * math.pi * p.u)]))
         for _ in range(3):
             x = random_point(m, rng)
             c = fl.operator_coefficients(m, x)
@@ -295,7 +295,7 @@ class TestBlockedGrid:
         theta, bad = _bad_at_one_point(
             16, 200, lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v), 0.0]),
             [0.0, 1.25])
-        m = fl.make_randers(np.eye(2), theta)
+        m = fl.RandersMetric(np.eye(2), theta)
         with pytest.raises(fl.InvalidMetricError) as grid:
             grid_symbol_density(m, 16)
         assert str(grid.value) == f"Randers 1-form has g-norm 1.250000 >= 1 at ({bad.u}, {bad.v})"
@@ -362,3 +362,117 @@ class TestBlockedGrid:
         s1, r1 = laplace.symbol_density(m, fl.torus_point(0.0, 0.0))
         assert np.array_equal(sigma, np.broadcast_to(s1, sigma.shape))
         assert np.array_equal(rho, np.full(rho.shape, r1))
+
+
+class TestReebRouteBlocks:
+    """coefficients_at walks the Reeb-route kernel over blocks of base
+    points; operator_coefficients is its one-point case."""
+
+    def test_operator_coefficients_keeps_no_state(self):
+        for m in (fl.kz_torus(0.6), builtin_metrics()["randers-06"],
+                  builtin_metrics()["randers-var"]):
+            x = fl.torus_point(0.3, 0.7)
+            fl.eval_f(m, x, [1.0, 0.0])     # constant tensors are checked once, here
+            before = dict(vars(m))
+            fl.operator_coefficients(m, x, 64)
+            after = vars(m)
+            assert after.keys() == before.keys(), m.kind
+            assert all(after[k] is v for k, v in before.items()), m.kind
+
+    # n = 6 with fiber_n = 128 walks a block of 32 points and a short one of 4
+    @pytest.mark.parametrize("name", ["riemannian-var", "randers-var", "custom-quartic"])
+    def test_block_equals_points(self, name):
+        from finlap.laplace import BLOCK_RAYS, coefficients_at, grid_coefficients
+
+        n, fiber_n = 6, 128
+        assert (n * n) % (BLOCK_RAYS // fiber_n) != 0
+        m = builtin_metrics()[name]
+        sigma, drift, rho = coefficients_at(m, fl.torus_base(n).points, fiber_n)
+        gs, gd, gr = grid_coefficients(m, n, fiber_n)
+        for k in range(n * n):
+            c = fl.operator_coefficients(m, _grid_point(n, k), fiber_n)
+            i, j = divmod(k, n)
+            assert np.array_equal(sigma[k], c.sigma) and np.array_equal(gs[i, j], c.sigma)
+            assert np.array_equal(drift[k], c.drift) and np.array_equal(gd[i, j], c.drift)
+            assert rho[k] == c.vol_density and gr[i, j] == c.vol_density
+
+    def test_block_equals_points_on_the_sphere(self, rng):
+        from finlap.laplace import coefficients_at
+
+        m = builtin_metrics()["kz-sphere-03"]
+        xs = [random_point(m, rng) for _ in range(5)]
+        sigma, drift, rho = coefficients_at(m, xs, 64)
+        for k, x in enumerate(xs):
+            c = fl.operator_coefficients(m, x, 64)
+            assert np.array_equal(sigma[k], c.sigma)
+            assert np.array_equal(drift[k], c.drift)
+            assert rho[k] == c.vol_density
+
+    @pytest.mark.parametrize("bad_sigma, bad_rho", [
+        ([[1.0, 2.0], [2.0, 1.0]], 1.0),
+        (np.eye(2), -1.0),
+    ], ids=["indefinite-symbol", "negative-density"])
+    def test_bad_point_raises_the_grid_message(self, monkeypatch, bad_sigma, bad_rho):
+        from finlap import laplace
+
+        n, target = 8, _grid_point(8, 45)
+
+        def kernel(metric, xs, fiber_n):
+            sigma = np.tile(np.eye(2), (len(xs), 1, 1))
+            rho = np.ones(len(xs))
+            for i, p in enumerate(xs):
+                if (p.u, p.v) == (target.u, target.v):
+                    sigma[i], rho[i] = bad_sigma, bad_rho
+            return sigma, np.zeros((len(xs), 2)), rho
+
+        def symbols(metric, points, fiber_n):
+            sigma, _, rho = kernel(metric, points, fiber_n)
+            return sigma, rho
+
+        m = builtin_metrics()["randers-var"]
+        monkeypatch.setattr(laplace, "_coefficients", kernel)
+        monkeypatch.setattr(laplace, "symbol_densities", symbols)
+        with pytest.raises(fl.NumericError) as grid:
+            laplace.grid_symbol_density(m, n)
+        with pytest.raises(fl.NumericError) as blocks:
+            laplace.grid_coefficients(m, n)
+        assert str(blocks.value) == str(grid.value)
+
+
+@pytest.fixture
+def reeb_route_calls(monkeypatch):
+    """The arguments of every reeb_profile, density_profile and
+    vertical_derivative call, rebound in every finlap module as the
+    perfbench tracer rebinds them."""
+    import sys
+
+    from finlap import hilbert, metrics
+
+    calls = {}
+    for fn in (hilbert.reeb_profile, hilbert.density_profile, metrics.vertical_derivative):
+        def wrapped(*args, _fn=fn, **kwargs):
+            calls.setdefault(_fn.__name__, []).append(args)
+            return _fn(*args, **kwargs)
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("finlap") and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("points", [1, 8], ids=["one-point", "block"])
+def test_reeb_route_call_structure(reeb_route_calls, points):
+    # perfbench's structure check asserts 7 / 1 / 52 calls of fiber_n rays
+    # each for one operator_coefficients call; a block makes the same calls
+    from finlap.laplace import coefficients_at
+
+    m, fiber_n = builtin_metrics()["randers-var"], 256
+    if points == 1:
+        fl.operator_coefficients(m, fl.torus_point(0.3, 0.7), fiber_n)
+        lead = ()
+    else:
+        coefficients_at(m, fl.torus_base(4).points[:points], fiber_n)
+        lead = (points,)
+    counts = {name: len(args) for name, args in reeb_route_calls.items()}
+    assert counts == {"reeb_profile": 7, "density_profile": 1, "vertical_derivative": 52}
+    rays = {np.shape(args[2]) for args in reeb_route_calls["vertical_derivative"]}
+    assert rays == {lead + (fiber_n, 2)}

@@ -67,7 +67,7 @@ class TestVolumeDensity:
         # independent of theta
         g = np.array([[1.5, -0.2], [-0.2, 0.8]])
         for nrm in (0.0, 0.3, 0.7):
-            m = fl.make_randers(g, np.array([nrm, 0.1 * nrm]))
+            m = fl.RandersMetric(g, np.array([nrm, 0.1 * nrm]))
             x = random_point(m, rng)
             assert abs(fl.volume_density(m, x) - math.sqrt(np.linalg.det(g))) < 1e-6
 
@@ -273,7 +273,7 @@ class TestHolmesThompson:
         assert fl.holmes_thompson_density(m, fl.torus_point(0, 0)) == pytest.approx(1.0, abs=1e-9)
 
     def test_randers_equals_riemannian_volume(self):
-        m = fl.make_randers(np.eye(2), np.array([0.6, 0.0]))
+        m = fl.RandersMetric(np.eye(2), np.array([0.6, 0.0]))
         got = fl.holmes_thompson_density(m, fl.torus_point(0.1, 0.1))
         assert got == pytest.approx(1.0, abs=1e-7)
 

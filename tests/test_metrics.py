@@ -26,7 +26,7 @@ class TestEvalF:
             fl.eval_f(fl.euclidean(), fl.plane_point(0, 0), [0, 0])
 
     def test_randers_norm_bound_enforced(self):
-        bad = fl.make_randers(np.eye(2), np.array([1.05, 0.0]))
+        bad = fl.RandersMetric(np.eye(2), np.array([1.05, 0.0]))
         with pytest.raises(fl.InvalidMetricError):
             fl.eval_f(bad, fl.torus_point(0, 0), [1, 0])
 
@@ -122,7 +122,7 @@ class TestLegendreAndDual:
     def test_dual_norm_randers(self):
         # dual ball of |v| + theta.v is the unit disc shifted by theta:
         # F*(p) solves |p/F* - theta| = 1, so F*(dx) = 1/1.6 and F*(-dx) = 1/0.4
-        m = fl.make_randers(np.eye(2), np.array([0.6, 0.0]))
+        m = fl.RandersMetric(np.eye(2), np.array([0.6, 0.0]))
         x = fl.torus_point(0, 0)
         assert fl.dual_norm(m, x, [1.0, 0.0]) == pytest.approx(0.625, abs=1e-9)
         assert fl.dual_norm(m, x, [-1.0, 0.0]) == pytest.approx(2.5, abs=1e-9)
@@ -264,7 +264,7 @@ class TestConstantTensorsCheckedOnce:
         lambda g: fl.riemannian(g, chart=fl.TORUS),
         lambda g: fl.RandersMetric(g, np.array([0.3, 0.1])),
         lambda g: fl.KatokZillerMetric(g, np.array([1.0, 0.0]), 0.5),
-        lambda g: fl.make_randers(g, [0.6, 0.0]),
+        lambda g: fl.RandersMetric(g, [0.6, 0.0]),
     ])
     def test_constant_g_checked_once(self, make, monkeypatch, rng):
         calls = self._count_spd_checks(monkeypatch)
@@ -284,15 +284,14 @@ class TestConstantTensorsCheckedOnce:
         assert len(calls) == 20
 
     def test_bad_constant_randers_form_raises_every_time(self):
-        for make in (fl.RandersMetric, fl.make_randers):
-            bad = make(np.eye(2), np.array([1.05, 0.0]))
-            messages = []
-            for _ in range(2):
-                with pytest.raises(fl.InvalidMetricError) as err:
-                    fl.eval_f(bad, fl.torus_point(0, 0), [1, 0])
-                messages.append(str(err.value))
-            assert messages[0] == messages[1]
-            assert "g-norm 1.050000 >= 1" in messages[0]
+        bad = fl.RandersMetric(np.eye(2), np.array([1.05, 0.0]))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(fl.InvalidMetricError) as err:
+                fl.eval_f(bad, fl.torus_point(0, 0), [1, 0])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "g-norm 1.050000 >= 1" in messages[0]
 
     def test_bad_constant_g_raises_every_time(self):
         bad = fl.riemannian(np.array([[1.0, 0.0], [0.0, -1.0]]), chart=fl.TORUS)

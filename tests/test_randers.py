@@ -19,19 +19,19 @@ def random_theta(rng, max_norm=0.95):
 class TestMakeRanders:
     def test_zero_form_is_riemannian(self, rng):
         g = np.array([[1.2, 0.1], [0.1, 0.9]])
-        m = fl.make_randers(g, np.zeros(2))
+        m = fl.RandersMetric(g, np.zeros(2))
         m0 = fl.riemannian(g)
         v = np.array([0.7, -1.1])
         assert fl.eval_f(m, X0, v) == pytest.approx(fl.eval_f(m0, X0, v), rel=1e-15)
 
     def test_direct_values(self):
-        m = fl.make_randers(np.eye(2), np.array([0.6, 0.0]))
+        m = fl.RandersMetric(np.eye(2), np.array([0.6, 0.0]))
         assert fl.eval_f(m, X0, [1, 0]) == pytest.approx(1.6, abs=1e-14)
         assert fl.eval_f(m, X0, [-1, 0]) == pytest.approx(0.4, abs=1e-14)
 
     def test_norm_violation_reports_point(self):
-        m = fl.make_randers(np.eye(2),
-                            lambda p: np.array([0.9 + 0.2 * math.sin(2 * math.pi * p.u), 0.0]))
+        m = fl.RandersMetric(np.eye(2),
+                             lambda p: np.array([0.9 + 0.2 * math.sin(2 * math.pi * p.u), 0.0]))
         with pytest.raises(fl.InvalidMetricError):
             fl.eval_f(m, fl.torus_point(0.25, 0.0), [1, 0])
 
@@ -78,7 +78,7 @@ class TestSymbolClosedForm:
         rd = fl.randers_data(g, th)
         cf = fl.symbol_closed_form(rd, X0)
         assert np.abs(cf - fl.symbol_oracle(rd, X0)).max() < 1e-10
-        c = fl.operator_coefficients(fl.make_randers(g, th), X0)
+        c = fl.operator_coefficients(fl.RandersMetric(g, th), X0)
         assert np.abs(cf - c.sigma).max() < 1e-8
 
     def test_volume_ratio(self, rng):

@@ -49,7 +49,7 @@ class TestEnergy:
 
 
 def tilted_randers():
-    return fl.make_randers(
+    return fl.RandersMetric(
         np.array([[1.5, -0.2], [-0.2, 0.8]]),
         lambda p: np.array([0.3 * math.sin(2 * math.pi * p.v),
                             0.2 * math.cos(2 * math.pi * p.u)]),
@@ -292,7 +292,7 @@ def torus_metrics(draw):
     t = 0.8 * math.sqrt(0.4 * min(a, b)) * draw(st.floats(0.0, 1.0)) / math.sqrt(2.0)
     t1 = wave(t, draw(mode), 1, draw(phase))
     t2 = wave(t, 1, draw(mode), draw(phase))
-    return fl.make_randers(g, lambda p: np.array([t1(p), t2(p)]), chart=fl.TORUS)
+    return fl.RandersMetric(g, lambda p: np.array([t1(p), t2(p)]), chart=fl.TORUS)
 
 
 class TestConservativePencil:
