@@ -22,6 +22,7 @@ import numpy as np
 
 from .charts import ChartPoint, PLANE, SPHERE, TORUS
 from .errors import DomainError, FinlapError, InvalidMetricError
+from .fields import ConstantField
 
 # Relative fiber step of the finite-difference vertical derivative;
 # built-in metrics carry analytic derivatives.
@@ -445,7 +446,8 @@ def _evaluator_failure(x: ChartPoint, exc: Exception) -> InvalidMetricError:
 class ConformalMetric(FinslerMetric2D):
     """exp(f(x)) * F for a base metric F and a scalar field f.
 
-    Blocks of base points are evaluated one point at a time.
+    Blocks of base points are evaluated one point at a time.  A constant
+    factor keeps a position-independent base position-independent.
     """
 
     kind = "conformal"
@@ -454,7 +456,8 @@ class ConformalMetric(FinslerMetric2D):
         self.chart = base.chart
         self.base = base
         self.factor = factor
-        self.position_independent = False
+        self.position_independent = (base.position_independent
+                                     and isinstance(factor, ConstantField))
         self.analytic_fiber_derivative = base.analytic_fiber_derivative
 
     def _scale(self, x: ChartPoint) -> float:

@@ -12,11 +12,15 @@ pencil (S, M): S the volume-weighted discrete operator form, M the
 volume mass matrix.  Torus grids assemble S in divergence form from the
 symbol and volume density alone (:func:`finlap.laplace.conservative_pencil`),
 so it is symmetric with the constants in its kernel by construction;
-sphere sectors use the Galerkin matrices.  Small dense pencils go
-through one LAPACK generalized symmetric solve (``scipy.linalg.eigh``);
-large sparse grids use shift-invert Lanczos (deterministic start
-vector).  :func:`jacobi_eigh` is an independent dense eigensolver kept
-as a test oracle.
+sphere sectors use the Galerkin matrices.  ``solve_eigen(method="auto")``
+picks the solver.  When ``(sigma, rho)`` is the same at every grid node,
+every row of S is the same 9-point stencil, shifted: the pencil is
+block-circulant, and the 2-D DFT of that stencil gives its eigenvalues
+exactly.  Other pencils of dimension up to 200 go through one LAPACK
+generalized symmetric solve (``scipy.linalg.eigh``), and larger ones
+through shift-invert Lanczos (deterministic start vector).
+:func:`jacobi_eigh` is an independent dense eigensolver kept as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ class SpectralProblem:
     sym_defect: float
     #: ||S 1||_inf / max|S| for torus grid pencils (None for sphere sectors)
     zero_mode_residual: Optional[float] = None
+    #: True for a torus grid pencil whose (sigma, rho) is equal at every
+    #: node, so that S commutes with the grid translations
+    translation_invariant: bool = False
 
     def __post_init__(self):
         if sp.issparse(self.mass):
@@ -177,7 +184,8 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
     On the torus only the symbol and the volume density are computed at
     the grid points; the stiffness is the conservative divergence-form
     stencil, symmetric and annihilating constants as assembled.  Its
-    asymmetry defect and zero-mode residual are recorded.  Sphere sectors
+    asymmetry defect and zero-mode residual are recorded, and whether
+    ``(sigma, rho)`` is exactly equal at every node.  Sphere sectors
     use the Galerkin matrices, whose quadrature roundoff asymmetry is
     recorded and averaged away.
     """
@@ -189,9 +197,11 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
         sigma, rho = grid_symbol_density(metric, basis.n, basis.fiber_n)
         S, M = conservative_pencil(sigma, rho)
         zero_mode = float(np.abs(S @ np.ones(S.shape[0])).max() / np.abs(S.data).max())
+        uniform = bool(np.all(sigma == sigma[0, 0]) and np.all(rho == rho[0, 0]))
         return SpectralProblem(basis=basis, stiffness=S, mass=M,
                                metric_tag=f"{metric.kind} on torus",
-                               sym_defect=_sym_defect(S), zero_mode_residual=zero_mode)
+                               sym_defect=_sym_defect(S), zero_mode_residual=zero_mode,
+                               translation_invariant=uniform)
     if isinstance(basis, SphereHarmonicBasis):
         from .katok_ziller import galerkin_matrices
 
@@ -248,6 +258,18 @@ def jacobi_eigh(B: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     return w[order], V[:, order]
 
 
+def _circulant_eigenvalues(problem: SpectralProblem) -> np.ndarray:
+    """Sorted eigenvalues of -S x = lambda M x for a translation-invariant
+    n x n torus pencil: the 2-D DFT of the first row of S (the stencil at
+    node (0, 0), laid out on the grid) over the constant diagonal of M.
+    The stencil is symmetric under (du, dv) -> (-du, -dv), so the DFT is
+    real up to roundoff."""
+    n = problem.basis.n
+    stencil = problem.stiffness.getrow(0).toarray().reshape(n, n)
+    symbol = np.fft.fft2(stencil).real.ravel()
+    return np.sort(-symbol / problem.mass.diagonal()[0])
+
+
 def solve_eigen(problem: SpectralProblem, k: int,
                 method: str = "auto") -> SpectrumResult:
     """Lowest k eigenvalues of the negative operator for the pencil.
@@ -256,14 +278,20 @@ def solve_eigen(problem: SpectralProblem, k: int,
     LAPACK (``scipy.linalg.eigh``; dimensions up to a few hundred);
     ``method="lanczos"`` uses shift-invert Lanczos with a fixed start
     vector, and the dense solve when k >= dim - 1, which ARPACK cannot
-    do.  ``"auto"`` picks by dimension.  A solver that fails to converge
-    or breaks down raises :class:`NumericError`.
+    do.  ``"auto"`` takes the eigenvalues of a translation-invariant torus
+    pencil from the 2-D DFT of its stencil (``meta["solver"] ==
+    "fourier"``, any k), and otherwise solves densely for dim <= 200 and
+    by Lanczos above.  A solver that fails to converge or breaks down
+    raises :class:`NumericError`.
     """
     if k < 1 or k > problem.dim:
         raise ConfigError(f"k = {k} outside 1..{problem.dim}")
     if method == "auto":
-        method = "dense" if problem.dim <= JACOBI_MAX_DENSE else "lanczos"
-    if method not in ("dense", "lanczos"):
+        if problem.translation_invariant:
+            method = "fourier"
+        else:
+            method = "dense" if problem.dim <= JACOBI_MAX_DENSE else "lanczos"
+    elif method not in ("dense", "lanczos"):
         raise ConfigError(f"unknown solver method {method!r}")
     S = problem.stiffness
     M = problem.mass
@@ -278,7 +306,9 @@ def solve_eigen(problem: SpectralProblem, k: int,
         meta["zero_mode_residual"] = problem.zero_mode_residual
 
     try:
-        if method == "dense" or k >= problem.dim - 1:
+        if method == "fourier":
+            vals = _circulant_eigenvalues(problem)[:k]
+        elif method == "dense" or k >= problem.dim - 1:
             Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
             Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
             vals = sla.eigh(-Sd, Md, eigvals_only=True)[:k]

@@ -8,6 +8,8 @@ import scipy.sparse.linalg as spla
 
 from finlap import spectral
 from finlap.cli import main
+from finlap.errors import NumericError
+from finlap.metrics import kz_torus
 
 
 def read_json(path):
@@ -26,6 +28,15 @@ class TestSpectrumCommand:
         assert any(abs(v - 22.4590) < 1e-3 for v in values)
         assert any(abs(v - 28.0735) < 1e-3 for v in values)
         assert doc["meta"]["version"]
+
+    def test_kz_torus_grid_solves_by_dft(self, tmp_path):
+        out = tmp_path / "grid.json"
+        rc = main(["spectrum", "--metric", "kz-torus", "--eps", "0.3", "--grid", "64",
+                   "--out", str(out)])
+        assert rc == 0
+        meta = read_json(out)["solver_meta"]
+        assert meta["solver"] == "fourier"
+        assert meta["zero_mode_residual"] <= 1e-12
 
     def test_flat_torus_closed_form(self, tmp_path):
         out = tmp_path / "flat.json"
@@ -246,15 +257,18 @@ class TestSolverFailures:
         assert err.startswith("finlap: numeric error:") and what in err
         assert len(err.splitlines()) == 1
 
-    def test_arpack_no_convergence(self, tmp_path, capsys, monkeypatch):
+    def test_arpack_no_convergence(self, monkeypatch):
+        # every torus metric the CLI builds is translation-invariant and
+        # solves by DFT, so ARPACK is reached through the library only;
+        # test_lapack_failure covers the CLI's exit 3
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence after 10 iterations",
                                            np.zeros(0), np.zeros((16, 0)))
 
         monkeypatch.setattr(spectral.spla, "eigsh", no_convergence)
-        rc = main(["spectrum", "--metric", "kz-torus", "--eps", "0.3", "--grid", "16",
-                   "--out", str(tmp_path / "x.json")])
-        self._assert_numeric_error(rc, capsys, "did not converge")
+        prob = spectral.assemble_eigenproblem(kz_torus(0.3), spectral.TorusGridBasis(n=16))
+        with pytest.raises(NumericError, match="did not converge"):
+            spectral.solve_eigen(prob, 10, method="lanczos")
 
     def test_lapack_failure(self, tmp_path, capsys, monkeypatch):
         def breakdown(*args, **kwargs):

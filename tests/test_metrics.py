@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import finlap as fl
 from conftest import builtin_metrics, quartic_norm, random_point, random_vector
+from finlap.laplace import grid_symbol_density
 
 
 class TestEvalF:
@@ -184,6 +185,20 @@ class TestConformal:
             v = random_vector(rng)
             assert abs(fl.eval_f(scaled, x, v)
                        - math.exp(f(x)) * fl.eval_f(m, x, v)) < 1e-12
+
+    def test_position_independent_only_for_constant_factor(self):
+        const = fl.ConstantField(0.7)
+        assert fl.scale_conformal(fl.kz_torus(0.3), const).position_independent
+        varying = fl.SeparableTrigField(0.2, "sin", 1, "cos", 1)
+        assert not fl.scale_conformal(fl.kz_torus(0.3), varying).position_independent
+        assert not fl.scale_conformal(fl.kz_sphere(0.3), const).position_independent
+
+    def test_constant_factor_shortcut_is_bit_identical(self):
+        scaled = fl.scale_conformal(fl.kz_torus(0.3), fl.ConstantField(0.7))
+        sigma, rho = grid_symbol_density(scaled, 16)
+        scaled.position_independent = False     # every grid point evaluated
+        sigma_all, rho_all = grid_symbol_density(scaled, 16)
+        assert np.array_equal(sigma, sigma_all) and np.array_equal(rho, rho_all)
 
 
 class TestConvexity:

@@ -456,3 +456,63 @@ class TestSolver:
                                         fl.SphereHarmonicBasis(lmax=8, m=0))
         with pytest.raises(fl.ConfigError):
             fl.solve_eigen(prob, k=100)
+
+
+def translation_invariant_metrics():
+    """Torus metrics equal at every point, as the CLI builds them."""
+    flat = fl.riemannian(np.array([[1.0, 0.3], [0.3, 0.8]]), chart=fl.TORUS)
+    return {
+        "kz-torus-0": fl.kz_torus(0.0),
+        "kz-torus-03": fl.kz_torus(0.3),
+        "kz-torus-06": fl.kz_torus(0.6),
+        "flat-conformal": fl.scale_conformal(flat, fl.ConstantField(0.7)),
+        "randers-const": fl.RandersMetric(np.eye(2), np.array([0.2, -0.3]), chart=fl.TORUS),
+    }
+
+
+def assert_same_spectrum(res, ref, tol=1e-10):
+    assert np.array_equal(res.multiplicities, ref.multiplicities)
+    scale = np.maximum(1.0, np.abs(ref.eigenvalues))
+    assert np.all(np.abs(res.eigenvalues - ref.eigenvalues) <= tol * scale)
+
+
+class TestFourierRoute:
+    """Translation-invariant torus pencils solve by the 2-D DFT of their stencil."""
+
+    @pytest.mark.parametrize("name", sorted(translation_invariant_metrics()))
+    def test_matches_dense_for_every_value(self, name):
+        prob = fl.assemble_eigenproblem(translation_invariant_metrics()[name],
+                                        fl.TorusGridBasis(n=16))
+        assert prob.translation_invariant
+        res = fl.solve_eigen(prob, k=prob.dim)
+        assert res.meta["solver"] == "fourier"
+        assert res.expand().size == prob.dim
+        ref = fl.solve_eigen(prob, k=prob.dim, method="dense")
+        assert ref.meta["solver"] == "dense"
+        assert_same_spectrum(res, ref)
+
+    @pytest.mark.parametrize("name", sorted(translation_invariant_metrics()))
+    def test_matches_lanczos(self, name):
+        prob = fl.assemble_eigenproblem(translation_invariant_metrics()[name],
+                                        fl.TorusGridBasis(n=64))
+        res = fl.solve_eigen(prob, k=12)
+        ref = fl.solve_eigen(prob, k=12, method="lanczos")
+        assert (res.meta["solver"], ref.meta["solver"]) == ("fourier", "lanczos")
+        assert_same_spectrum(res, ref)
+        for key in ("sym_defect", "zero_mode_residual"):
+            assert res.meta[key] == ref.meta[key] == getattr(prob, key)
+
+    def test_variable_metric_keeps_lanczos(self):
+        prob = fl.assemble_eigenproblem(builtin_metrics()["randers-var"],
+                                        fl.TorusGridBasis(n=16))
+        assert not prob.translation_invariant
+        res = fl.solve_eigen(prob, k=4)
+        assert res.meta["solver"] == "lanczos"
+        assert "zero_mode_residual" in res.meta and "sym_defect" in res.meta
+
+    def test_sphere_sector_keeps_dense(self):
+        prob = fl.assemble_eigenproblem(fl.kz_sphere(0.3), fl.SphereHarmonicBasis(lmax=8, m=1))
+        assert not prob.translation_invariant
+        res = fl.solve_eigen(prob, k=3)
+        assert res.meta["solver"] == "dense"
+        assert "sym_defect" in res.meta and "zero_mode_residual" not in res.meta
