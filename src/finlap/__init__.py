@@ -10,7 +10,8 @@ from .charts import ChartPoint, PLANE, SPHERE, TORUS, plane_point, sphere_point,
 from .errors import (ConfigError, ConstructionError, DegenerateContactError,
                      DomainError, FinlapError, InvalidMetricError, NumericError)
 from .fields import (CallableField, ConstantField, SeparableTrigField, SumField,
-                     field_gradient, field_hessian)
+                     field_gradient, field_gradients, field_hessian, field_hessians,
+                     field_values)
 from .hilbert import (FiberPoint, ReebVector, Trajectory, contact_orientation,
                       geodesic_integrate, hilbert_density, reeb_field,
                       reeb_profile)

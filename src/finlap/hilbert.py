@@ -155,8 +155,12 @@ def _shifted(x, du: float, dv: float):
 
 def _curl(metric: FinslerMetric2D, x, phis: np.ndarray, h_x) -> np.ndarray:
     """dq/du - dp/dv at the chart angles phis, by central differences in u
-    and v, at one base point or over a block (shifted as a block)."""
+    and v, at one base point or over a block (shifted as a block).  It is
+    exactly zero for a position-independent metric, whose differences
+    are 0.0, so there it is returned without evaluating the metric."""
     rays = _chart_rays(x, phis)
+    if metric.position_independent:
+        return np.zeros(rays.shape[:-1])
     pq_du = (vertical_derivative(metric, _shifted(x, h_x, 0.0), rays)
              - vertical_derivative(metric, _shifted(x, -h_x, 0.0), rays)) / (2.0 * h_x)
     pq_dv = (vertical_derivative(metric, _shifted(x, 0.0, h_x), rays)

@@ -24,8 +24,8 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .charts import ChartPoint
 from .errors import ConfigError, InvalidMetricError
+from .fields import ArrayField, _gradient, _hessian, coords
 
 
 def torus_closed_form(eps: float, xi) -> float:
@@ -270,12 +270,13 @@ def perturbation_eigenvalue(l: int, m: int, eps: float) -> float:
     return -l * (l + 1.0) + eps**2 * coef
 
 
-class SphereHarmonicField:
+class SphereHarmonicField(ArrayField):
     """Real spherical harmonic on the sphere chart, with analytic derivatives.
 
     value = P~_l^m(cos phi) * cos(m theta) (or sin); normalized so the
     round L^2 norm is 1.  Second phi-derivatives use the Legendre
-    equation, so all derivatives are exact.
+    equation, so all derivatives are exact.  Has the array form of
+    :mod:`finlap.fields`: one point or a block of points.
     """
 
     def __init__(self, l: int, m: int, kind: str = "cos"):
@@ -288,30 +289,27 @@ class SphereHarmonicField:
         self.l, self.m, self.kind = l, m, kind
         self._az_norm = 1.0 / math.sqrt(2.0 * math.pi) if m == 0 else 1.0 / math.sqrt(math.pi)
 
-    def _parts(self, x: ChartPoint):
-        c = np.array([math.cos(x.u)])
-        P, dP = legendre_block(self.m, self.l, c)
-        t = self.m * x.v
-        trig = math.cos(t) if self.kind == "cos" else math.sin(t)
-        dtrig = -self.m * math.sin(t) if self.kind == "cos" else self.m * math.cos(t)
+    def _parts(self, x):
+        phi, theta = coords(x)
+        P, dP = legendre_block(self.m, self.l, np.atleast_1d(np.cos(phi)))
+        t = self.m * theta
+        trig = np.cos(t) if self.kind == "cos" else np.sin(t)
+        dtrig = -self.m * np.sin(t) if self.kind == "cos" else self.m * np.cos(t)
         ddtrig = -self.m**2 * trig
-        return float(P[-1, 0]), float(dP[-1, 0]), trig, dtrig, ddtrig
+        shape = np.shape(phi)
+        return phi, P[-1].reshape(shape), dP[-1].reshape(shape), trig, dtrig, ddtrig
 
-    def __call__(self, x: ChartPoint) -> float:
-        P, _, trig, _, _ = self._parts(x)
+    def values(self, x) -> np.ndarray:
+        _, P, _, trig, _, _ = self._parts(x)
         return self._az_norm * P * trig
 
-    def gradient(self, x: ChartPoint) -> np.ndarray:
-        P, dP, trig, dtrig, _ = self._parts(x)
-        return self._az_norm * np.array([dP * trig, P * dtrig])
+    def gradients(self, x) -> np.ndarray:
+        _, P, dP, trig, dtrig, _ = self._parts(x)
+        return self._az_norm * _gradient(dP * trig, P * dtrig)
 
-    def hessian(self, x: ChartPoint) -> np.ndarray:
-        P, dP, trig, dtrig, ddtrig = self._parts(x)
-        cot = math.cos(x.u) / math.sin(x.u)
-        lam = self.l * (self.l + 1.0) - self.m**2 / math.sin(x.u) ** 2
+    def hessians(self, x) -> np.ndarray:
+        phi, P, dP, trig, dtrig, ddtrig = self._parts(x)
+        cot = np.cos(phi) / np.sin(phi)
+        lam = self.l * (self.l + 1.0) - self.m**2 / np.sin(phi) ** 2
         ddP = -cot * dP - lam * P
-        h = np.array([
-            [ddP * trig, dP * dtrig],
-            [dP * dtrig, P * ddtrig],
-        ])
-        return self._az_norm * h
+        return self._az_norm * _hessian(ddP * trig, dP * dtrig, P * ddtrig)

@@ -46,7 +46,7 @@ import scipy.sparse as sp
 
 from .charts import ChartPoint, TORUS
 from .errors import ConfigError, DegenerateContactError, NumericError
-from .fields import field_gradient, field_hessian
+from .fields import field_gradient, field_gradients, field_hessian, field_hessians, field_values
 from .hilbert import DENSITY_FLOOR, _rk4_step, _shifted, _steps, reeb_profile
 from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _over_points, fiber_quadrature,
                        fiber_weights, torus_base)
@@ -143,8 +143,8 @@ def coefficients_at(metric: FinslerMetric2D, points,
 def coefficient_form(sigma: np.ndarray, drift: np.ndarray, f, points) -> np.ndarray:
     """sigma : Hess f + drift . grad f at P base points, shape (P,), from
     coefficients of shapes (P, 2, 2) and (P, 2)."""
-    grad = np.array([field_gradient(f, x) for x in points])
-    hess = np.array([field_hessian(f, x) for x in points])
+    grad = field_gradients(f, points)
+    hess = field_hessians(f, points)
     return (sigma * hess).sum(axis=(-2, -1)) + (drift * grad).sum(axis=-1)
 
 
@@ -172,7 +172,7 @@ def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
 
         def f_after(dt):
             ends = _rk4_step(metric, metric.chart, states, dt)
-            return np.array([float(f(ChartPoint(metric.chart, u, v))) for u, v in ends[:, :2]])
+            return field_values(f, [ChartPoint(metric.chart, u, v) for u, v in ends[:, :2]])
 
         second = (f_after(h_geo) - 2.0 * float(f(x)) + f_after(-h_geo)) / h_geo**2
         return float(quad.weights @ second) / math.pi
@@ -410,7 +410,7 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
 
     # the divergence form is the conservative pencil's S f / (rho h^2)
     points = torus_base(n).points
-    fx = np.array([float(f(x)) for x in points])
+    fx = field_values(f, points)
     div_form = (conservative_pencil(sigma, vol)[0] @ fx).reshape(n, n) / (vol * h**2)
 
     coeff = coefficient_form(sigma.reshape(-1, 2, 2), drift.reshape(-1, 2), f,

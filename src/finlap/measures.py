@@ -202,13 +202,19 @@ class BaseQuadrature:
 
 class _TorusGrid(Sequence):
     """The points (i/n, j/n) of the n x n torus grid, row-major, each built
-    when read: a position-independent walk reads one, not n^2."""
+    when read: a position-independent walk reads one, not n^2.  Their
+    coordinates come as one array, without building a point."""
 
     def __init__(self, n: int):
         self.n = n
 
     def __len__(self) -> int:
         return self.n * self.n
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The (u, v) of every point, shape (n^2, 2)."""
+        return np.stack(np.divmod(np.arange(len(self)), self.n), axis=-1) / self.n
 
     def __getitem__(self, k):
         ks = range(len(self))[k]

@@ -36,7 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .charts import SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
-from .fields import field_gradient
+from .fields import field_gradients, field_values
 from .laplace import conservative_pencil, grid_symbol_density, symbol_densities
 from .measures import (DEFAULT_FIBER_N, BaseQuadrature, sphere_base, torus_base,
                        volume_densities)
@@ -138,7 +138,7 @@ def energy(metric: FinslerMetric2D, u, base: BaseQuadrature,
     :func:`finlap.laplace.symbol_densities` at the base points.
     """
     sigma, rho = symbol_densities(metric, base.points, fiber_n)
-    du = np.array([field_gradient(u, x) for x in base.points])
+    du = field_gradients(u, base.points)
     return float((base.weights * rho) @ np.einsum("pi,pij,pj->p", du, sigma, du))
 
 
@@ -146,7 +146,7 @@ def omega_norm_sq(metric: FinslerMetric2D, u, base: BaseQuadrature,
                   fiber_n: int = DEFAULT_FIBER_N) -> float:
     """Integral of u^2 against the canonical volume."""
     w = base.weights * volume_densities(metric, base.points, fiber_n)
-    vals = np.array([float(u(x)) for x in base.points])
+    vals = field_values(u, base.points)
     return float(w @ vals**2)
 
 
@@ -154,7 +154,7 @@ def omega_mean(metric: FinslerMetric2D, u, base: BaseQuadrature,
                fiber_n: int = DEFAULT_FIBER_N) -> float:
     """Volume-weighted mean of u (for projecting out constants)."""
     w = base.weights * volume_densities(metric, base.points, fiber_n)
-    vals = np.array([float(u(x)) for x in base.points])
+    vals = field_values(u, base.points)
     return float(w @ vals / w.sum())
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .catalog import build_metric
 from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError
-from .fields import SeparableTrigField, SumField
+from .fields import SeparableTrigField, SumField, field_values
 from .hilbert import FiberPoint, geodesic_integrate, reeb_profile, reeb_residuals_profile
 from .laplace import coefficient_form, coefficients_at, weighted_symmetry_residual
 from .measures import (dual_norm_sampled, holmes_thompson_density, volume_densities,
@@ -122,7 +122,7 @@ def suite_conformal(params: Dict, rng) -> List[CheckResult]:
                   SeparableTrigField(1.0, "one", 0, "sin", 2)])
     xs = [_random_point(metric, rng) for _ in range(20)]
     lhs = coefficient_form(*coefficients_at(scaled, xs)[:2], u, xs)
-    rhs = (np.exp([-2.0 * f(x) for x in xs])
+    rhs = (np.exp(-2.0 * field_values(f, xs))
            * coefficient_form(*coefficients_at(metric, xs)[:2], u, xs))
     worst = float(np.abs(lhs - rhs).max())
     return [CheckResult.from_defect("conformal-scaling", worst, 1e-5)]
@@ -170,7 +170,7 @@ def suite_green(params: Dict, rng) -> List[CheckResult]:
     e_val = energy(metric, u, base)
     # <u, Lap u> with the coefficient path
     sigma, drift, rho = coefficients_at(metric, base.points)
-    u_vals = np.array([float(u(x)) for x in base.points])
+    u_vals = field_values(u, base.points)
     acc = float(base.weights @ (rho * u_vals * coefficient_form(sigma, drift, u, base.points)))
     rows = [CheckResult.from_defect("green-identity", abs(e_val + acc) / e_val, 1e-3)]
     rep = weighted_symmetry_residual(metric, 32)
@@ -235,7 +235,10 @@ def _timed(name: str, params: Dict, rng) -> List[CheckResult]:
 
 def run_suite(name: str, params: Optional[Dict] = None, seed: int = 0) -> List[CheckResult]:
     """Run one suite (or "all") and return its check rows, each carrying
-    the wall time of its suite in ``seconds``."""
+    the wall time of its suite in ``seconds``.  Raises
+    :class:`ConfigError` for a negative seed or an unknown suite."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     params = dict(params or {})
     rng = np.random.default_rng(seed)
     if name == "all":

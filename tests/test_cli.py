@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +180,39 @@ class TestOtherCommands:
 
     def test_unknown_suite_is_config_error(self):
         assert main(["verify", "--suite", "no-such-suite"]) == 2
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        from finlap.errors import ConfigError
+        from finlap.verify import run_suite
+
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            run_suite("randers-symbol", seed=-1)
+        out = tmp_path / "neg.json"
+        rc = main(["verify", "--suite", "randers-symbol", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("finlap: config error: seed must be non-negative")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_python_dash_m(self, tmp_path):
+        import finlap
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(finlap.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / "m.json"
+        done = subprocess.run([sys.executable, "-m", "finlap", "verify", "--suite",
+                               "randers-symbol", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert all(row["status"] == "pass" for row in read_json(out)["report"])
+        # the command's exit code is the process's
+        done = subprocess.run([sys.executable, "-m", "finlap", "verify", "--suite",
+                               "no-such-suite"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("finlap: config error:")
 
     def test_verify_failure_exit_code(self, monkeypatch, tmp_path):
         import finlap.verify as verify_mod

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -170,9 +171,13 @@ class TestFiberJet:
         return calls
 
     def test_call_order(self, monkeypatch):
+        # a position-dependent metric: the angle jet, then the curl's four
+        # shifted base points
         h = fl.hilbert.H_PHI
+        assert fl.hilbert.H_X == h
         calls = self._record_calls(monkeypatch)
-        m = fl.kz_torus(0.6)
+        m = builtin_metrics()["riemannian-var"]
+        assert not m.position_independent
         x = fl.torus_point(0.25, 0.5)
         fl.hilbert.density_profile(m, x, [1.0])
         assert calls == pytest.approx([(0.25, 0.5, 1.0), (0.25, 0.5, 1.0 + h),
@@ -186,6 +191,36 @@ class TestFiberJet:
         calls.clear()
         fl.hilbert.reeb_residuals_profile(m, x, [1.0])
         assert len(calls) == 14
+
+    def test_call_order_position_independent(self, monkeypatch):
+        # the curl of a position-independent metric is exactly zero and is
+        # not differenced: only the angle jet is evaluated
+        h = fl.hilbert.H_PHI
+        calls = self._record_calls(monkeypatch)
+        m = fl.kz_torus(0.6)
+        x = fl.torus_point(0.25, 0.5)
+        jet = [(0.25, 0.5, 1.0), (0.25, 0.5, 1.0 + h), (0.25, 0.5, 1.0 - h)]
+        fl.reeb_profile(m, x, [1.0])
+        assert calls == pytest.approx(jet, abs=1e-15)
+        calls.clear()
+        fl.hilbert.reeb_residuals_profile(m, x, [1.0])
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("eps", [0.0, 0.6])
+    def test_zero_curl_is_bit_identical(self, eps):
+        m = fl.kz_torus(eps)
+        differenced = copy.copy(m)
+        differenced.position_independent = False    # the curl is differenced
+        rng = np.random.default_rng(7)
+        xs = [random_point(m, rng) for _ in range(6)]
+        phis = rng.uniform(0.0, 2.0 * math.pi, (6, 5))
+        for x, row in [(xs[0], phis[0]), (xs, phis[0]), (xs, phis)]:
+            for got, want in zip(fl.reeb_profile(m, x, row),
+                                 fl.reeb_profile(differenced, x, row)):
+                assert np.array_equal(got, want)
+            for got, want in zip(fl.hilbert.reeb_residuals_profile(m, x, row),
+                                 fl.hilbert.reeb_residuals_profile(differenced, x, row)):
+                assert np.array_equal(got, want)
 
 
 class TestGeodesics:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finlap as fl
 from conftest import builtin_metrics, random_point
@@ -476,3 +477,33 @@ def test_reeb_route_call_structure(reeb_route_calls, points):
     assert counts == {"reeb_profile": 7, "density_profile": 1, "vertical_derivative": 52}
     rays = {np.shape(args[2]) for args in reeb_route_calls["vertical_derivative"]}
     assert rays == {lead + (fiber_n, 2)}
+
+
+class TestConformalScalingProperty:
+    """Lap_{e^f F} u = e^{-2f} Lap_F u for random conformal factors at random
+    points, to criterion 06's 1e-5."""
+
+    U = fl.SumField([fl.SeparableTrigField(1.0, "cos", 1, "one", 0),
+                     fl.SeparableTrigField(1.0, "one", 0, "sin", 2)])
+
+    @pytest.mark.parametrize("kind", ["kz-torus", "flat-torus"])
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(amplitudes=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+           uv=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                 st.floats(0.0, 1.0, exclude_max=True)),
+                       min_size=1, max_size=6))
+    def test_scale_conformal(self, kind, amplitudes, uv):
+        from finlap.catalog import build_metric
+        from finlap.fields import field_values
+        from finlap.laplace import coefficient_form, coefficients_at
+
+        metric = build_metric(kind, 0.3)
+        a, b = amplitudes
+        f = fl.SumField([fl.SeparableTrigField(a, "sin", 1, "cos", 1),
+                         fl.SeparableTrigField(b, "one", 0, "cos", 2)])
+        xs = [fl.torus_point(u, v) for u, v in uv]
+        lhs = coefficient_form(*coefficients_at(fl.scale_conformal(metric, f), xs)[:2],
+                               self.U, xs)
+        rhs = (np.exp(-2.0 * field_values(f, xs))
+               * coefficient_form(*coefficients_at(metric, xs)[:2], self.U, xs))
+        assert np.abs(lhs - rhs).max() <= 1e-5
