@@ -32,8 +32,8 @@ from .metrics import (ConformalMetric, CustomMetric, FinslerMetric2D,
                       convexity_margin, custom, dual_norm, euclidean, eval_f,
                       indicatrix_point, kz_sphere, kz_torus, legendre_forward,
                       riemannian, scale_conformal, vertical_derivative)
-from .randers import (InverseDesign, RandersData, dual_symbol, inverse_design,
-                      randers_data, solve_b, symbol_closed_form, symbol_oracle)
+from .randers import (InverseDesign, dual_symbol, inverse_design, randers_data,
+                      solve_b, symbol_closed_form, symbol_oracle)
 from .spectral import (BaseQuadrature, SphereHarmonicBasis, SpectralProblem,
                        SpectrumResult, TorusGridBasis, assemble_eigenproblem,
                        energy, jacobi_eigh, omega_mean, omega_norm_sq, rayleigh,

@@ -8,9 +8,12 @@ All vector/covector arguments are numpy arrays of shape ``(..., 2)`` in
 the chart basis.  Metric evaluators take either one base point, with rays
 of any leading shape, or a block of base points (a sequence of
 :class:`~finlap.charts.ChartPoint`) with rays of shape ``(P, n, 2)``, one
-row of rays per point.  The built-in metrics evaluate a block in one set
-of array operations: their formulas are written once, over fields that
-carry a leading point axis on a block and none at one point.
+row of rays per point.  Each built-in metric gathers and checks its
+fields in one function that takes a point or a block, and writes its
+formulas once over them: a field carries a leading point axis on a block
+and none at one point or when it is constant.  A conformal metric scales
+one call of its base metric; only a custom metric loops over a block's
+points.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .charts import ChartPoint, PLANE, SPHERE, TORUS
 from .errors import DomainError, FinlapError, InvalidMetricError
-from .fields import ConstantField
+from .fields import ConstantField, field_values
 
 # Relative fiber step of the finite-difference vertical derivative;
 # built-in metrics carry analytic derivatives.
@@ -63,23 +66,49 @@ def _as_covector_field(theta: CovectorField):
     return (lambda x: arr), True
 
 
-def _check_spd(g: np.ndarray, where: str):
-    if abs(g[0, 1] - g[1, 0]) > 1e-12 * (1.0 + abs(g[0, 1])):
-        raise InvalidMetricError(f"metric tensor not symmetric at {where}")
-    if g[0, 0] <= 0.0 or np.linalg.det(g) <= 0.0:
-        raise InvalidMetricError(f"metric tensor not positive definite at {where}")
+def _field_at(field, constant: bool, x) -> np.ndarray:
+    """A tensor field in its one-point shape at one point or when constant,
+    and stacked as (P, ...) over a block of P points."""
+    if constant or isinstance(x, ChartPoint):
+        return np.asarray(field(x), dtype=float)
+    return np.array([field(p) for p in x], dtype=float)
 
 
-def _spd_ok(g: np.ndarray) -> bool:
-    """Whether every tensor of g, shape (..., 2, 2), passes :func:`_check_spd`."""
+def _failing(x, bad: np.ndarray):
+    """``(k, "(u, v)")`` for the first entry k of ``bad`` that holds and
+    its point of x, or None when none holds.  ``bad`` has one entry per
+    point of a block, or one flag (k = 0) at one point or for a constant
+    field, which over a block names the block's first point."""
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    p = x if isinstance(x, ChartPoint) else x[k]
+    return k, f"({p.u}, {p.v})"
+
+
+def _check_spd(g: np.ndarray, x):
+    """Raise InvalidMetricError at the first point of x where the tensor g,
+    (2, 2) or (P, 2, 2), is not symmetric or not positive definite."""
     g01 = g[..., 0, 1]
-    bad = ((np.abs(g01 - g[..., 1, 0]) > 1e-12 * (1.0 + np.abs(g01)))
-           | (g[..., 0, 0] <= 0.0) | (np.linalg.det(g) <= 0.0))
-    return not np.any(bad)
+    asym = np.abs(g01 - g[..., 1, 0]) > 1e-12 * (1.0 + np.abs(g01))
+    bad = _failing(x, asym | (g[..., 0, 0] <= 0.0) | (np.linalg.det(g) <= 0.0))
+    if bad is not None:
+        k, where = bad
+        what = "symmetric" if asym.flat[k] else "positive definite"
+        raise InvalidMetricError(f"metric tensor not {what} at {where}")
 
 
-def _covector_norm(g: np.ndarray, th: np.ndarray) -> float:
-    return float(math.sqrt(th @ np.linalg.solve(g, th)))
+def _randers_norm_sq(g: np.ndarray, th: np.ndarray, x) -> np.ndarray:
+    """|theta|_g^2 of the 1-form th, (2,) or (P, 2), against g; raise
+    InvalidMetricError at the first point of x where |theta|_g >= 1."""
+    n2 = _inner(th, np.linalg.solve(g, th[..., None])[..., 0])
+    nrm = np.sqrt(n2)
+    bad = _failing(x, nrm >= 1.0)
+    if bad is not None:
+        k, where = bad
+        raise InvalidMetricError(
+            f"Randers 1-form has g-norm {nrm.flat[k]:.6f} >= 1 at {where}")
+    return n2
 
 
 def _inner(vs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -108,11 +137,10 @@ def at_points(x, rays: np.ndarray) -> np.ndarray:
 class FinslerMetric2D:
     """Base class: a Finsler norm F(x, v) on a chart.
 
-    Subclasses implement ``_f(x, vs)`` (vectorized over ``vs`` with shape
-    ``(..., 2)``) and, when available, the analytic vertical derivative
-    ``_d_vf(x, vs) -> (..., 2)``.  Their block forms ``_f_block(xs, vs)``
-    and ``_d_vf_block(xs, vs)`` take a sequence of P base points and rays
-    of shape ``(P, n, 2)``; by default they loop over the points.
+    Subclasses implement ``_f(x, vs)`` and, when available, the analytic
+    vertical derivative ``_d_vf(x, vs) -> (..., 2)``, each for one base
+    point with rays of any leading shape ``(..., 2)`` and for a sequence
+    of P base points with rays of shape ``(P, n, 2)``.
     """
 
     chart: str = TORUS
@@ -124,18 +152,11 @@ class FinslerMetric2D:
     #: widen their own differencing steps above the nested-FD noise floor.
     analytic_fiber_derivative: bool = True
 
-    def _f(self, x: ChartPoint, vs: np.ndarray) -> np.ndarray:
+    def _f(self, x, vs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _d_vf(self, x: ChartPoint, vs: np.ndarray) -> Optional[np.ndarray]:
+    def _d_vf(self, x, vs: np.ndarray) -> Optional[np.ndarray]:
         return None
-
-    def _f_block(self, xs, vs: np.ndarray) -> np.ndarray:
-        return np.stack([self._f(x, v) for x, v in zip(xs, vs)])
-
-    def _d_vf_block(self, xs, vs: np.ndarray) -> Optional[np.ndarray]:
-        ds = [self._d_vf(x, v) for x, v in zip(xs, vs)]
-        return None if ds[0] is None else np.stack(ds)
 
     def f(self, x, vs: np.ndarray) -> np.ndarray:
         """Vectorized norm evaluation; no zero-vector check.
@@ -143,44 +164,41 @@ class FinslerMetric2D:
         ``x`` is one base point, or a block of base points (a sequence of
         ChartPoint) for which ``vs`` has shape ``(len(x), n, 2)``.
         """
-        vs = np.asarray(vs, dtype=float)
-        if isinstance(x, ChartPoint):
-            self._check_chart(x)
-            return self._f(x, vs)
-        for p in x:
-            self._check_chart(p)
-        return self._f_block(x, vs)
+        self._check_chart(x)
+        return self._f(x, np.asarray(vs, dtype=float))
 
     def d_vf(self, x, vs: np.ndarray) -> Optional[np.ndarray]:
         """Analytic fiber derivative at one point or over a block (as
-        :meth:`f`), or None when the metric has none."""
-        if isinstance(x, ChartPoint):
-            return self._d_vf(x, vs)
-        return self._d_vf_block(x, vs)
+        :meth:`f`, with the same chart check), or None when the metric has
+        none."""
+        self._check_chart(x)
+        return self._d_vf(x, np.asarray(vs, dtype=float))
 
-    def _check_chart(self, x: ChartPoint):
-        if x.chart != self.chart:
-            raise DomainError(
-                f"metric lives on chart {self.chart!r}, point is on {x.chart!r}"
-            )
+    def _check_chart(self, x):
+        for p in (x,) if isinstance(x, ChartPoint) else x:
+            if p.chart != self.chart:
+                raise DomainError(
+                    f"metric lives on chart {self.chart!r}, point is on {p.chart!r}"
+                )
 
 
 class _TensorFieldMetric(FinslerMetric2D):
     """A metric built on an SPD tensor field g and possibly a 1-form field.
 
-    Each subclass writes its norm and fiber derivative once, in ``_norm``
-    and ``_grad``, over its checked fields: those of one point from
-    ``_fields(x)``, or those of a block from ``_gather(xs)``.  On a block,
-    g has shape (P, 2, 2), a 1-form (P, 1, 2) and a scalar (P, 1), so that
-    they broadcast against rays (P, n, 2); a constant field keeps its
-    one-point shape.  A callable field is called once per point and a
-    block is checked as a whole; when the check fails, the points are
-    checked again one at a time, so that the error names the first failing
-    point exactly as the one-point path does.
+    Each subclass gathers and checks its fields in one ``_gather(x)``, at
+    one point or over a block, and writes its norm and fiber derivative
+    once, in ``_norm`` and ``_grad``, over them.  At one point the fields
+    have their one-point shapes; over a block g has shape (P, 2, 2), a
+    1-form (P, 1, 2) and a scalar (P, 1), so that they broadcast against
+    rays (P, n, 2), while a constant field keeps its one-point shape.  A
+    callable field is called once per point.  Each check runs on the
+    whole block (g before the fields built on it) and names the first
+    failing point, in the message the point alone would give.
 
     A constant field is checked once, on its first evaluation, and the
     checked tensor is kept; a callable field is checked at every point.
-    A constant field that fails its check raises at every evaluation.
+    A constant field that fails its check raises at every evaluation,
+    naming the point, or the first point of the block, it was evaluated at.
     """
 
     _g_checked: Optional[np.ndarray] = None
@@ -189,47 +207,22 @@ class _TensorFieldMetric(FinslerMetric2D):
         self.chart = chart
         self.g_field, self._g_constant = _as_matrix_field(g)
 
-    def g(self, x: ChartPoint) -> np.ndarray:
+    def g(self, x) -> np.ndarray:
+        """The checked tensor g at one point, (2, 2), or over a block,
+        (P, 2, 2) unless constant."""
         if self._g_checked is not None:
             return self._g_checked
-        g = np.asarray(self.g_field(x), dtype=float)
-        _check_spd(g, f"({x.u}, {x.v})")
+        g = _field_at(self.g_field, self._g_constant, x)
+        _check_spd(g, x)
         if self._g_constant:
             self._g_checked = g
         return g
 
-    def _g_block(self, xs):
-        """(g over the block, whether it passed the SPD check)."""
-        if self._g_constant:
-            return self.g(xs[0]), True
-        g = np.array([self.g_field(x) for x in xs], dtype=float)
-        return g, _spd_ok(g)
-
-    def _block_fields(self, xs):
-        fields, ok = self._gather(xs)
-        if not ok:
-            for x in xs:
-                self._fields(x)
-        return fields
-
     def _f(self, x, vs):
-        return self._norm(self._fields(x), vs)
+        return self._norm(self._gather(x), vs)
 
     def _d_vf(self, x, vs):
-        return self._grad(self._fields(x), vs)
-
-    def _f_block(self, xs, vs):
-        return self._norm(self._block_fields(xs), vs)
-
-    def _d_vf_block(self, xs, vs):
-        return self._grad(self._block_fields(xs), vs)
-
-
-def _covector_block(field, constant: bool, xs) -> np.ndarray:
-    """A 1-form field over a block: (2,) when constant, else (P, 2)."""
-    if constant:
-        return np.asarray(field(xs[0]), dtype=float)
-    return np.array([field(x) for x in xs], dtype=float)
+        return self._grad(self._gather(x), vs)
 
 
 class RiemannianMetric(_TensorFieldMetric):
@@ -241,11 +234,8 @@ class RiemannianMetric(_TensorFieldMetric):
         super().__init__(g, chart)
         self.position_independent = self._g_constant and chart != SPHERE
 
-    def _fields(self, x):
+    def _gather(self, x):
         return self.g(x)
-
-    def _gather(self, xs):
-        return self._g_block(xs)
 
     @staticmethod
     def _norm(g, vs):
@@ -275,39 +265,24 @@ class RandersMetric(_TensorFieldMetric):
         self.position_independent = (self._g_constant and self._theta_constant
                                      and chart != SPHERE)
 
-    def theta(self, x: ChartPoint) -> np.ndarray:
-        return np.asarray(self.theta_field(x), dtype=float)
+    def theta(self, x) -> np.ndarray:
+        """The 1-form at one point, (2,), or over a block, (P, 2) unless
+        constant; unchecked."""
+        return _field_at(self.theta_field, self._theta_constant, x)
 
-    def theta_norm(self, x: ChartPoint) -> float:
-        """g-norm of the 1-form theta at x (covector norm)."""
-        return _covector_norm(self.g(x), self.theta(x))
+    def b(self, x) -> np.ndarray:
+        """b = sqrt(1 - |theta|_g^2) at one point, or (P,) over a block,
+        with the norm condition checked."""
+        return np.sqrt(1.0 - _randers_norm_sq(self.g(x), self.theta(x), x))
 
-    def _g_theta(self, x: ChartPoint):
-        """(g, theta) at x, with the g-norm of theta checked below 1."""
+    def _gather(self, x):
         if self._checked is not None:
             return self._checked
-        g = self.g(x)
-        th = self.theta(x)
-        nrm = _covector_norm(g, th)
-        if nrm >= 1.0:
-            raise InvalidMetricError(
-                f"Randers 1-form has g-norm {nrm:.6f} >= 1 at ({x.u}, {x.v})"
-            )
+        g, th = self.g(x), self.theta(x)
+        _randers_norm_sq(g, th, x)
         if self._g_constant and self._theta_constant:
             self._checked = (g, th)
-        return g, th
-
-    _fields = _g_theta
-
-    def _gather(self, xs):
-        if self._g_constant and self._theta_constant:
-            return self._g_theta(xs[0]), True
-        g, ok = self._g_block(xs)
-        th = _covector_block(self.theta_field, self._theta_constant, xs)
-        if ok:
-            sol = np.linalg.solve(g, th[..., None])[..., 0]
-            ok = not np.any(np.sqrt(_inner(th, sol)) >= 1.0)
-        return (g, th if th.ndim == 1 else th[:, None]), ok
+        return g, th if th.ndim == 1 else th[:, None]
 
     @staticmethod
     def _norm(fields, vs):
@@ -344,36 +319,23 @@ class KatokZillerMetric(_TensorFieldMetric):
         self.position_independent = (self._g_constant and self._killing_constant
                                      and chart != SPHERE)
 
-    def killing(self, x: ChartPoint) -> np.ndarray:
-        return np.asarray(self.killing_field(x), dtype=float)
+    def killing(self, x) -> np.ndarray:
+        return _field_at(self.killing_field, self._killing_constant, x)
 
-    def _gv_c(self, x: ChartPoint):
-        """(g, gV, c) at x, with c = 1 - eps^2 g(V, V) checked positive."""
+    def _gather(self, x):
+        """(g, gV, c), with c = 1 - eps^2 g(V, V) checked positive."""
         if self._checked is not None:
             return self._checked
-        g = self.g(x)
-        V = self.killing(x)
-        gV = g @ V
-        c = 1.0 - self.eps**2 * (V @ gV)
-        if c <= 0.0:
-            raise InvalidMetricError(
-                f"eps^2 * g(V,V) >= 1 at ({x.u}, {x.v}); deformation too large"
-            )
-        if self._g_constant and self._killing_constant:
-            self._checked = (g, gV, c)
-        return g, gV, c
-
-    _fields = _gv_c
-
-    def _gather(self, xs):
-        if self._g_constant and self._killing_constant:
-            return self._gv_c(xs[0]), True
-        g, ok = self._g_block(xs)
-        V = _covector_block(self.killing_field, self._killing_constant, xs)
+        g, V = self.g(x), self.killing(x)
         gV = (g @ V[..., None])[..., 0]
         c = 1.0 - self.eps**2 * _inner(V, gV)
-        ok = ok and not np.any(c <= 0.0)
-        return (g, gV[:, None], c[:, None]), ok
+        bad = _failing(x, c <= 0.0)
+        if bad is not None:
+            raise InvalidMetricError(
+                f"eps^2 * g(V,V) >= 1 at {bad[1]}; deformation too large")
+        if self._g_constant and self._killing_constant:
+            self._checked = (g, gV, c)
+        return (g, gV, c) if gV.ndim == 1 else (g, gV[:, None], c[:, None])
 
     def _norm(self, fields, vs):
         g, gV, c = fields
@@ -400,7 +362,8 @@ class CustomMetric(FinslerMetric2D):
     over the rays.  Any other failure of the evaluator is raised as
     :class:`InvalidMetricError` naming the point, the original exception
     chained.  Must be safe for concurrent evaluation.  Blocks of base
-    points are evaluated one point at a time.
+    points are evaluated one point at a time: the only metric that loops
+    over a block's points.
     """
 
     kind = "custom"
@@ -412,7 +375,8 @@ class CustomMetric(FinslerMetric2D):
         self._vectorized: Optional[bool] = None
 
     def _f(self, x, vs):
-        vs = np.asarray(vs, dtype=float)
+        if not isinstance(x, ChartPoint):
+            return np.stack([self._f(p, v) for p, v in zip(x, vs)])
         if self._vectorized is not False:
             try:
                 out = np.asarray(self._func(x, vs), dtype=float)
@@ -446,8 +410,9 @@ def _evaluator_failure(x: ChartPoint, exc: Exception) -> InvalidMetricError:
 class ConformalMetric(FinslerMetric2D):
     """exp(f(x)) * F for a base metric F and a scalar field f.
 
-    Blocks of base points are evaluated one point at a time.  A constant
-    factor keeps a position-independent base position-independent.
+    A block of base points takes one call of the base metric, and the
+    factor over the block through :func:`~finlap.fields.field_values`.  A
+    constant factor keeps a position-independent base position-independent.
     """
 
     kind = "conformal"
@@ -460,8 +425,11 @@ class ConformalMetric(FinslerMetric2D):
                                      and isinstance(factor, ConstantField))
         self.analytic_fiber_derivative = base.analytic_fiber_derivative
 
-    def _scale(self, x: ChartPoint) -> float:
-        return math.exp(float(self.factor(x)))
+    def _scale(self, x) -> np.ndarray:
+        """exp(f): () at one point, (P, 1) over a block, to broadcast
+        against F values."""
+        s = np.exp(field_values(self.factor, x))
+        return s if s.ndim == 0 else s[:, None]
 
     def _f(self, x, vs):
         return self._scale(x) * self.base._f(x, vs)
@@ -470,7 +438,7 @@ class ConformalMetric(FinslerMetric2D):
         d = self.base._d_vf(x, vs)
         if d is None:
             return None
-        return self._scale(x) * d
+        return self._scale(x)[..., None] * d
 
 
 def riemannian(g: MatrixField, chart: str = TORUS) -> RiemannianMetric:

@@ -9,15 +9,16 @@ operator has the closed form (in that frame)
     sigma_12 = (sin(2*varphi)/b) * (1-b)/(1+b)
 
 with det(sigma) = 4 / (b*(1+b)^2).  The quadrature oracle evaluates the
-fiber integrals directly.  The inverse design map reconstructs a Randers
-metric realizing a prescribed (symbol-dual metric, volume) pair.
+fiber integrals directly.  Both take a :class:`~finlap.metrics.RandersMetric`
+and one base point.  The inverse design map reconstructs a Randers metric
+realizing a prescribed (symbol-dual metric, volume) pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,55 +49,17 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(triangular_factor(g))
 
 
-@dataclass
-class RandersData:
-    """A Randers metric sqrt(g) + theta with its derived frame data."""
-
-    g_field: Callable[[ChartPoint], np.ndarray]
-    theta_field: Callable[[ChartPoint], np.ndarray]
-    chart: str = TORUS
-
-    def g(self, x: ChartPoint) -> np.ndarray:
-        return np.asarray(self.g_field(x), dtype=float)
-
-    def theta(self, x: ChartPoint) -> np.ndarray:
-        return np.asarray(self.theta_field(x), dtype=float)
-
-    def theta_frame(self, x: ChartPoint) -> np.ndarray:
-        """Components of theta in the g-orthonormal frame at x."""
-        return orthonormal_frame(self.g(x)).T @ self.theta(x)
-
-    def norm_theta(self, x: ChartPoint) -> float:
-        return float(np.linalg.norm(self.theta_frame(x)))
-
-    def b(self, x: ChartPoint) -> float:
-        n2 = float(self.theta_frame(x) @ self.theta_frame(x))
-        if n2 >= 1.0:
-            raise InvalidMetricError(f"|theta|_g = {math.sqrt(n2):.6f} >= 1")
-        return math.sqrt(1.0 - n2)
-
-    def varphi(self, x: ChartPoint) -> float:
-        """Half-angle of the 1-form in the orthonormal frame.
-
-        Convention fixed by the quadrature oracle: varphi = arg(t1 + i*t2)
-        for frame components (t1, t2).
-        """
-        t = self.theta_frame(x)
-        return math.atan2(t[1], t[0])
-
-    def metric(self) -> RandersMetric:
-        return RandersMetric(self.g_field, self.theta_field, self.chart)
+def randers_data(g: MatrixField, theta: CovectorField,
+                 chart: str = TORUS) -> RandersMetric:
+    """The Randers metric sqrt(g) + theta, as :func:`finlap.metrics.randers`."""
+    return RandersMetric(g, theta, chart)
 
 
-def randers_data(metric_or_g, theta: Optional[CovectorField] = None,
-                 chart: str = TORUS) -> RandersData:
-    """RandersData from a RandersMetric or from (g, theta) fields."""
-    if isinstance(metric_or_g, RandersMetric):
-        m = metric_or_g
-        return RandersData(m.g_field, m.theta_field, m.chart)
-    gf, _ = _as_matrix_field(metric_or_g)
-    tf, _ = _as_covector_field(theta)
-    return RandersData(gf, tf, chart)
+def _frame(metric: RandersMetric, x: ChartPoint):
+    """``(N, t)``: the g-orthonormal frame N at x (:func:`orthonormal_frame`)
+    and the components t of theta in it, t = N^T theta."""
+    N = orthonormal_frame(metric.g(x))
+    return N, N.T @ metric.theta(x)
 
 
 def _symbol_frame(b: float, varphi: float) -> np.ndarray:
@@ -108,18 +71,20 @@ def _symbol_frame(b: float, varphi: float) -> np.ndarray:
     ])
 
 
-def symbol_closed_form(rd: RandersData, x: ChartPoint) -> np.ndarray:
+def symbol_closed_form(metric: RandersMetric, x: ChartPoint) -> np.ndarray:
     """Closed-form symbol in chart coordinates.
 
     Computed in the g-orthonormal frame and pushed to the chart basis by
-    the frame congruence sigma_chart = N sigma_frame N^T.
+    the frame congruence sigma_chart = N sigma_frame N^T.  The half-angle
+    varphi = arg(t1 + i*t2) of the frame components (t1, t2) of theta is
+    the convention fixed by the quadrature oracle.
     """
-    N = orthonormal_frame(rd.g(x))
-    s = _symbol_frame(rd.b(x), rd.varphi(x))
+    N, t = _frame(metric, x)
+    s = _symbol_frame(metric.b(x), math.atan2(t[1], t[0]))
     return N @ s @ N.T
 
 
-def symbol_oracle(rd: RandersData, x: ChartPoint, n: int = ORACLE_N) -> np.ndarray:
+def symbol_oracle(metric: RandersMetric, x: ChartPoint, n: int = ORACLE_N) -> np.ndarray:
     """Quadrature oracle for the symbol.
 
     Trapezoid evaluation of the three fiber integrals
@@ -129,8 +94,7 @@ def symbol_oracle(rd: RandersData, x: ChartPoint, n: int = ORACLE_N) -> np.ndarr
     in the orthonormal frame (t1, t2 the frame components of theta),
     pushed to chart coordinates the same way as the closed form.
     """
-    N = orthonormal_frame(rd.g(x))
-    t1, t2 = rd.theta_frame(x)
+    N, (t1, t2) = _frame(metric, x)
     ts = 2.0 * np.pi * np.arange(n) / n
     c, s = np.cos(ts), np.sin(ts)
     denom = 1.0 + t1 * c + t2 * s
@@ -144,9 +108,9 @@ def symbol_oracle(rd: RandersData, x: ChartPoint, n: int = ORACLE_N) -> np.ndarr
     return N @ frame @ N.T
 
 
-def dual_symbol(rd: RandersData, x: ChartPoint) -> np.ndarray:
+def dual_symbol(metric: RandersMetric, x: ChartPoint) -> np.ndarray:
     """The Riemannian metric dual to the symbol (its matrix inverse)."""
-    return np.linalg.inv(symbol_closed_form(rd, x))
+    return np.linalg.inv(symbol_closed_form(metric, x))
 
 
 def solve_b(mu_prime: float, tol: float = 1e-12) -> float:
@@ -168,17 +132,17 @@ def solve_b(mu_prime: float, tol: float = 1e-12) -> float:
 
 @dataclass
 class InverseDesign:
-    """Result of the inverse construction: data, metric and the volume scale K.
+    """Result of the inverse construction: the metric and the volume scale K.
 
     The constructed metric satisfies (symbol-dual = g_goal) and its
     canonical volume density equals K times the goal density.
     """
 
-    data: RandersData
+    data: RandersMetric
     K: float
 
     def metric(self) -> RandersMetric:
-        return self.data.metric()
+        return self.data
 
 
 def inverse_design(g_goal: MatrixField, omega_goal, Z,
@@ -271,4 +235,4 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
     def theta_field(x: ChartPoint) -> np.ndarray:
         return pointwise(x)[1]
 
-    return InverseDesign(data=RandersData(g_field, theta_field, chart), K=K)
+    return InverseDesign(data=RandersMetric(g_field, theta_field, chart), K=K)

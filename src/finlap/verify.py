@@ -34,7 +34,7 @@ from .measures import (dual_norm_sampled, holmes_thompson_density, volume_densit
 from .metrics import (FinslerMetric2D, convexity_margin, dual_norm, eval_f,
                       kz_sphere, kz_torus, legendre_forward, randers, riemannian,
                       scale_conformal)
-from .randers import randers_data, symbol_closed_form, symbol_oracle
+from .randers import symbol_closed_form, symbol_oracle
 from .spectral import energy, torus_base
 
 
@@ -149,10 +149,10 @@ def suite_randers_symbol(params: Dict, rng) -> List[CheckResult]:
         nrm = rng.uniform(0.0, 0.95)
         ang = rng.uniform(0.0, 2.0 * math.pi)
         th = nrm * np.array([math.cos(ang), math.sin(ang)])
-        rd = randers_data(np.eye(2), th)
-        cf = symbol_closed_form(rd, x)
-        worst = max(worst, np.abs(cf - symbol_oracle(rd, x)).max())
-        b = rd.b(x)
+        metric = randers(np.eye(2), th)
+        cf = symbol_closed_form(metric, x)
+        worst = max(worst, np.abs(cf - symbol_oracle(metric, x)).max())
+        b = metric.b(x)
         worst_det = max(worst_det, abs(np.linalg.det(cf) - 4.0 / (b * (1.0 + b) ** 2)))
     return [
         CheckResult.from_defect("randers-closed-vs-oracle", worst, 1e-8),

@@ -200,6 +200,92 @@ class TestConformal:
         sigma_all, rho_all = grid_symbol_density(scaled, 16)
         assert np.array_equal(sigma, sigma_all) and np.array_equal(rho, rho_all)
 
+    def test_block_makes_one_base_kernel_call(self, monkeypatch):
+        kz = fl.KatokZillerMetric(_g_var, lambda x: np.array([1.0, _wave(0.3, 0, 1)(x)]), 0.5)
+        scaled = fl.scale_conformal(kz, fl.SeparableTrigField(0.2, "sin", 1, "cos", 1))
+        calls = {"_norm": 0, "_grad": 0}
+        for name in calls:
+            original = getattr(fl.KatokZillerMetric, name)
+
+            def counting(self, fields, vs, name=name, original=original):
+                calls[name] += 1
+                return original(self, fields, vs)
+            monkeypatch.setattr(fl.KatokZillerMetric, name, counting)
+        xs = [fl.torus_point(i / 16, 0.3 + i / 40) for i in range(16)]
+        rays = np.broadcast_to(np.array([[1.0, 0.0], [0.3, -1.2], [-0.5, 0.4]]), (16, 3, 2))
+        scaled.f(xs, rays)
+        fl.vertical_derivative(scaled, xs, rays)
+        assert calls == {"_norm": 1, "_grad": 1}
+
+
+class TestFieldChecks:
+    """Each field check runs over a whole block and names the first failing
+    point in the message that point alone gives."""
+
+    XS = [fl.torus_point(i / 16, 0.3) for i in range(16)]
+    RAYS = np.broadcast_to(np.array([[1.0, 0.0], [0.0, 1.0]]), (16, 2, 2))
+    # (metric from one field, a good callable field, a bad value, message start)
+    CASES = {
+        "non-symmetric-g": (lambda f: fl.riemannian(f, chart=fl.TORUS),
+                            lambda p: np.eye(2), [[1.0, 0.5], [0.0, 1.0]],
+                            "metric tensor not symmetric at"),
+        "non-pd-g": (lambda f: fl.riemannian(f, chart=fl.TORUS),
+                     lambda p: np.eye(2), [[1.0, 0.0], [0.0, -1.0]],
+                     "metric tensor not positive definite at"),
+        "randers-norm": (lambda f: fl.RandersMetric(np.eye(2), f),
+                         lambda p: np.array([0.3 * math.sin(2 * math.pi * p.u), 0.0]),
+                         [0.0, 1.25], "Randers 1-form has g-norm 1.250000 >= 1 at"),
+        "kz-deformation": (lambda f: fl.KatokZillerMetric(np.eye(2), f, 0.5),
+                           lambda p: np.array([1.0, 0.2 * math.cos(2 * math.pi * p.u)]),
+                           [3.0, 0.0], "eps^2 * g(V,V) >= 1 at"),
+    }
+
+    @staticmethod
+    def _message(call):
+        with pytest.raises(fl.InvalidMetricError) as err:
+            call()
+        return str(err.value)
+
+    @pytest.mark.parametrize("k", [0, 9, 15])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_point_in_block_named_as_alone(self, case, k):
+        make, good, bad_value, start = self.CASES[case]
+        bad = self.XS[k]
+        m = make(lambda p: np.asarray(bad_value if p == bad else good(p), dtype=float))
+        alone = self._message(lambda: m.f(bad, self.RAYS[0]))
+        assert alone.startswith(start) and f"at ({bad.u}, {bad.v})" in alone
+        assert self._message(lambda: m.f(self.XS, self.RAYS)) == alone
+        assert self._message(lambda: fl.vertical_derivative(m, self.XS, self.RAYS)) == alone
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_failing_constant_field_names_first_point(self, case):
+        make, _, bad_value, start = self.CASES[case]
+        m = make(np.array(bad_value))
+        first = self.XS[0]
+        alone = self._message(lambda: m.f(first, self.RAYS[0]))
+        assert alone.startswith(start) and f"at ({first.u}, {first.v})" in alone
+        assert self._message(lambda: m.f(self.XS, self.RAYS)) == alone
+        second = self._message(lambda: fl.vertical_derivative(m, self.XS[1:], self.RAYS[1:]))
+        assert second.startswith(start) and f"at ({self.XS[1].u}, {self.XS[1].v})" in second
+
+
+class TestChartCheck:
+    def test_fiber_derivative_checks_the_chart_as_f_does(self):
+        m = fl.kz_torus(0.3)
+        off = fl.sphere_point(1, 0)
+        v = np.array([1.0, 0.5])
+        with pytest.raises(fl.DomainError, match="chart 'torus', point is on 'sphere'"):
+            m.f(off, v)
+        with pytest.raises(fl.DomainError, match="point is on 'sphere'"):
+            fl.vertical_derivative(m, off, v)
+        block = [fl.torus_point(0.1, 0.2), off]
+        with pytest.raises(fl.DomainError, match="point is on 'sphere'"):
+            fl.vertical_derivative(m, block, np.ones((2, 3, 2)))
+        with pytest.raises(fl.DomainError, match="point is on 'sphere'"):
+            fl.volume_density(m, off)
+        with pytest.raises(fl.DomainError, match="point is on 'sphere'"):
+            fl.reeb_profile(m, off, [0.3])
+
 
 class TestConvexity:
     def test_margin_positive_for_builtins(self, rng):

@@ -1,0 +1,73 @@
+"""The benchmark binds finlap names by bare attribute lookups, so a name
+deleted from finlap breaks it only when a benchmark run reaches it (the
+tracer's ``getattr`` breaks ``--trace 1``).  These tests read the
+benchmark's source with ``ast`` and check every finlap name it uses."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tree(name):
+    return ast.parse((PERFBENCH / name).read_text(), filename=name)
+
+
+def _finlap_names(tree):
+    """(module, attribute) for every finlap module attribute the source
+    reads: ``from finlap.m import a``, and ``alias.a`` where alias is bound
+    by ``import finlap [as alias]`` or ``from finlap import m``."""
+    aliases, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "finlap":
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("finlap"):
+            for a in node.names:
+                if node.module == "finlap" and a.name != "*":
+                    aliases[a.asname or a.name] = f"finlap.{a.name}"
+                names.append((node.module, a.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.append((aliases[node.value.id], node.attr))
+    return names
+
+
+def _traced(tree):
+    """The (module, function) pairs of the tracer's TRACED table."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)):
+            return [(f"finlap.{row.elts[0].value}", row.elts[1].value)
+                    for row in node.value.elts]
+    raise AssertionError("perfbench/tracer.py has no TRACED table")
+
+
+def _exists(module, name):
+    """Whether the finlap module has the attribute, or the package the
+    submodule, ``name``."""
+    mod = importlib.import_module(module)
+    return hasattr(mod, name) or (hasattr(mod, "__path__") and
+                                  importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def test_traced_functions_exist():
+    traced = _traced(_tree("tracer.py"))
+    assert ("finlap.metrics", "vertical_derivative") in traced
+    for module, name in traced:
+        assert _exists(module, name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("source", sorted(p.name for p in PERFBENCH.glob("*.py")))
+def test_finlap_names_used_by_the_benchmark_exist(source):
+    names = _finlap_names(_tree(source))
+    if source == "tracer.py":
+        assert ("finlap.spectral", "JACOBI_MAX_DENSE") in names
+    for module, name in names:
+        assert _exists(module, name), f"{source} uses {module}.{name}"

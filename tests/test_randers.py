@@ -37,6 +37,9 @@ class TestMakeRanders:
 
 
 class TestSymbolClosedForm:
+    def test_constant_tensors_stay_position_independent(self):
+        assert fl.randers_data(np.eye(2), [0.3, 0]).position_independent is True
+
     def test_zero_form_identity(self):
         rd = fl.randers_data(np.eye(2), np.zeros(2))
         assert np.allclose(fl.symbol_closed_form(rd, X0), np.eye(2), atol=1e-14)
@@ -125,6 +128,10 @@ class TestInverseDesign:
             x = fl.torus_point(rng.uniform(0, 1), rng.uniform(0, 1))
             assert np.abs(des.data.theta(x)).max() < 1e-9
             assert np.abs(des.data.g(x) - np.eye(2)).max() < 1e-9
+
+    def test_metric_is_the_data(self):
+        des = fl.inverse_design(np.eye(2), 2.0, np.array([1.0, 0.0]), sample_n=8)
+        assert des.metric() is des.data
 
     def test_constant_double_volume(self, rng):
         # goal volume 2*Lebesgue: K = 1/2 and the construction returns the
