@@ -221,6 +221,8 @@ def cmd_geodesic(args) -> int:
         raise ConfigError(f"--t-end must be finite, got {args.t_end}")
     if not (math.isfinite(args.dt) and args.dt > 0.0):
         raise ConfigError(f"--dt must be finite and positive, got {args.dt}")
+    if not all(map(math.isfinite, args.start)):
+        raise ConfigError(f"--start must be finite, got {' '.join(map(str, args.start))}")
     metric = build_metric(m.metric, m.eps, m.g, m.theta, m.conformal)
     u0, v0, phi0 = args.start
     fp = FiberPoint(ChartPoint(metric.chart, float(u0), float(v0)), float(phi0))

@@ -360,7 +360,8 @@ def geodesic_integrate(metric: FinslerMetric2D, fp, t_end: float, dt: float):
     Raises
     ------
     DomainError
-        If ``t_end`` or ``dt`` is not finite, or ``dt`` is not positive.
+        If ``t_end``, ``dt`` or a start angle is not finite, or ``dt`` is
+        not positive.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise DomainError(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -370,6 +371,8 @@ def geodesic_integrate(metric: FinslerMetric2D, fp, t_end: float, dt: float):
     chart = metric.chart
     trajs = [Trajectory(times=[0.0], points=[p]) for p in fps]
     states = np.array([[p.base.u, p.base.v, p.phi] for p in fps]).reshape(-1, 3)
+    if not np.isfinite(states).all():
+        raise DomainError("geodesic start angles must be finite")
     running = np.arange(len(fps))
     t = 0.0
     n_steps = int(math.ceil(t_end / dt - 1e-12))

@@ -28,7 +28,8 @@ import numpy as np
 from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError
 from .hilbert import chart_angles, density_profile
-from .metrics import FinslerMetric2D, indicatrix_point
+from .metrics import (FinslerMetric2D, _circle, _indicatrix_scan, _inner, _parabolic_max,
+                      _support_max)
 
 DEFAULT_FIBER_N = 256
 #: rays per block of base points evaluated together by :func:`_over_points`:
@@ -278,80 +279,18 @@ def sphere_total_volume(metric: FinslerMetric2D, n_phi: int = 96,
     return float(base.weights @ volume_densities(metric, base.points))
 
 
-def _boundary_scan(metric: FinslerMetric2D, x, n_boundary: int) -> tuple:
-    """``(phis, vs)``: the indicatrix at x on ``n_boundary`` equally spaced
-    Euclidean directions, the dense scan behind :func:`_dual_radii`; over a
-    block of P base points vs has shape (P, n_boundary, 2)."""
-    phis = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
-    return phis, indicatrix_point(metric, x, phis)
-
-
-def _scan_max(beams: np.ndarray, vs: np.ndarray) -> tuple:
-    """Index and value of the largest support of each ray's covector over
-    one point's scan.  The support matrix is built rays-major, so that
-    the maximum runs along contiguous rows."""
-    support = beams @ vs.T                                     # (n_rays, n_boundary)
-    idx = np.argmax(support, axis=1)
-    return idx, support[np.arange(len(idx)), idx]
-
-
-def _dual_radii(metric: FinslerMetric2D, x, betas: np.ndarray,
-                scan: tuple, refine_steps: int = 4) -> np.ndarray:
-    """Radii of the dual unit disc boundary along covector directions betas.
-
-    The support of the indicatrix is maximized over the dense ``scan``
-    from :func:`_boundary_scan` (one scan serves any number of calls at
-    the same x), then the maximizing angle of each ray is sharpened by
-    iterated parabolic refinement with re-evaluation (robust on eccentric
-    indicatrices, where the support peaks on a narrow angular scale).
-
-    Over a block of P base points the betas are shared, (n_rays,), or per
-    point, (P, n_rays), and so are the radii, (P, n_rays).  The maximum
-    over the scan is taken one point at a time, so that only one point's
-    (n_rays, n_boundary) support matrix is held at once; each refinement
-    step evaluates the whole block.
-    """
-    phis, vs = scan
-    beams = np.stack([np.cos(betas), np.sin(betas)], axis=-1)  # (..., n_rays, 2)
-    if vs.ndim == 2:
-        idx, y2 = _scan_max(beams, vs)
-    else:
-        per_point = np.broadcast_to(beams, vs.shape[:1] + beams.shape[-2:])
-        idx, y2 = map(np.stack, zip(*map(_scan_max, per_point, vs)))
-
-    def eval_support(ph):
-        # ph: (..., n_rays) angles; support of each ray's covector at its angle
-        v = indicatrix_point(metric, x, ph)
-        return np.einsum("...ij,...ij->...i", v, beams)
-
-    center = phis[idx]
-    half = np.full_like(center, 2.0 * np.pi / len(phis))
-    best = y2.copy()
-    for _ in range(refine_steps):
-        y1 = eval_support(center - half)
-        y3 = eval_support(center + half)
-        denom = y1 - 2.0 * y2 + y3
-        shift = np.where(np.abs(denom) > 1e-300,
-                         0.5 * half * (y1 - y3) / denom, 0.0)
-        shift = np.clip(shift, -half, half)
-        center = center + shift
-        y2 = eval_support(center)
-        best = np.maximum.reduce([best, y1, y2, y3])
-        half *= 0.25
-    return 1.0 / np.maximum(best, y2)
-
-
 def holmes_thompson_density(metric: FinslerMetric2D, x,
                             n_rays: int = 512, n_boundary: int = 2048):
     """Area of the dual unit disc {p : F*(x, p) < 1} divided by pi.
 
-    Computed by radial quadrature of the dual boundary; independent of
-    the contact-density route, so it serves as an oracle for
-    :func:`volume_density`.  A float at one base point; over a block of P
-    base points shape (P,), the dual radii of the block found together.
+    Radial quadrature of the dual boundary, whose radius along each of
+    ``n_rays`` covector directions is 1 / F* over one ``n_boundary``-point
+    indicatrix scan; independent of the contact-density route, so it is an
+    oracle for :func:`volume_density`.  A float at one base point; over a
+    block of P base points shape (P,), the radii of the block found together.
     """
-    betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
-    r = _dual_radii(metric, x, betas, _boundary_scan(metric, x, n_boundary))
+    beams = _circle(2.0 * np.pi * np.arange(n_rays) / n_rays)
+    r = 1.0 / _support_max(metric, x, beams, _indicatrix_scan(metric, x, n_boundary))
     area = 0.5 * np.sum(r**2, axis=-1) * (2.0 * np.pi / n_rays) / np.pi
     return float(area) if isinstance(x, ChartPoint) else area
 
@@ -360,15 +299,14 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v,
                       n_rays: int = 512, n_boundary: int = 1024):
     """Double dual F**(x, v) = sup { p(v) : F*(x, p) = 1 }.
 
-    The dual unit circle is sampled along ``n_rays`` covector directions
-    and the support of v over it is maximized with parabolic refinement.
-    Every radius, of the first ``n_rays`` and of each refinement step,
-    comes from the same ``n_boundary``-point indicatrix scan, taken once
-    per call.
+    The dual unit circle, at radius 1 / F* along ``n_rays`` covector
+    directions, is searched for the support of v by 5 rounds of the
+    parabolic refinement behind F*.  Every radius, of the first ``n_rays``
+    and of each round, comes from one ``n_boundary``-point indicatrix scan.
 
     ``x`` is one base point with a vector of shape (2,), giving a float,
     or a block of P base points with vectors of shape (P, 2), giving shape
-    (P,); the block shares one scan call and each refinement step.
+    (P,); the block shares the scan call and each refinement call.
     """
     v = np.asarray(v, dtype=float)
     shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
@@ -376,25 +314,15 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v,
         raise DomainError(f"vector must have shape {shape}, got {v.shape}")
     if np.any(np.hypot(v[..., 0], v[..., 1]) == 0.0):
         raise DomainError("double dual undefined at the zero vector")
-    scan = _boundary_scan(metric, x, n_boundary)
-    v0, v1 = v[..., 0, None], v[..., 1, None]
+    scan = _indicatrix_scan(metric, x, n_boundary)
 
-    def support_of_v(bs):
-        r = _dual_radii(metric, x, bs, scan)
-        return r * (np.cos(bs) * v0 + np.sin(bs) * v1)
+    def support_of_v(betas):
+        beams = _circle(betas)
+        r = 1.0 / _support_max(metric, x, beams, scan)
+        return r * _inner(beams, v[..., None, :])
 
     betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
     vals = support_of_v(betas)
-    center = betas[np.argmax(vals, axis=-1)]
-    half = 2.0 * np.pi / n_rays
-    y2 = best = vals.max(axis=-1)
-    for _ in range(5):
-        y = support_of_v(np.stack([center - half, center + half], axis=-1))
-        y1, y3 = y[..., 0], y[..., 1]
-        denom = y1 - 2.0 * y2 + y3
-        shift = np.where(np.abs(denom) > 1e-300, 0.5 * half * (y1 - y3) / denom, 0.0)
-        center = center + np.clip(shift, -half, half)
-        y2 = support_of_v(center[..., None])[..., 0]
-        best = np.maximum.reduce([best, y1, y2, y3])
-        half *= 0.25
+    best = _parabolic_max(support_of_v, betas[np.argmax(vals, axis=-1)],
+                          2.0 * np.pi / n_rays, vals.max(axis=-1), 5)
     return float(best) if isinstance(x, ChartPoint) else best

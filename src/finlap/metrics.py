@@ -31,9 +31,10 @@ from .fields import ConstantField, field_values
 # built-in metrics carry analytic derivatives.
 H_V_REL = 1e-5
 
-# dual_norm search resolution
+# dual_norm scan resolution
 DUAL_COARSE_N = 256
-DUAL_PHI_TOL = 1e-10
+#: support entries built at once by _scan_max (a point's are built whole)
+_SCAN_ENTRIES = 2**19
 
 MatrixField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
 CovectorField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
@@ -551,25 +552,81 @@ def legendre_forward(metric: FinslerMetric2D, x: ChartPoint, v,
     return np.asarray(f)[..., None] * vertical_derivative(metric, x, v, method)
 
 
-def _support_values(metric: FinslerMetric2D, x, p: np.ndarray,
-                    phis: np.ndarray) -> np.ndarray:
-    """p(v) on the indicatrix at the angles phis: (n,) at one base point,
-    (P, n) over a block, whose covectors p have shape (P, 2)."""
-    vs = indicatrix_point(metric, x, phis)
-    return vs @ p if p.ndim == 1 else _dot(vs, p[:, None])
+def _indicatrix_scan(metric: FinslerMetric2D, x, n: int) -> tuple:
+    """``(phis, vs)``: the indicatrix at x on n equally spaced directions,
+    vs (n, 2) at one base point and (P, n, 2) over a block."""
+    phis = 2.0 * np.pi * np.arange(n) / n
+    return phis, indicatrix_point(metric, x, phis)
 
 
-def dual_norm(metric: FinslerMetric2D, x, p,
-              coarse_n: int = DUAL_COARSE_N, tol: float = DUAL_PHI_TOL):
+def _chunk_max(ps: np.ndarray, vs: np.ndarray) -> tuple:
+    """Index and value of the largest p(v) of each covector ps (c, m, 2)
+    over the scan vs (c, n, 2) of its point.  The support matrix is built
+    rays-major, so that each maximum runs along contiguous rows."""
+    support = ps @ vs.swapaxes(-1, -2)
+    idx = np.argmax(support, axis=-1)
+    return idx, np.take_along_axis(support, idx[..., None], axis=-1)[..., 0]
+
+
+def _scan_max(ps: np.ndarray, vs: np.ndarray) -> tuple:
+    """:func:`_chunk_max` at a point or over a block, whose covectors may
+    be shared (m, 2), in chunks of points of at most ``_SCAN_ENTRIES``
+    support entries; each chunk's matrix is freed before the next."""
+    lead, m, n = vs.shape[:-2], ps.shape[-2], vs.shape[-2]
+    ps = np.broadcast_to(ps, lead + (m, 2)).reshape(-1, m, 2)
+    vs = vs.reshape(-1, n, 2)
+    size = max(1, _SCAN_ENTRIES // (m * n))
+    chunks = [_chunk_max(ps[k:k + size], vs[k:k + size]) for k in range(0, len(vs), size)]
+    return tuple(np.concatenate(a).reshape(lead + (m,)) for a in zip(*chunks))
+
+
+def _parabolic_max(values_at, center: np.ndarray, half: float,
+                   y2: np.ndarray, steps: int) -> np.ndarray:
+    """Largest value seen in ``steps`` rounds of parabolic refinement of
+    the maximizing angles ``center`` (values ``y2``): the vertex of the
+    parabola through center - half, center and center + half, clipped to
+    that bracket, is the new center, and half is quartered.  ``values_at``
+    maps angles ``center.shape + (k,)`` to their values; a round makes two
+    calls, both flanks in one and then the new center."""
+    best = y2
+    for _ in range(steps):
+        y = values_at(np.stack([center - half, center + half], axis=-1))
+        y1, y3 = y[..., 0], y[..., 1]
+        denom = y1 - 2.0 * y2 + y3
+        shift = np.where(np.abs(denom) > 1e-300, 0.5 * half * (y1 - y3) / denom, 0.0)
+        center = center + np.clip(shift, -half, half)
+        y2 = values_at(center[..., None])[..., 0]
+        best = np.maximum.reduce([best, y1, y2, y3])
+        half *= 0.25
+    return best
+
+
+def _support_max(metric: FinslerMetric2D, x, ps: np.ndarray, scan: tuple) -> np.ndarray:
+    """F*(x, p) = max p(v) over the indicatrix for covectors ps (m, 2) at
+    one point, giving (m,), or (P, m, 2) or shared (m, 2) over a block,
+    giving (P, m): the maximum over the ``scan`` of
+    :func:`_indicatrix_scan`, sharpened by 4 rounds of
+    :func:`_parabolic_max` on the indicatrix (robust on eccentric
+    indicatrices, where the support peaks on a narrow angular scale)."""
+    phis, vs = scan
+
+    def support_at(angles):
+        # angles (..., m, k): one indicatrix call on (..., m * k) angles
+        v = indicatrix_point(metric, x, angles.reshape(angles.shape[:-2] + (-1,)))
+        return _inner(v.reshape(angles.shape + (2,)), ps[..., None, :])
+
+    idx, y2 = _scan_max(ps, vs)
+    return _parabolic_max(support_at, phis[idx], 2.0 * np.pi / len(phis), y2, 4)
+
+
+def dual_norm(metric: FinslerMetric2D, x, p, coarse_n: int = DUAL_COARSE_N):
     """Dual norm F*(x, p) = sup { p(v) : F(x, v) = 1 }.
 
-    Coarse scan of the indicatrix followed by golden-section refinement
-    of the maximizing angle to ``tol``.  ``x`` is one base point with a
-    covector of shape (2,), giving a float, or a block of P base points
-    with covectors of shape (P, 2), giving shape (P,): each refinement
-    step evaluates the whole block at once, and a point whose interval is
-    below ``tol`` keeps its values, so that every entry equals its
-    one-point search.
+    The support search of :func:`_support_max` over a ``coarse_n``-point
+    scan of the indicatrix.  ``x`` is one base point with a covector of
+    shape (2,), giving a float, or a block of P base points with
+    covectors of shape (P, 2), giving shape (P,), the block's scan and
+    each refinement step made in one call.
     """
     p = np.asarray(p, dtype=float)
     shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
@@ -577,35 +634,8 @@ def dual_norm(metric: FinslerMetric2D, x, p,
         raise DomainError(f"covector must have shape {shape}, got {p.shape}")
     if np.any(np.hypot(p[..., 0], p[..., 1]) == 0.0):
         raise DomainError("dual norm undefined for the zero covector")
-
-    def support_at(angles):
-        return _support_values(metric, x, p, angles[..., None])[..., 0]
-
-    phis = 2.0 * np.pi * np.arange(coarse_n) / coarse_n
-    vals = _support_values(metric, x, p, phis)
-    i = np.argmax(vals, axis=-1)
-    step = 2.0 * np.pi / coarse_n
-    a, b = phis[i] - step, phis[i] + step
-
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = support_at(c), support_at(d)
-    while True:
-        active = b - a > tol
-        if not np.any(active):
-            break
-        # fc > fd: the maximum is in [a, d], probe a new c; else in [c, b]
-        right = fc > fd
-        lo, hi = np.where(right, a, c), np.where(right, d, b)
-        probe = np.where(right, hi - inv * (hi - lo), lo + inv * (hi - lo))
-        f_probe = support_at(probe)
-        moved = (lo, hi, np.where(right, probe, d), np.where(right, c, probe),
-                 np.where(right, f_probe, fd), np.where(right, fc, f_probe))
-        a, b, c, d, fc, fd = (np.where(active, new, old)
-                              for new, old in zip(moved, (a, b, c, d, fc, fd)))
-    best = np.maximum.reduce([fc, fd, vals.max(axis=-1)])
-    return float(best) if isinstance(x, ChartPoint) else best
+    best = _support_max(metric, x, p[..., None, :], _indicatrix_scan(metric, x, coarse_n))
+    return float(best[0]) if isinstance(x, ChartPoint) else best[:, 0]
 
 
 def scale_conformal(metric: FinslerMetric2D, f) -> ConformalMetric:

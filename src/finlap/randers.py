@@ -173,29 +173,30 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
             raise ConstructionError("goal volume density must be positive")
         return math.sqrt(float(np.linalg.det(np.asarray(g_goal_f(x), dtype=float)))) / om
 
+    us = np.arange(sample_n) / sample_n
+    samples = [ChartPoint(TORUS, u, v) for u in us for v in us] if chart == TORUS else []
+    # mu once per sample: the whole sweep first when it gives K, else
+    # lazily, each sample as the Z check below reaches it
+    mus = map(mu, samples)
     if K is None:
         # sampled supremum; mu' is clamped to 1 at evaluation, so a slight
         # between-sample overshoot only flattens theta to 0 there.  Pass K
         # explicitly when the supremum is known exactly.
         if chart != TORUS:
             raise ConstructionError("automatic K estimation implemented on the torus")
-        us = np.arange(sample_n) / sample_n
-        K = max(mu(ChartPoint(TORUS, u, v)) for u in us for v in us)
+        mus = list(mus)
+        K = max(mus)
     K = float(K)
     if not math.isfinite(K) or K <= 0.0:
         raise ConstructionError(f"volume ratio supremum K = {K} unusable")
 
     # Z must not vanish on the locus mu' = 1 (where the construction
     # degenerates to theta = 0 but smoothness needs a direction nearby).
-    if chart == TORUS:
-        us = np.arange(sample_n) / sample_n
-        for u in us:
-            for v in us:
-                x = ChartPoint(TORUS, u, v)
-                if mu(x) / K >= 1.0 - 1e-9 and np.linalg.norm(Z_f(x)) < 1e-13:
-                    raise ConstructionError(
-                        f"direction field Z vanishes on the mu'=1 locus near ({u}, {v})"
-                    )
+    for x, m in zip(samples, mus):
+        if m / K >= 1.0 - 1e-9 and np.linalg.norm(Z_f(x)) < 1e-13:
+            raise ConstructionError(
+                f"direction field Z vanishes on the mu'=1 locus near ({x.u}, {x.v})"
+            )
 
     def pointwise(x: ChartPoint):
         g1 = np.asarray(g_goal_f(x), dtype=float)

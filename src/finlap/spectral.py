@@ -328,9 +328,13 @@ def solve_eigen(problem: SpectralProblem, k: int,
 def sphere_spectrum(eps: float, lmax: int, k: int,
                     nquad: Optional[int] = None,
                     method: str = "auto") -> SpectrumResult:
-    """Union of the sector spectra over |m| <= lmax (each |m| > 0 twice)."""
+    """The lowest k of the (lmax + 1)^2 values of the union of the sector
+    spectra over |m| <= lmax (each |m| > 0 twice); ConfigError unless
+    lmax >= 4 and 1 <= k <= (lmax + 1)^2."""
     from .metrics import kz_sphere
 
+    if lmax < 4 or not 1 <= k <= (lmax + 1) ** 2:
+        raise ConfigError(f"need lmax >= 4 and 1 <= k <= (lmax + 1)^2, got lmax = {lmax}, k = {k}")
     metric = kz_sphere(eps)
     values: List[float] = []
     for m in range(0, lmax + 1):
@@ -340,7 +344,7 @@ def sphere_spectrum(eps: float, lmax: int, k: int,
         values.extend(vals.tolist())
         if m > 0:
             values.extend(vals.tolist())
-    values = np.sort(values)[: max(k, 1)]
+    values = np.sort(values)[:k]
     return SpectrumResult.from_values(values, meta={
         "solver": "galerkin-union", "lmax": lmax, "eps": eps,
     })

@@ -64,6 +64,16 @@ class TestSpectrumCommand:
         nonzero = [v for v in values if v > 1e-6]
         assert nonzero[0] == pytest.approx(1.82, abs=1e-8)
 
+    @pytest.mark.parametrize("flags", [["--lmax", "-1"], ["--lmax", "3"], ["--k", "0"],
+                                       ["--lmax", "4", "--k", "26"]])
+    def test_kz_sphere_bad_resolution_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "sphere.json"
+        rc = main(["spectrum", "--metric", "kz-sphere", "--eps", "0.3", *flags,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "spec.json"
         rc = main(["spectrum", "--metric", "kz-torus", "--eps", "0.3",
@@ -127,6 +137,16 @@ class TestOtherCommands:
         assert rc == 2
         assert f"config error: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "geo.json").exists()
+
+    @pytest.mark.parametrize("start", [["0", "0", "nan"], ["0", "0", "inf"],
+                                       ["nan", "0", "0"]])
+    def test_geodesic_non_finite_start_is_config_error(self, tmp_path, capsys, start):
+        out = tmp_path / "geo.json"
+        rc = main(["geodesic", "--metric", "kz-torus", "--eps", "0.6",
+                   "--start", *start, "--out", str(out)])
+        assert rc == 2
+        assert "config error: --start" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_block_suites_match_per_sample_checks(self):
         # the suites draw their samples in order and check them in block

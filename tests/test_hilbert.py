@@ -269,6 +269,16 @@ class TestGeodesics:
             fl.geodesic_integrate(fl.kz_torus(0.1),
                                   fl.FiberPoint(fl.torus_point(0, 0), 0.0), 1.0, -1.0)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_angle(self, phi):
+        m = fl.kz_torus(0.1)
+        with pytest.raises(fl.DomainError, match="start"):
+            fl.geodesic_integrate(m, fl.FiberPoint(fl.torus_point(0, 0), phi), 1.0, 0.1)
+        starts = [fl.FiberPoint(fl.torus_point(0, 0), 0.0),
+                  fl.FiberPoint(fl.torus_point(0.5, 0), phi)]
+        with pytest.raises(fl.DomainError, match="start"):
+            fl.geodesic_integrate(m, starts, 1.0, 0.1)
+
 
 def _degenerate_right_half(x, vs):
     """Euclidean on u < 0.5; a nearly flat unit ball, whose contact

@@ -6,6 +6,7 @@ import pytest
 
 import finlap as fl
 import finlap.measures as measures
+import finlap.metrics as metrics
 from finlap.laplace import symbol_density
 from conftest import builtin_metrics, random_point
 
@@ -348,19 +349,19 @@ def _per_call_holmes_thompson(metric, x, n_rays=512, n_boundary=2048):
 class TestDualBoundaryScan:
     def test_one_boundary_scan_per_dual_norm_call(self, monkeypatch):
         sizes = []
-        original = measures.indicatrix_point
+        original = measures._indicatrix_scan
 
-        def counting(metric, x, phi):
-            sizes.append(np.size(phi))
-            return original(metric, x, phi)
+        def counting(metric, x, n):
+            sizes.append(n)
+            return original(metric, x, n)
 
-        monkeypatch.setattr(measures, "indicatrix_point", counting)
+        monkeypatch.setattr(measures, "_indicatrix_scan", counting)
         m = fl.kz_torus(0.6)
         fl.dual_norm_sampled(m, fl.torus_point(0.2, 0.4), [0.3, -1.1], n_boundary=1024)
-        assert sizes.count(1024) == 1
+        assert sizes == [1024]
         sizes.clear()
         fl.holmes_thompson_density(m, fl.torus_point(0.2, 0.4), n_boundary=2048)
-        assert sizes.count(2048) == 1
+        assert sizes == [2048]
 
     def test_matches_per_call_scan(self):
         from finlap.verify import _metric_family, _random_point, _random_vector
@@ -374,6 +375,48 @@ class TestDualBoundaryScan:
                 assert abs(fl.dual_norm_sampled(m, x, v) - ref) <= 1e-13 * ref, m.kind
                 ref = _per_call_holmes_thompson(m, x)
                 assert abs(fl.holmes_thompson_density(m, x) - ref) <= 1e-13 * ref, m.kind
+
+
+class TestSupportSearch:
+    """The one support search behind dual_norm, the Holmes-Thompson radii
+    and the double dual."""
+
+    @pytest.mark.parametrize("phi", [0.15, math.pi - 0.15])
+    def test_dual_norm_roundtrip_near_the_sphere_poles(self, phi):
+        # the most eccentric indicatrices the verify suites draw
+        m = fl.kz_sphere(0.5)
+        xs = [fl.sphere_point(phi, th) for th in np.linspace(0.0, 2.0 * math.pi, 8)]
+        angles = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+        for x in xs:
+            for a in angles:
+                v = np.array([math.cos(a), math.sin(a)])
+                f = fl.eval_f(m, x, v)
+                assert abs(fl.dual_norm(m, x, fl.legendre_forward(m, x, v)) - f) <= 1e-10 * f
+
+    def test_chunks_equal_one_pass(self, monkeypatch, rng):
+        m = fl.kz_torus(0.6)
+        xs = [random_point(m, rng) for _ in range(7)]
+        ps = rng.normal(size=(7, 2))
+        dn, ht = fl.dual_norm(m, xs, ps), fl.holmes_thompson_density(m, xs, 32, 256)
+        # chunks of 3 points, the last of 1
+        monkeypatch.setattr(metrics, "_SCAN_ENTRIES", 3 * 32 * 256)
+        np.testing.assert_array_equal(fl.holmes_thompson_density(m, xs, 32, 256), ht)
+        monkeypatch.setattr(metrics, "_SCAN_ENTRIES", 3 * metrics.DUAL_COARSE_N)
+        np.testing.assert_array_equal(fl.dual_norm(m, xs, ps), dn)
+
+    def test_holmes_thompson_block_peak_memory(self, rng):
+        # one point's 512 x 2048 support matrix (8 MiB) is held at a time
+        import tracemalloc
+
+        m = fl.kz_torus(0.6)
+        xs = [random_point(m, rng) for _ in range(20)]
+        tracemalloc.start()
+        try:
+            fl.holmes_thompson_density(m, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 def _block_metrics():
@@ -416,19 +459,20 @@ class TestBlockDualForms:
 
     def test_one_scan_per_block(self, monkeypatch, rng):
         sizes = []
-        original = measures.indicatrix_point
+        original = metrics.indicatrix_point
 
         def counting(metric, x, phi):
             sizes.append(np.shape(phi))
             return original(metric, x, phi)
 
-        monkeypatch.setattr(measures, "indicatrix_point", counting)
+        monkeypatch.setattr(metrics, "indicatrix_point", counting)
         m = fl.kz_torus(0.6)
         xs, vs = self._samples(m, rng, 5)
         fl.dual_norm_sampled(m, xs, vs, n_boundary=1024)
         assert sizes.count((1024,)) == 1
-        # one scan and 5 refinement steps of 3 evaluations per radius call
-        assert len(sizes) == 1 + 11 * 3 * 4
+        # one scan, then 11 radius calls (the first rays and 5 rounds of
+        # flanks and centre), each 4 rounds of 2 indicatrix calls
+        assert len(sizes) == 1 + 11 * 2 * 4
 
     def test_block_shape_and_zero_rejected(self):
         m = fl.kz_torus(0.6)

@@ -172,6 +172,17 @@ class TestInverseDesign:
         with pytest.raises(fl.ConstructionError):
             fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), sample_n=64)
 
+    @pytest.mark.parametrize("K", [None, 1.0])
+    def test_one_mu_evaluation_per_sample(self, K):
+        calls = []
+
+        def omega(p):
+            calls.append(p)
+            return 2.0
+
+        fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), K=K, sample_n=16)
+        assert len(calls) == 16**2
+
     def test_vanishing_direction_field_rejected(self):
         # Z = 0 on the locus where the volume ratio attains its supremum
         omega = fl.CallableField(lambda p: 1.0 + 0.2 * math.sin(2 * math.pi * p.u))

@@ -423,6 +423,15 @@ class TestSolver:
         res = fl.sphere_spectrum(0.2, 8, 20)
         assert res.eigenvalues.min() >= -1e-9
 
+    @pytest.mark.parametrize("lmax, k", [(-1, 1), (3, 1), (4, 0), (4, -2), (4, 26)])
+    def test_sphere_spectrum_bad_resolution(self, lmax, k):
+        with pytest.raises(fl.ConfigError):
+            fl.sphere_spectrum(0.3, lmax, k)
+
+    def test_sphere_spectrum_k_up_to_the_union(self):
+        # the union over |m| <= lmax has (lmax + 1)^2 values
+        assert fl.sphere_spectrum(0.3, 4, 25).expand().size == 25
+
     def test_galerkin_monotone_in_lmax(self):
         # Rayleigh-Ritz over nested subspaces: eigenvalues non-increasing in lmax
         eps, m_ = 0.4, 0
