@@ -32,7 +32,8 @@ import numpy as np
 
 from .charts import ChartPoint, PHI_MIN, SPHERE
 from .errors import DegenerateContactError, DomainError
-from .metrics import FinslerMetric2D, at_points, vertical_derivative
+from .metrics import (FinslerMetric2D, chart_rays, frame_rays, frame_stretch,
+                      vertical_derivative)
 
 H_PHI = 1e-5
 H_X = 1e-5
@@ -74,43 +75,12 @@ class Trajectory:
     status: str = "ok"
 
 
-def _rays(phis: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(phis), np.sin(phis)], axis=-1)
-
-
-def _chart_rays(x, phis: np.ndarray) -> np.ndarray:
-    """The rays e(phi) of the chart angles phis, at one base point (n, 2)
-    or at every point of a block (P, n, 2)."""
-    return at_points(x, _rays(phis))
-
-
-def _theta_stretch(x):
-    """The factor 1/sin(phi) of the sphere frame, a float at one base point
-    and (P, 1) over a block; None on the torus and plane charts, whose
-    frame is the identity."""
-    if isinstance(x, ChartPoint):
-        return 1.0 / math.sin(x.u) if x.chart == SPHERE else None
-    if x[0].chart != SPHERE:
-        return None
-    return 1.0 / np.sin([p.u for p in x])[:, None]
-
-
-def _frame_rays(x, psis: np.ndarray) -> np.ndarray:
-    """The rays A(x) e(psi) of the frame angles psis, shaped as
-    :func:`_chart_rays`; they are the chart rays where A is the identity."""
-    stretch = _theta_stretch(x)
-    if stretch is None:
-        return _chart_rays(x, psis)
-    c, s = np.broadcast_arrays(np.cos(psis), np.sin(psis) * stretch)
-    return np.stack([c, s], axis=-1)
-
-
 def chart_angles(x, psis: np.ndarray) -> np.ndarray:
     """Chart angle in [0, 2*pi) of the ray of each frame angle in psis,
     which increase strictly from 0 when the psis do: the psis themselves
     where the frame is the identity, else (n,) at one base point and
     (P, n) over a block."""
-    stretch = _theta_stretch(x)
+    stretch = frame_stretch(x)
     if stretch is None:
         return psis
     return np.mod(np.arctan2(np.sin(psis) * stretch, np.cos(psis)), 2.0 * np.pi)
@@ -119,7 +89,7 @@ def chart_angles(x, psis: np.ndarray) -> np.ndarray:
 def _frame_angle(x: ChartPoint, phi: float):
     """``(psi, dpsi/dphi)``: the frame angle whose ray has the chart angle
     phi, and its derivative in phi."""
-    stretch = _theta_stretch(x)
+    stretch = frame_stretch(x)
     if stretch is None:
         return phi, 1.0
     # A^-1 e(phi) = (cos phi, sin(phi) sin(u))
@@ -138,7 +108,7 @@ def _steps(metric: FinslerMetric2D, h_phi, h_x):
 def _angle_jet(metric: FinslerMetric2D, x, rays, angles: np.ndarray, h):
     """(p, q) = d_vF on the rays of the angles and its central difference
     in the angle, at one base point or over a block of base points;
-    ``rays`` is :func:`_chart_rays` or :func:`_frame_rays`.  d_vF is
+    ``rays`` is :func:`chart_rays` or :func:`frame_rays`.  d_vF is
     0-homogeneous, so the rays need not be normalized to the indicatrix."""
     pq = vertical_derivative(metric, x, rays(x, angles))
     dpq = (vertical_derivative(metric, x, rays(x, angles + h))
@@ -158,7 +128,7 @@ def _curl(metric: FinslerMetric2D, x, phis: np.ndarray, h_x) -> np.ndarray:
     and v, at one base point or over a block (shifted as a block).  It is
     exactly zero for a position-independent metric, whose differences
     are 0.0, so there it is returned without evaluating the metric."""
-    rays = _chart_rays(x, phis)
+    rays = chart_rays(x, phis)
     if metric.position_independent:
         return np.zeros(rays.shape[:-1])
     pq_du = (vertical_derivative(metric, _shifted(x, h_x, 0.0), rays)
@@ -180,7 +150,7 @@ def _signed_density(metric: FinslerMetric2D, x, psis, h_phi) -> np.ndarray:
     """q dp/dpsi - p dq/dpsi at the frame angles psis."""
     h_phi, _ = _steps(metric, h_phi, None)
     psis = np.atleast_1d(np.asarray(psis, dtype=float))
-    pq, dpq = _angle_jet(metric, x, _frame_rays, psis, h_phi)
+    pq, dpq = _angle_jet(metric, x, frame_rays, psis, h_phi)
     return pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1]
 
 
@@ -239,7 +209,7 @@ def reeb_profile(metric: FinslerMetric2D, x, phis,
     h_phi, h_x = _steps(metric, h_phi, h_x)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
 
-    pq, dpq = _angle_jet(metric, x, _chart_rays, phis, h_phi)
+    pq, dpq = _angle_jet(metric, x, chart_rays, phis, h_phi)
     curl = _curl(metric, x, phis, h_x)
 
     p, q = pq[..., 0], pq[..., 1]
@@ -293,7 +263,7 @@ def reeb_residuals_profile(metric: FinslerMetric2D, x, phis,
         h_x = 0.5 * sx
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     V, Xphi, _ = reeb_profile(metric, x, phis)
-    pq, dpq = _angle_jet(metric, x, _chart_rays, phis, h_phi)
+    pq, dpq = _angle_jet(metric, x, chart_rays, phis, h_phi)
     curl = _curl(metric, x, phis, h_x)
     r_a = np.abs(pq[..., 0] * V[..., 0] + pq[..., 1] * V[..., 1] - 1.0)
     r_du = np.abs(-curl * V[..., 1] + dpq[..., 0] * Xphi)
@@ -360,8 +330,8 @@ def geodesic_integrate(metric: FinslerMetric2D, fp, t_end: float, dt: float):
     Raises
     ------
     DomainError
-        If ``t_end``, ``dt`` or a start angle is not finite, or ``dt`` is
-        not positive.
+        If ``t_end``, ``dt`` or a start angle phi is not finite, or ``dt``
+        is not positive (a base point is finite by construction).
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise DomainError(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -371,8 +341,8 @@ def geodesic_integrate(metric: FinslerMetric2D, fp, t_end: float, dt: float):
     chart = metric.chart
     trajs = [Trajectory(times=[0.0], points=[p]) for p in fps]
     states = np.array([[p.base.u, p.base.v, p.phi] for p in fps]).reshape(-1, 3)
-    if not np.isfinite(states).all():
-        raise DomainError("geodesic start angles must be finite")
+    if not np.isfinite(states[:, 2]).all():
+        raise DomainError("geodesic start angle phi must be finite")
     running = np.arange(len(fps))
     t = 0.0
     n_steps = int(math.ceil(t_end / dt - 1e-12))

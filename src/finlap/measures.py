@@ -9,7 +9,8 @@ rule in psi is therefore spectrally accurate everywhere.  Its nodes are
 stored as the chart angles of their rays, so that consumers evaluate
 the indicatrix and the Reeb field at them unchanged.  The volume
 density is cross-checked against the Holmes-Thompson construction: 1/pi
-times the area of the dual unit disc.
+times the area of the dual unit disc, found by the support search of
+:mod:`finlap.metrics` and re-exported here.
 
 The base quadratures live here too, with the one walk over their points
 (:func:`_over_points`) behind :func:`volume_densities` and
@@ -28,8 +29,8 @@ import numpy as np
 from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError
 from .hilbert import chart_angles, density_profile
-from .metrics import (FinslerMetric2D, _circle, _indicatrix_scan, _inner, _parabolic_max,
-                      _support_max)
+from .metrics import (FinslerMetric2D, dual_norm_sampled,  # noqa: F401 (re-exported)
+                      holmes_thompson_density)
 
 DEFAULT_FIBER_N = 256
 #: rays per block of base points evaluated together by :func:`_over_points`:
@@ -277,52 +278,3 @@ def sphere_total_volume(metric: FinslerMetric2D, n_phi: int = 96,
     integrated over :func:`sphere_base`."""
     base = sphere_base(n_phi, n_theta)
     return float(base.weights @ volume_densities(metric, base.points))
-
-
-def holmes_thompson_density(metric: FinslerMetric2D, x,
-                            n_rays: int = 512, n_boundary: int = 2048):
-    """Area of the dual unit disc {p : F*(x, p) < 1} divided by pi.
-
-    Radial quadrature of the dual boundary, whose radius along each of
-    ``n_rays`` covector directions is 1 / F* over one ``n_boundary``-point
-    indicatrix scan; independent of the contact-density route, so it is an
-    oracle for :func:`volume_density`.  A float at one base point; over a
-    block of P base points shape (P,), the radii of the block found together.
-    """
-    beams = _circle(2.0 * np.pi * np.arange(n_rays) / n_rays)
-    r = 1.0 / _support_max(metric, x, beams, _indicatrix_scan(metric, x, n_boundary))
-    area = 0.5 * np.sum(r**2, axis=-1) * (2.0 * np.pi / n_rays) / np.pi
-    return float(area) if isinstance(x, ChartPoint) else area
-
-
-def dual_norm_sampled(metric: FinslerMetric2D, x, v,
-                      n_rays: int = 512, n_boundary: int = 1024):
-    """Double dual F**(x, v) = sup { p(v) : F*(x, p) = 1 }.
-
-    The dual unit circle, at radius 1 / F* along ``n_rays`` covector
-    directions, is searched for the support of v by 5 rounds of the
-    parabolic refinement behind F*.  Every radius, of the first ``n_rays``
-    and of each round, comes from one ``n_boundary``-point indicatrix scan.
-
-    ``x`` is one base point with a vector of shape (2,), giving a float,
-    or a block of P base points with vectors of shape (P, 2), giving shape
-    (P,); the block shares the scan call and each refinement call.
-    """
-    v = np.asarray(v, dtype=float)
-    shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
-    if v.shape != shape:
-        raise DomainError(f"vector must have shape {shape}, got {v.shape}")
-    if np.any(np.hypot(v[..., 0], v[..., 1]) == 0.0):
-        raise DomainError("double dual undefined at the zero vector")
-    scan = _indicatrix_scan(metric, x, n_boundary)
-
-    def support_of_v(betas):
-        beams = _circle(betas)
-        r = 1.0 / _support_max(metric, x, beams, scan)
-        return r * _inner(beams, v[..., None, :])
-
-    betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
-    vals = support_of_v(betas)
-    best = _parabolic_max(support_of_v, betas[np.argmax(vals, axis=-1)],
-                          2.0 * np.pi / n_rays, vals.max(axis=-1), 5)
-    return float(best) if isinstance(x, ChartPoint) else best

@@ -2,7 +2,8 @@
 
 Pointwise constructions that need only the metric itself: evaluation,
 indicatrix parametrization, vertical derivative, Legendre transform,
-dual norm and conformal rescaling.
+conformal rescaling, and the one support search behind the dual norm,
+the Holmes-Thompson density and the double dual.
 
 All vector/covector arguments are numpy arrays of shape ``(..., 2)`` in
 the chart basis.  Metric evaluators take either one base point, with rays
@@ -498,6 +499,55 @@ def _circle(phis) -> np.ndarray:
     return np.stack([np.cos(phis), np.sin(phis)], axis=-1)
 
 
+def frame_stretch(x):
+    """The factor 1/sin(phi) of the orthonormal sphere frame
+    A = diag(1, 1/sin phi), a float at one base point and (P, 1) over a
+    block; None on the torus and plane charts, whose frame is the identity."""
+    if isinstance(x, ChartPoint):
+        return 1.0 / math.sin(x.u) if x.chart == SPHERE else None
+    if x[0].chart != SPHERE:
+        return None
+    return 1.0 / np.sin([p.u for p in x])[:, None]
+
+
+def chart_rays(x, phis: np.ndarray) -> np.ndarray:
+    """The rays e(phi) of the chart angles phis, (n, 2) at one base point
+    and (P, n, 2) over a block."""
+    return at_points(x, _circle(phis))
+
+
+def frame_rays(x, psis: np.ndarray) -> np.ndarray:
+    """The rays A(x) e(psi) of the frame angles psis, shaped as
+    :func:`chart_rays`, which they are where A is the identity."""
+    stretch = frame_stretch(x)
+    if stretch is None:
+        return chart_rays(x, psis)
+    c, s = np.broadcast_arrays(np.cos(psis), np.sin(psis) * stretch)
+    return np.stack([c, s], axis=-1)
+
+
+def _frame_coords(x, a: np.ndarray, power: int) -> np.ndarray:
+    """(Co)vectors a, (2,) at one base point or (P, 2) over a block, with
+    their second component times ``frame_stretch(x)**power``: the frame
+    coordinates A^T p of covectors p for power 1 and A^-1 v of vectors v
+    for power -1, in which p(v) is unchanged."""
+    stretch = frame_stretch(x)
+    if stretch is None:
+        return a
+    a = a.copy()
+    a[..., 1:] *= stretch**power
+    return a
+
+
+def _indicatrix_scale(metric: FinslerMetric2D, x, rays: np.ndarray) -> np.ndarray:
+    """F(x, rays) with a trailing axis: the rays over it lie on the unit
+    level set {F(x, .) = 1}."""
+    vals = metric.f(x, at_points(x, rays))
+    if np.any(vals <= 0.0):
+        raise InvalidMetricError("F is not positive on the unit circle")
+    return np.asarray(vals)[..., None]
+
+
 def indicatrix_point(metric: FinslerMetric2D, x, phi) -> np.ndarray:
     """Point of the unit level set {F(x, .) = 1} in Euclidean direction phi.
 
@@ -507,10 +557,7 @@ def indicatrix_point(metric: FinslerMetric2D, x, phi) -> np.ndarray:
     block or (P, n) angles, one row per point.
     """
     e = _circle(phi)
-    vals = metric.f(x, at_points(x, e))
-    if np.any(vals <= 0.0):
-        raise InvalidMetricError("F is not positive on the unit circle")
-    return e / np.asarray(vals)[..., None]
+    return e / _indicatrix_scale(metric, x, e)
 
 
 def vertical_derivative(metric: FinslerMetric2D, x, v,
@@ -552,11 +599,21 @@ def legendre_forward(metric: FinslerMetric2D, x: ChartPoint, v,
     return np.asarray(f)[..., None] * vertical_derivative(metric, x, v, method)
 
 
+def _frame_indicatrix(metric: FinslerMetric2D, x, psis: np.ndarray) -> np.ndarray:
+    """The indicatrix at x on the rays of the frame angles psis
+    (:func:`frame_rays`), in frame coordinates A^-1 v: (n, 2) at one base
+    point and (P, n, 2) over a block.  In the frame angle the support of a
+    covector peaks on a scale of one at every base point; in the chart
+    angle it peaks on a scale of sin(phi) near the sphere poles."""
+    scale = _indicatrix_scale(metric, x, frame_rays(x, psis))
+    return _circle(psis) / scale  # A^-1 (A e / F(A e)) = e / F(A e)
+
+
 def _indicatrix_scan(metric: FinslerMetric2D, x, n: int) -> tuple:
-    """``(phis, vs)``: the indicatrix at x on n equally spaced directions,
-    vs (n, 2) at one base point and (P, n, 2) over a block."""
-    phis = 2.0 * np.pi * np.arange(n) / n
-    return phis, indicatrix_point(metric, x, phis)
+    """``(psis, ws)``: :func:`_frame_indicatrix` on n equally spaced frame
+    angles."""
+    psis = 2.0 * np.pi * np.arange(n) / n
+    return psis, _frame_indicatrix(metric, x, psis)
 
 
 def _chunk_max(ps: np.ndarray, vs: np.ndarray) -> tuple:
@@ -602,31 +659,30 @@ def _parabolic_max(values_at, center: np.ndarray, half: float,
 
 
 def _support_max(metric: FinslerMetric2D, x, ps: np.ndarray, scan: tuple) -> np.ndarray:
-    """F*(x, p) = max p(v) over the indicatrix for covectors ps (m, 2) at
-    one point, giving (m,), or (P, m, 2) or shared (m, 2) over a block,
-    giving (P, m): the maximum over the ``scan`` of
-    :func:`_indicatrix_scan`, sharpened by 4 rounds of
-    :func:`_parabolic_max` on the indicatrix (robust on eccentric
-    indicatrices, where the support peaks on a narrow angular scale)."""
-    phis, vs = scan
+    """F*(x, p) = max p(v) over the indicatrix for covectors ps in frame
+    coordinates (:func:`_frame_coords`), (m, 2) at one point, giving (m,),
+    or (P, m, 2) or shared (m, 2) over a block, giving (P, m): the maximum
+    over the ``scan`` of :func:`_indicatrix_scan`, sharpened by 4 rounds
+    of :func:`_parabolic_max` in the frame angle."""
+    psis, ws = scan
 
     def support_at(angles):
         # angles (..., m, k): one indicatrix call on (..., m * k) angles
-        v = indicatrix_point(metric, x, angles.reshape(angles.shape[:-2] + (-1,)))
-        return _inner(v.reshape(angles.shape + (2,)), ps[..., None, :])
+        w = _frame_indicatrix(metric, x, angles.reshape(angles.shape[:-2] + (-1,)))
+        return _inner(w.reshape(angles.shape + (2,)), ps[..., None, :])
 
-    idx, y2 = _scan_max(ps, vs)
-    return _parabolic_max(support_at, phis[idx], 2.0 * np.pi / len(phis), y2, 4)
+    idx, y2 = _scan_max(ps, ws)
+    return _parabolic_max(support_at, psis[idx], 2.0 * np.pi / len(psis), y2, 4)
 
 
 def dual_norm(metric: FinslerMetric2D, x, p, coarse_n: int = DUAL_COARSE_N):
     """Dual norm F*(x, p) = sup { p(v) : F(x, v) = 1 }.
 
     The support search of :func:`_support_max` over a ``coarse_n``-point
-    scan of the indicatrix.  ``x`` is one base point with a covector of
-    shape (2,), giving a float, or a block of P base points with
-    covectors of shape (P, 2), giving shape (P,), the block's scan and
-    each refinement step made in one call.
+    frame-angle scan of the indicatrix.  ``x`` is one base point with a
+    covector of shape (2,), giving a float, or a block of P base points
+    with covectors of shape (P, 2), giving shape (P,), the block's scan
+    and each refinement step made in one call.
     """
     p = np.asarray(p, dtype=float)
     shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
@@ -634,8 +690,67 @@ def dual_norm(metric: FinslerMetric2D, x, p, coarse_n: int = DUAL_COARSE_N):
         raise DomainError(f"covector must have shape {shape}, got {p.shape}")
     if np.any(np.hypot(p[..., 0], p[..., 1]) == 0.0):
         raise DomainError("dual norm undefined for the zero covector")
-    best = _support_max(metric, x, p[..., None, :], _indicatrix_scan(metric, x, coarse_n))
+    q = _frame_coords(x, p, 1)[..., None, :]
+    best = _support_max(metric, x, q, _indicatrix_scan(metric, x, coarse_n))
     return float(best[0]) if isinstance(x, ChartPoint) else best[:, 0]
+
+
+def holmes_thompson_density(metric: FinslerMetric2D, x,
+                            n_rays: int = 512, n_boundary: int = 2048):
+    """Area of the dual unit disc {p : F*(x, p) < 1} divided by pi.
+
+    Radial quadrature of the dual boundary in frame coordinates: its
+    radius along each of ``n_rays`` directions e(beta) is 1 / F* over one
+    ``n_boundary``-point indicatrix scan, and the area so found is scaled
+    by det A^-T (sin(phi) on the sphere chart).  Independent of the
+    contact-density route, so it is an oracle for
+    :func:`finlap.measures.volume_density`.  A float at one base point;
+    over a block of P base points shape (P,), the radii of the block found
+    together.
+    """
+    betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    scan = _indicatrix_scan(metric, x, n_boundary)
+    r = 1.0 / _support_max(metric, x, _circle(betas), scan)
+    area = 0.5 * np.sum(r**2, axis=-1) * (2.0 * np.pi / n_rays) / np.pi
+    stretch = frame_stretch(x)
+    if stretch is not None:
+        area = area / np.reshape(stretch, np.shape(area))
+    return float(area) if isinstance(x, ChartPoint) else area
+
+
+def dual_norm_sampled(metric: FinslerMetric2D, x, v,
+                      n_rays: int = 512, n_boundary: int = 1024):
+    """Double dual F**(x, v) = sup { p(v) : F*(x, p) = 1 }.
+
+    The dual unit circle in frame coordinates, at radius 1 / F* along
+    ``n_rays`` directions e(beta), is searched for the support of v by 5
+    rounds of :func:`_parabolic_max` in beta.  Every radius, of the
+    first ``n_rays`` and of each round, comes from one
+    ``n_boundary``-point indicatrix scan.
+
+    ``x`` is one base point with a vector of shape (2,), giving a float,
+    or a block of P base points with vectors of shape (P, 2), giving shape
+    (P,); the block shares the scan call and each refinement call.
+    """
+    v = np.asarray(v, dtype=float)
+    shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
+    if v.shape != shape:
+        raise DomainError(f"vector must have shape {shape}, got {v.shape}")
+    if np.any(np.hypot(v[..., 0], v[..., 1]) == 0.0):
+        raise DomainError("double dual undefined at the zero vector")
+    u = _frame_coords(x, v, -1)
+    scan = _indicatrix_scan(metric, x, n_boundary)
+
+    def support_of_v(betas):
+        beams = _circle(betas)
+        r = 1.0 / _support_max(metric, x, beams, scan)
+        return r * _inner(beams, u[..., None, :])
+
+    betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    vals = support_of_v(betas)
+    best = _parabolic_max(support_of_v, betas[np.argmax(vals, axis=-1)],
+                          2.0 * np.pi / n_rays, vals.max(axis=-1), 5)
+    return float(best) if isinstance(x, ChartPoint) else best
 
 
 def scale_conformal(metric: FinslerMetric2D, f) -> ConformalMetric:

@@ -349,13 +349,13 @@ def _per_call_holmes_thompson(metric, x, n_rays=512, n_boundary=2048):
 class TestDualBoundaryScan:
     def test_one_boundary_scan_per_dual_norm_call(self, monkeypatch):
         sizes = []
-        original = measures._indicatrix_scan
+        original = metrics._indicatrix_scan
 
         def counting(metric, x, n):
             sizes.append(n)
             return original(metric, x, n)
 
-        monkeypatch.setattr(measures, "_indicatrix_scan", counting)
+        monkeypatch.setattr(metrics, "_indicatrix_scan", counting)
         m = fl.kz_torus(0.6)
         fl.dual_norm_sampled(m, fl.torus_point(0.2, 0.4), [0.3, -1.1], n_boundary=1024)
         assert sizes == [1024]
@@ -392,6 +392,38 @@ class TestSupportSearch:
                 v = np.array([math.cos(a), math.sin(a)])
                 f = fl.eval_f(m, x, v)
                 assert abs(fl.dual_norm(m, x, fl.legendre_forward(m, x, v)) - f) <= 1e-10 * f
+
+    # In the chart angle the support of a covector whose maximizer lies
+    # near the tip of the indicatrix peaks on a scale of sin(phi), far
+    # finer than the 256-point scan; vectors spread evenly in the frame
+    # angle put many maximizers there.
+    POLAR = [1e-2, 1e-3, math.pi - 1e-2, math.pi - 1e-3]
+
+    @staticmethod
+    def _polar_samples(phi):
+        m = fl.kz_sphere(0.5)
+        xs = [fl.sphere_point(phi, th) for th in np.linspace(0.0, 2.0 * math.pi, 5)]
+        psis = np.linspace(0.0, 2.0 * math.pi, 37, endpoint=False)
+        vs = np.stack([np.cos(psis), np.sin(psis) / math.sin(phi)], axis=-1)
+        return m, xs, vs
+
+    @pytest.mark.parametrize("phi", POLAR)
+    def test_dual_norm_roundtrip_at_the_sphere_poles(self, phi):
+        m, xs, vs = self._polar_samples(phi)
+        for x in xs:
+            for v in vs:
+                f = fl.eval_f(m, x, v)
+                assert abs(fl.dual_norm(m, x, fl.legendre_forward(m, x, v)) - f) <= 1e-10 * f
+
+    @pytest.mark.parametrize("phi", POLAR)
+    def test_double_dual_and_holmes_thompson_at_the_sphere_poles(self, phi):
+        m, xs, vs = self._polar_samples(phi)
+        for v in vs[::4]:
+            f = np.array([fl.eval_f(m, x, v) for x in xs])
+            dd = fl.dual_norm_sampled(m, xs, np.tile(v, (len(xs), 1)))
+            np.testing.assert_allclose(dd, f, rtol=1e-10)
+        np.testing.assert_allclose(fl.holmes_thompson_density(m, xs),
+                                   measures.volume_densities(m, xs), rtol=1e-10)
 
     def test_chunks_equal_one_pass(self, monkeypatch, rng):
         m = fl.kz_torus(0.6)
@@ -459,17 +491,18 @@ class TestBlockDualForms:
 
     def test_one_scan_per_block(self, monkeypatch, rng):
         sizes = []
-        original = metrics.indicatrix_point
+        original = metrics._indicatrix_scale
 
-        def counting(metric, x, phi):
-            sizes.append(np.shape(phi))
-            return original(metric, x, phi)
+        def counting(metric, x, rays):
+            sizes.append(np.shape(rays)[:-1])
+            return original(metric, x, rays)
 
-        monkeypatch.setattr(metrics, "indicatrix_point", counting)
+        monkeypatch.setattr(metrics, "_indicatrix_scale", counting)
         m = fl.kz_torus(0.6)
         xs, vs = self._samples(m, rng, 5)
         fl.dual_norm_sampled(m, xs, vs, n_boundary=1024)
-        assert sizes.count((1024,)) == 1
+        # the scan, and the 4 flank calls (512 rays x 2) of the first radii
+        assert sizes[0] == (5, 1024) and sizes.count((5, 1024)) == 1 + 4
         # one scan, then 11 radius calls (the first rays and 5 rounds of
         # flanks and centre), each 4 rounds of 2 indicatrix calls
         assert len(sizes) == 1 + 11 * 2 * 4
