@@ -3,7 +3,11 @@
 Pointwise constructions that need only the metric itself: evaluation,
 indicatrix parametrization, vertical derivative, Legendre transform,
 conformal rescaling, and the one support search behind the dual norm,
-the Holmes-Thompson density and the double dual.
+the Holmes-Thompson density and the double dual.  That search scans the
+indicatrix in the orthonormal frame, looks up each covector's best scan
+point among the edge normals of the convex scan polygon, without a
+matrix of every covector against every scan point, and refines it by
+parabolic steps.
 
 All vector/covector arguments are numpy arrays of shape ``(..., 2)`` in
 the chart basis.  Metric evaluators take either one base point, with rays
@@ -25,7 +29,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .charts import ChartPoint, PLANE, SPHERE, TORUS
-from .errors import DomainError, FinlapError, InvalidMetricError
+from .errors import ConfigError, DomainError, FinlapError, InvalidMetricError
 from .fields import ConstantField, field_values
 
 # Relative fiber step of the finite-difference vertical derivative;
@@ -34,8 +38,9 @@ H_V_REL = 1e-5
 
 # dual_norm scan resolution
 DUAL_COARSE_N = 256
-#: support entries built at once by _scan_max (a point's are built whole)
-_SCAN_ENTRIES = 2**19
+#: the fewest scan points or dual rays of a support search: the smallest
+#: polygon whose support :func:`_scan_max` can look up
+MIN_SCAN_N = 3
 
 MatrixField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
 CovectorField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
@@ -610,31 +615,54 @@ def _frame_indicatrix(metric: FinslerMetric2D, x, psis: np.ndarray) -> np.ndarra
 
 
 def _indicatrix_scan(metric: FinslerMetric2D, x, n: int) -> tuple:
-    """``(psis, ws)``: :func:`_frame_indicatrix` on n equally spaced frame
-    angles."""
+    """``(psis, ws, normals)``: :func:`_frame_indicatrix` on n equally
+    spaced frame angles, and the unwrapped angles of the outward normals of
+    the edges ws[k] -> ws[k + 1] of the polygon they span, (n,) at one base
+    point and (P, n) over a block.
+
+    The normals must increase strictly and turn by 2*pi in all: the scan
+    polygon is convex, so that :func:`_scan_max` can look its support up.
+    Raise InvalidMetricError at the first point of x where it is not.
+    """
     psis = 2.0 * np.pi * np.arange(n) / n
-    return psis, _frame_indicatrix(metric, x, psis)
+    ws = _frame_indicatrix(metric, x, psis)
+    edges = np.roll(ws, -1, axis=-2) - ws
+    normals = np.unwrap(np.arctan2(-edges[..., 0], edges[..., 1]), axis=-1)
+    convex = (np.all(np.diff(normals, axis=-1) > 0.0, axis=-1)
+              & (normals[..., -1] < normals[..., 0] + 2.0 * np.pi))
+    bad = _failing(x, ~convex)
+    if bad is not None:
+        raise InvalidMetricError(f"indicatrix is not convex at {bad[1]}")
+    return psis, ws, normals
 
 
-def _chunk_max(ps: np.ndarray, vs: np.ndarray) -> tuple:
-    """Index and value of the largest p(v) of each covector ps (c, m, 2)
-    over the scan vs (c, n, 2) of its point.  The support matrix is built
-    rays-major, so that each maximum runs along contiguous rows."""
-    support = ps @ vs.swapaxes(-1, -2)
-    idx = np.argmax(support, axis=-1)
-    return idx, np.take_along_axis(support, idx[..., None], axis=-1)[..., 0]
+def _scan_max(ps: np.ndarray, scan: tuple) -> tuple:
+    """Index and value of the largest p(w) of each covector ps over the
+    ``scan`` of :func:`_indicatrix_scan`: (m, 2) at one point, giving
+    (m,), or (P, m, 2) or shared (m, 2) over a block, giving (P, m).
 
-
-def _scan_max(ps: np.ndarray, vs: np.ndarray) -> tuple:
-    """:func:`_chunk_max` at a point or over a block, whose covectors may
-    be shared (m, 2), in chunks of points of at most ``_SCAN_ENTRIES``
-    support entries; each chunk's matrix is freed before the next."""
-    lead, m, n = vs.shape[:-2], ps.shape[-2], vs.shape[-2]
-    ps = np.broadcast_to(ps, lead + (m, 2)).reshape(-1, m, 2)
-    vs = vs.reshape(-1, n, 2)
-    size = max(1, _SCAN_ENTRIES // (m * n))
-    chunks = [_chunk_max(ps[k:k + size], vs[k:k + size]) for k in range(0, len(vs), size)]
-    return tuple(np.concatenate(a).reshape(lead + (m,)) for a in zip(*chunks))
+    Vertex k of the convex scan polygon is the maximizer of p exactly when
+    the angle of p lies between the normals of the edges into and out of
+    k.  One searchsorted over the block's normals, each row offset by 4*pi
+    times its index, finds that vertex for every covector at once; of it
+    and its two neighbours the largest p(w) is kept, the first on a tie as
+    by argmax, so that the rounding of the angles cannot move the result.
+    """
+    _, ws, normals = scan
+    lead, n, m = normals.shape[:-1], normals.shape[-1], ps.shape[-2]
+    rows = normals.reshape(-1, n)
+    r = np.arange(len(rows))[:, None]
+    ps = np.broadcast_to(ps, lead + (m, 2)).reshape(len(rows), m, 2)
+    start = rows[:, :1]
+    angles = start + np.mod(np.arctan2(ps[..., 1], ps[..., 0]) - start, 2.0 * np.pi)
+    offset = 4.0 * np.pi * r
+    found = np.searchsorted((rows + offset).ravel(), (angles + offset).ravel())
+    k = found.reshape(len(rows), m) - n * r
+    cand = np.sort((k[..., None] + np.array([-1, 0, 1])) % n, axis=-1)
+    vals = _inner(ws.reshape(len(rows), n, 2)[r[..., None], cand], ps[..., None, :])
+    best = np.argmax(vals, axis=-1)[..., None]
+    return tuple(np.take_along_axis(a, best, axis=-1).reshape(lead + (m,))
+                 for a in (cand, vals))
 
 
 def _parabolic_max(values_at, center: np.ndarray, half: float,
@@ -661,35 +689,66 @@ def _parabolic_max(values_at, center: np.ndarray, half: float,
 def _support_max(metric: FinslerMetric2D, x, ps: np.ndarray, scan: tuple) -> np.ndarray:
     """F*(x, p) = max p(v) over the indicatrix for covectors ps in frame
     coordinates (:func:`_frame_coords`), (m, 2) at one point, giving (m,),
-    or (P, m, 2) or shared (m, 2) over a block, giving (P, m): the maximum
-    over the ``scan`` of :func:`_indicatrix_scan`, sharpened by 4 rounds
-    of :func:`_parabolic_max` in the frame angle."""
-    psis, ws = scan
+    or (P, m, 2) or shared (m, 2) over a block, giving (P, m): the scan
+    maximum that :func:`_scan_max` looks up on the ``scan`` of
+    :func:`_indicatrix_scan`, in O((m + n) log n) per point for n scan
+    points, sharpened by 4 rounds of :func:`_parabolic_max` in the frame
+    angle."""
+    psis = scan[0]
 
     def support_at(angles):
         # angles (..., m, k): one indicatrix call on (..., m * k) angles
         w = _frame_indicatrix(metric, x, angles.reshape(angles.shape[:-2] + (-1,)))
         return _inner(w.reshape(angles.shape + (2,)), ps[..., None, :])
 
-    idx, y2 = _scan_max(ps, ws)
+    idx, y2 = _scan_max(ps, scan)
     return _parabolic_max(support_at, psis[idx], 2.0 * np.pi / len(psis), y2, 4)
+
+
+def _check_counts(**counts: int):
+    """Raise ConfigError for a scan or ray count below ``MIN_SCAN_N``."""
+    for name, n in counts.items():
+        if n < MIN_SCAN_N:
+            raise ConfigError(f"{name} must be at least {MIN_SCAN_N}, got {n}")
+
+
+def _ray_argument(x, a, what: str) -> np.ndarray:
+    """The (co)vector argument a of a dual norm as floats, (2,) at one base
+    point and (P, 2) over a block; DomainError if its shape is wrong or
+    an entry is not finite or zero."""
+    a = np.asarray(a, dtype=float)
+    shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
+    if a.shape != shape:
+        raise DomainError(f"{what} must have shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{what} must be finite")
+    if np.any(np.hypot(a[..., 0], a[..., 1]) == 0.0):
+        raise DomainError(f"{what} must be nonzero")
+    return a
 
 
 def dual_norm(metric: FinslerMetric2D, x, p, coarse_n: int = DUAL_COARSE_N):
     """Dual norm F*(x, p) = sup { p(v) : F(x, v) = 1 }.
 
     The support search of :func:`_support_max` over a ``coarse_n``-point
-    frame-angle scan of the indicatrix.  ``x`` is one base point with a
-    covector of shape (2,), giving a float, or a block of P base points
-    with covectors of shape (P, 2), giving shape (P,), the block's scan
-    and each refinement step made in one call.
+    frame-angle scan of the indicatrix: the scan vertex of largest p(v),
+    looked up by the angle of p among the scan's edge normals, and 4
+    parabolic rounds.  ``x`` is one base point with a covector of shape
+    (2,), giving a float, or a block of P base points with covectors of
+    shape (P, 2), giving shape (P,), the block's scan and each refinement
+    step made in one call.
+
+    Raises
+    ------
+    ConfigError
+        If ``coarse_n`` is below ``MIN_SCAN_N``.
+    DomainError
+        If a covector is zero or not finite, or has the wrong shape.
+    InvalidMetricError
+        If the indicatrix scan is not convex at a point of x.
     """
-    p = np.asarray(p, dtype=float)
-    shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
-    if p.shape != shape:
-        raise DomainError(f"covector must have shape {shape}, got {p.shape}")
-    if np.any(np.hypot(p[..., 0], p[..., 1]) == 0.0):
-        raise DomainError("dual norm undefined for the zero covector")
+    _check_counts(coarse_n=coarse_n)
+    p = _ray_argument(x, p, "covector")
     q = _frame_coords(x, p, 1)[..., None, :]
     best = _support_max(metric, x, q, _indicatrix_scan(metric, x, coarse_n))
     return float(best[0]) if isinstance(x, ChartPoint) else best[:, 0]
@@ -701,13 +760,16 @@ def holmes_thompson_density(metric: FinslerMetric2D, x,
 
     Radial quadrature of the dual boundary in frame coordinates: its
     radius along each of ``n_rays`` directions e(beta) is 1 / F* over one
-    ``n_boundary``-point indicatrix scan, and the area so found is scaled
-    by det A^-T (sin(phi) on the sphere chart).  Independent of the
-    contact-density route, so it is an oracle for
-    :func:`finlap.measures.volume_density`.  A float at one base point;
-    over a block of P base points shape (P,), the radii of the block found
-    together.
+    ``n_boundary``-point indicatrix scan, looked up by edge normal at a
+    cost of O((n_rays + n_boundary) log n_boundary) per point, without a
+    support matrix; the area so found is scaled by det A^-T (sin(phi) on
+    the sphere chart).  Independent of the contact-density route, so it is
+    an oracle for :func:`finlap.measures.volume_density`.  A float at one
+    base point; over a block of P base points shape (P,), the radii of the
+    block found together.  Both counts must be at least ``MIN_SCAN_N``
+    (ConfigError), and the scan convex (InvalidMetricError).
     """
+    _check_counts(n_rays=n_rays, n_boundary=n_boundary)
     betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
     scan = _indicatrix_scan(metric, x, n_boundary)
     r = 1.0 / _support_max(metric, x, _circle(betas), scan)
@@ -726,19 +788,18 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v,
     ``n_rays`` directions e(beta), is searched for the support of v by 5
     rounds of :func:`_parabolic_max` in beta.  Every radius, of the
     first ``n_rays`` and of each round, comes from one
-    ``n_boundary``-point indicatrix scan.
+    ``n_boundary``-point indicatrix scan, whose edge normals are found
+    once and serve every lookup of the call.
 
     ``x`` is one base point with a vector of shape (2,), giving a float,
     or a block of P base points with vectors of shape (P, 2), giving shape
-    (P,); the block shares the scan call and each refinement call.
+    (P,); the block shares the scan call and each refinement call.  Both
+    counts must be at least ``MIN_SCAN_N`` (ConfigError); a zero or
+    non-finite vector is a DomainError, and a non-convex scan an
+    InvalidMetricError.
     """
-    v = np.asarray(v, dtype=float)
-    shape = (2,) if isinstance(x, ChartPoint) else (len(x), 2)
-    if v.shape != shape:
-        raise DomainError(f"vector must have shape {shape}, got {v.shape}")
-    if np.any(np.hypot(v[..., 0], v[..., 1]) == 0.0):
-        raise DomainError("double dual undefined at the zero vector")
-    u = _frame_coords(x, v, -1)
+    _check_counts(n_rays=n_rays, n_boundary=n_boundary)
+    u = _frame_coords(x, _ray_argument(x, v, "vector"), -1)
     scan = _indicatrix_scan(metric, x, n_boundary)
 
     def support_of_v(betas):

@@ -425,30 +425,35 @@ class TestSupportSearch:
         np.testing.assert_allclose(fl.holmes_thompson_density(m, xs),
                                    measures.volume_densities(m, xs), rtol=1e-10)
 
-    def test_chunks_equal_one_pass(self, monkeypatch, rng):
+    def test_block_equals_one_point_calls(self, rng):
         m = fl.kz_torus(0.6)
         xs = [random_point(m, rng) for _ in range(7)]
         ps = rng.normal(size=(7, 2))
-        dn, ht = fl.dual_norm(m, xs, ps), fl.holmes_thompson_density(m, xs, 32, 256)
-        # chunks of 3 points, the last of 1
-        monkeypatch.setattr(metrics, "_SCAN_ENTRIES", 3 * 32 * 256)
-        np.testing.assert_array_equal(fl.holmes_thompson_density(m, xs, 32, 256), ht)
-        monkeypatch.setattr(metrics, "_SCAN_ENTRIES", 3 * metrics.DUAL_COARSE_N)
-        np.testing.assert_array_equal(fl.dual_norm(m, xs, ps), dn)
+        np.testing.assert_array_equal(fl.dual_norm(m, xs, ps),
+                                      [fl.dual_norm(m, x, p) for x, p in zip(xs, ps)])
+        np.testing.assert_array_equal(fl.holmes_thompson_density(m, xs, 32, 256),
+                                      [fl.holmes_thompson_density(m, x, 32, 256) for x in xs])
 
-    def test_holmes_thompson_block_peak_memory(self, rng):
-        # one point's 512 x 2048 support matrix (8 MiB) is held at a time
+    @staticmethod
+    def _holmes_thompson_peak(eps, rng):
+        """tracemalloc peak of holmes_thompson_density on 20 kz-torus points."""
         import tracemalloc
 
-        m = fl.kz_torus(0.6)
+        m = fl.kz_torus(eps)
         xs = [random_point(m, rng) for _ in range(20)]
         tracemalloc.start()
         try:
             fl.holmes_thompson_density(m, xs)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+
+    def test_holmes_thompson_block_peak_memory(self, rng):
+        assert self._holmes_thompson_peak(0.6, rng) < 12 * 2**20
+
+    def test_holmes_thompson_block_peak_memory_without_support_matrix(self, rng):
+        # the block's scans and edge normals, no (P, m, n) support matrix
+        assert self._holmes_thompson_peak(0.5, rng) < 4 * 2**20
 
 
 def _block_metrics():
@@ -518,3 +523,161 @@ class TestBlockDualForms:
             fl.dual_norm_sampled(m, xs, [[1.0, 0.0]])
         with pytest.raises(fl.DomainError):
             fl.dual_norm_sampled(m, xs, [[1.0, 0.0], [0.0, 0.0]])
+
+
+def _brute_scan_max(ps, ws):
+    """Index and value of the largest p(w) over every scan point, from the
+    full support matrix ps @ ws^T of each point."""
+    support = ps @ np.swapaxes(ws, -1, -2)
+    idx = np.argmax(support, axis=-1)
+    return idx, np.take_along_axis(support, idx[..., None], axis=-1)[..., 0]
+
+
+def _lookup_cases():
+    """(name, metric, base points): the verify family and randers-var at
+    random points, and kz_sphere(0.5) at the polar points of
+    TestSupportSearch."""
+    rng = np.random.default_rng(77)
+    cases = [(name, m, [random_point(m, rng) for _ in range(6)])
+             for name, m in _block_metrics().items()]
+    for phi in TestSupportSearch.POLAR:
+        _, xs, _ = TestSupportSearch._polar_samples(phi)
+        cases.append((f"kz-sphere-0.5-phi{phi:.4g}", fl.kz_sphere(0.5), xs))
+    return cases
+
+
+class TestScanLookup:
+    """The edge-normal lookup of metrics._scan_max against the brute-force
+    maximum over the whole scan."""
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    @pytest.mark.parametrize("case", _lookup_cases(), ids=lambda c: c[0])
+    def test_matches_brute_force(self, case, n):
+        _, m, xs = case
+        rng = np.random.default_rng(n)
+        scan = metrics._indicatrix_scan(m, xs, n)
+        ws = scan[1]
+        shared = rng.normal(size=(300, 2))
+        own = rng.normal(size=(len(xs), 300, 2))
+        for ps in (shared, own):
+            idx, val = metrics._scan_max(ps, scan)
+            ref_idx, ref_val = _brute_scan_max(np.broadcast_to(ps, own.shape), ws)
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_allclose(val, ref_val, rtol=4e-16, atol=0.0)
+        # one point, covectors (m, 2)
+        one = metrics._indicatrix_scan(m, xs[0], n)
+        idx, val = metrics._scan_max(shared, one)
+        ref_idx, ref_val = _brute_scan_max(shared, one[1])
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_allclose(val, ref_val, rtol=4e-16, atol=0.0)
+
+    def test_a_tie_takes_the_first_vertex_as_argmax(self):
+        # the square (1, 0), (0, 1), (-1, 0), (0, -1): p = (1, -1) scores 1
+        # on vertices 3 and 0, across the wrap of the normals
+        ws = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        normals = np.pi / 4.0 * np.array([1.0, 3.0, 5.0, 7.0])
+        scan = (0.5 * np.pi * np.arange(4), ws, normals)
+        ps = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
+        idx, val = metrics._scan_max(ps, scan)
+        ref_idx, ref_val = _brute_scan_max(ps, ws)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(val, ref_val)
+
+    def test_scan_normals_increase_by_one_turn(self):
+        m = fl.kz_torus(0.6)
+        psis, ws, normals = metrics._indicatrix_scan(m, fl.torus_point(0.2, 0.4), 64)
+        assert psis.shape == normals.shape == (64,) and ws.shape == (64, 2)
+        assert np.all(np.diff(normals) > 0.0)
+        assert normals[-1] < normals[0] + 2.0 * np.pi
+
+    @pytest.mark.parametrize("name", list(builtin_metrics()))
+    def test_every_builtin_scan_is_convex(self, name, rng):
+        m = builtin_metrics()[name]
+        xs = [random_point(m, rng) for _ in range(4)]
+        for n in (256, 2048):
+            metrics._indicatrix_scan(m, xs, n)
+
+    @pytest.mark.parametrize("phi", [1e-3, math.pi - 1e-3])
+    def test_kz_sphere_scan_is_convex_at_the_poles(self, phi):
+        xs = [fl.sphere_point(phi, th) for th in (0.0, 2.0, 4.0)]
+        for n in (256, 2048):
+            metrics._indicatrix_scan(fl.kz_sphere(0.5), xs, n)
+
+
+def _flower(c):
+    """The norm |v| (1 + c cos 4 phi), convex only for c <= 1/15."""
+    def f(x, vs):
+        vs = np.asarray(vs, dtype=float)
+        return np.hypot(vs[..., 0], vs[..., 1]) * (1.0 + c * np.cos(4.0 * np.arctan2(vs[..., 1], vs[..., 0])))
+    return f
+
+
+class TestSupportSearchInput:
+    def test_flower_norm_is_not_convex(self):
+        m = fl.custom(_flower(0.3), chart=fl.TORUS)
+        x = fl.torus_point(0.25, 0.5)
+        assert min(fl.convexity_margin(m, x, phi)
+                   for phi in np.linspace(0.0, 2.0 * math.pi, 64)) < 0.0
+
+    def test_non_convex_scan_raises_and_names_the_point(self):
+        m = fl.custom(_flower(0.3), chart=fl.TORUS)
+        x = fl.torus_point(0.25, 0.5)
+        with pytest.raises(fl.InvalidMetricError, match=r"\(0\.25, 0\.5\)"):
+            fl.dual_norm(m, x, [1.0, 0.3])
+        with pytest.raises(fl.InvalidMetricError, match=r"\(0\.25, 0\.5\)"):
+            fl.holmes_thompson_density(m, x)
+        with pytest.raises(fl.InvalidMetricError, match=r"\(0\.25, 0\.5\)"):
+            fl.dual_norm_sampled(m, x, [1.0, 0.3])
+
+    def test_non_convex_scan_names_the_first_failing_point_of_a_block(self):
+        # |v| (1 + 0.3 u cos 4 phi): convex at u = 0.125, not at 0.5 and 0.75
+        def f(x, vs):
+            return _flower(0.3 * x.u)(x, vs)
+
+        m = fl.custom(f, chart=fl.TORUS)
+        xs = [fl.torus_point(u, 0.5) for u in (0.125, 0.5, 0.75)]
+        fl.dual_norm(m, xs[0], [1.0, 0.3])
+        with pytest.raises(fl.InvalidMetricError, match=r"\(0\.5, 0\.5\)"):
+            fl.dual_norm(m, xs, np.ones((3, 2)))
+
+    def test_flower_norm_below_the_bound_is_searched(self):
+        m = fl.custom(_flower(0.05), chart=fl.TORUS)
+        x = fl.torus_point(0.25, 0.5)
+        v = np.array([0.8, 0.6])
+        p = fl.legendre_forward(m, x, v)
+        assert fl.dual_norm(m, x, p) == pytest.approx(fl.eval_f(m, x, v), rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+    def test_non_finite_argument_is_a_domain_error(self, bad):
+        m = fl.kz_torus(0.5)
+        x = fl.torus_point(0.2, 0.4)
+        with pytest.raises(fl.DomainError, match="finite"):
+            fl.dual_norm(m, x, bad)
+        with pytest.raises(fl.DomainError, match="finite"):
+            fl.dual_norm_sampled(m, x, bad)
+        xs = [x, fl.torus_point(0.6, 0.1)]
+        with pytest.raises(fl.DomainError, match="finite"):
+            fl.dual_norm(m, xs, [[1.0, 0.0], bad])
+        with pytest.raises(fl.DomainError, match="finite"):
+            fl.dual_norm_sampled(m, xs, [[1.0, 0.0], bad])
+
+    @pytest.mark.parametrize("call", [
+        lambda m, x: fl.dual_norm(m, x, [1.0, 0.3], coarse_n=0),
+        lambda m, x: fl.dual_norm(m, x, [1.0, 0.3], coarse_n=2),
+        lambda m, x: fl.holmes_thompson_density(m, x, n_rays=0),
+        lambda m, x: fl.holmes_thompson_density(m, x, n_boundary=1),
+        lambda m, x: fl.dual_norm_sampled(m, x, [1.0, 0.3], n_rays=2),
+        lambda m, x: fl.dual_norm_sampled(m, x, [1.0, 0.3], n_boundary=0),
+    ])
+    def test_counts_below_the_minimum_are_config_errors(self, call):
+        with pytest.raises(fl.ConfigError, match="at least 3"):
+            call(fl.kz_torus(0.5), fl.torus_point(0.2, 0.4))
+
+    def test_smallest_counts_are_accepted(self):
+        m = fl.kz_torus(0.5)
+        x = fl.torus_point(0.2, 0.4)
+        n = metrics.MIN_SCAN_N
+        for value in (fl.dual_norm(m, x, [1.0, 0.3], coarse_n=n),
+                      fl.holmes_thompson_density(m, x, n_rays=n, n_boundary=n),
+                      fl.dual_norm_sampled(m, x, [1.0, 0.3], n_rays=n, n_boundary=n)):
+            assert math.isfinite(value) and value > 0.0
