@@ -627,7 +627,12 @@ def _indicatrix_scan(metric: FinslerMetric2D, x, n: int) -> tuple:
     psis = 2.0 * np.pi * np.arange(n) / n
     ws = _frame_indicatrix(metric, x, psis)
     edges = np.roll(ws, -1, axis=-2) - ws
-    normals = np.unwrap(np.arctan2(-edges[..., 0], edges[..., 1]), axis=-1)
+    angles = np.arctan2(-edges[..., 0], edges[..., 1])
+    # Each fall of the angles is taken for a wrap through pi; where the
+    # polygon is not convex a fall is a turn back, and the 2*pi added for
+    # it makes the total turn exceed 2*pi.
+    falls = np.diff(angles, axis=-1, prepend=angles[..., :1]) < 0.0
+    normals = angles + 2.0 * np.pi * np.cumsum(falls, axis=-1)
     convex = (np.all(np.diff(normals, axis=-1) > 0.0, axis=-1)
               & (normals[..., -1] < normals[..., 0] + 2.0 * np.pi))
     bad = _failing(x, ~convex)
