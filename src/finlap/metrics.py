@@ -24,6 +24,7 @@ points.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -711,10 +712,11 @@ def _support_max(metric: FinslerMetric2D, x, ps: np.ndarray, scan: tuple) -> np.
 
 
 def _check_counts(**counts: int):
-    """Raise ConfigError for a scan or ray count below ``MIN_SCAN_N``."""
+    """Raise ConfigError for a scan or ray count that is not an integer of
+    at least ``MIN_SCAN_N``."""
     for name, n in counts.items():
-        if n < MIN_SCAN_N:
-            raise ConfigError(f"{name} must be at least {MIN_SCAN_N}, got {n}")
+        if not isinstance(n, numbers.Integral) or n < MIN_SCAN_N:
+            raise ConfigError(f"{name} must be an integer of at least {MIN_SCAN_N}, got {n}")
 
 
 def _ray_argument(x, a, what: str) -> np.ndarray:

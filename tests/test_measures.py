@@ -660,15 +660,17 @@ class TestSupportSearchInput:
         lambda m, x: fl.holmes_thompson_density(m, x, n_boundary=1),
         lambda m, x: fl.dual_norm_sampled(m, x, [1.0, 0.3], n_rays=2),
         lambda m, x: fl.dual_norm_sampled(m, x, [1.0, 0.3], n_boundary=0),
+        lambda m, x: fl.dual_norm(m, x, [1.0, 0.3], coarse_n=256.0),
+        lambda m, x: fl.holmes_thompson_density(m, x, n_rays=512.5),
     ])
-    def test_counts_below_the_minimum_are_config_errors(self, call):
-        with pytest.raises(fl.ConfigError, match="at least 3"):
+    def test_bad_counts_are_config_errors(self, call):
+        with pytest.raises(fl.ConfigError, match="integer of at least 3"):
             call(fl.kz_torus(0.5), fl.torus_point(0.2, 0.4))
 
     def test_smallest_counts_are_accepted(self):
         m = fl.kz_torus(0.5)
         x = fl.torus_point(0.2, 0.4)
-        n = metrics.MIN_SCAN_N
+        n = np.int64(metrics.MIN_SCAN_N)
         for value in (fl.dual_norm(m, x, [1.0, 0.3], coarse_n=n),
                       fl.holmes_thompson_density(m, x, n_rays=n, n_boundary=n),
                       fl.dual_norm_sampled(m, x, [1.0, 0.3], n_rays=n, n_boundary=n)):
