@@ -37,13 +37,19 @@ from .verify import run_suite
 
 
 def _number(conv, value, name: str):
-    """``conv(value)`` (float or int), None kept; bad values are config errors."""
+    """``conv(value)`` (float or int), None kept.  A value ``conv`` rejects,
+    a boolean, or for an int a number it would truncate is a config
+    error."""
     if value is None:
         return None
+    kind = "an integer" if conv is int else "a number"
     try:
-        return conv(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+        number = conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}") from exc
+    if isinstance(value, bool) or (conv is int and isinstance(value, float) and number != value):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return number
 
 
 def _atomic_write(path: str, text: str):

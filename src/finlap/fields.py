@@ -2,8 +2,9 @@
 
 A scalar field is any callable ``f(x: ChartPoint) -> float``.  Fields may
 additionally provide ``gradient(x) -> (2,)`` and ``hessian(x) -> (2,2)``;
-the helpers below fall back to central finite differences when they do
-not.  Fields on the torus chart must be 1-periodic in both coordinates.
+the helpers below fall back to the central differences of
+:mod:`finlap.differences` when they do not.  Fields on the torus chart
+must be 1-periodic in both coordinates.
 
 Array form: a field may also provide ``values(x)``, ``gradients(x)`` and
 ``hessians(x)``, which take one ChartPoint or a block of P points (a
@@ -28,10 +29,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import differences
 from .charts import ChartPoint
-
-GRAD_STEP = 1e-5
-HESS_STEP = 1e-4
 
 _TRIG = {
     "one": (np.ones_like, np.zeros_like, np.zeros_like),
@@ -68,28 +67,25 @@ def field_value(f, x: ChartPoint) -> float:
     return float(f(x))
 
 
-def field_gradient(f, x: ChartPoint, h: float = GRAD_STEP) -> np.ndarray:
-    """Gradient of f at x, analytic when the field provides one."""
+def field_gradient(f, x: ChartPoint) -> np.ndarray:
+    """Gradient of f at x, analytic when the field provides one, else
+    differenced with the step ``differences.GRADIENT``."""
     g = getattr(f, "gradient", None)
     if g is not None:
         return np.asarray(g(x), dtype=float)
-    du = (f(x.shifted(h, 0.0)) - f(x.shifted(-h, 0.0))) / (2.0 * h)
-    dv = (f(x.shifted(0.0, h)) - f(x.shifted(0.0, -h))) / (2.0 * h)
-    return np.array([du, dv])
+    h = differences.GRADIENT
+    return np.array([differences.central(lambda t: f(x.shifted(t, 0.0)), h),
+                     differences.central(lambda t: f(x.shifted(0.0, t)), h)])
 
 
-def field_hessian(f, x: ChartPoint, h: float = HESS_STEP) -> np.ndarray:
-    """Hessian of f at x, analytic when the field provides one."""
+def field_hessian(f, x: ChartPoint) -> np.ndarray:
+    """Hessian of f at x, analytic when the field provides one, else
+    differenced with the step ``differences.HESSIAN``."""
     hess = getattr(f, "hessian", None)
     if hess is not None:
         return np.asarray(hess(x), dtype=float)
-    f0 = f(x)
-    fuu = (f(x.shifted(h, 0)) - 2.0 * f0 + f(x.shifted(-h, 0))) / h**2
-    fvv = (f(x.shifted(0, h)) - 2.0 * f0 + f(x.shifted(0, -h))) / h**2
-    fuv = (
-        f(x.shifted(h, h)) - f(x.shifted(h, -h)) - f(x.shifted(-h, h)) + f(x.shifted(-h, -h))
-    ) / (4.0 * h**2)
-    return np.array([[fuu, fuv], [fuv, fvv]])
+    return differences.hessian(lambda du, dv: f(x.shifted(du, dv)), f(x),
+                               differences.HESSIAN)
 
 
 def _gather(f, x, form: str, one: Callable, shape: tuple) -> np.ndarray:

@@ -31,15 +31,11 @@ from typing import List
 import numpy as np
 
 from .charts import ChartPoint, PHI_MIN, SPHERE
+from .differences import central, jet_step
 from .errors import DegenerateContactError, DomainError
 from .metrics import (FinslerMetric2D, chart_rays, frame_rays, frame_stretch,
                       vertical_derivative)
 
-H_PHI = 1e-5
-H_X = 1e-5
-# metrics without an analytic fiber derivative difference a differenced
-# quantity; wider steps keep the result above the roundoff floor
-H_FD_FALLBACK = 2e-4
 DENSITY_FLOOR = 1e-12
 
 
@@ -97,22 +93,14 @@ def _frame_angle(x: ChartPoint, phi: float):
     return math.atan2(s, c), (1.0 / stretch) / (c * c + s * s)
 
 
-def _steps(metric: FinslerMetric2D, h_phi, h_x):
-    if h_phi is None:
-        h_phi = H_PHI if metric.analytic_fiber_derivative else H_FD_FALLBACK
-    if h_x is None:
-        h_x = H_X if metric.analytic_fiber_derivative else H_FD_FALLBACK
-    return h_phi, h_x
-
-
 def _angle_jet(metric: FinslerMetric2D, x, rays, angles: np.ndarray, h):
     """(p, q) = d_vF on the rays of the angles and its central difference
-    in the angle, at one base point or over a block of base points;
-    ``rays`` is :func:`chart_rays` or :func:`frame_rays`.  d_vF is
-    0-homogeneous, so the rays need not be normalized to the indicatrix."""
+    in the angle, step h, at one base point or over a block of base
+    points; ``rays`` is :func:`chart_rays` or :func:`frame_rays`.  d_vF
+    is 0-homogeneous, so the rays need not be normalized to the
+    indicatrix."""
     pq = vertical_derivative(metric, x, rays(x, angles))
-    dpq = (vertical_derivative(metric, x, rays(x, angles + h))
-           - vertical_derivative(metric, x, rays(x, angles - h))) / (2.0 * h)
+    dpq = central(lambda t: vertical_derivative(metric, x, rays(x, angles + t)), h)
     return pq, dpq
 
 
@@ -123,18 +111,17 @@ def _shifted(x, du: float, dv: float):
     return [p.shifted(du, dv) for p in x]
 
 
-def _curl(metric: FinslerMetric2D, x, phis: np.ndarray, h_x) -> np.ndarray:
-    """dq/du - dp/dv at the chart angles phis, by central differences in u
-    and v, at one base point or over a block (shifted as a block).  It is
-    exactly zero for a position-independent metric, whose differences
-    are 0.0, so there it is returned without evaluating the metric."""
+def _curl(metric: FinslerMetric2D, x, phis: np.ndarray, h) -> np.ndarray:
+    """dq/du - dp/dv at the chart angles phis, by central differences of
+    step h in u and v, at one base point or over a block (shifted as a
+    block).  It is exactly zero for a position-independent metric, whose
+    differences are 0.0, so there it is returned without evaluating the
+    metric."""
     rays = chart_rays(x, phis)
     if metric.position_independent:
         return np.zeros(rays.shape[:-1])
-    pq_du = (vertical_derivative(metric, _shifted(x, h_x, 0.0), rays)
-             - vertical_derivative(metric, _shifted(x, -h_x, 0.0), rays)) / (2.0 * h_x)
-    pq_dv = (vertical_derivative(metric, _shifted(x, 0.0, h_x), rays)
-             - vertical_derivative(metric, _shifted(x, 0.0, -h_x), rays)) / (2.0 * h_x)
+    pq_du = central(lambda t: vertical_derivative(metric, _shifted(x, t, 0.0), rays), h)
+    pq_dv = central(lambda t: vertical_derivative(metric, _shifted(x, 0.0, t), rays), h)
     return pq_du[..., 1] - pq_dv[..., 0]
 
 
@@ -146,27 +133,24 @@ def _first_point(x, bad: np.ndarray) -> ChartPoint:
     return x[int(np.argmax(bad.reshape(len(x), -1).any(axis=1)))]
 
 
-def _signed_density(metric: FinslerMetric2D, x, psis, h_phi) -> np.ndarray:
+def _signed_density(metric: FinslerMetric2D, x, psis) -> np.ndarray:
     """q dp/dpsi - p dq/dpsi at the frame angles psis."""
-    h_phi, _ = _steps(metric, h_phi, None)
     psis = np.atleast_1d(np.asarray(psis, dtype=float))
-    pq, dpq = _angle_jet(metric, x, frame_rays, psis, h_phi)
+    pq, dpq = _angle_jet(metric, x, frame_rays, psis, jet_step(metric))
     return pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1]
 
 
-def density_profile(metric: FinslerMetric2D, x, psis,
-                    h_phi=None) -> np.ndarray:
+def density_profile(metric: FinslerMetric2D, x, psis) -> np.ndarray:
     """lambda(x, psi) against dpsi over an array of frame angles
     (vectorized).
 
     ``x`` is one base point, or a block of P base points (a sequence of
     ChartPoint), for which the result has shape (P, len(psis)).
     """
-    return np.abs(_signed_density(metric, x, psis, h_phi))
+    return np.abs(_signed_density(metric, x, psis))
 
 
-def hilbert_density(metric: FinslerMetric2D, fp: FiberPoint,
-                    h_phi=None) -> float:
+def hilbert_density(metric: FinslerMetric2D, fp: FiberPoint) -> float:
     """Density of A ^ dA against dphi ^ du ^ dv at a fiber point, phi the
     chart angle: lambda(x, psi) dpsi/dphi at the frame angle psi of phi.
 
@@ -174,20 +158,18 @@ def hilbert_density(metric: FinslerMetric2D, fp: FiberPoint,
     the sign of the form in this coordinate ordering.
     """
     psi, dpsi_dphi = _frame_angle(fp.base, fp.phi)
-    return float(density_profile(metric, fp.base, [psi], h_phi)[0]) * dpsi_dphi
+    return float(density_profile(metric, fp.base, [psi])[0]) * dpsi_dphi
 
 
-def contact_orientation(metric: FinslerMetric2D, fp: FiberPoint,
-                        h_phi=None) -> int:
+def contact_orientation(metric: FinslerMetric2D, fp: FiberPoint) -> int:
     """Sign of A ^ dA relative to dphi ^ du ^ dv (+1 or -1); the frame
     angle increases with the chart angle, so it is the sign against
     dpsi ^ du ^ dv."""
     psi, _ = _frame_angle(fp.base, fp.phi)
-    return 1 if _signed_density(metric, fp.base, [psi], h_phi)[0] >= 0.0 else -1
+    return 1 if _signed_density(metric, fp.base, [psi])[0] >= 0.0 else -1
 
 
-def reeb_profile(metric: FinslerMetric2D, x, phis,
-                 h_phi=None, h_x=None):
+def reeb_profile(metric: FinslerMetric2D, x, phis):
     """Reeb field at all angles phi over the base point x.
 
     Returns ``(V, Xphi, lam)`` where ``V`` has shape ``(n, 2)`` (chart
@@ -204,13 +186,14 @@ def reeb_profile(metric: FinslerMetric2D, x, phis,
 
     The field solves A(X) = 1 together with two independent components
     of i_X dA = 0; the fiber (dphi) component is always kept and the
-    base component is chosen by the larger pivot.
+    base component is chosen by the larger pivot.  The angle and the base
+    point are differenced with one step, :func:`~finlap.differences.jet_step`.
     """
-    h_phi, h_x = _steps(metric, h_phi, h_x)
+    h = jet_step(metric)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
 
-    pq, dpq = _angle_jet(metric, x, chart_rays, phis, h_phi)
-    curl = _curl(metric, x, phis, h_x)
+    pq, dpq = _angle_jet(metric, x, chart_rays, phis, h)
+    curl = _curl(metric, x, phis, h)
 
     p, q = pq[..., 0], pq[..., 1]
     p_phi, q_phi = dpq[..., 0], dpq[..., 1]
@@ -240,31 +223,25 @@ def reeb_profile(metric: FinslerMetric2D, x, phis,
     return sol[..., :2], sol[..., 2], lam
 
 
-def reeb_field(metric: FinslerMetric2D, fp: FiberPoint,
-               h_phi=None, h_x=None) -> ReebVector:
+def reeb_field(metric: FinslerMetric2D, fp: FiberPoint) -> ReebVector:
     """Reeb field (geodesic spray) at a single fiber point."""
-    V, Xphi, _ = reeb_profile(metric, fp.base, [fp.phi], h_phi, h_x)
+    V, Xphi, _ = reeb_profile(metric, fp.base, [fp.phi])
     return ReebVector(float(V[0, 0]), float(V[0, 1]), float(Xphi[0]))
 
 
-def reeb_residuals_profile(metric: FinslerMetric2D, x, phis,
-                           h_phi=None, h_x=None):
+def reeb_residuals_profile(metric: FinslerMetric2D, x, phis):
     """Defining-equation residuals of the Reeb field over an angle array.
 
-    Re-evaluates the contact form derivatives at independent step sizes
-    and returns arrays ``(|A(X) - 1|, max |i_X dA components|)``, shaped
-    as ``phis``; ``x`` and ``phis`` may be a block, as in
-    :func:`reeb_profile`.
+    Re-evaluates the contact form derivatives at half the jet step, so
+    independently of the solve, and returns arrays
+    ``(|A(X) - 1|, max |i_X dA components|)``, shaped as ``phis``; ``x``
+    and ``phis`` may be a block, as in :func:`reeb_profile`.
     """
-    sp, sx = _steps(metric, None, None)
-    if h_phi is None:
-        h_phi = 0.5 * sp
-    if h_x is None:
-        h_x = 0.5 * sx
+    h = 0.5 * jet_step(metric)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     V, Xphi, _ = reeb_profile(metric, x, phis)
-    pq, dpq = _angle_jet(metric, x, chart_rays, phis, h_phi)
-    curl = _curl(metric, x, phis, h_x)
+    pq, dpq = _angle_jet(metric, x, chart_rays, phis, h)
+    curl = _curl(metric, x, phis, h)
     r_a = np.abs(pq[..., 0] * V[..., 0] + pq[..., 1] * V[..., 1] - 1.0)
     r_du = np.abs(-curl * V[..., 1] + dpq[..., 0] * Xphi)
     r_dv = np.abs(curl * V[..., 0] + dpq[..., 1] * Xphi)

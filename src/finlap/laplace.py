@@ -45,14 +45,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .charts import ChartPoint, TORUS
+from .differences import DRIFT, GEODESIC, central, jet_step, second
 from .errors import ConfigError, DegenerateContactError, NumericError
 from .fields import field_gradient, field_gradients, field_hessian, field_hessians, field_values
-from .hilbert import DENSITY_FLOOR, _rk4_step, _shifted, _steps, reeb_profile
+from .hilbert import DENSITY_FLOOR, _rk4_step, _shifted, reeb_profile
 from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _over_points, fiber_quadrature,
                        fiber_weights, torus_base)
 from .metrics import FinslerMetric2D, indicatrix_point
-
-GEODESIC_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -96,20 +95,16 @@ def _coefficients(metric: FinslerMetric2D, x, fiber_n: int):
         drift_i  = (1/pi) Sum_k w_k (V_j dV_i/dx_j + Xphi dV_i/dphi)
 
     with V, Xphi the Reeb components at the fiber nodes and w the angle
-    weights.  The derivatives of V are central differences, the spatial
-    ones with the block shifted as a block: seven Reeb-field calls.
+    weights.  The derivatives of V are central differences of the jet
+    step, the spatial ones with the block shifted as a block: seven
+    Reeb-field calls.
     """
-    h_phi, h_x = _steps(metric, None, None)
+    h = jet_step(metric)
     nodes, w, rho = fiber_weights(metric, x, fiber_n)
     V, Xphi, _ = reeb_profile(metric, x, nodes)
-
-    def diff(xp, xm, phis_p, phis_m, h):
-        return (reeb_profile(metric, xp, phis_p)[0]
-                - reeb_profile(metric, xm, phis_m)[0]) / (2.0 * h)
-
-    dV_du = diff(_shifted(x, h_x, 0.0), _shifted(x, -h_x, 0.0), nodes, nodes, h_x)
-    dV_dv = diff(_shifted(x, 0.0, h_x), _shifted(x, 0.0, -h_x), nodes, nodes, h_x)
-    dV_dphi = diff(x, x, nodes + h_phi, nodes - h_phi, h_phi)
+    dV_du = central(lambda t: reeb_profile(metric, _shifted(x, t, 0.0), nodes)[0], h)
+    dV_dv = central(lambda t: reeb_profile(metric, _shifted(x, 0.0, t), nodes)[0], h)
+    dV_dphi = central(lambda t: reeb_profile(metric, x, nodes + t)[0], h)
     advect = V[..., 0, None] * dV_du + V[..., 1, None] * dV_dv + Xphi[..., None] * dV_dphi
 
     sigma = (V * w[..., None]).swapaxes(-1, -2) @ V / math.pi
@@ -150,17 +145,17 @@ def coefficient_form(sigma: np.ndarray, drift: np.ndarray, f, points) -> np.ndar
 
 def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
                     path: str = "coefficient",
-                    fiber_n: int = DEFAULT_FIBER_N,
-                    h_geo: float = GEODESIC_STEP) -> float:
+                    fiber_n: int = DEFAULT_FIBER_N) -> float:
     """Apply the operator to a scalar field at a point.
 
-    Two routes are exposed and agree to O(h_geo^2):
+    Two routes are exposed and agree to O(h^2), h the geodesic time step
+    ``finlap.differences.GEODESIC``:
 
     * ``"coefficient"`` -- sigma : Hess f + Z . grad f with the field's
       derivatives (analytic when the field provides them);
     * ``"geodesic"`` -- fiber average of the centered second difference
       of f along the geodesic through x in each fiber direction; the
-      backward branch is the flow for -h_geo, and each branch is one RK4
+      backward branch is the flow for -h, and each branch is one RK4
       step of the batch of all fiber nodes.
     """
     if path == "coefficient":
@@ -174,26 +169,27 @@ def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
             ends = _rk4_step(metric, metric.chart, states, dt)
             return field_values(f, [ChartPoint(metric.chart, u, v) for u, v in ends[:, :2]])
 
-        second = (f_after(h_geo) - 2.0 * float(f(x)) + f_after(-h_geo)) / h_geo**2
-        return float(quad.weights @ second) / math.pi
+        d2f = second(f_after, float(f(x)), GEODESIC)
+        return float(quad.weights @ d2f) / math.pi
     raise ConfigError(f"unknown path {path!r}")
 
 
 def divergence_form_drift(metric: FinslerMetric2D, x: ChartPoint,
-                          fiber_n: int = DEFAULT_FIBER_N,
-                          h: float = 1e-4) -> np.ndarray:
+                          fiber_n: int = DEFAULT_FIBER_N) -> np.ndarray:
     """Drift implied by symmetry: Z_j = (1/rho) d_i (rho sigma_ij).
 
     The pair (symbol, volume density) determines the first-order part of
     any operator symmetric in L^2(volume); this is the independent check
     of the quadrature drift.  The sign of the gradient term is the one
-    forced by symmetry.
+    forced by symmetry.  K = rho sigma is differenced with the step
+    ``finlap.differences.DRIFT``, its five points in one coefficient call.
     """
-    pts = [x, x.shifted(h, 0.0), x.shifted(-h, 0.0), x.shifted(0.0, h), x.shifted(0.0, -h)]
-    sigma, _, rho = coefficients_at(metric, pts, fiber_n)
-    K = rho[:, None, None] * sigma
-    d_du = (K[1] - K[2]) / (2.0 * h)
-    d_dv = (K[3] - K[4]) / (2.0 * h)
+    h = DRIFT
+    shifts = [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]
+    sigma, _, rho = coefficients_at(metric, [x] + [x.shifted(*s) for s in shifts], fiber_n)
+    K = dict(zip(shifts, rho[1:, None, None] * sigma[1:]))
+    d_du = central(lambda t: K[t, 0.0], h)
+    d_dv = central(lambda t: K[0.0, t], h)
     return (d_du[0, :] + d_dv[1, :]) / rho[0]
 
 
@@ -226,48 +222,41 @@ def assemble_torus_operator(metric: FinslerMetric2D, n: int,
     return _coefficient_stencil(sigma, drift), vol
 
 
+def _at(a: np.ndarray, du: int, dv: int) -> np.ndarray:
+    """a at the neighbour (i + du, j + dv) of every node (i, j) of the
+    periodic grid."""
+    return np.roll(a, (-du, -dv), axis=(0, 1))
+
+
+def _stencil_matrix(stencil) -> sp.csr_matrix:
+    """The sparse matrix of a periodic stencil on the n x n grid, acting on
+    row-major grid vectors: ``stencil`` lists ``((du, dv), values)`` with
+    values (n, n), the entry of row (i, j) in the column of its neighbour
+    (i + du, j + dv).  Every row holds the same offsets."""
+    n = stencil[0][1].shape[0]
+    idx = np.arange(n * n).reshape(n, n)
+    cols = np.stack([_at(idx, du, dv).ravel() for (du, dv), _ in stencil], axis=1)
+    vals = np.stack([v.ravel() for _, v in stencil], axis=1)
+    indptr = np.arange(0, vals.size + 1, len(stencil))
+    A = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n * n, n * n))
+    A.sort_indices()
+    return A
+
+
 def _coefficient_stencil(sigma: np.ndarray, drift: np.ndarray):
     """The sparse L of :func:`assemble_torus_operator` from grid coefficients."""
-    n = sigma.shape[0]
-    h = 1.0 / n
-    idx = np.arange(n * n).reshape(n, n)
-    ip = np.roll(idx, -1, axis=0)
-    im = np.roll(idx, 1, axis=0)
-    jp = np.roll(idx, -1, axis=1)
-    jm = np.roll(idx, 1, axis=1)
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(v.ravel())
-
+    h = 1.0 / sigma.shape[0]
     s11 = sigma[..., 0, 0] / h**2
     s22 = sigma[..., 1, 1] / h**2
     s12 = sigma[..., 0, 1] / (2.0 * h**2)   # coefficient of the cross stencil
     du = drift[..., 0] / (2.0 * h)
     dv = drift[..., 1] / (2.0 * h)
-
-    add(idx, idx, -2.0 * (s11 + s22))
-    add(idx, ip, s11 + du)
-    add(idx, im, s11 - du)
-    add(idx, jp, s22 + dv)
-    add(idx, jm, s22 - dv)
-    # 2*sigma_12*f_uv with the centered 4-corner stencil
-    ipjp = np.roll(jp, -1, axis=0)
-    ipjm = np.roll(jm, -1, axis=0)
-    imjp = np.roll(jp, 1, axis=0)
-    imjm = np.roll(jm, 1, axis=0)
-    add(idx, ipjp, s12)
-    add(idx, imjm, s12)
-    add(idx, ipjm, -s12)
-    add(idx, imjp, -s12)
-
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    )
+    return _stencil_matrix([
+        ((0, 0), -2.0 * (s11 + s22)),
+        ((1, 0), s11 + du), ((-1, 0), s11 - du), ((0, 1), s22 + dv), ((0, -1), s22 - dv),
+        # 2*sigma_12*f_uv with the centered 4-corner stencil
+        ((1, 1), s12), ((-1, -1), s12), ((1, -1), -s12), ((-1, 1), -s12),
+    ])
 
 
 def _symbol_density_block(metric: FinslerMetric2D, xs, fiber_n: int):
@@ -344,29 +333,17 @@ def conservative_pencil(sigma: np.ndarray, rho: np.ndarray):
     n = rho.shape[0]
     K = rho[..., None, None] * sigma
     k11, k22, k12 = K[..., 0, 0], K[..., 1, 1], K[..., 0, 1]
-
-    def at(a, du, dv):
-        """a at the neighbour (i + du, j + dv) of every node (i, j)."""
-        return np.roll(a, (-du, -dv), axis=(0, 1))
-
-    e1 = 0.5 * (k11 + at(k11, 1, 0))    # on the edge (i, j) -- (i+1, j)
-    e2 = 0.5 * (k22 + at(k22, 0, 1))    # on the edge (i, j) -- (i, j+1)
-    e1m, e2m = at(e1, -1, 0), at(e2, 0, -1)
-    stencil = [
+    e1 = 0.5 * (k11 + _at(k11, 1, 0))    # on the edge (i, j) -- (i+1, j)
+    e2 = 0.5 * (k22 + _at(k22, 0, 1))    # on the edge (i, j) -- (i, j+1)
+    e1m, e2m = _at(e1, -1, 0), _at(e2, 0, -1)
+    S = _stencil_matrix([
         ((0, 0), -(e1 + e1m + e2 + e2m)),
         ((1, 0), e1), ((-1, 0), e1m), ((0, 1), e2), ((0, -1), e2m),
-        ((1, 1), 0.25 * (at(k12, 1, 0) + at(k12, 0, 1))),
-        ((-1, -1), 0.25 * (at(k12, -1, 0) + at(k12, 0, -1))),
-        ((1, -1), -0.25 * (at(k12, 0, -1) + at(k12, 1, 0))),
-        ((-1, 1), -0.25 * (at(k12, 0, 1) + at(k12, -1, 0))),
-    ]
-    # every row holds the same nine offsets
-    idx = np.arange(n * n).reshape(n, n)
-    cols = np.stack([at(idx, du, dv).ravel() for (du, dv), _ in stencil], axis=1)
-    vals = np.stack([v.ravel() for _, v in stencil], axis=1)
-    indptr = np.arange(0, vals.size + 1, len(stencil))
-    S = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n * n, n * n))
-    S.sort_indices()
+        ((1, 1), 0.25 * (_at(k12, 1, 0) + _at(k12, 0, 1))),
+        ((-1, -1), 0.25 * (_at(k12, -1, 0) + _at(k12, 0, -1))),
+        ((1, -1), -0.25 * (_at(k12, 0, -1) + _at(k12, 1, 0))),
+        ((-1, 1), -0.25 * (_at(k12, 0, 1) + _at(k12, -1, 0))),
+    ])
     M = sp.diags(rho.ravel() * (1.0 / n**2)).tocsr()
     return S, M
 

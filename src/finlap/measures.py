@@ -29,10 +29,13 @@ import numpy as np
 from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError
 from .hilbert import chart_angles, density_profile
-from .metrics import (FinslerMetric2D, dual_norm_sampled,  # noqa: F401 (re-exported)
+from .metrics import (FinslerMetric2D, _check_counts, _nonempty,
+                      dual_norm_sampled,  # noqa: F401 (re-exported)
                       holmes_thompson_density)
 
 DEFAULT_FIBER_N = 256
+#: the fewest nodes of a fiber rule
+MIN_FIBER_N = 16
 #: rays per block of base points evaluated together by :func:`_over_points`:
 #: large enough that the Python overhead of a block is small against its
 #: arithmetic, small enough that each (P, n, 2) temporary stays at 64 KiB
@@ -83,8 +86,7 @@ def _weights(lam: np.ndarray) -> np.ndarray:
 def _fiber_density(metric: FinslerMetric2D, x, n: int) -> np.ndarray:
     """The fiber rule: the contact density on the n trapezoid nodes in the
     frame angle, at one base point (n,) or over a block (P, n)."""
-    if n < 16:
-        raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {n}")
+    _check_counts(MIN_FIBER_N, fiber_n=n)
     return density_profile(metric, x, _trapezoid_nodes(n))
 
 
@@ -137,6 +139,7 @@ def _converged_profile(metric: FinslerMetric2D, x: ChartPoint,
     samples it has; the result equals a fresh evaluation at the final
     size bit for bit.  Stopping at n_max unconverged is logged at DEBUG.
     """
+    _check_counts(1, n0=n0, n_max=n_max)
     lam = density_profile(metric, x, _trapezoid_nodes(n0))
     prev = float(lam.mean())
     change = math.nan
@@ -182,8 +185,7 @@ def fiber_quadrature_adaptive(metric: FinslerMetric2D, x: ChartPoint,
     ``finlap.measures``.
     """
     lam = _converged_profile(metric, x, n0, rtol, n_max)
-    if len(lam) < 16:
-        raise ConfigError(f"fiber quadrature needs at least 16 nodes, got {len(lam)}")
+    _check_counts(MIN_FIBER_N, fiber_n=len(lam))
     return _quadrature(x, lam)
 
 
@@ -228,15 +230,13 @@ class _TorusGrid(Sequence):
 
 def torus_base(n: int) -> BaseQuadrature:
     """The periodic n x n grid (i/n, j/n), row-major, with equal weights."""
-    if n < 1:
-        raise ConfigError(f"torus base needs n >= 1, got {n}")
+    _check_counts(1, n=n)
     return BaseQuadrature(points=_TorusGrid(n), weights=np.full(n * n, 1.0 / n**2))
 
 
 def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
     """Gauss-Legendre in phi (pole-free) times uniform theta, phi-major."""
-    if min(n_phi, n_theta) < 1:
-        raise ConfigError(f"sphere base needs n_phi, n_theta >= 1, got {n_phi}, {n_theta}")
+    _check_counts(1, n_phi=n_phi, n_theta=n_theta)
     t, w = np.polynomial.legendre.leggauss(n_phi)
     phis = 0.5 * math.pi * (t + 1.0)
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
@@ -251,7 +251,11 @@ def _over_points(kernel, metric: FinslerMetric2D, points, n: int) -> tuple:
 
     A position-independent metric is evaluated at the first point only,
     and each array is a read-only broadcast of that value over the points.
+    An empty sequence of points, or a fiber count ``n`` that is not an
+    integer of at least ``MIN_FIBER_N``, is a ConfigError.
     """
+    _nonempty(points)
+    _check_counts(MIN_FIBER_N, fiber_n=n)
     if metric.position_independent:
         return tuple(np.broadcast_to(a, (len(points),) + a.shape[1:])
                      for a in kernel(metric, points[:1], n))

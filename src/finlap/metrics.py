@@ -29,13 +29,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import differences
 from .charts import ChartPoint, PLANE, SPHERE, TORUS
 from .errors import ConfigError, DomainError, FinlapError, InvalidMetricError
 from .fields import ConstantField, field_values
-
-# Relative fiber step of the finite-difference vertical derivative;
-# built-in metrics carry analytic derivatives.
-H_V_REL = 1e-5
 
 # dual_norm scan resolution
 DUAL_COARSE_N = 256
@@ -142,13 +139,20 @@ def at_points(x, rays: np.ndarray) -> np.ndarray:
     return np.broadcast_to(rays, (len(x),) + rays.shape[-2:])
 
 
+def _nonempty(x):
+    """Raise ConfigError if x is an empty block of base points."""
+    if not isinstance(x, ChartPoint) and not len(x):
+        raise ConfigError("a block of base points needs at least one point")
+
+
 class FinslerMetric2D:
     """Base class: a Finsler norm F(x, v) on a chart.
 
     Subclasses implement ``_f(x, vs)`` and, when available, the analytic
     vertical derivative ``_d_vf(x, vs) -> (..., 2)``, each for one base
     point with rays of any leading shape ``(..., 2)`` and for a sequence
-    of P base points with rays of shape ``(P, n, 2)``.
+    of P base points with rays of shape ``(P, n, 2)``.  Without it, d_vF
+    is the central difference of ``_f`` in each component of v.
     """
 
     chart: str = TORUS
@@ -156,15 +160,20 @@ class FinslerMetric2D:
     #: True when F(x, v) does not depend on the base point x; a walk over
     #: base points (measures._over_points) then evaluates only the first.
     position_independent: bool = False
-    #: False when d_vF falls back to finite differences; consumers then
-    #: widen their own differencing steps above the nested-FD noise floor.
+    #: False when d_vF is differenced; the jet of the Hilbert form then
+    #: takes the wider step of :func:`finlap.differences.jet_step`.
     analytic_fiber_derivative: bool = True
 
     def _f(self, x, vs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _d_vf(self, x, vs: np.ndarray) -> Optional[np.ndarray]:
-        return None
+    def _d_vf(self, x, vs: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(vs, axis=-1)
+        if np.any(norms == 0.0):
+            raise DomainError("vertical derivative undefined at the zero vector")
+        h = differences.FIBER_REL * norms
+        return np.stack([differences.central(lambda t: self._f(x, vs + t[..., None] * e), h)
+                         for e in np.eye(2)], axis=-1)
 
     def f(self, x, vs: np.ndarray) -> np.ndarray:
         """Vectorized norm evaluation; no zero-vector check.
@@ -175,14 +184,14 @@ class FinslerMetric2D:
         self._check_chart(x)
         return self._f(x, np.asarray(vs, dtype=float))
 
-    def d_vf(self, x, vs: np.ndarray) -> Optional[np.ndarray]:
-        """Analytic fiber derivative at one point or over a block (as
-        :meth:`f`, with the same chart check), or None when the metric has
-        none."""
+    def d_vf(self, x, vs: np.ndarray) -> np.ndarray:
+        """The fiber derivative at one point or over a block (as :meth:`f`,
+        with the same chart check): analytic when the metric has it."""
         self._check_chart(x)
         return self._d_vf(x, np.asarray(vs, dtype=float))
 
     def _check_chart(self, x):
+        _nonempty(x)
         for p in (x,) if isinstance(x, ChartPoint) else x:
             if p.chart != self.chart:
                 raise DomainError(
@@ -443,10 +452,7 @@ class ConformalMetric(FinslerMetric2D):
         return self._scale(x) * self.base._f(x, vs)
 
     def _d_vf(self, x, vs):
-        d = self.base._d_vf(x, vs)
-        if d is None:
-            return None
-        return self._scale(x)[..., None] * d
+        return self._scale(x)[..., None] * self.base._d_vf(x, vs)
 
 
 def riemannian(g: MatrixField, chart: str = TORUS) -> RiemannianMetric:
@@ -511,6 +517,7 @@ def frame_stretch(x):
     block; None on the torus and plane charts, whose frame is the identity."""
     if isinstance(x, ChartPoint):
         return 1.0 / math.sin(x.u) if x.chart == SPHERE else None
+    _nonempty(x)
     if x[0].chart != SPHERE:
         return None
     return 1.0 / np.sin([p.u for p in x])[:, None]
@@ -566,43 +573,22 @@ def indicatrix_point(metric: FinslerMetric2D, x, phi) -> np.ndarray:
     return e / _indicatrix_scale(metric, x, e)
 
 
-def vertical_derivative(metric: FinslerMetric2D, x, v,
-                        method: str = "auto") -> np.ndarray:
+def vertical_derivative(metric: FinslerMetric2D, x, v) -> np.ndarray:
     """The fiber derivative d_vF = (dF/dv1, dF/dv2); 0-homogeneous in v.
 
-    Uses the metric's analytic derivative when available (``method="auto"``),
-    otherwise central differences with step ``H_V_REL * |v|``.  Satisfies
-    the Euler identity d_vF(v) . v = F(x, v).  ``x`` may be a block of base
+    The metric's analytic derivative when it has one, otherwise central
+    differences with step ``differences.FIBER_REL * |v|``.  Satisfies the
+    Euler identity d_vF(v) . v = F(x, v).  ``x`` may be a block of base
     points, with ``v`` of shape (P, n, 2) (see :meth:`FinslerMetric2D.f`).
     """
-    v = np.asarray(v, dtype=float)
-    if method not in ("auto", "fd", "analytic"):
-        raise DomainError(f"unknown method {method!r}")
-    if method in ("auto", "analytic"):
-        d = metric.d_vf(x, v)
-        if d is not None:
-            return np.asarray(d)
-        if method == "analytic":
-            raise DomainError("metric has no analytic vertical derivative")
-    norms = np.linalg.norm(v, axis=-1)
-    if np.any(norms == 0.0):
-        raise DomainError("vertical derivative undefined at the zero vector")
-    h = (H_V_REL * norms)[..., None]
-    e1 = np.zeros_like(v)
-    e1[..., 0] = 1.0
-    e2 = np.zeros_like(v)
-    e2[..., 1] = 1.0
-    d1 = (metric.f(x, v + h * e1) - metric.f(x, v - h * e1)) / (2.0 * h[..., 0])
-    d2 = (metric.f(x, v + h * e2) - metric.f(x, v - h * e2)) / (2.0 * h[..., 0])
-    return np.stack([d1, d2], axis=-1)
+    return metric.d_vf(x, v)
 
 
-def legendre_forward(metric: FinslerMetric2D, x: ChartPoint, v,
-                     method: str = "auto") -> np.ndarray:
+def legendre_forward(metric: FinslerMetric2D, x: ChartPoint, v) -> np.ndarray:
     """Legendre transform L(x, v) = F(x, v) * d_vF(x, v), the derivative of F^2/2."""
     v = np.asarray(v, dtype=float)
     f = metric.f(x, v)
-    return np.asarray(f)[..., None] * vertical_derivative(metric, x, v, method)
+    return np.asarray(f)[..., None] * vertical_derivative(metric, x, v)
 
 
 def _frame_indicatrix(metric: FinslerMetric2D, x, psis: np.ndarray) -> np.ndarray:
@@ -711,12 +697,12 @@ def _support_max(metric: FinslerMetric2D, x, ps: np.ndarray, scan: tuple) -> np.
     return _parabolic_max(support_at, psis[idx], 2.0 * np.pi / len(psis), y2, 4)
 
 
-def _check_counts(**counts: int):
-    """Raise ConfigError for a scan or ray count that is not an integer of
-    at least ``MIN_SCAN_N``."""
+def _check_counts(minimum: int, **counts: int):
+    """Raise ConfigError for a count that is not an integer (a bool is
+    not) of at least ``minimum``."""
     for name, n in counts.items():
-        if not isinstance(n, numbers.Integral) or n < MIN_SCAN_N:
-            raise ConfigError(f"{name} must be an integer of at least {MIN_SCAN_N}, got {n}")
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < minimum:
+            raise ConfigError(f"{name} must be an integer of at least {minimum}, got {n}")
 
 
 def _ray_argument(x, a, what: str) -> np.ndarray:
@@ -754,7 +740,7 @@ def dual_norm(metric: FinslerMetric2D, x, p, coarse_n: int = DUAL_COARSE_N):
     InvalidMetricError
         If the indicatrix scan is not convex at a point of x.
     """
-    _check_counts(coarse_n=coarse_n)
+    _check_counts(MIN_SCAN_N, coarse_n=coarse_n)
     p = _ray_argument(x, p, "covector")
     q = _frame_coords(x, p, 1)[..., None, :]
     best = _support_max(metric, x, q, _indicatrix_scan(metric, x, coarse_n))
@@ -776,7 +762,7 @@ def holmes_thompson_density(metric: FinslerMetric2D, x,
     block found together.  Both counts must be at least ``MIN_SCAN_N``
     (ConfigError), and the scan convex (InvalidMetricError).
     """
-    _check_counts(n_rays=n_rays, n_boundary=n_boundary)
+    _check_counts(MIN_SCAN_N, n_rays=n_rays, n_boundary=n_boundary)
     betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
     scan = _indicatrix_scan(metric, x, n_boundary)
     r = 1.0 / _support_max(metric, x, _circle(betas), scan)
@@ -805,7 +791,7 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v,
     non-finite vector is a DomainError, and a non-convex scan an
     InvalidMetricError.
     """
-    _check_counts(n_rays=n_rays, n_boundary=n_boundary)
+    _check_counts(MIN_SCAN_N, n_rays=n_rays, n_boundary=n_boundary)
     u = _frame_coords(x, _ray_argument(x, v, "vector"), -1)
     scan = _indicatrix_scan(metric, x, n_boundary)
 
@@ -826,27 +812,16 @@ def scale_conformal(metric: FinslerMetric2D, f) -> ConformalMetric:
     return ConformalMetric(metric, f)
 
 
-def hessian_f2(metric: FinslerMetric2D, x: ChartPoint, v,
-               h_rel: float = 1e-4) -> np.ndarray:
-    """Finite-difference Hessian of F^2/2 in v; SPD by strong convexity."""
+def hessian_f2(metric: FinslerMetric2D, x: ChartPoint, v) -> np.ndarray:
+    """Finite-difference Hessian of F^2/2 in v, with the fiber step
+    ``differences.CONVEXITY_REL * |v|``; SPD by strong convexity."""
     v = np.asarray(v, dtype=float)
-    h = h_rel * float(np.linalg.norm(v))
 
-    def e(vv):
-        return 0.5 * float(metric.f(x, vv)) ** 2
+    def e(du, dv):
+        return 0.5 * float(metric.f(x, v + np.array([du, dv]))) ** 2
 
-    basis = np.eye(2)
-    H = np.empty((2, 2))
-    f0 = e(v)
-    for i in range(2):
-        H[i, i] = (e(v + h * basis[i]) - 2.0 * f0 + e(v - h * basis[i])) / h**2
-    H[0, 1] = H[1, 0] = (
-        e(v + h * basis[0] + h * basis[1])
-        - e(v + h * basis[0] - h * basis[1])
-        - e(v - h * basis[0] + h * basis[1])
-        + e(v - h * basis[0] - h * basis[1])
-    ) / (4.0 * h**2)
-    return H
+    return differences.hessian(e, e(0.0, 0.0),
+                               differences.CONVEXITY_REL * float(np.linalg.norm(v)))
 
 
 def convexity_margin(metric: FinslerMetric2D, x: ChartPoint, phi: float) -> float:

@@ -381,14 +381,26 @@ class TestConfigFile:
         rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
-    def test_non_numeric_config_value_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key, value", [
+        ("metric", "eps", "abc"),
+        ("resolution", "grid_n", 16.7),
+        ("resolution", "k", 3.9),
+        ("resolution", "fiber_n", 64.5),
+        ("resolution", "grid_n", True),
+    ], ids=["eps-abc", "grid_n-16.7", "k-3.9", "fiber_n-64.5", "grid_n-true"])
+    def test_non_numeric_config_value_is_config_error(self, tmp_path, capsys,
+                                                       section, key, value):
+        # an integer setting must be integral: no silent truncation
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"metric": {"kind": "kz-torus", "eps": "abc"}}))
+        doc = {"metric": {"kind": "kz-torus"}, "resolution": {}}
+        doc[section][key] = value
+        cfg.write_text(json.dumps(doc))
         rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert rc == 2
         err = capsys.readouterr().err.strip()
-        assert err.startswith("finlap: config error:") and "metric.eps" in err
+        assert err.startswith("finlap: config error:") and f"{section}.{key}" in err
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o.json").exists()
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "x.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import finlap as fl
+from finlap.differences import jet_step
 from conftest import builtin_metrics, random_point, random_vector
 
 
@@ -64,7 +65,7 @@ class TestHilbertDensity:
                 lam_psi = fl.hilbert.density_profile(m, x, [psi])[0]
                 got = fl.hilbert_density(m, fl.FiberPoint(x, phi))
                 # psi rounds differently here; the difference quotient
-                # amplifies that by 1/H_PHI
+                # amplifies that by 1/JET
                 assert got == pytest.approx(lam_psi * dpsi_dphi, rel=1e-10)
                 if u >= 0.3:
                     # the Reeb solve differences in the chart angle itself
@@ -172,11 +173,10 @@ class TestFiberJet:
 
     def test_call_order(self, monkeypatch):
         # a position-dependent metric: the angle jet, then the curl's four
-        # shifted base points
-        h = fl.hilbert.H_PHI
-        assert fl.hilbert.H_X == h
+        # base points shifted by the same step
         calls = self._record_calls(monkeypatch)
         m = builtin_metrics()["riemannian-var"]
+        h = jet_step(m)
         assert not m.position_independent
         x = fl.torus_point(0.25, 0.5)
         fl.hilbert.density_profile(m, x, [1.0])
@@ -195,9 +195,9 @@ class TestFiberJet:
     def test_call_order_position_independent(self, monkeypatch):
         # the curl of a position-independent metric is exactly zero and is
         # not differenced: only the angle jet is evaluated
-        h = fl.hilbert.H_PHI
         calls = self._record_calls(monkeypatch)
         m = fl.kz_torus(0.6)
+        h = jet_step(m)
         x = fl.torus_point(0.25, 0.5)
         jet = [(0.25, 0.5, 1.0), (0.25, 0.5, 1.0 + h), (0.25, 0.5, 1.0 - h)]
         fl.reeb_profile(m, x, [1.0])

@@ -7,6 +7,7 @@ import pytest
 import finlap as fl
 import finlap.measures as measures
 import finlap.metrics as metrics
+from finlap.differences import jet_step
 from finlap.laplace import symbol_density
 from conftest import builtin_metrics, random_point
 
@@ -152,7 +153,7 @@ def _kz_sphere_density(eps, phi):
 def _identity_frame_trapezoid(metric, x, n):
     """Reference: nodes, weights and volume of the n-node trapezoid in the
     chart angle, the contact density differenced in that angle."""
-    h, _ = fl.hilbert._steps(metric, None, None)
+    h = jet_step(metric)
     nodes = 2.0 * np.pi * np.arange(n) / n
 
     def pq(phis):
@@ -244,6 +245,25 @@ class TestBaseQuadrature:
         with pytest.raises(fl.ConfigError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: fl.volume_density(fl.kz_torus(0.5), fl.torus_point(0.2, 0.4), n=64.5),
+        lambda: measures.volume_densities(builtin_metrics()["randers-var"],
+                                          fl.torus_base(4).points, 64.5),
+        lambda: fl.assemble_eigenproblem(builtin_metrics()["randers-var"],
+                                         fl.TorusGridBasis(n=16, fiber_n=64.5)),
+        lambda: fl.assemble_eigenproblem(fl.kz_torus(0.5), fl.TorusGridBasis(n=32.5)),
+        lambda: fl.torus_base(True),
+        lambda: fl.sphere_total_volume(fl.kz_sphere(0.3), n_phi=8.5),
+        lambda: fl.sphere_base(4, 2.0),
+        lambda: fl.volume_density_adaptive(fl.kz_torus(0.5), fl.torus_point(0.2, 0.4),
+                                           n0=64.5),
+    ], ids=["volume-density", "volume-densities", "grid-fiber-n", "grid-n", "torus-bool",
+            "sphere-volume", "sphere-theta", "adaptive-n0"])
+    def test_non_integer_count_is_config_error(self, call):
+        # a fiber or grid count is never truncated or rounded
+        with pytest.raises(fl.ConfigError, match="must be an integer of at least"):
+            call()
+
     def test_points_and_weights_must_match(self):
         points = fl.torus_base(2).points
         with pytest.raises(fl.ConfigError):
@@ -266,6 +286,31 @@ class TestBaseQuadrature:
         base = fl.sphere_base(12, 5)
         assert len(base.points) == 60
         assert base.weights.sum() == pytest.approx(2.0 * math.pi**2, rel=1e-14)
+
+
+_EMPTY_BLOCK_CALLS = {
+    "dual_norm": lambda m: fl.dual_norm(m, [], np.zeros((0, 2))),
+    "dual_norm_sampled": lambda m: fl.dual_norm_sampled(m, [], np.zeros((0, 2))),
+    "holmes_thompson_density": lambda m: fl.holmes_thompson_density(m, []),
+    "fiber_weights": lambda m: measures.fiber_weights(m, []),
+    "volume_densities": lambda m: measures.volume_densities(m, []),
+    "vertical_derivative": lambda m: fl.vertical_derivative(m, [], np.zeros((0, 4, 2))),
+    "density_profile": lambda m: fl.hilbert.density_profile(m, [], [0.0, 1.0]),
+    "reeb_profile": lambda m: fl.reeb_profile(m, [], [0.0, 1.0]),
+    "indicatrix_point": lambda m: fl.indicatrix_point(m, [], [0.0, 1.0]),
+    "coefficients_at": lambda m: fl.laplace.coefficients_at(m, []),
+    "symbol_densities": lambda m: fl.laplace.symbol_densities(m, []),
+}
+
+
+@pytest.mark.parametrize("name", ["kz-torus-06", "randers-var", "kz-sphere-03",
+                                  "custom-quartic"])
+@pytest.mark.parametrize("entry", sorted(_EMPTY_BLOCK_CALLS))
+def test_empty_block_is_config_error(entry, name):
+    """A block of no base points is refused where it is first read, as an
+    empty base is, whether the metric is position-independent or not."""
+    with pytest.raises(fl.ConfigError, match="at least one point"):
+        _EMPTY_BLOCK_CALLS[entry](builtin_metrics()[name])
 
 
 class TestHolmesThompson:
