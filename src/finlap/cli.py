@@ -52,6 +52,12 @@ def _number(conv, value, name: str):
     return number
 
 
+def _finite(flag: str, *values: float):
+    """Raise ConfigError unless every value given for ``flag`` is finite."""
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag} must be finite, got {' '.join(map(str, values))}")
+
+
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".finlap-", suffix=".tmp")
@@ -179,6 +185,7 @@ def _point(metric: FinslerMetric2D, at) -> ChartPoint:
     if at is None:
         return (ChartPoint(SPHERE, math.pi / 2.0, 0.0) if metric.chart == SPHERE
                 else ChartPoint(metric.chart, 0.0, 0.0))
+    _finite("--at", *at)
     return ChartPoint(metric.chart, float(at[0]), float(at[1]))
 
 
@@ -223,12 +230,11 @@ def cmd_volume(args) -> int:
 
 def cmd_geodesic(args) -> int:
     m = _merged(args, _load_config(args.config))
-    if not math.isfinite(args.t_end):
-        raise ConfigError(f"--t-end must be finite, got {args.t_end}")
-    if not (math.isfinite(args.dt) and args.dt > 0.0):
-        raise ConfigError(f"--dt must be finite and positive, got {args.dt}")
-    if not all(map(math.isfinite, args.start)):
-        raise ConfigError(f"--start must be finite, got {' '.join(map(str, args.start))}")
+    _finite("--t-end", args.t_end)
+    _finite("--dt", args.dt)
+    if args.dt <= 0.0:
+        raise ConfigError(f"--dt must be positive, got {args.dt}")
+    _finite("--start", *args.start)
     metric = build_metric(m.metric, m.eps, m.g, m.theta, m.conformal)
     u0, v0, phi0 = args.start
     fp = FiberPoint(ChartPoint(metric.chart, float(u0), float(v0)), float(phi0))

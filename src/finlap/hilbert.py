@@ -33,7 +33,7 @@ import numpy as np
 from .charts import ChartPoint, PHI_MIN, SPHERE
 from .differences import central, jet_step
 from .errors import DegenerateContactError, DomainError
-from .metrics import (FinslerMetric2D, chart_rays, frame_rays, frame_stretch,
+from .metrics import (FinslerMetric2D, _failing, chart_rays, frame_rays, frame_stretch,
                       vertical_derivative)
 
 DENSITY_FLOOR = 1e-12
@@ -125,19 +125,24 @@ def _curl(metric: FinslerMetric2D, x, phis: np.ndarray, h) -> np.ndarray:
     return pq_du[..., 1] - pq_dv[..., 0]
 
 
-def _first_point(x, bad: np.ndarray) -> ChartPoint:
-    """The base point x, or the first point of a block whose row of
-    ``bad`` (shape (P, ...)) holds anywhere."""
-    if isinstance(x, ChartPoint):
-        return x
-    return x[int(np.argmax(bad.reshape(len(x), -1).any(axis=1)))]
+def _contact_density(x, pq: np.ndarray, dpq: np.ndarray) -> np.ndarray:
+    """The signed contact density q dp - p dq of the angle jet (pq, dpq),
+    (n,) at one point or (P, n) over a block.  Raise
+    :class:`DegenerateContactError` naming the first point of x where its
+    absolute value is below ``DENSITY_FLOOR`` or not a number."""
+    s = pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1]
+    bad = _failing(x, ~(np.abs(s) >= DENSITY_FLOOR))
+    if bad is not None:
+        raise DegenerateContactError(f"contact density below {DENSITY_FLOOR} at {bad[1]}")
+    return s
 
 
 def _signed_density(metric: FinslerMetric2D, x, psis) -> np.ndarray:
-    """q dp/dpsi - p dq/dpsi at the frame angles psis."""
+    """q dp/dpsi - p dq/dpsi at the frame angles psis, checked by
+    :func:`_contact_density`."""
     psis = np.atleast_1d(np.asarray(psis, dtype=float))
     pq, dpq = _angle_jet(metric, x, frame_rays, psis, jet_step(metric))
-    return pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1]
+    return _contact_density(x, pq, dpq)
 
 
 def density_profile(metric: FinslerMetric2D, x, psis) -> np.ndarray:
@@ -145,7 +150,9 @@ def density_profile(metric: FinslerMetric2D, x, psis) -> np.ndarray:
     (vectorized).
 
     ``x`` is one base point, or a block of P base points (a sequence of
-    ChartPoint), for which the result has shape (P, len(psis)).
+    ChartPoint), for which the result has shape (P, len(psis)).  A
+    density below ``DENSITY_FLOOR``, or not a number, raises
+    :class:`DegenerateContactError` naming the first point where it occurs.
     """
     return np.abs(_signed_density(metric, x, psis))
 
@@ -181,13 +188,15 @@ def reeb_profile(metric: FinslerMetric2D, x, phis):
     ``phis`` of shape (n,) shared by the block or (P, n), one row per
     point; the results then have shapes (P, n, 2), (P, n) and (P, n), and
     the block makes the seven fiber-derivative calls of one point.  A
-    degenerate contact density raises :class:`DegenerateContactError`
-    naming the first point of the block where it occurs.
+    contact density below ``DENSITY_FLOOR``, or not a number, raises
+    :class:`DegenerateContactError` naming the first point of the block
+    where it occurs.
 
-    The field solves A(X) = 1 together with two independent components
-    of i_X dA = 0; the fiber (dphi) component is always kept and the
-    base component is chosen by the larger pivot.  The angle and the base
-    point are differenced with one step, :func:`~finlap.differences.jet_step`.
+    With A = p du + q dv, A(X) = 1 and i_X dA = 0 have the closed-form
+    solution X = (-q_phi, p_phi, q_u - p_v) / s, where
+    s = q p_phi - p q_phi is the signed contact density.  The angle and
+    the base point are differenced with one step,
+    :func:`~finlap.differences.jet_step`.
     """
     h = jet_step(metric)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
@@ -195,32 +204,9 @@ def reeb_profile(metric: FinslerMetric2D, x, phis):
     pq, dpq = _angle_jet(metric, x, chart_rays, phis, h)
     curl = _curl(metric, x, phis, h)
 
-    p, q = pq[..., 0], pq[..., 1]
-    p_phi, q_phi = dpq[..., 0], dpq[..., 1]
-    lam = np.abs(q * p_phi - p * q_phi)
-    if np.any(lam < DENSITY_FLOOR):
-        pt = _first_point(x, lam < DENSITY_FLOOR)
-        raise DegenerateContactError(
-            f"contact density below {DENSITY_FLOOR} at ({pt.u}, {pt.v})"
-        )
-
-    # rows: A(X) = 1; dphi-component of i_X dA; du- or dv-component.
-    M = np.zeros(lam.shape + (3, 3))
-    rhs = np.zeros(lam.shape + (3,))
-    M[..., 0, 0], M[..., 0, 1] = p, q
-    rhs[..., 0] = 1.0
-    M[..., 1, 0], M[..., 1, 1] = p_phi, q_phi
-    use_du = np.abs(p_phi) >= np.abs(q_phi)
-    M[..., 2, 1] = np.where(use_du, -curl, 0.0)
-    M[..., 2, 0] = np.where(use_du, 0.0, curl)
-    M[..., 2, 2] = np.where(use_du, p_phi, q_phi)
-
-    try:
-        sol = np.linalg.solve(M, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        pt = _first_point(x, np.linalg.det(M) == 0.0)
-        raise DegenerateContactError(f"Reeb system singular at ({pt.u}, {pt.v})") from exc
-    return sol[..., :2], sol[..., 2], lam
+    s = _contact_density(x, pq, dpq)
+    V = np.stack([-dpq[..., 1], dpq[..., 0]], axis=-1) / s[..., None]
+    return V, curl / s, np.abs(s)
 
 
 def reeb_field(metric: FinslerMetric2D, fp: FiberPoint) -> ReebVector:
@@ -233,7 +219,7 @@ def reeb_residuals_profile(metric: FinslerMetric2D, x, phis):
     """Defining-equation residuals of the Reeb field over an angle array.
 
     Re-evaluates the contact form derivatives at half the jet step, so
-    independently of the solve, and returns arrays
+    independently of the closed form, and returns arrays
     ``(|A(X) - 1|, max |i_X dA components|)``, shaped as ``phis``; ``x``
     and ``phis`` may be a block, as in :func:`reeb_profile`.
     """

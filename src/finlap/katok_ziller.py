@@ -24,8 +24,9 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, InvalidMetricError
+from .errors import ConfigError
 from .fields import ArrayField, _gradient, _hessian, coords
+from .metrics import _check_eps
 
 
 def torus_closed_form(eps: float, xi) -> float:
@@ -52,8 +53,7 @@ def sphere_closed_form(eps: float, phi: float, xi) -> float:
 def torus_operator(eps: float) -> Tuple[float, float]:
     """Constant coefficients (a, b) of the flat-torus operator
     a d^2/dx^2 + b d^2/dy^2."""
-    if not 0.0 <= eps < 1.0:
-        raise InvalidMetricError(f"eps must be in [0,1), got {eps}")
+    _check_eps(eps)
     s = math.sqrt(1.0 - eps**2)
     a = 2.0 * (1.0 - eps**2) ** 1.5 / (1.0 + s)
     b = 2.0 * (1.0 - eps**2) / (1.0 + s)
@@ -90,10 +90,14 @@ class SphereOperator:
     c_theta2 multiplies d^2/dtheta^2, c_phi2 multiplies d^2/dphi^2 and
     c_phi multiplies d/dphi; all are functions of phi with
     E(phi) = eps^2 sin^2 phi.  At eps = 0 they reduce to the round
-    Laplace-Beltrami coefficients (1/sin^2, 1, cot).
+    Laplace-Beltrami coefficients (1/sin^2, 1, cot).  eps must be in
+    [0, 1).
     """
 
     eps: float
+
+    def __post_init__(self):
+        _check_eps(self.eps)
 
     def _e(self, phi):
         return self.eps**2 * np.sin(np.asarray(phi, dtype=float)) ** 2
@@ -132,8 +136,6 @@ class SphereOperator:
 
 
 def sphere_operator(eps: float) -> SphereOperator:
-    if not 0.0 <= eps < 1.0:
-        raise InvalidMetricError(f"eps must be in [0,1), got {eps}")
     return SphereOperator(eps)
 
 

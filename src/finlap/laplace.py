@@ -46,9 +46,9 @@ import scipy.sparse as sp
 
 from .charts import ChartPoint, TORUS
 from .differences import DRIFT, GEODESIC, central, jet_step, second
-from .errors import ConfigError, DegenerateContactError, NumericError
+from .errors import ConfigError, NumericError
 from .fields import field_gradient, field_gradients, field_hessian, field_hessians, field_values
-from .hilbert import DENSITY_FLOOR, _rk4_step, _shifted, reeb_profile
+from .hilbert import _rk4_step, _shifted, reeb_profile
 from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _over_points, fiber_quadrature,
                        fiber_weights, torus_base)
 from .metrics import FinslerMetric2D, indicatrix_point
@@ -265,18 +265,10 @@ def _symbol_density_block(metric: FinslerMetric2D, xs, fiber_n: int):
 
     sigma = (1/pi) Sum_k w_k V_k V_k^T over the fiber quadrature and rho
     its volume.  The horizontal Reeb component V is the indicatrix point
-    of its direction, so neither the Reeb solve nor any base-point
-    differencing is needed.
+    of its direction, so neither the Reeb field nor any base-point
+    differencing is needed; the fiber rule checks the contact density.
     """
     nodes, weights, rho = fiber_weights(metric, xs, fiber_n)
-    # the weights are the contact density normalized to total 2*pi
-    lam_min = weights.min(axis=-1) * rho * fiber_n / (2.0 * math.pi)
-    low = lam_min < DENSITY_FLOOR
-    if np.any(low):
-        x = xs[int(np.argmax(low))]
-        raise DegenerateContactError(
-            f"contact density below {DENSITY_FLOOR} at ({x.u}, {x.v})"
-        )
     V = indicatrix_point(metric, xs, nodes)
     sigma = (V * weights[..., None]).swapaxes(-1, -2) @ V / math.pi
     return 0.5 * (sigma + sigma.swapaxes(-1, -2)), rho
@@ -348,6 +340,19 @@ def conservative_pencil(sigma: np.ndarray, rho: np.ndarray):
     return S, M
 
 
+def _sym_defect(a) -> float:
+    """max |a - a^T| / max |a| of a dense or sparse matrix (0 for a zero
+    matrix), from the stored entries alone when it is sparse."""
+    if sp.issparse(a):
+        diff = (a - a.T).tocoo()
+        num = np.abs(diff.data).max() if diff.nnz else 0.0
+        den = np.abs(a.tocoo().data).max()
+    else:
+        num = np.abs(a - a.T).max()
+        den = np.abs(a).max()
+    return float(num / den) if den > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
     """Discrete symmetry and divergence-form defects on a torus grid."""
@@ -382,8 +387,6 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
     h = 1.0 / n
     M = sp.diags(vol.ravel() * h**2)
     S = M @ L
-    diff = S - S.T
-    sym_defect = float(np.abs(diff.data).max() / np.abs(S.data).max()) if diff.nnz else 0.0
 
     # the divergence form is the conservative pencil's S f / (rho h^2)
     points = torus_base(n).points
@@ -394,5 +397,5 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
                              points).reshape(n, n)
     scale = np.abs(coeff).max()
     div_defect = float(np.abs(coeff - div_form).max() / scale)
-    return SymmetryReport(symmetry_defect=sym_defect, divergence_defect=div_defect,
+    return SymmetryReport(symmetry_defect=_sym_defect(S), divergence_defect=div_defect,
                           grid_n=n)

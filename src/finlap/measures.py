@@ -67,10 +67,10 @@ class FiberQuadrature:
 
 def _check_weights(w: np.ndarray):
     """Angle-form weights of one fiber, or of a block of fibers along the
-    last axis, must be positive and sum to 2*pi."""
-    if np.any(np.abs(w.sum(axis=-1) - 2.0 * np.pi) > 1e-10):
+    last axis, must be positive and sum to 2*pi (NaN fails both)."""
+    if not np.all(np.abs(w.sum(axis=-1) - 2.0 * np.pi) <= 1e-10):
         raise DomainError("fiber weights must sum to 2*pi")
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise DomainError("fiber weights must be positive")
 
 

@@ -81,12 +81,14 @@ def _field_at(field, constant: bool, x) -> np.ndarray:
 
 def _failing(x, bad: np.ndarray):
     """``(k, "(u, v)")`` for the first entry k of ``bad`` that holds and
-    its point of x, or None when none holds.  ``bad`` has one entry per
-    point of a block, or one flag (k = 0) at one point or for a constant
-    field, which over a block names the block's first point."""
+    its point of x, or None when none holds.  ``bad`` has shape () (one
+    flag, k = 0, at one point or for a constant field, which over a block
+    names the block's first point), (P,) with one flag per point of a
+    block, or (P, n) with a row of flags per point, k its row; at one
+    point any shape names the point."""
     if not bad.any():
         return None
-    k = int(np.argmax(bad))
+    k = int(np.argmax(bad.any(axis=tuple(range(1, bad.ndim)))))
     p = x if isinstance(x, ChartPoint) else x[k]
     return k, f"({p.u}, {p.v})"
 
@@ -313,6 +315,13 @@ class RandersMetric(_TensorFieldMetric):
         return gv / np.sqrt(_inner(vs, gv))[..., None] + th
 
 
+def _check_eps(eps: float):
+    """Raise InvalidMetricError unless the Katok-Ziller deformation
+    parameter eps is in [0, 1) (NaN is not)."""
+    if not 0.0 <= eps < 1.0:
+        raise InvalidMetricError(f"deformation parameter eps must be in [0, 1), got {eps}")
+
+
 class KatokZillerMetric(_TensorFieldMetric):
     """One-parameter deformation of a Riemannian metric along a Killing field.
 
@@ -328,8 +337,7 @@ class KatokZillerMetric(_TensorFieldMetric):
 
     def __init__(self, g: MatrixField, killing: CovectorField, eps: float,
                  chart: str = TORUS):
-        if not 0.0 <= eps < 1.0:
-            raise InvalidMetricError(f"deformation parameter must be in [0,1), got {eps}")
+        _check_eps(eps)
         super().__init__(g, chart)
         self.eps = float(eps)
         self.killing_field, self._killing_constant = _as_covector_field(killing)

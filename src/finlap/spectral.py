@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 from .charts import SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradients, field_values
-from .laplace import conservative_pencil, grid_symbol_density, symbol_densities
+from .laplace import _sym_defect, conservative_pencil, grid_symbol_density, symbol_densities
 from .measures import (DEFAULT_FIBER_N, BaseQuadrature, sphere_base, torus_base,
                        volume_densities)
 from .metrics import FinslerMetric2D, KatokZillerMetric
@@ -165,17 +165,6 @@ def rayleigh(metric: FinslerMetric2D, u, base: BaseQuadrature,
     if nsq <= 1e-300:
         raise DomainError("Rayleigh quotient undefined: zero volume-weighted norm")
     return energy(metric, u, base, fiber_n) / nsq
-
-
-def _sym_defect(a) -> float:
-    if sp.issparse(a):
-        diff = (a - a.T).tocoo()
-        num = np.abs(diff.data).max() if diff.nnz else 0.0
-        den = np.abs(a.tocoo().data).max()
-    else:
-        num = np.abs(a - a.T).max()
-        den = np.abs(a).max()
-    return float(num / den) if den > 0 else 0.0
 
 
 def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:

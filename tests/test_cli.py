@@ -138,6 +138,17 @@ class TestOtherCommands:
         assert f"config error: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "geo.json").exists()
 
+    @pytest.mark.parametrize("command", ["symbol", "volume"])
+    @pytest.mark.parametrize("at", [["nan", "0"], ["0", "inf"], ["inf", "nan"]])
+    def test_non_finite_at_is_config_error(self, tmp_path, capsys, command, at):
+        out = tmp_path / "at.json"
+        rc = main([command, "--metric", "kz-torus", "--eps", "0.6",
+                   "--at", *at, "--out", str(out)])
+        assert rc == 2
+        assert f"config error: --at must be finite, got {' '.join(map(str, map(float, at)))}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("start", [["0", "0", "nan"], ["0", "0", "inf"],
                                        ["nan", "0", "0"]])
     def test_geodesic_non_finite_start_is_config_error(self, tmp_path, capsys, start):

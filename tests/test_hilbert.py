@@ -68,7 +68,7 @@ class TestHilbertDensity:
                 # amplifies that by 1/JET
                 assert got == pytest.approx(lam_psi * dpsi_dphi, rel=1e-10)
                 if u >= 0.3:
-                    # the Reeb solve differences in the chart angle itself
+                    # the Reeb field differences in the chart angle itself
                     _, _, lam_phi = fl.reeb_profile(m, x, [phi])
                     assert got == pytest.approx(lam_phi[0], rel=1e-7)
 
@@ -147,7 +147,7 @@ class TestReebField:
 
     def test_degenerate_contact_rejected(self):
         # a nearly-flat unit ball: the contact density vanishes on the
-        # flat arcs and the Reeb system is declared degenerate there
+        # flat arcs and the contact is declared degenerate there
         def boxy(x, vs):
             vs = np.asarray(vs, dtype=float)
             return (vs[..., 0] ** 16 + vs[..., 1] ** 16) ** (1.0 / 16.0)
@@ -336,6 +336,46 @@ class TestReebBlock:
             fl.reeb_profile(m, [good, bad, good], [0.0])
         assert "(0.7, 0.3)" in str(block.value)
         assert str(block.value) == str(one.value)
+
+
+def _pivoted_solve(metric, x, phis):
+    """The Reeb field by the pivoted 3x3 solve of A(X) = 1 and two
+    components of i_X dA = 0: the fiber (dphi) row always, and the du or
+    dv row by the larger of |p_phi| and |q_phi|.  A reference for the
+    closed form of reeb_profile."""
+    h = jet_step(metric)
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    pq, dpq = fl.hilbert._angle_jet(metric, x, fl.metrics.chart_rays, phis, h)
+    curl = fl.hilbert._curl(metric, x, phis, h)
+    p, q = pq[..., 0], pq[..., 1]
+    p_phi, q_phi = dpq[..., 0], dpq[..., 1]
+    M = np.zeros(p.shape + (3, 3))
+    rhs = np.zeros(p.shape + (3,))
+    M[..., 0, 0], M[..., 0, 1] = p, q
+    rhs[..., 0] = 1.0
+    M[..., 1, 0], M[..., 1, 1] = p_phi, q_phi
+    use_du = np.abs(p_phi) >= np.abs(q_phi)
+    M[..., 2, 1] = np.where(use_du, -curl, 0.0)
+    M[..., 2, 0] = np.where(use_du, 0.0, curl)
+    M[..., 2, 2] = np.where(use_du, p_phi, q_phi)
+    sol = np.linalg.solve(M, rhs[..., None])[..., 0]
+    return sol[..., :2], sol[..., 2]
+
+
+class TestReebClosedForm:
+    """X = (-q_phi, p_phi, q_u - p_v) / s equals the pivoted solve."""
+
+    @pytest.mark.parametrize("name", list(builtin_metrics()))
+    def test_matches_pivoted_solve(self, name, rng):
+        m = builtin_metrics()[name]
+        xs = [random_point(m, rng) for _ in range(4)]
+        shared = rng.uniform(0, 2 * math.pi, size=24)
+        per_point = rng.uniform(0, 2 * math.pi, size=(4, 24))
+        for x, phis in [(xs[0], shared), (xs, shared), (xs, per_point)]:
+            V, Xphi, _ = fl.reeb_profile(m, x, phis)
+            V_ref, Xphi_ref = _pivoted_solve(m, x, phis)
+            assert np.abs(V - V_ref).max() <= 1e-14 * np.abs(V_ref).max(), name
+            assert np.abs(Xphi - Xphi_ref).max() <= 1e-14 * max(1.0, np.abs(Xphi_ref).max()), name
 
 
 class TestGeodesicBatch:

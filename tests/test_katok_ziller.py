@@ -72,6 +72,24 @@ class TestSphereOperator:
         assert np.all(op.c_phi2(phis) > 0)
 
 
+_EPS_ENTRY_POINTS = {
+    "SphereOperator": fl.SphereOperator,
+    "sphere_operator": fl.sphere_operator,
+    "torus_operator": fl.torus_operator,
+    "galerkin_matrices": lambda eps: fl.galerkin_matrices(eps, 0, 8),
+    "harmonic_action": lambda eps: fl.harmonic_action(eps, 1, 0, 8),
+    "kz_torus": fl.kz_torus,
+    "kz_sphere": fl.kz_sphere,
+}
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5, -0.2, math.nan])
+@pytest.mark.parametrize("entry", sorted(_EPS_ENTRY_POINTS))
+def test_eps_outside_unit_interval_is_invalid(entry, eps):
+    with pytest.raises(fl.InvalidMetricError, match=r"eps must be in \[0, 1\)"):
+        _EPS_ENTRY_POINTS[entry](eps)
+
+
 class TestLegendreBlock:
     def test_against_scipy(self, rng):
         c = np.linspace(-0.99, 0.99, 41)

@@ -313,6 +313,45 @@ def test_empty_block_is_config_error(entry, name):
         _EMPTY_BLOCK_CALLS[entry](builtin_metrics()[name])
 
 
+def _nan_right_half(x, vs):
+    """The Euclidean norm on u < 0.5 and NaN on u >= 0.5."""
+    r = np.hypot(vs[..., 0], vs[..., 1])
+    return np.full_like(r, np.nan) if x.u >= 0.5 else r
+
+
+_GOOD, _NAN = fl.torus_point(0.2, 0.1), fl.torus_point(0.7, 0.2)
+_NAN_DENSITY_CALLS = {
+    "reeb_profile": lambda m: fl.reeb_profile(m, _NAN, [0.0, 1.0]),
+    "reeb_profile-block": lambda m: fl.reeb_profile(m, [_GOOD, _NAN], [0.0, 1.0]),
+    "contact_orientation": lambda m: fl.contact_orientation(m, fl.FiberPoint(_NAN, 0.3)),
+    "hilbert_density": lambda m: fl.hilbert_density(m, fl.FiberPoint(_NAN, 0.3)),
+    "volume_density": lambda m: fl.volume_density(m, _NAN),
+    "volume_densities": lambda m: measures.volume_densities(m, [_GOOD, _NAN]),
+    "symbol_density": lambda m: symbol_density(m, _NAN),
+    "symbol_densities": lambda m: fl.laplace.symbol_densities(m, [_GOOD, _NAN]),
+    "fiber_quadrature": lambda m: fl.fiber_quadrature(m, _NAN),
+    "fiber_weights": lambda m: measures.fiber_weights(m, [_GOOD, _NAN]),
+    "coefficients_at": lambda m: fl.laplace.coefficients_at(m, [_GOOD, _NAN]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NAN_DENSITY_CALLS))
+def test_nan_contact_density_names_the_point(entry):
+    """A contact density that is not a number is degenerate: it raises,
+    naming its point, rather than reaching a result as NaN."""
+    m = fl.custom(_nan_right_half, chart=fl.TORUS)
+    with pytest.raises(fl.DegenerateContactError, match=r"at \(0.7, 0.2\)$"):
+        _NAN_DENSITY_CALLS[entry](m)
+
+
+def test_fiber_quadrature_rejects_nan_weights():
+    nodes = 2.0 * np.pi * np.arange(16) / 16
+    weights = np.full(16, 2.0 * np.pi / 16)
+    weights[3] = np.nan
+    with pytest.raises(fl.DomainError, match="sum to 2\\*pi"):
+        fl.FiberQuadrature(base=_GOOD, nodes=nodes, weights=weights, volume=1.0)
+
+
 class TestHolmesThompson:
     def test_flat(self):
         m = fl.riemannian(np.eye(2), chart=fl.TORUS)

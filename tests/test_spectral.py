@@ -57,7 +57,7 @@ def tilted_randers():
 
 
 class TestEnergyFromIndicatrix:
-    # (energy, rayleigh) on torus_base(8) with V from the Reeb solve, as
+    # (energy, rayleigh) on torus_base(8) with V from the Reeb field, as
     # computed before energy took V from the indicatrix
     REEB_VALUES = {
         "randers-var": (40.4174024075195, 64.66784385382027),
