@@ -18,6 +18,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from typing import Optional
@@ -276,6 +277,11 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+#: a negative number, a value and not an option (argparse's own pattern misses -1e-3, -inf)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 def _add_common(p):
     p.add_argument("--metric", choices=METRIC_KINDS, default=None)
     p.add_argument("--eps", type=float, default=None)
@@ -324,6 +330,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -125,12 +125,11 @@ def _curl(metric: FinslerMetric2D, x, phis: np.ndarray, h) -> np.ndarray:
     return pq_du[..., 1] - pq_dv[..., 0]
 
 
-def _contact_density(x, pq: np.ndarray, dpq: np.ndarray) -> np.ndarray:
-    """The signed contact density q dp - p dq of the angle jet (pq, dpq),
-    (n,) at one point or (P, n) over a block.  Raise
-    :class:`DegenerateContactError` naming the first point of x where its
-    absolute value is below ``DENSITY_FLOOR`` or not a number."""
-    s = pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1]
+def _contact_density(x, s: np.ndarray) -> np.ndarray:
+    """The signed contact density s, (n,) at one point or (P, n) over a
+    block, unchanged.  Raise :class:`DegenerateContactError` naming the
+    first point of x where its absolute value is below ``DENSITY_FLOOR``
+    or not a number."""
     bad = _failing(x, ~(np.abs(s) >= DENSITY_FLOOR))
     if bad is not None:
         raise DegenerateContactError(f"contact density below {DENSITY_FLOOR} at {bad[1]}")
@@ -142,12 +141,13 @@ def _signed_density(metric: FinslerMetric2D, x, psis) -> np.ndarray:
     :func:`_contact_density`."""
     psis = np.atleast_1d(np.asarray(psis, dtype=float))
     pq, dpq = _angle_jet(metric, x, frame_rays, psis, jet_step(metric))
-    return _contact_density(x, pq, dpq)
+    return _contact_density(x, pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1])
 
 
 def density_profile(metric: FinslerMetric2D, x, psis) -> np.ndarray:
     """lambda(x, psi) against dpsi over an array of frame angles
-    (vectorized).
+    (vectorized), from the jet of the Hilbert form: the oracle of the
+    fiber rule of :mod:`finlap.measures`, which reads it from F alone.
 
     ``x`` is one base point, or a block of P base points (a sequence of
     ChartPoint), for which the result has shape (P, len(psis)).  A
@@ -204,7 +204,7 @@ def reeb_profile(metric: FinslerMetric2D, x, phis):
     pq, dpq = _angle_jet(metric, x, chart_rays, phis, h)
     curl = _curl(metric, x, phis, h)
 
-    s = _contact_density(x, pq, dpq)
+    s = _contact_density(x, pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1])
     V = np.stack([-dpq[..., 1], dpq[..., 0]], axis=-1) / s[..., None]
     return V, curl / s, np.abs(s)
 

@@ -19,15 +19,16 @@ canonical volume forces the divergence form
 so the pair (sigma, rho) determines the operator.
 
 Production path: :func:`symbol_densities` computes (sigma, rho) at any
-base points, in blocks, from the fiber quadrature and the indicatrix
-alone (V equals the indicatrix point of its direction), and
+base points, in blocks, from one F call per block, the fiber rule of
+:mod:`finlap.measures` (V is the indicatrix point of its direction), and
 :func:`conservative_pencil` assembles the torus pencil in divergence
 form; it is symmetric, negative semidefinite and annihilates constants
 by construction.
 
 Oracles: :func:`coefficients_at` (symbol, drift and density from the
-Reeb field, in blocks of base points; :func:`operator_coefficients` is
-its one-point case, :func:`grid_coefficients` the torus grid), the
+Reeb field and the Hilbert-form jet, in blocks of base points;
+:func:`operator_coefficients` is its one-point case,
+:func:`grid_coefficients` the torus grid), the
 coefficient stencil :func:`assemble_torus_operator` and the geodesic
 route of :func:`laplacian_apply` are independent evaluations kept for
 tests, ``finlap symbol`` and ``finlap verify``;
@@ -48,10 +49,10 @@ from .charts import ChartPoint, TORUS
 from .differences import DRIFT, GEODESIC, central, jet_step, second
 from .errors import ConfigError, NumericError
 from .fields import field_gradient, field_gradients, field_hessian, field_hessians, field_values
-from .hilbert import _rk4_step, _shifted, reeb_profile
-from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _over_points, fiber_quadrature,
-                       fiber_weights, torus_base)
-from .metrics import FinslerMetric2D, indicatrix_point
+from .hilbert import _rk4_step, _shifted, chart_angles, density_profile, reeb_profile
+from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _fiber_rule, _over_points,
+                       _trapezoid_nodes, _weights, fiber_quadrature, torus_base)
+from .metrics import FinslerMetric2D
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,16 @@ def _coefficients(metric: FinslerMetric2D, x, fiber_n: int):
         drift_i  = (1/pi) Sum_k w_k (V_j dV_i/dx_j + Xphi dV_i/dphi)
 
     with V, Xphi the Reeb components at the fiber nodes and w the angle
-    weights.  The derivatives of V are central differences of the jet
-    step, the spatial ones with the block shifted as a block: seven
+    weights of one :func:`~finlap.hilbert.density_profile` call on the
+    trapezoid nodes.  The derivatives of V are central differences of the
+    jet step, the spatial ones with the block shifted as a block: seven
     Reeb-field calls.
     """
     h = jet_step(metric)
-    nodes, w, rho = fiber_weights(metric, x, fiber_n)
+    psis = _trapezoid_nodes(fiber_n)
+    lam = density_profile(metric, x, psis)
+    w, rho = _weights(lam), lam.mean(axis=-1)
+    nodes = chart_angles(x, psis)
     V, Xphi, _ = reeb_profile(metric, x, nodes)
     dV_du = central(lambda t: reeb_profile(metric, _shifted(x, t, 0.0), nodes)[0], h)
     dV_dv = central(lambda t: reeb_profile(metric, _shifted(x, 0.0, t), nodes)[0], h)
@@ -263,15 +268,15 @@ def _symbol_density_block(metric: FinslerMetric2D, xs, fiber_n: int):
     """``(sigma, rho)`` over a block of P base points, shapes (P, 2, 2) and
     (P,), in one set of array operations.
 
-    sigma = (1/pi) Sum_k w_k V_k V_k^T over the fiber quadrature and rho
-    its volume.  The horizontal Reeb component V is the indicatrix point
-    of its direction, so neither the Reeb field nor any base-point
-    differencing is needed; the fiber rule checks the contact density.
+    sigma = (1/pi) Sum_k w_k V_k V_k^T over the fiber rule and rho its
+    volume.  The horizontal Reeb component V is the indicatrix point of
+    its direction, rays / F on the samples of the rule, so neither the
+    Reeb field nor any base-point differencing is needed.
     """
-    nodes, weights, rho = fiber_weights(metric, xs, fiber_n)
-    V = indicatrix_point(metric, xs, nodes)
-    sigma = (V * weights[..., None]).swapaxes(-1, -2) @ V / math.pi
-    return 0.5 * (sigma + sigma.swapaxes(-1, -2)), rho
+    rays, f, lam = _fiber_rule(metric, xs, fiber_n)
+    V = rays / f[..., None]
+    sigma = (V * _weights(lam)[..., None]).swapaxes(-1, -2) @ V / math.pi
+    return 0.5 * (sigma + sigma.swapaxes(-1, -2)), lam.mean(axis=-1)
 
 
 def symbol_density(metric: FinslerMetric2D, x: ChartPoint,

@@ -2,15 +2,16 @@
 
 The contact volume splits into a normalized angle form on each fiber
 (total weight 2*pi) and a volume density on the base.  Each fiber is
-parametrized by the frame angle psi of :mod:`finlap.hilbert`, in which
-the contact density has no feature finer than the fiber itself at any
-base point, the poles of the sphere chart included; a fixed trapezoid
-rule in psi is therefore spectrally accurate everywhere.  Its nodes are
-stored as the chart angles of their rays, so that consumers evaluate
-the indicatrix and the Reeb field at them unchanged.  The volume
-density is cross-checked against the Holmes-Thompson construction: 1/pi
-times the area of the dual unit disc, found by the support search of
-:mod:`finlap.metrics` and re-exported here.
+parametrized by the frame angle psi of :mod:`finlap.hilbert`, in which a
+fixed trapezoid rule is spectrally accurate at every base point, the
+sphere poles included.  With f(psi) = F(x, A e(psi)) and F 1-homogeneous,
+the contact density is lambda = s f (f + f''), s = sin phi on the sphere
+chart and 1 elsewhere: the fiber rule (:func:`_fiber_rule`) takes it, and
+the indicatrix points rays / f, from one F call, f'' spectral.  The
+Hilbert-form jet (:func:`finlap.hilbert.density_profile`) is its oracle,
+and the Holmes-Thompson density, 1/pi times the area of the dual unit
+disc (the support search of :mod:`finlap.metrics`, re-exported here),
+that of the volume.
 
 The base quadratures live here too, with the one walk over their points
 (:func:`_over_points`) behind :func:`volume_densities` and
@@ -28,10 +29,10 @@ import numpy as np
 
 from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError
-from .hilbert import chart_angles, density_profile
+from .hilbert import _contact_density, chart_angles
 from .metrics import (FinslerMetric2D, _check_counts, _nonempty,
                       dual_norm_sampled,  # noqa: F401 (re-exported)
-                      holmes_thompson_density)
+                      frame_rays, frame_stretch, holmes_thompson_density)
 
 DEFAULT_FIBER_N = 256
 #: the fewest nodes of a fiber rule
@@ -56,7 +57,11 @@ class FiberQuadrature:
     volume: float
 
     def __post_init__(self):
-        _check_weights(self.weights)
+        # positive weights summing to 2*pi (NaN fails both)
+        if not abs(self.weights.sum() - 2.0 * np.pi) <= 1e-10:
+            raise DomainError("fiber weights must sum to 2*pi")
+        if not np.all(self.weights > 0.0):
+            raise DomainError("fiber weights must be positive")
         if np.any(np.diff(self.nodes) <= 0.0):
             raise DomainError("fiber nodes must be strictly increasing")
 
@@ -65,16 +70,10 @@ class FiberQuadrature:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-def _check_weights(w: np.ndarray):
-    """Angle-form weights of one fiber, or of a block of fibers along the
-    last axis, must be positive and sum to 2*pi (NaN fails both)."""
-    if not np.all(np.abs(w.sum(axis=-1) - 2.0 * np.pi) <= 1e-10):
-        raise DomainError("fiber weights must sum to 2*pi")
-    if not np.all(w > 0.0):
-        raise DomainError("fiber weights must be positive")
-
-
 def _trapezoid_nodes(n: int) -> np.ndarray:
+    """The n trapezoid nodes of a fiber rule; ConfigError unless n is an
+    integer of at least ``MIN_FIBER_N``."""
+    _check_counts(MIN_FIBER_N, fiber_n=n)
     return 2.0 * np.pi * np.arange(n) / n
 
 
@@ -83,11 +82,21 @@ def _weights(lam: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi * lam / lam.sum(axis=-1, keepdims=True)
 
 
-def _fiber_density(metric: FinslerMetric2D, x, n: int) -> np.ndarray:
-    """The fiber rule: the contact density on the n trapezoid nodes in the
-    frame angle, at one base point (n,) or over a block (P, n)."""
-    _check_counts(MIN_FIBER_N, fiber_n=n)
-    return density_profile(metric, x, _trapezoid_nodes(n))
+def _fiber_rule(metric: FinslerMetric2D, x, n: int) -> tuple:
+    """``(rays, f, lam)`` on the n trapezoid nodes in the frame angle, at
+    one base point, shapes (n, 2), (n,) and (n,), or over a block of P
+    points, (P, n, 2), (P, n) and (P, n): the frame rays, F on them (one
+    call) and the contact density lam = s f (f + f''), s = 1 /
+    frame_stretch(x), checked by :func:`finlap.hilbert._contact_density`.
+    f'' is the spectral derivative of the samples."""
+    rays = frame_rays(x, _trapezoid_nodes(n))
+    f = metric.f(x, rays)
+    k = np.arange(n // 2 + 1)
+    lam = f * (f + np.fft.irfft(-k * k * np.fft.rfft(f), n))
+    stretch = frame_stretch(x)
+    if stretch is not None:
+        lam = lam / stretch
+    return rays, f, np.abs(_contact_density(x, lam))
 
 
 def _quadrature(x: ChartPoint, lam: np.ndarray) -> FiberQuadrature:
@@ -99,93 +108,48 @@ def _quadrature(x: ChartPoint, lam: np.ndarray) -> FiberQuadrature:
 def fiber_quadrature(metric: FinslerMetric2D, x: ChartPoint,
                      n: int = DEFAULT_FIBER_N) -> FiberQuadrature:
     """n trapezoidal nodes in the frame angle, stored as chart angles, with
-    weights proportional to the contact density.
+    weights proportional to the contact density of the fiber rule.
 
     Normalization Sum(w) = 2*pi holds by construction; the trapezoid rule
     on the periodic fiber is spectrally accurate for smooth metrics.
     """
-    return _quadrature(x, _fiber_density(metric, x, n))
-
-
-def fiber_weights(metric: FinslerMetric2D, xs, n: int = DEFAULT_FIBER_N):
-    """:func:`fiber_quadrature` over a block of P base points at once.
-
-    Returns ``(nodes, weights, volumes)`` with shapes (n,), (P, n) and
-    (P,), equal to the nodes, weights and volumes of the one-point
-    quadratures; on the sphere chart, whose frame varies with the base
-    point, the nodes have shape (P, n).  The weights are checked as
-    :class:`FiberQuadrature` checks them.
-    """
-    lam = _fiber_density(metric, xs, n)
-    weights = _weights(lam)
-    _check_weights(weights)
-    return chart_angles(xs, _trapezoid_nodes(n)), weights, lam.mean(axis=-1)
+    return _quadrature(x, _fiber_rule(metric, x, n)[2])
 
 
 def volume_density(metric: FinslerMetric2D, x: ChartPoint,
                    n: int = DEFAULT_FIBER_N) -> float:
     """Density of the canonical volume against du ^ dv: the volume of
     :func:`fiber_quadrature`."""
-    return float(_fiber_density(metric, x, n).mean())
-
-
-def _converged_profile(metric: FinslerMetric2D, x: ChartPoint,
-                       n0: int, rtol: float, n_max: int) -> np.ndarray:
-    """Contact density on the trapezoid nodes of the smallest doubling of
-    n0 on which the fiber volume has converged (at most n_max nodes).
-
-    The nodes of size n are the even nodes of size 2n, so each doubling
-    evaluates only the n new odd nodes and interleaves them with the
-    samples it has; the result equals a fresh evaluation at the final
-    size bit for bit.  Stopping at n_max unconverged is logged at DEBUG.
-    """
-    _check_counts(1, n0=n0, n_max=n_max)
-    lam = density_profile(metric, x, _trapezoid_nodes(n0))
-    prev = float(lam.mean())
-    change = math.nan
-    while len(lam) < n_max:
-        n = 2 * len(lam)
-        fine = np.empty(n)
-        fine[0::2] = lam
-        fine[1::2] = density_profile(metric, x, 2.0 * np.pi * np.arange(1, n, 2) / n)
-        lam = fine
-        cur = float(lam.mean())
-        scale = max(abs(cur), 1e-300)
-        if abs(cur - prev) <= rtol * scale:
-            return lam
-        change = abs(cur - prev) / scale
-        prev = cur
-    log.debug("fiber quadrature at %s (%.6g, %.6g) stopped at the cap of %d nodes "
-              "unconverged: last relative volume change %.3g",
-              x.chart, x.u, x.v, len(lam), change)
-    return lam
+    return float(_fiber_rule(metric, x, n)[2].mean())
 
 
 def volume_density_adaptive(metric: FinslerMetric2D, x: ChartPoint,
                             n0: int = DEFAULT_FIBER_N, rtol: float = 1e-9,
                             n_max: int = 1 << 15) -> float:
-    """Volume density with fiber-node doubling until convergence; a test
-    oracle for the fixed rule of :func:`volume_density`.
-
-    Each doubling reuses the samples of the previous size; a fiber that
-    stops at ``n_max`` unconverged is logged on ``finlap.measures``.
-    """
-    return float(_converged_profile(metric, x, n0, rtol, n_max).mean())
+    """The volume of :func:`fiber_quadrature_adaptive`: a test oracle for
+    the fixed rule of :func:`volume_density`."""
+    return fiber_quadrature_adaptive(metric, x, n0, rtol, n_max).volume
 
 
 def fiber_quadrature_adaptive(metric: FinslerMetric2D, x: ChartPoint,
                               n0: int = DEFAULT_FIBER_N, rtol: float = 1e-9,
                               n_max: int = 1 << 15) -> FiberQuadrature:
-    """Fiber quadrature with node count doubled until the volume converges;
-    a test oracle for :func:`fiber_quadrature`.
-
-    Equals :func:`fiber_quadrature` at the converged size, nodes and
-    weights included; each doubling reuses the samples of the previous
-    size and a fiber that stops at ``n_max`` unconverged is logged on
-    ``finlap.measures``.
-    """
-    lam = _converged_profile(metric, x, n0, rtol, n_max)
-    _check_counts(MIN_FIBER_N, fiber_n=len(lam))
+    """:func:`fiber_quadrature` on the smallest doubling of n0 nodes on
+    which the volume moved by less than rtol (rtol = 0 never converges),
+    at most n_max nodes: a test oracle for the fixed rule.  Stopping at
+    n_max unconverged is logged at DEBUG on ``finlap.measures``."""
+    _check_counts(1, n_max=n_max)
+    lam = _fiber_rule(metric, x, n0)[2]
+    change = math.nan
+    while len(lam) < n_max:
+        coarse, lam = lam.mean(), _fiber_rule(metric, x, 2 * len(lam))[2]
+        change = abs(lam.mean() - coarse) / max(abs(lam.mean()), 1e-300)
+        if change < rtol:
+            break
+    else:
+        log.debug("fiber quadrature at %s (%.6g, %.6g) stopped at the cap of %d nodes "
+                  "unconverged: last relative volume change %.3g",
+                  x.chart, x.u, x.v, len(lam), change)
     return _quadrature(x, lam)
 
 
@@ -265,13 +229,13 @@ def _over_points(kernel, metric: FinslerMetric2D, points, n: int) -> tuple:
 
 
 def _volume_block(metric: FinslerMetric2D, xs, n: int) -> tuple:
-    return (fiber_weights(metric, xs, n)[2],)
+    return (_fiber_rule(metric, xs, n)[2].mean(axis=-1),)
 
 
 def volume_densities(metric: FinslerMetric2D, points,
                      n: int = DEFAULT_FIBER_N) -> np.ndarray:
     """:func:`volume_density` at a sequence of base points, shape (P,), from
-    the block kernel of :func:`fiber_weights` (no indicatrix)."""
+    the fiber rule over blocks of points."""
     return _over_points(_volume_block, metric, points, n)[0]
 
 

@@ -289,15 +289,20 @@ class RandersMetric(_TensorFieldMetric):
         constant; unchecked."""
         return _field_at(self.theta_field, self._theta_constant, x)
 
+    def _fields(self, x):
+        """``(g, theta)`` at x, shaped as :meth:`g` and :meth:`theta`, with
+        g checked."""
+        return self.g(x), self.theta(x)
+
     def b(self, x) -> np.ndarray:
         """b = sqrt(1 - |theta|_g^2) at one point, or (P,) over a block,
         with the norm condition checked."""
-        return np.sqrt(1.0 - _randers_norm_sq(self.g(x), self.theta(x), x))
+        return np.sqrt(1.0 - _randers_norm_sq(*self._fields(x), x))
 
     def _gather(self, x):
         if self._checked is not None:
             return self._checked
-        g, th = self.g(x), self.theta(x)
+        g, th = self._fields(x)
         _randers_norm_sq(g, th, x)
         if self._g_constant and self._theta_constant:
             self._checked = (g, th)

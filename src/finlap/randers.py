@@ -25,7 +25,7 @@ import numpy as np
 from .charts import ChartPoint, TORUS
 from .errors import ConstructionError, InvalidMetricError
 from .metrics import (CovectorField, MatrixField, RandersMetric,
-                      _as_covector_field, _as_matrix_field)
+                      _as_covector_field, _as_matrix_field, _check_spd, _field_at)
 
 ORACLE_N = 4096
 
@@ -58,8 +58,9 @@ def randers_data(g: MatrixField, theta: CovectorField,
 def _frame(metric: RandersMetric, x: ChartPoint):
     """``(N, t)``: the g-orthonormal frame N at x (:func:`orthonormal_frame`)
     and the components t of theta in it, t = N^T theta."""
-    N = orthonormal_frame(metric.g(x))
-    return N, N.T @ metric.theta(x)
+    g, theta = metric._fields(x)
+    N = orthonormal_frame(g)
+    return N, N.T @ theta
 
 
 def _symbol_frame(b: float, varphi: float) -> np.ndarray:
@@ -128,6 +129,20 @@ def solve_b(mu_prime: float, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class _DesignMetric(RandersMetric):
+    """The Randers metric of an inverse design: ``pointwise(x)`` gives g
+    and theta at a point in one call, as the columns of a (2, 3) array."""
+
+    def __init__(self, pointwise, chart: str):
+        super().__init__(lambda x: pointwise(x)[:, :2], lambda x: pointwise(x)[:, 2], chart)
+        self._pointwise = pointwise
+
+    def _fields(self, x):
+        fields = _field_at(self._pointwise, False, x)
+        _check_spd(fields[..., :2], x)
+        return fields[..., :2], fields[..., 2]
 
 
 @dataclass
@@ -230,10 +245,5 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
         theta_z = T.T @ t_frame
         return R @ gz_new @ R.T, R @ theta_z
 
-    def g_field(x: ChartPoint) -> np.ndarray:
-        return pointwise(x)[0]
-
-    def theta_field(x: ChartPoint) -> np.ndarray:
-        return pointwise(x)[1]
-
-    return InverseDesign(data=RandersMetric(g_field, theta_field, chart), K=K)
+    return InverseDesign(data=_DesignMetric(lambda x: np.column_stack(pointwise(x)), chart),
+                         K=K)

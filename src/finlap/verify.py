@@ -27,10 +27,11 @@ from .catalog import build_metric
 from .charts import ChartPoint, SPHERE, TORUS
 from .errors import ConfigError
 from .fields import SeparableTrigField, SumField, field_values
-from .hilbert import FiberPoint, geodesic_integrate, reeb_profile, reeb_residuals_profile
+from .hilbert import (FiberPoint, density_profile, geodesic_integrate, reeb_profile,
+                      reeb_residuals_profile)
 from .laplace import coefficient_form, coefficients_at, weighted_symmetry_residual
-from .measures import (dual_norm_sampled, holmes_thompson_density, volume_densities,
-                       volume_density)
+from .measures import (DEFAULT_FIBER_N, _trapezoid_nodes, dual_norm_sampled,
+                       holmes_thompson_density, volume_densities, volume_density)
 from .metrics import (FinslerMetric2D, convexity_margin, dual_norm, eval_f,
                       kz_sphere, kz_torus, legendre_forward, randers, riemannian,
                       scale_conformal)
@@ -100,9 +101,13 @@ def suite_legendre(params: Dict, rng) -> List[CheckResult]:
 def suite_holmes_thompson(params: Dict, rng) -> List[CheckResult]:
     metric = _default_metric(params)
     xs = [_random_point(metric, rng) for _ in range(20)]
-    worst = float(np.max(np.abs(holmes_thompson_density(metric, xs)
-                                - volume_densities(metric, xs))))
-    rows = [CheckResult.from_defect(f"holmes-thompson[{metric.kind}]", worst, 1e-5)]
+    vol = volume_densities(metric, xs)
+    worst = float(np.max(np.abs(holmes_thompson_density(metric, xs) - vol)))
+    # the fiber rule, from F alone, against the Hilbert-form jet
+    jet = density_profile(metric, xs, _trapezoid_nodes(DEFAULT_FIBER_N)).mean(axis=-1)
+    rows = [CheckResult.from_defect(f"holmes-thompson[{metric.kind}]", worst, 1e-5),
+            CheckResult.from_defect(f"fiber-rule-vs-jet[{metric.kind}]",
+                                    float(np.max(np.abs(vol / jet - 1.0))), 1e-8)]
     if params.get("metric", "kz-torus") == "kz-torus":
         eps = float(params.get("eps", 0.6))
         x = ChartPoint(TORUS, 0.0, 0.0)

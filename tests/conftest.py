@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,3 +52,24 @@ def builtin_metrics():
         "kz-sphere-03": fl.kz_sphere(0.3),
         "custom-quartic": fl.custom(quartic_norm, chart=fl.TORUS),
     }
+
+
+def count_calls(monkeypatch, metric):
+    """Record the calls of ``metric.f`` and ``metric.d_vf`` (every
+    vertical_derivative call reaches d_vf), and of indicatrix_point, rebound
+    in every finlap module: the number of rays of each call, in order."""
+    calls = {"f": [], "d_vf": [], "indicatrix_point": []}
+
+    def counting(name, fn, rays):
+        def wrapped(*args, **kwargs):
+            calls[name].append(int(np.prod(np.shape(args[rays])[:-1])))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("f", "d_vf"):
+        monkeypatch.setattr(metric, name, counting(name, getattr(metric, name), 1))
+    wrapped = counting("indicatrix_point", fl.indicatrix_point, 2)
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("finlap") and vars(mod).get("indicatrix_point") is fl.indicatrix_point:
+            monkeypatch.setattr(mod, "indicatrix_point", wrapped)
+    return calls

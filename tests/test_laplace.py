@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finlap as fl
-from conftest import builtin_metrics, random_point
+from conftest import builtin_metrics, count_calls, random_point
+from finlap.randers import symbol_closed_form
 
 
 def apply_coeffs(metric, f, x, fiber_n=256):
@@ -248,10 +249,33 @@ def _bad_at_one_point(n, k, good, bad):
     return field, target
 
 
+def _quartic_symbol_density():
+    """(sigma, rho) of the custom quartic norm from the analytic f'' of
+    f(phi) = (1 + cos^4 phi / 2)^(1/4), on 1024 trapezoid nodes."""
+    phis = 2.0 * np.pi * np.arange(1024) / 1024
+    c, s = np.cos(phis), np.sin(phis)
+    g, dg, ddg = 1.0 + 0.5 * c**4, -2.0 * c**3 * s, 6.0 * c**2 * s**2 - 2.0 * c**4
+    f = g**0.25
+    lam = f * (f + ddg / (4.0 * g**0.75) - 3.0 * dg**2 / (16.0 * g**1.75))
+    V = np.stack([c, s], axis=-1) / f[:, None]
+    return 2.0 * (V * lam[:, None]).T @ V / lam.sum(), lam.mean()
+
+
+def _symbol_closed_form(name, m, x):
+    """(sigma, rho) at x in closed form: g^-1 and sqrt(det g) for a
+    Riemannian metric, the Randers closed form with the Riemannian volume,
+    and the analytic quadrature of the quartic."""
+    if name == "custom-quartic":
+        return _quartic_symbol_density()
+    g = m.g(x)
+    sigma = np.linalg.inv(g) if name == "riemannian-var" else symbol_closed_form(m, x)
+    return sigma, math.sqrt(np.linalg.det(g))
+
+
 class TestBlockedGrid:
     """grid_symbol_density evaluates blocks of base points at once; it must
-    agree with the one-point kernel and the Reeb-route oracle, and fail as
-    the one-point path fails."""
+    agree with the one-point kernel, and it and the Reeb-route oracle with
+    the closed forms, and fail as the one-point path fails."""
 
     # (n, fiber_n): n^2 is not a multiple of the BLOCK_RAYS // fiber_n points
     # of a block, so the last block is short
@@ -270,12 +294,15 @@ class TestBlockedGrid:
             assert np.abs(sigma[i, j] - s1).max() <= 1e-15 * np.abs(s1).max()
             assert rho[i, j] == r1
             if k % 23 == 0:
-                # the Reeb route differences d_vF once more than (sigma, rho),
-                # which magnifies the error of a finite-difference d_vF
-                tol = 1e-10 if m.analytic_fiber_derivative else 1e-8
+                exact_sigma, exact_rho = _symbol_closed_form(name, m, x)
+                assert np.abs(sigma[i, j] - exact_sigma).max() <= 1e-14
+                assert abs(rho[i, j] / exact_rho - 1.0) <= 1e-14
+                # the Reeb route differences d_vF, and a finite-difference
+                # d_vF magnifies its error
+                analytic = m.analytic_fiber_derivative
                 c = fl.operator_coefficients(m, x, fiber_n)
-                assert np.abs(sigma[i, j] - c.sigma).max() < tol
-                assert abs(rho[i, j] - c.vol_density) <= 1e-15 * c.vol_density
+                assert np.abs(c.sigma - exact_sigma).max() < (1e-10 if analytic else 1e-8)
+                assert abs(c.vol_density / exact_rho - 1.0) <= (1e-9 if analytic else 1e-6)
 
     def test_non_spd_g_at_one_point_names_it(self):
         from finlap.laplace import grid_symbol_density
@@ -309,29 +336,18 @@ class TestBlockedGrid:
             grid_symbol_density(fl.riemannian(g, chart=fl.TORUS), 16)
 
     def test_fiber_derivative_calls_per_block(self, monkeypatch):
-        # 3 vertical_derivative calls (the phi jet) and one indicatrix scan
-        # per block of points; one point at a time made 3 * n^2 = 3072 and n^2
-        import finlap.hilbert as hilbert
+        # no fiber derivative and no indicatrix call: one F call per block
+        # of points, where one point at a time made n^2 = 1024
         import finlap.laplace as laplace
         from finlap.measures import DEFAULT_FIBER_N
 
-        calls = {"vd": 0, "ind": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(hilbert, "vertical_derivative",
-                            counting("vd", hilbert.vertical_derivative))
-        monkeypatch.setattr(laplace, "indicatrix_point",
-                            counting("ind", laplace.indicatrix_point))
+        m = builtin_metrics()["randers-var"]
+        calls = count_calls(monkeypatch, m)
         n = 32
-        laplace.grid_symbol_density(builtin_metrics()["randers-var"], n)
-        blocks = math.ceil(n * n / (laplace.BLOCK_RAYS // DEFAULT_FIBER_N))
-        assert 0 < calls["vd"] <= 3 * blocks
-        assert calls["ind"] == blocks
+        laplace.grid_symbol_density(m, n)
+        size = laplace.BLOCK_RAYS // DEFAULT_FIBER_N
+        assert calls["f"] == [size * DEFAULT_FIBER_N] * (n * n // size)
+        assert calls["d_vf"] == calls["indicatrix_point"] == []
 
     @pytest.mark.parametrize("sigma", [
         [[-1.0, 0.0], [0.0, 2.0]],      # s11 < 0

@@ -7,9 +7,8 @@ import pytest
 import finlap as fl
 import finlap.measures as measures
 import finlap.metrics as metrics
-from finlap.differences import jet_step
 from finlap.laplace import symbol_density
-from conftest import builtin_metrics, random_point
+from conftest import builtin_metrics, count_calls, random_point
 
 
 class TestFiberQuadrature:
@@ -109,22 +108,24 @@ class TestAdaptiveQuadrature:
         assert fl.volume_density_adaptive(m, x) == fl.volume_density(m, x, n) == ref.volume
 
     @pytest.mark.parametrize("phi", [OUTER_PHI, 0.01, math.pi / 2])
-    def test_each_angle_evaluated_once(self, phi, monkeypatch):
+    def test_one_fiber_rule_per_doubling(self, phi, monkeypatch):
         m = fl.kz_sphere(0.3)
         x = fl.sphere_point(phi, 0.0)
-        angles = []
-        original = measures.density_profile
+        sizes = []
+        original = measures._fiber_rule
 
-        def counting(metric, x, phis, *args):
-            angles.append(len(phis))
-            return original(metric, x, phis, *args)
+        def counting(metric, x, n):
+            sizes.append(n)
+            return original(metric, x, n)
 
-        monkeypatch.setattr(measures, "density_profile", counting)
+        monkeypatch.setattr(measures, "_fiber_rule", counting)
         n = len(fl.fiber_quadrature_adaptive(m, x).nodes)
-        assert sum(angles) == n
-        angles.clear()
+        expected = [measures.DEFAULT_FIBER_N << k
+                    for k in range(int(math.log2(n // measures.DEFAULT_FIBER_N)) + 1)]
+        assert sizes == expected and len(sizes) >= 2
+        sizes.clear()
         fl.volume_density_adaptive(m, x)
-        assert sum(angles) == n
+        assert sizes == expected
 
     def test_cap_is_logged(self, caplog):
         # rtol = 0 never converges, so the doubling stops at n_max
@@ -152,15 +153,11 @@ def _kz_sphere_density(eps, phi):
 
 def _identity_frame_trapezoid(metric, x, n):
     """Reference: nodes, weights and volume of the n-node trapezoid in the
-    chart angle, the contact density differenced in that angle."""
-    h = jet_step(metric)
+    chart angle, with the contact density f (f + f'') of f = F(x, e(phi))."""
     nodes = 2.0 * np.pi * np.arange(n) / n
-
-    def pq(phis):
-        return fl.vertical_derivative(metric, x, np.stack([np.cos(phis), np.sin(phis)], -1))
-
-    p, dp = pq(nodes), (pq(nodes + h) - pq(nodes - h)) / (2.0 * h)
-    lam = np.abs(p[:, 1] * dp[:, 0] - p[:, 0] * dp[:, 1])
+    f = metric.f(x, np.stack([np.cos(nodes), np.sin(nodes)], -1))
+    k = np.arange(n // 2 + 1)
+    lam = np.abs(f * (f + np.fft.irfft(-k * k * np.fft.rfft(f), n)))
     return nodes, 2.0 * np.pi * lam / lam.sum(), float(lam.mean())
 
 
@@ -186,48 +183,47 @@ class TestFrameRule:
     def test_sphere_total_volume_closed_form(self, eps, caplog):
         with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
             total = fl.sphere_total_volume(fl.kz_sphere(eps), 96, 2)
-        assert abs(total / (8.0 * math.pi / (2.0 - 2.0 * eps**2)) - 1.0) <= 1e-9
+        assert abs(total / (8.0 * math.pi / (2.0 - 2.0 * eps**2)) - 1.0) <= 1e-13
         assert not [r for r in caplog.records if r.name == "finlap.measures"]
 
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+    def test_sphere_total_volume_closed_form_at_32_nodes(self, eps):
+        base = fl.sphere_base(96, 2)
+        total = base.weights @ measures.volume_densities(fl.kz_sphere(eps), base.points, 32)
+        assert abs(total / (8.0 * math.pi / (2.0 - 2.0 * eps**2)) - 1.0) <= 1e-13
+
     def test_sphere_total_volume_angle_count(self, monkeypatch):
-        angles = []
-        original = measures.density_profile
-
-        def counting(metric, x, psis, *args):
-            points = 1 if isinstance(x, fl.ChartPoint) else len(x)
-            angles.append(points * len(psis))
-            return original(metric, x, psis, *args)
-
-        monkeypatch.setattr(measures, "density_profile", counting)
-        fl.sphere_total_volume(fl.kz_sphere(0.3), 96, 2)
-        assert sum(angles) <= 96 * 2 * measures.DEFAULT_FIBER_N
+        m = fl.kz_sphere(0.3)
+        calls = count_calls(monkeypatch, m)
+        fl.sphere_total_volume(m, 96, 2)
+        assert sum(calls["f"]) <= 96 * 2 * measures.DEFAULT_FIBER_N
+        assert calls["d_vf"] == calls["indicatrix_point"] == []
 
     def test_sphere_block_equals_points(self):
+        from finlap.laplace import symbol_densities
+
         m = fl.kz_sphere(0.3)
         xs = [fl.sphere_point(p, t) for p in (OUTER_PHI, 0.3, 2.9) for t in (0.0, 2.0)]
-        nodes, weights, vols = measures.fiber_weights(m, xs, 64)
+        vols = measures.volume_densities(m, xs, 64)
+        sigmas, rhos = symbol_densities(m, xs, 64)
         for i, x in enumerate(xs):
             q = fl.fiber_quadrature(m, x, 64)
-            assert np.array_equal(nodes[i], q.nodes)
-            assert np.array_equal(weights[i], q.weights)
-            assert vols[i] == q.volume == fl.volume_density(m, x, 64)
+            assert vols[i] == q.volume == fl.volume_density(m, x, 64) == rhos[i]
             sigma, rho = symbol_density(m, x, 64)
-            assert sigma.shape == (2, 2) and rho == q.volume
+            assert np.array_equal(sigma, sigmas[i]) and rho == q.volume
 
     def test_identity_frame_unchanged(self):
         metrics = {name: m for name, m in builtin_metrics().items() if m.chart != fl.SPHERE}
         metrics["plane"] = fl.riemannian(np.array([[1.2, 0.3], [0.3, 0.8]]), chart=fl.PLANE)
         for name, m in metrics.items():
             xs = [fl.ChartPoint(m.chart, 0.1, 0.7), fl.ChartPoint(m.chart, 0.6, 0.2)]
-            nodes, weights, vols = measures.fiber_weights(m, xs, 32)
+            vols = measures.volume_densities(m, xs, 32)
             for i, x in enumerate(xs):
                 ref_nodes, ref_weights, ref_vol = _identity_frame_trapezoid(m, x, 32)
                 q = fl.fiber_quadrature(m, x, 32)
                 assert np.array_equal(q.nodes, ref_nodes), name
                 assert np.array_equal(q.weights, ref_weights), name
                 assert q.volume == ref_vol == fl.volume_density(m, x, 32), name
-                assert np.array_equal(nodes, ref_nodes), name
-                assert np.array_equal(weights[i], ref_weights), name
                 assert vols[i] == ref_vol, name
 
 
@@ -292,7 +288,6 @@ _EMPTY_BLOCK_CALLS = {
     "dual_norm": lambda m: fl.dual_norm(m, [], np.zeros((0, 2))),
     "dual_norm_sampled": lambda m: fl.dual_norm_sampled(m, [], np.zeros((0, 2))),
     "holmes_thompson_density": lambda m: fl.holmes_thompson_density(m, []),
-    "fiber_weights": lambda m: measures.fiber_weights(m, []),
     "volume_densities": lambda m: measures.volume_densities(m, []),
     "vertical_derivative": lambda m: fl.vertical_derivative(m, [], np.zeros((0, 4, 2))),
     "density_profile": lambda m: fl.hilbert.density_profile(m, [], [0.0, 1.0]),
@@ -330,7 +325,6 @@ _NAN_DENSITY_CALLS = {
     "symbol_density": lambda m: symbol_density(m, _NAN),
     "symbol_densities": lambda m: fl.laplace.symbol_densities(m, [_GOOD, _NAN]),
     "fiber_quadrature": lambda m: fl.fiber_quadrature(m, _NAN),
-    "fiber_weights": lambda m: measures.fiber_weights(m, [_GOOD, _NAN]),
     "coefficients_at": lambda m: fl.laplace.coefficients_at(m, [_GOOD, _NAN]),
 }
 
@@ -759,3 +753,63 @@ class TestSupportSearchInput:
                       fl.holmes_thompson_density(m, x, n_rays=n, n_boundary=n),
                       fl.dual_norm_sampled(m, x, [1.0, 0.3], n_rays=n, n_boundary=n)):
             assert math.isfinite(value) and value > 0.0
+
+
+def _kinds_and_poles():
+    """(name, metric, base points): a few random points of every built-in
+    kind, and kz_sphere(0.5) at the polar points of TestSupportSearch."""
+    rng = np.random.default_rng(41)
+    cases = [(name, m, [random_point(m, rng) for _ in range(5)])
+             for name, m in builtin_metrics().items()]
+    for phi in TestSupportSearch.POLAR:
+        cases.append((f"kz-sphere-0.5-phi{phi:.4g}", fl.kz_sphere(0.5),
+                      TestSupportSearch._polar_samples(phi)[1]))
+    return cases
+
+
+class TestFiberRule:
+    """The contact density f (f + f'') of the fiber rule, from F alone,
+    against the Hilbert-form jet of density_profile."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("case", _kinds_and_poles(), ids=lambda c: c[0])
+    def test_matches_hilbert_jet(self, case, n):
+        _, m, xs = case
+        rays, f, lam = measures._fiber_rule(m, xs, n)
+        jet = fl.hilbert.density_profile(m, xs, 2.0 * np.pi * np.arange(n) / n)
+        # the gap is the jet's own difference error
+        tol = 1e-9 if m.analytic_fiber_derivative else 1e-6
+        assert np.abs(lam / jet - 1.0).max() <= tol
+        assert rays.shape == (len(xs), n, 2) and f.shape == lam.shape == (len(xs), n)
+
+    @pytest.mark.parametrize("call", ["symbol_densities", "volume_densities",
+                                      "volume_density", "fiber_quadrature"])
+    @pytest.mark.parametrize("name", ["randers-var", "kz-sphere-03", "custom-quartic"])
+    def test_one_norm_call_per_block(self, monkeypatch, name, call):
+        # 40 points at 256 nodes: blocks of 16, 16 and 8
+        from finlap.laplace import symbol_densities
+
+        m = builtin_metrics()[name]
+        xs = [random_point(m, np.random.default_rng(k)) for k in range(40)]
+        calls = count_calls(monkeypatch, m)
+        if call == "symbol_densities":
+            symbol_densities(m, xs)
+        elif call == "volume_densities":
+            measures.volume_densities(m, xs)
+        else:
+            xs = xs[:1]
+            getattr(fl, call)(m, xs[0])
+        n, size = measures.DEFAULT_FIBER_N, measures.BLOCK_RAYS // measures.DEFAULT_FIBER_N
+        assert calls["f"] == [min(size, len(xs) - k) * n for k in range(0, len(xs), size)]
+        assert calls["d_vf"] == calls["indicatrix_point"] == []
+
+    def test_randers_symbol_closed_form(self):
+        from finlap.laplace import symbol_densities
+        from finlap.randers import symbol_closed_form
+
+        m = builtin_metrics()["randers-var"]
+        points = fl.torus_base(8).points
+        sigma, rho = symbol_densities(m, points)
+        for k, x in enumerate(points):
+            assert np.abs(sigma[k] - symbol_closed_form(m, x)).max() <= 1e-13
+        assert np.abs(rho - 1.0).max() <= 1e-13

@@ -183,6 +183,26 @@ class TestInverseDesign:
         fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), K=K, sample_n=16)
         assert len(calls) == 16**2
 
+    def test_one_solve_b_call_per_point(self, monkeypatch):
+        # g and theta of a point come from one bisection, at one point, over
+        # a block, and over the blocks of a grid
+        from finlap import randers
+        from finlap.laplace import grid_symbol_density
+
+        calls = []
+        original = randers.solve_b
+        monkeypatch.setattr(randers, "solve_b", lambda mp: calls.append(mp) or original(mp))
+        omega = fl.CallableField(lambda p: 1.0 + 0.2 * math.sin(2 * math.pi * p.u))
+        m = fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), sample_n=16).metric()
+        assert calls == []
+        fl.eval_f(m, X0, [1.0, 0.3])
+        assert len(calls) == 1
+        xs = [fl.torus_point(0.1 * k, 0.2) for k in range(7)]
+        m.f(xs, np.ones((7, 4, 2)))
+        assert len(calls) == 1 + 7
+        grid_symbol_density(m, 8)
+        assert len(calls) == 1 + 7 + 64
+
     def test_vanishing_direction_field_rejected(self):
         # Z = 0 on the locus where the volume ratio attains its supremum
         omega = fl.CallableField(lambda p: 1.0 + 0.2 * math.sin(2 * math.pi * p.u))

@@ -6,8 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import finlap as fl
-import finlap.hilbert as hilbert
-from conftest import builtin_metrics
+from conftest import builtin_metrics, count_calls
 from finlap.laplace import assemble_torus_operator, symbol_density
 
 
@@ -78,22 +77,18 @@ class TestEnergyFromIndicatrix:
         assert fl.rayleigh(self.metric(name), u, base) == pytest.approx(r, rel=1e-8)
 
     @pytest.mark.parametrize("name", sorted(REEB_VALUES))
-    def test_three_fiber_derivative_calls_per_point(self, name, monkeypatch):
-        # 3 calls (the phi jet) per block of BLOCK_RAYS // fiber_n base points
+    def test_one_norm_call_per_block(self, name, monkeypatch):
+        # one F call and no fiber derivative per block of
+        # BLOCK_RAYS // fiber_n base points
         from finlap.measures import BLOCK_RAYS, DEFAULT_FIBER_N
 
-        calls = []
-        original = hilbert.vertical_derivative
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(hilbert, "vertical_derivative", counting)
+        metric = self.metric(name)
+        calls = count_calls(monkeypatch, metric)
         base = fl.torus_base(8)
-        fl.energy(self.metric(name), fl.SeparableTrigField(1.0, "cos", 1, "one", 0), base)
-        assert len(calls) == 3 * math.ceil(len(base.points) / (BLOCK_RAYS // DEFAULT_FIBER_N))
-        assert len(calls) == 12
+        fl.energy(metric, fl.SeparableTrigField(1.0, "cos", 1, "one", 0), base)
+        assert len(calls["f"]) == math.ceil(len(base.points) / (BLOCK_RAYS // DEFAULT_FIBER_N))
+        assert len(calls["f"]) == 4
+        assert calls["d_vf"] == calls["indicatrix_point"] == []
 
 
 def _per_point_energy(metric, u, base):
@@ -144,23 +139,14 @@ class TestBlockedBaseIntegrals:
         assert fl.omega_mean(metric, u, base) == pytest.approx(num / den, rel=1e-13)
 
     def test_position_independent_metric_evaluated_once(self, monkeypatch):
-        import finlap.measures as measures
-
-        calls = []
-        original = measures.density_profile
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(measures, "density_profile", counting)
         m = fl.kz_torus(0.6)
+        calls = count_calls(monkeypatch, m)
         u = fl.SeparableTrigField(1.0, "cos", 1, "one", 0)
         base = fl.torus_base(16)
         fl.energy(m, u, base)
-        assert len(calls) == 1
+        assert len(calls["f"]) == 1
         fl.omega_norm_sq(m, u, base)
-        assert len(calls) == 2
+        assert len(calls["f"]) == 2
 
     def test_energy_rejects_degenerate_contact(self):
         bad = fl.ChartPoint(fl.TORUS, 0.25, 0.5)
@@ -306,12 +292,17 @@ class TestConservativePencil:
         assert abs(prob.stiffness - ML).max() <= 1e-11 * abs(ML).max()
 
     def test_symbol_density_matches_oracle(self):
+        # two routes: F alone, and the Reeb field weighted by the Hilbert jet
+        from finlap.randers import symbol_closed_form
+
         m = builtin_metrics()["randers-var"]
         x = fl.torus_point(0.3, 0.7)
         sigma, rho = symbol_density(m, x)
         c = fl.operator_coefficients(m, x)
         assert np.abs(sigma - c.sigma).max() < 1e-11
-        assert rho == c.vol_density
+        assert abs(rho / c.vol_density - 1.0) <= 1e-9
+        assert np.abs(sigma - symbol_closed_form(m, x)).max() <= 1e-14
+        assert abs(rho - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_variable_randers_spectrum_nonnegative(self, n):
