@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fields import ArrayField, _gradient, _hessian, coords
-from .metrics import _check_eps
+from .measures import _gauss_legendre
+from .metrics import _check_counts, _check_eps
 
 
 def torus_closed_form(eps: float, xi) -> float:
@@ -115,11 +115,15 @@ class SphereOperator:
         s = np.sqrt(1.0 - E)
         return 2.0 * (E + s) / (1.0 + s) * np.cos(phi) / np.sin(phi)
 
-    def apply_harmonic(self, l: int, m: int, c: np.ndarray,
+    def apply_harmonic(self, l, m: int, c: np.ndarray,
                        P: np.ndarray, dP_dphi: np.ndarray) -> np.ndarray:
         """Pointwise action on Y = P(cos phi) e^{i m theta}, phi part only.
 
-        P'' is eliminated through the Legendre equation
+        ``l`` is one degree, with P and dP_dphi of shape (len(c),), or a
+        column of degrees, shape (n, 1), with one row of P and dP_dphi
+        each: the coefficient profiles are computed once and the whole
+        sector is acted on in one broadcast.  P'' is eliminated through
+        the Legendre equation
         P'' = -cot(phi) P' - (l(l+1) - m^2/sin^2) P, so no numerical
         differentiation enters.
         """
@@ -147,47 +151,75 @@ def _seed_norm(m: int) -> float:
     return math.sqrt(acc)
 
 
+def _recurrence_coefficient(l, m):
+    """a_l^m = sqrt((l - m)(l + m) / ((2l - 1)(2l + 1))), elementwise over
+    integer arrays: c P_{l-1} = a_l P_l + a_{l-1} P_{l-2} at fixed m."""
+    return np.sqrt((l - m) * (l + m) / ((2.0 * l - 1.0) * (2.0 * l + 1.0)))
+
+
+def _legendre_rows(ms: np.ndarray, lmax: int, c: np.ndarray) -> np.ndarray:
+    """Normalized P~_l^m(c) for every order m of the ascending integer
+    array ``ms`` and l = m .. lmax, stacked order by order: the rows of
+    order ms[k] start at sum_{j<k} (lmax - ms[j] + 1).
+
+    One upward three-term recurrence in i = l - m (stable), run over all
+    orders at once: step i updates the orders with m <= lmax - i, so the
+    whole triangle takes lmax - ms[0] + 1 array steps.  Condon-Shortley
+    phase.
+    """
+    ms = np.asarray(ms)
+    counts = lmax - ms + 1
+    starts = np.cumsum(counts) - counts
+    s = np.sqrt(1.0 - c * c)
+    P = np.empty((int(counts.sum()), len(c)))
+    cur = np.array([(-1.0) ** m * _seed_norm(m) * s**m for m in ms.tolist()])
+    prev = np.zeros_like(cur)
+    P[starts] = cur
+    for i in range(1, lmax - int(ms[0]) + 1):
+        k = int(np.searchsorted(ms, lmax - i, side="right"))
+        m = ms[:k, None]
+        cur, prev = (c * cur[:k] - _recurrence_coefficient(m + i - 1, m) * prev[:k]) \
+            / _recurrence_coefficient(m + i, m), cur[:k]
+        P[starts[:k] + i] = cur
+    return P
+
+
+def _legendre_dphi(m: int, P: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """d/dphi of the rows P~_l^m(cos phi), l = m .. m + len(P) - 1, all
+    at once: sin(phi) dP_l/dphi = l c P_l - (2l + 1) a_l^m P_{l-1}, with
+    no lower neighbor at l = m."""
+    s = np.sqrt(1.0 - c * c)
+    l = np.arange(m, m + len(P))[:, None]
+    lower = np.zeros_like(P)
+    lower[1:] = (2.0 * l[1:] + 1.0) * _recurrence_coefficient(l[1:], m) * P[:-1]
+    return (l * c * P - lower) / s
+
+
 def legendre_block(m: int, lmax: int, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Normalized associated Legendre functions and phi-derivatives.
 
     Returns ``(P, dP)`` of shape ``(lmax - m + 1, len(c))`` where row
     ``l - m`` holds P~_l^m(c) normalized to Int_-1^1 P~^2 dc = 1, and dP
-    holds d/dphi P~_l^m(cos phi).  Upward three-term recurrence in l at
-    fixed m (stable); Condon-Shortley phase.
+    holds d/dphi P~_l^m(cos phi).  The one-order case of the recurrence
+    that builds every sector's table at once (:func:`_legendre_rows`);
+    Condon-Shortley phase.  ``c`` must be finite and in (-1, 1)
+    (DomainError).
     """
-    if m < 0 or lmax < m:
+    _check_counts(0, m=m, lmax=lmax)
+    if lmax < m:
         raise ConfigError(f"need 0 <= m <= lmax, got m={m}, lmax={lmax}")
     c = np.asarray(c, dtype=float)
-    s = np.sqrt(1.0 - c * c)
-    n = lmax - m + 1
-    P = np.zeros((n, len(c)))
-    P[0] = (-1.0) ** m * _seed_norm(m) * s**m
-
-    def a(l):
-        return math.sqrt((l - m) * (l + m) / ((2.0 * l - 1.0) * (2.0 * l + 1.0)))
-
-    if n > 1:
-        P[1] = c * P[0] / a(m + 1)
-    for i in range(2, n):
-        l = m + i
-        P[i] = (c * P[i - 1] - a(l - 1) * P[i - 2]) / a(l)
-
-    dP = np.zeros_like(P)
-    for i in range(n):
-        l = m + i
-        if i == 0:
-            # sin(phi) dP/dphi = l c P_l (no lower neighbor at l = m)
-            dP[i] = l * c * P[i] / s if l > 0 else 0.0
-        else:
-            beta = (2.0 * l + 1.0) * a(l)
-            dP[i] = (l * c * P[i] - beta * P[i - 1]) / s
-    return P, dP
+    if not np.all(np.abs(c) < 1.0):
+        raise DomainError("Legendre arguments must be finite and in (-1, 1)")
+    P = _legendre_rows(np.array([m]), lmax, c)
+    return P, _legendre_dphi(m, P, c)
 
 
 def _quad_order(lmax: int, nquad: Optional[int]) -> int:
     required = 2 * lmax + 8
     if nquad is None:
         return max(required + 16, 80)
+    _check_counts(1, nquad=nquad)
     if nquad < required:
         warnings.warn(
             f"quadrature order {nquad} below 2*lmax+8 = {required}; "
@@ -197,14 +229,15 @@ def _quad_order(lmax: int, nquad: Optional[int]) -> int:
     return nquad
 
 
-@functools.lru_cache(maxsize=32)
-def _gauss_legendre(nq: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order nq, computed once per
-    order and returned read-only."""
-    c, w = leggauss(nq)
-    c.flags.writeable = False
-    w.flags.writeable = False
-    return c, w
+@functools.lru_cache(maxsize=8)
+def _legendre_table(lmax: int, nq: int) -> np.ndarray:
+    """P~_l^m at the order-nq Gauss-Legendre nodes for every 0 <= m <= l
+    <= lmax, stacked order by order as in :func:`_legendre_rows` (the
+    triangle only); computed once per (lmax, nq) and returned read-only.
+    It depends on neither eps nor the metric."""
+    table = _legendre_rows(np.arange(lmax + 1), lmax, _gauss_legendre(nq)[0])
+    table.flags.writeable = False
+    return table
 
 
 def galerkin_matrices(eps: float, m: int, lmax: int,
@@ -214,21 +247,25 @@ def galerkin_matrices(eps: float, m: int, lmax: int,
     Basis: normalized spherical-harmonic profiles l = |m| .. lmax.  The
     inner product is weighted by the canonical volume density
     (1 - E)^{-3/2} sin(phi); Gauss-Legendre quadrature in cos(phi), all
-    nodes interior.  Returns ``(A, M)`` with
-    A_kl = <Y_k, Lap Y_l>, M_kl = <Y_k, Y_l>.
+    nodes interior.  The profiles are the sector's rows of the Legendre
+    table shared by every sector and every eps (:func:`_legendre_table`),
+    and the operator acts on all of them in one
+    :meth:`SphereOperator.apply_harmonic` call.  Returns ``(A, M)`` with
+    A_kl = <Y_k, Lap Y_l>, M_kl = <Y_k, Y_l>.  Non-integer counts, or an
+    nquad below 1, are a ConfigError.
     """
+    _check_counts(0, lmax=lmax)
+    _check_counts(-lmax, m=m)
     m = abs(m)
     if lmax < m:
         raise ConfigError(f"lmax = {lmax} below |m| = {m}")
     nq = _quad_order(lmax, nquad)
     c, w = _gauss_legendre(nq)
-    P, dP = legendre_block(m, lmax, c)
-    op = SphereOperator(eps)
+    start = m * (lmax + 1) - m * (m - 1) // 2
+    P = _legendre_table(lmax, nq)[start:start + lmax - m + 1]
+    dP = _legendre_dphi(m, P, c)
+    G = SphereOperator(eps).apply_harmonic(np.arange(m, lmax + 1)[:, None], m, c, P, dP)
     rho = (1.0 - eps**2 * (1.0 - c * c)) ** (-1.5)
-    n = lmax - m + 1
-    G = np.empty_like(P)
-    for i in range(n):
-        G[i] = op.apply_harmonic(m + i, m, c, P[i], dP[i])
     wr = w * rho
     A = (P * wr) @ G.T
     M = (P * wr) @ P.T
@@ -244,6 +281,7 @@ def harmonic_action(eps: float, l: int, m: int, lmax: int,
     satisfies Lap Y_l^m = Sum_k c_k Y_k^m up to truncation.  At eps = 0
     this is -l(l+1) e_l exactly.
     """
+    _check_counts(0, l=l)
     m = abs(m)
     if not m <= l <= lmax:
         raise ConfigError(f"need |m| <= l <= lmax, got l={l}, m={m}, lmax={lmax}")
@@ -282,7 +320,8 @@ class SphereHarmonicField(ArrayField):
     """
 
     def __init__(self, l: int, m: int, kind: str = "cos"):
-        if m < 0 or m > l:
+        _check_counts(0, l=l, m=m)
+        if m > l:
             raise ConfigError(f"need 0 <= m <= l, got l={l}, m={m}")
         if kind not in ("cos", "sin"):
             raise ConfigError("kind must be 'cos' or 'sin'")

@@ -20,6 +20,7 @@ The base quadratures live here too, with the one walk over their points
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections.abc import Sequence
@@ -198,10 +199,20 @@ def torus_base(n: int) -> BaseQuadrature:
     return BaseQuadrature(points=_TorusGrid(n), weights=np.full(n * n, 1.0 / n**2))
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], computed
+    once per order and returned read-only."""
+    c, w = np.polynomial.legendre.leggauss(n)
+    c.flags.writeable = False
+    w.flags.writeable = False
+    return c, w
+
+
 def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
     """Gauss-Legendre in phi (pole-free) times uniform theta, phi-major."""
     _check_counts(1, n_phi=n_phi, n_theta=n_theta)
-    t, w = np.polynomial.legendre.leggauss(n_phi)
+    t, w = _gauss_legendre(n_phi)
     phis = 0.5 * math.pi * (t + 1.0)
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     pts = tuple(ChartPoint(SPHERE, p, th) for p in phis for th in thetas)

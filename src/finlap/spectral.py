@@ -40,7 +40,7 @@ from .fields import field_gradients, field_values
 from .laplace import _sym_defect, conservative_pencil, grid_symbol_density, symbol_densities
 from .measures import (DEFAULT_FIBER_N, BaseQuadrature, sphere_base, torus_base,
                        volume_densities)
-from .metrics import FinslerMetric2D, KatokZillerMetric
+from .metrics import FinslerMetric2D, KatokZillerMetric, _check_counts
 
 MERGE_TOL = 1e-9
 #: largest dimension that ``method="auto"`` solves densely (the name
@@ -319,9 +319,10 @@ def sphere_spectrum(eps: float, lmax: int, k: int,
                     method: str = "auto") -> SpectrumResult:
     """The lowest k of the (lmax + 1)^2 values of the union of the sector
     spectra over |m| <= lmax (each |m| > 0 twice); ConfigError unless
-    lmax >= 4 and 1 <= k <= (lmax + 1)^2."""
+    lmax >= 4 and 1 <= k <= (lmax + 1)^2, both integers."""
     from .metrics import kz_sphere
 
+    _check_counts(1, lmax=lmax, k=k)
     if lmax < 4 or not 1 <= k <= (lmax + 1) ** 2:
         raise ConfigError(f"need lmax >= 4 and 1 <= k <= (lmax + 1)^2, got lmax = {lmax}, k = {k}")
     metric = kz_sphere(eps)

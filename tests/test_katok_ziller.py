@@ -5,6 +5,7 @@ import pytest
 from scipy.special import lpmv
 
 import finlap as fl
+from finlap import katok_ziller as kz
 
 
 class TestTorusOperator:
@@ -116,6 +117,87 @@ class TestLegendreBlock:
         P, _ = fl.legendre_block(2, 10, c)
         gram = (P * w) @ P.T
         assert np.abs(gram - np.eye(len(P))).max() < 1e-13
+
+
+class TestLegendreTable:
+    """Every sector's profiles at the Gauss nodes come from one table per
+    (lmax, nq), built by one recurrence over all orders."""
+
+    @pytest.mark.parametrize("lmax, nq", [(8, 40), (40, 96)])
+    def test_rows_equal_legendre_block(self, lmax, nq):
+        table = kz._legendre_table(lmax, nq)
+        c, _ = kz._gauss_legendre(nq)
+        assert table.shape == ((lmax + 1) * (lmax + 2) // 2, nq)
+        start = 0
+        for m in range(lmax + 1):
+            P, _ = fl.legendre_block(m, lmax, c)
+            np.testing.assert_array_equal(table[start:start + lmax - m + 1], P)
+            start += lmax - m + 1
+
+    def test_table_is_read_only(self):
+        table = kz._legendre_table(8, 40)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    def test_one_recurrence_per_spectrum(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return rows(*args)
+
+        rows = kz._legendre_rows
+        kz._legendre_table.cache_clear()
+        monkeypatch.setattr(kz, "_legendre_rows", counting)
+        fl.sphere_spectrum(0.3, 40, 6)
+        assert calls == [40]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("m", [0, 1, 40])
+    def test_sector_matches_per_degree_reference(self, eps, m):
+        # the operator applied one degree at a time, as a scalar l
+        lmax = 40
+        nq = kz._quad_order(lmax, None)
+        c, w = kz._gauss_legendre(nq)
+        P, dP = fl.legendre_block(m, lmax, c)
+        op = fl.SphereOperator(eps)
+        G = np.array([op.apply_harmonic(m + i, m, c, P[i], dP[i]) for i in range(len(P))])
+        wr = w * (1.0 - eps**2 * (1.0 - c * c)) ** (-1.5)
+        A_ref = (P * wr) @ G.T
+        M_ref = (P * wr) @ P.T
+        A, M = fl.galerkin_matrices(eps, m, lmax)
+        assert np.abs(A - A_ref).max() <= 1e-15 * np.abs(A_ref).max()
+        assert np.abs(M - 0.5 * (M_ref + M_ref.T)).max() <= 1e-15 * np.abs(M_ref).max()
+
+
+_SPHERE_BAD_COUNTS = {
+    "nquad=0": lambda: fl.galerkin_matrices(0.1, 0, 8, nquad=0),
+    "nquad=-3": lambda: fl.galerkin_matrices(0.1, 0, 8, nquad=-3),
+    "nquad=True": lambda: fl.galerkin_matrices(0.1, 0, 8, nquad=True),
+    "nquad=30.5": lambda: fl.galerkin_matrices(0.1, 0, 8, nquad=30.5),
+    "lmax=8.5": lambda: fl.galerkin_matrices(0.1, 0, 8.5),
+    "m=1.5": lambda: fl.galerkin_matrices(0.1, 1.5, 8),
+    "spectrum lmax=10.5": lambda: fl.sphere_spectrum(0.3, 10.5, 6),
+    "spectrum k=6.5": lambda: fl.sphere_spectrum(0.3, 10, 6.5),
+    "basis lmax=10.5": lambda: fl.assemble_eigenproblem(
+        fl.kz_sphere(0.3), fl.SphereHarmonicBasis(lmax=10.5, m=0)),
+    "field l=2.5": lambda: fl.SphereHarmonicField(2.5, 1),
+    "action l=2.5": lambda: fl.harmonic_action(0.1, 2.5, 0, 8),
+    "block m=1.5": lambda: fl.legendre_block(1.5, 4, [0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPHERE_BAD_COUNTS))
+def test_sphere_counts_are_config_errors(case):
+    with pytest.raises(fl.ConfigError, match="must be an integer"):
+        _SPHERE_BAD_COUNTS[case]()
+
+
+@pytest.mark.parametrize("c", [[1.0, math.nan], [0.5, math.inf], [-1.0], [1.0]])
+def test_legendre_argument_outside_open_interval(c):
+    with pytest.raises(fl.DomainError):
+        fl.legendre_block(1, 4, c)
 
 
 class TestHarmonicAction:

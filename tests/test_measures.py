@@ -283,6 +283,18 @@ class TestBaseQuadrature:
         assert len(base.points) == 60
         assert base.weights.sum() == pytest.approx(2.0 * math.pi**2, rel=1e-14)
 
+    def test_sphere_nodes_from_the_shared_gauss_rule(self):
+        # the cached rule is read-only and equals leggauss bit for bit
+        t, w = measures._gauss_legendre(96)
+        assert not t.flags.writeable and not w.flags.writeable
+        t_ref, w_ref = np.polynomial.legendre.leggauss(96)
+        np.testing.assert_array_equal(t, t_ref)
+        np.testing.assert_array_equal(w, w_ref)
+        base = fl.sphere_base(96, 2)
+        np.testing.assert_array_equal([p.u for p in base.points[::2]],
+                                      0.5 * math.pi * (t_ref + 1.0))
+        np.testing.assert_array_equal(base.weights[::2], 0.5 * math.pi * w_ref * math.pi)
+
 
 _EMPTY_BLOCK_CALLS = {
     "dual_norm": lambda m: fl.dual_norm(m, [], np.zeros((0, 2))),
