@@ -167,19 +167,20 @@ def _legendre_rows(ms: np.ndarray, lmax: int, c: np.ndarray) -> np.ndarray:
     whole triangle takes lmax - ms[0] + 1 array steps.  Condon-Shortley
     phase.
     """
-    ms = np.asarray(ms)
     counts = lmax - ms + 1
     starts = np.cumsum(counts) - counts
+    steps = np.arange(counts[0])
+    # a[k, i] = a_{m+i}^m for m = ms[k]; active[i] orders still run at step i
+    a = _recurrence_coefficient(ms[:, None] + steps, ms[:, None])
+    active = np.searchsorted(ms, lmax - steps, side="right")
     s = np.sqrt(1.0 - c * c)
     P = np.empty((int(counts.sum()), len(c)))
     cur = np.array([(-1.0) ** m * _seed_norm(m) * s**m for m in ms.tolist()])
     prev = np.zeros_like(cur)
     P[starts] = cur
-    for i in range(1, lmax - int(ms[0]) + 1):
-        k = int(np.searchsorted(ms, lmax - i, side="right"))
-        m = ms[:k, None]
-        cur, prev = (c * cur[:k] - _recurrence_coefficient(m + i - 1, m) * prev[:k]) \
-            / _recurrence_coefficient(m + i, m), cur[:k]
+    for i in range(1, len(steps)):
+        k = active[i]
+        cur, prev = (c * cur[:k] - a[:k, i - 1, None] * prev[:k]) / a[:k, i, None], cur[:k]
         P[starts[:k] + i] = cur
     return P
 
@@ -233,8 +234,9 @@ def _quad_order(lmax: int, nquad: Optional[int]) -> int:
 def _legendre_table(lmax: int, nq: int) -> np.ndarray:
     """P~_l^m at the order-nq Gauss-Legendre nodes for every 0 <= m <= l
     <= lmax, stacked order by order as in :func:`_legendre_rows` (the
-    triangle only); computed once per (lmax, nq) and returned read-only.
-    It depends on neither eps nor the metric."""
+    triangle only: order m starts at row m (lmax + 1) - m (m - 1) / 2);
+    computed once per (lmax, nq) and returned read-only.  It depends on
+    neither eps nor the metric."""
     table = _legendre_rows(np.arange(lmax + 1), lmax, _gauss_legendre(nq)[0])
     table.flags.writeable = False
     return table
@@ -282,6 +284,7 @@ def harmonic_action(eps: float, l: int, m: int, lmax: int,
     this is -l(l+1) e_l exactly.
     """
     _check_counts(0, l=l)
+    _check_counts(-l, m=m)
     m = abs(m)
     if not m <= l <= lmax:
         raise ConfigError(f"need |m| <= l <= lmax, got l={l}, m={m}, lmax={lmax}")

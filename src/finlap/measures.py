@@ -210,7 +210,8 @@ def _gauss_legendre(n: int) -> tuple:
 
 
 def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
-    """Gauss-Legendre in phi (pole-free) times uniform theta, phi-major."""
+    """Gauss-Legendre in phi (pole-free; the cached rule of
+    :func:`_gauss_legendre`) times uniform theta, phi-major."""
     _check_counts(1, n_phi=n_phi, n_theta=n_theta)
     t, w = _gauss_legendre(n_phi)
     phis = 0.5 * math.pi * (t + 1.0)

@@ -184,6 +184,8 @@ _SPHERE_BAD_COUNTS = {
         fl.kz_sphere(0.3), fl.SphereHarmonicBasis(lmax=10.5, m=0)),
     "field l=2.5": lambda: fl.SphereHarmonicField(2.5, 1),
     "action l=2.5": lambda: fl.harmonic_action(0.1, 2.5, 0, 8),
+    "action m=True": lambda: fl.harmonic_action(0.1, 2, True, 8),
+    "action m='a'": lambda: fl.harmonic_action(0.1, 2, "a", 8),
     "block m=1.5": lambda: fl.legendre_block(1.5, 4, [0.5]),
 }
 
