@@ -259,8 +259,8 @@ def cmd_geodesic(args) -> int:
 def cmd_verify(args) -> int:
     m = _merged(args, _load_config(args.config))
     params = {"metric": m.metric, "eps": m.eps}
-    if args.grid is not None:
-        params["grid_n"] = int(args.grid)
+    if m.grid is not None:
+        params["grid_n"] = m.grid
     results = run_suite(args.suite, params, seed=m.seed)
     report = [
         {"check": r.check, "status": r.status, "defect": r.defect, "tolerance": r.tolerance}

@@ -70,8 +70,7 @@ def torus_spectrum(eps: float, pmax: int, qmax: int) -> "SpectrumResult":
     """Sorted closed-form spectrum over |p| <= pmax, |q| <= qmax."""
     from .spectral import SpectrumResult  # deferred: spectral assembles from here
 
-    if pmax < 0 or qmax < 0:
-        raise ConfigError("pmax and qmax must be nonnegative")
+    _check_counts(0, pmax=pmax, qmax=qmax)
     values = [
         torus_eigenvalue(eps, p, q)
         for p in range(-pmax, pmax + 1)
@@ -99,21 +98,21 @@ class SphereOperator:
     def __post_init__(self):
         _check_eps(self.eps)
 
-    def _e(self, phi):
-        return self.eps**2 * np.sin(np.asarray(phi, dtype=float)) ** 2
+    def _profiles(self, c, s2):
+        """(c_theta2, c_phi2, c_phi) at c = cos phi, s2 = sin^2 phi."""
+        E = self.eps**2 * s2
+        sq = np.sqrt(1.0 - E)
+        pref = 2.0 / (1.0 + sq)
+        return pref * (1.0 - E) ** 1.5 / s2, pref * (1.0 - E), pref * (E + sq) * c / np.sqrt(s2)
 
     def c_theta2(self, phi):
-        E = self._e(phi)
-        return 2.0 * (1.0 - E) ** 1.5 / ((1.0 + np.sqrt(1.0 - E)) * np.sin(phi) ** 2)
+        return self._profiles(np.cos(phi), np.sin(phi) ** 2)[0]
 
     def c_phi2(self, phi):
-        E = self._e(phi)
-        return 2.0 * (1.0 - E) / (1.0 + np.sqrt(1.0 - E))
+        return self._profiles(np.cos(phi), np.sin(phi) ** 2)[1]
 
     def c_phi(self, phi):
-        E = self._e(phi)
-        s = np.sqrt(1.0 - E)
-        return 2.0 * (E + s) / (1.0 + s) * np.cos(phi) / np.sin(phi)
+        return self._profiles(np.cos(phi), np.sin(phi) ** 2)[2]
 
     def apply_harmonic(self, l, m: int, c: np.ndarray,
                        P: np.ndarray, dP_dphi: np.ndarray) -> np.ndarray:
@@ -128,12 +127,7 @@ class SphereOperator:
         differentiation enters.
         """
         s2 = 1.0 - c * c
-        E = self.eps**2 * s2
-        sq = np.sqrt(1.0 - E)
-        pref = 2.0 / (1.0 + sq)
-        ctt = pref * (1.0 - E) ** 1.5 / s2
-        cpp = pref * (1.0 - E)
-        cp = pref * (E + sq) * c / np.sqrt(s2)
+        ctt, cpp, cp = self._profiles(c, s2)
         zeroth = -m * m * ctt + cpp * (m * m / s2 - l * (l + 1))
         first = cp - cpp * c / np.sqrt(s2)
         return zeroth * P + first * dP_dphi
@@ -304,6 +298,8 @@ def perturbation_eigenvalue(l: int, m: int, eps: float) -> float:
     validated against the Galerkin eigenvalues (the remainder scales as
     eps^4).
     """
+    _check_counts(0, l=l)
+    _check_counts(-l, m=m)
     m = abs(m)
     if m > l:
         raise ConfigError(f"need |m| <= l, got l={l}, m={m}")

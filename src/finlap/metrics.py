@@ -13,9 +13,11 @@ All vector/covector arguments are numpy arrays of shape ``(..., 2)`` in
 the chart basis.  Metric evaluators take either one base point, with rays
 of any leading shape, or a block of base points (a sequence of
 :class:`~finlap.charts.ChartPoint`) with rays of shape ``(P, n, 2)``, one
-row of rays per point.  Each built-in metric gathers and checks its
-fields in one function that takes a point or a block, and writes its
-formulas once over them: a field carries a leading point axis on a block
+row of rays per point.  The Riemannian, Randers and Katok-Ziller metrics
+share one tensor-field layer: a pair of an SPD tensor g and a 1-form,
+each a constant or a callable (:class:`_Field`), gathered and checked in
+one function that takes a point or a block, with each kind's formulas
+written once over them: a field carries a leading point axis on a block
 and none at one point or when it is constant.  A conformal metric scales
 one call of its base metric; only a custom metric loops over a block's
 points.
@@ -44,39 +46,36 @@ MatrixField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
 CovectorField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
 
 
-def _frozen(value) -> np.ndarray:
-    """Read-only float copy of a constant tensor, so that it cannot change
-    after it has been checked."""
-    arr = np.array(value, dtype=float)
-    arr.setflags(write=False)
-    return arr
+#: what a constant field of the wrong shape is told, by the shape it must have
+_SHAPE_MESSAGES = {(2, 2): "metric tensor must be 2x2", (2,): "1-form must have 2 components"}
 
 
-def _as_matrix_field(g: MatrixField):
-    """Normalize a 2x2 SPD field to (callable, is_constant)."""
-    if callable(g):
-        return g, False
-    arr = _frozen(g)
-    if arr.shape != (2, 2):
-        raise InvalidMetricError(f"metric tensor must be 2x2, got {arr.shape}")
-    return (lambda x: arr), True
+class _Field:
+    """A tensor field: a callable ``x -> array`` at one point as it is, or
+    a constant of ``shape`` as a read-only float copy, so that it cannot
+    change after it has been checked (InvalidMetricError if its shape is
+    another).  ``constant`` tells which."""
 
+    def __init__(self, value, shape: tuple):
+        self.constant = not callable(value)
+        if self.constant:
+            value = np.array(value, dtype=float)
+            value.setflags(write=False)
+            if value.shape != shape:
+                raise InvalidMetricError(f"{_SHAPE_MESSAGES[shape]}, got {value.shape}")
+        self._value = value
 
-def _as_covector_field(theta: CovectorField):
-    if callable(theta):
-        return theta, False
-    arr = _frozen(theta)
-    if arr.shape != (2,):
-        raise InvalidMetricError(f"1-form must have 2 components, got {arr.shape}")
-    return (lambda x: arr), True
+    def __call__(self, x: ChartPoint) -> np.ndarray:
+        return self._value if self.constant else self._value(x)
 
-
-def _field_at(field, constant: bool, x) -> np.ndarray:
-    """A tensor field in its one-point shape at one point or when constant,
-    and stacked as (P, ...) over a block of P points."""
-    if constant or isinstance(x, ChartPoint):
-        return np.asarray(field(x), dtype=float)
-    return np.array([field(p) for p in x], dtype=float)
+    def at(self, x) -> np.ndarray:
+        """The field in its one-point shape at one point or when constant,
+        and stacked as (P, ...) over a block of P points."""
+        if self.constant:
+            return self._value
+        if isinstance(x, ChartPoint):
+            return np.asarray(self._value(x), dtype=float)
+        return np.array([self._value(p) for p in x], dtype=float)
 
 
 def _failing(x, bad: np.ndarray):
@@ -202,40 +201,57 @@ class FinslerMetric2D:
 
 
 class _TensorFieldMetric(FinslerMetric2D):
-    """A metric built on an SPD tensor field g and possibly a 1-form field.
+    """A metric built on the pair of an SPD tensor field g and a 1-form
+    field (:class:`_Field`, zero for a Riemannian metric).
 
-    Each subclass gathers and checks its fields in one ``_gather(x)``, at
-    one point or over a block, and writes its norm and fiber derivative
-    once, in ``_norm`` and ``_grad``, over them.  At one point the fields
-    have their one-point shapes; over a block g has shape (P, 2, 2), a
-    1-form (P, 1, 2) and a scalar (P, 1), so that they broadcast against
-    rays (P, n, 2), while a constant field keeps its one-point shape.  A
-    callable field is called once per point.  Each check runs on the
-    whole block (g before the fields built on it) and names the first
-    failing point, in the message the point alone would give.
+    ``_gather(x)``, at one point or over a block, checks g and then the
+    pair (the subclass's ``_check``), which returns the fields that the
+    subclass's ``_norm`` and ``_grad`` are written over, once: at one point
+    in their one-point shapes, and over a block g as (P, 2, 2), a 1-form
+    (P, 1, 2) and a scalar (P, 1), to broadcast against rays (P, n, 2),
+    while a constant field keeps its one-point shape.  A callable field is
+    called once per point.  Each check names the first failing point of a
+    block, in the message the point alone would give.
 
-    A constant field is checked once, on its first evaluation, and the
-    checked tensor is kept; a callable field is checked at every point.
-    A constant field that fails its check raises at every evaluation,
-    naming the point, or the first point of the block, it was evaluated at.
+    When both fields are constant, the gathered fields are checked on the
+    first evaluation and kept, and the metric is position-independent off
+    the sphere chart.  A constant pair that fails its check raises at
+    every evaluation, naming the point, or the first point of the block.
     """
 
-    _g_checked: Optional[np.ndarray] = None
+    #: the gathered fields of a constant pair, set on its first evaluation
+    _gathered = None
 
-    def __init__(self, g: MatrixField, chart: str):
+    def __init__(self, g: MatrixField, form: CovectorField, chart: str):
         self.chart = chart
-        self.g_field, self._g_constant = _as_matrix_field(g)
+        self.g_field = _Field(g, (2, 2))
+        self.form_field = _Field(form, (2,))
+        self._constant = self.g_field.constant and self.form_field.constant
+        self.position_independent = self._constant and chart != SPHERE
+
+    def _pair(self, x):
+        """``(g, form)`` at x, unchecked: (2, 2) and (2,) at one point or
+        when constant, (P, 2, 2) and (P, 2) over a block."""
+        return self.g_field.at(x), self.form_field.at(x)
+
+    def _fields(self, x):
+        """:meth:`_pair` with g checked."""
+        g, form = self._pair(x)
+        _check_spd(g, x)
+        return g, form
 
     def g(self, x) -> np.ndarray:
         """The checked tensor g at one point, (2, 2), or over a block,
         (P, 2, 2) unless constant."""
-        if self._g_checked is not None:
-            return self._g_checked
-        g = _field_at(self.g_field, self._g_constant, x)
-        _check_spd(g, x)
-        if self._g_constant:
-            self._g_checked = g
-        return g
+        return self._fields(x)[0]
+
+    def _gather(self, x):
+        if self._gathered is not None:
+            return self._gathered
+        fields = self._check(*self._fields(x), x)
+        if self._constant:
+            self._gathered = fields
+        return fields
 
     def _f(self, x, vs):
         return self._norm(self._gather(x), vs)
@@ -250,11 +266,11 @@ class RiemannianMetric(_TensorFieldMetric):
     kind = "riemannian"
 
     def __init__(self, g: MatrixField, chart: str = TORUS):
-        super().__init__(g, chart)
-        self.position_independent = self._g_constant and chart != SPHERE
+        super().__init__(g, np.zeros(2), chart)
 
-    def _gather(self, x):
-        return self.g(x)
+    @staticmethod
+    def _check(g, form, x):
+        return g
 
     @staticmethod
     def _norm(g, vs):
@@ -267,45 +283,28 @@ class RiemannianMetric(_TensorFieldMetric):
 
 
 class RandersMetric(_TensorFieldMetric):
-    """F = sqrt(g(v, v)) + theta(v), with the g-norm of theta below 1.
-
-    The norm condition is checked at every evaluation point and the first
-    offending point is reported; constant ``g`` and ``theta`` are checked
-    once and make the metric position-independent off the sphere chart.
-    """
+    """F = sqrt(g(v, v)) + theta(v), with the g-norm of theta below 1,
+    checked at every evaluation point; the first offending point is
+    reported."""
 
     kind = "randers"
-    #: checked (g, theta) of a constant metric, set on its first evaluation
-    _checked = None
 
     def __init__(self, g: MatrixField, theta: CovectorField, chart: str = TORUS):
-        super().__init__(g, chart)
-        self.theta_field, self._theta_constant = _as_covector_field(theta)
-        self.position_independent = (self._g_constant and self._theta_constant
-                                     and chart != SPHERE)
+        super().__init__(g, theta, chart)
 
     def theta(self, x) -> np.ndarray:
         """The 1-form at one point, (2,), or over a block, (P, 2) unless
         constant; unchecked."""
-        return _field_at(self.theta_field, self._theta_constant, x)
-
-    def _fields(self, x):
-        """``(g, theta)`` at x, shaped as :meth:`g` and :meth:`theta`, with
-        g checked."""
-        return self.g(x), self.theta(x)
+        return self._pair(x)[1]
 
     def b(self, x) -> np.ndarray:
         """b = sqrt(1 - |theta|_g^2) at one point, or (P,) over a block,
         with the norm condition checked."""
         return np.sqrt(1.0 - _randers_norm_sq(*self._fields(x), x))
 
-    def _gather(self, x):
-        if self._checked is not None:
-            return self._checked
-        g, th = self._fields(x)
+    @staticmethod
+    def _check(g, th, x):
         _randers_norm_sq(g, th, x)
-        if self._g_constant and self._theta_constant:
-            self._checked = (g, th)
         return g, th if th.ndim == 1 else th[:, None]
 
     @staticmethod
@@ -337,34 +336,21 @@ class KatokZillerMetric(_TensorFieldMetric):
     """
 
     kind = "katok-ziller"
-    #: checked (g, gV, c) of a constant metric, set on its first evaluation
-    _checked = None
 
     def __init__(self, g: MatrixField, killing: CovectorField, eps: float,
                  chart: str = TORUS):
         _check_eps(eps)
-        super().__init__(g, chart)
+        super().__init__(g, killing, chart)
         self.eps = float(eps)
-        self.killing_field, self._killing_constant = _as_covector_field(killing)
-        self.position_independent = (self._g_constant and self._killing_constant
-                                     and chart != SPHERE)
 
-    def killing(self, x) -> np.ndarray:
-        return _field_at(self.killing_field, self._killing_constant, x)
-
-    def _gather(self, x):
+    def _check(self, g, V, x):
         """(g, gV, c), with c = 1 - eps^2 g(V, V) checked positive."""
-        if self._checked is not None:
-            return self._checked
-        g, V = self.g(x), self.killing(x)
         gV = (g @ V[..., None])[..., 0]
         c = 1.0 - self.eps**2 * _inner(V, gV)
         bad = _failing(x, c <= 0.0)
         if bad is not None:
             raise InvalidMetricError(
                 f"eps^2 * g(V,V) >= 1 at {bad[1]}; deformation too large")
-        if self._g_constant and self._killing_constant:
-            self._checked = (g, gV, c)
         return (g, gV, c) if gV.ndim == 1 else (g, gV[:, None], c[:, None])
 
     def _norm(self, fields, vs):

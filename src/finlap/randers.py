@@ -24,8 +24,7 @@ import numpy as np
 
 from .charts import ChartPoint, TORUS
 from .errors import ConstructionError, InvalidMetricError
-from .metrics import (CovectorField, MatrixField, RandersMetric,
-                      _as_covector_field, _as_matrix_field, _check_spd, _field_at)
+from .metrics import CovectorField, MatrixField, RandersMetric, _Field
 
 ORACLE_N = 4096
 
@@ -133,15 +132,14 @@ def solve_b(mu_prime: float, tol: float = 1e-12) -> float:
 
 class _DesignMetric(RandersMetric):
     """The Randers metric of an inverse design: ``pointwise(x)`` gives g
-    and theta at a point in one call, as the columns of a (2, 3) array."""
+    and theta at a point in one call, as the columns of a (2, 3) array, and
+    stands for both fields."""
 
     def __init__(self, pointwise, chart: str):
-        super().__init__(lambda x: pointwise(x)[:, :2], lambda x: pointwise(x)[:, 2], chart)
-        self._pointwise = pointwise
+        super().__init__(pointwise, pointwise, chart)
 
-    def _fields(self, x):
-        fields = _field_at(self._pointwise, False, x)
-        _check_spd(fields[..., :2], x)
+    def _pair(self, x):
+        fields = self.g_field.at(x)
         return fields[..., :2], fields[..., 2]
 
 
@@ -178,9 +176,9 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
     frame aligned with Z is pi/4 (theta is the g-dual of Z rotated by
     pi/2).
     """
-    g_goal_f, _ = _as_matrix_field(g_goal)
+    g_goal_f = _Field(g_goal, (2, 2))
     omega_f = omega_goal if callable(omega_goal) else (lambda x, c=float(omega_goal): c)
-    Z_f, _ = _as_covector_field(Z) if not callable(Z) else (Z, False)
+    Z_f = _Field(Z, (2,))
 
     def mu(x: ChartPoint) -> float:
         om = float(omega_f(x))

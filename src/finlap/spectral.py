@@ -273,7 +273,8 @@ def solve_eigen(problem: SpectralProblem, k: int,
     by Lanczos above.  A solver that fails to converge or breaks down
     raises :class:`NumericError`.
     """
-    if k < 1 or k > problem.dim:
+    _check_counts(1, k=k)
+    if k > problem.dim:
         raise ConfigError(f"k = {k} outside 1..{problem.dim}")
     if method == "auto":
         if problem.translation_invariant:

@@ -397,6 +397,19 @@ class TestConfigFile:
         doc2 = read_json(tmp_path / "override.json")
         assert doc2["config_echo"]["metric"]["eps"] == 0.3
 
+    def test_verify_reads_grid_from_config_file(self, tmp_path):
+        # resolution.grid_n sets the verify grid as --grid does
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"resolution": {"grid_n": 8}}))
+        reports = {}
+        for name, extra in (("config", ["--config", str(cfg)]), ("flag", ["--grid", "8"]),
+                            ("default", [])):
+            out = tmp_path / f"{name}.json"
+            main(["verify", "--suite", "green", "--out", str(out)] + extra)
+            reports[name] = read_json(out)["report"]
+        assert reports["config"] == reports["flag"]
+        assert reports["config"] != reports["default"]
+
     def test_missing_config_file(self, tmp_path):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -187,6 +187,8 @@ _SPHERE_BAD_COUNTS = {
     "action m=True": lambda: fl.harmonic_action(0.1, 2, True, 8),
     "action m='a'": lambda: fl.harmonic_action(0.1, 2, "a", 8),
     "block m=1.5": lambda: fl.legendre_block(1.5, 4, [0.5]),
+    "perturbation l=2.5": lambda: fl.perturbation_eigenvalue(2.5, 1, 0.1),
+    "perturbation m=True": lambda: fl.perturbation_eigenvalue(2, True, 0.1),
 }
 
 

@@ -253,8 +253,16 @@ class TestBaseQuadrature:
         lambda: fl.sphere_base(4, 2.0),
         lambda: fl.volume_density_adaptive(fl.kz_torus(0.5), fl.torus_point(0.2, 0.4),
                                            n0=64.5),
+        lambda: fl.solve_eigen(fl.assemble_eigenproblem(
+            fl.kz_torus(0.5), fl.TorusGridBasis(n=16)), k=2.5),
+        lambda: fl.solve_eigen(fl.assemble_eigenproblem(
+            fl.kz_torus(0.5), fl.TorusGridBasis(n=16)), k=True),
+        lambda: fl.torus_spectrum(0.3, 2.5, 2),
+        lambda: fl.torus_spectrum(0.3, True, 2),
+        lambda: fl.torus_spectrum(0.3, 2, -1),
     ], ids=["volume-density", "volume-densities", "grid-fiber-n", "grid-n", "torus-bool",
-            "sphere-volume", "sphere-theta", "adaptive-n0"])
+            "sphere-volume", "sphere-theta", "adaptive-n0", "solve-k", "solve-k-bool",
+            "closed-form-pmax", "closed-form-pmax-bool", "closed-form-qmax-negative"])
     def test_non_integer_count_is_config_error(self, call):
         # a fiber or grid count is never truncated or rounded
         with pytest.raises(fl.ConfigError, match="must be an integer of at least"):

@@ -267,6 +267,37 @@ class TestFieldChecks:
         second = self._message(lambda: fl.vertical_derivative(m, self.XS[1:], self.RAYS[1:]))
         assert second.startswith(start) and f"at ({self.XS[1].u}, {self.XS[1].v})" in second
 
+    G_MESSAGE = r"^metric tensor must be 2x2, got \(2,\)$"
+    FORM_MESSAGE = r"^1-form must have 2 components, got \(2, 2\)$"
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda g, form: fl.riemannian(g), G_MESSAGE),
+        (lambda g, form: fl.RandersMetric(g, [0.3, 0.0]), G_MESSAGE),
+        (lambda g, form: fl.RandersMetric(np.eye(2), form), FORM_MESSAGE),
+        (lambda g, form: fl.KatokZillerMetric(g, [1.0, 0.0], 0.5), G_MESSAGE),
+        (lambda g, form: fl.KatokZillerMetric(np.eye(2), form, 0.5), FORM_MESSAGE),
+        (lambda g, form: fl.inverse_design(g, 1.0, [1.0, 0.0], K=2.0), G_MESSAGE),
+        (lambda g, form: fl.inverse_design(np.eye(2), 1.0, form, K=2.0), FORM_MESSAGE),
+    ], ids=["riemannian-g", "randers-g", "randers-form", "kz-g", "kz-killing",
+            "design-g-goal", "design-Z"])
+    def test_wrong_shape_constant_field(self, make, message):
+        with pytest.raises(fl.InvalidMetricError, match=message):
+            make(np.ones(2), np.eye(2))
+
+    @pytest.mark.parametrize("make", [
+        lambda g, form, chart: fl.riemannian(g, chart=chart),
+        lambda g, form, chart: fl.RandersMetric(g, form, chart=chart),
+        lambda g, form, chart: fl.KatokZillerMetric(g, form, 0.5, chart=chart),
+    ], ids=["riemannian", "randers", "katok-ziller"])
+    def test_position_independent_when_both_fields_constant_off_sphere(self, make):
+        g, form = np.eye(2), np.array([0.3, 0.0])
+        for chart in (fl.TORUS, fl.PLANE, fl.SPHERE):
+            assert make(g, form, chart).position_independent is (chart != fl.SPHERE)
+            assert not make(lambda p: g, form, chart).position_independent
+            m = make(g, lambda p: form, chart)
+            # a Riemannian metric takes no 1-form
+            assert m.position_independent is (m.kind == "riemannian" and chart != fl.SPHERE)
+
 
 class TestChartCheck:
     def test_fiber_derivative_checks_the_chart_as_f_does(self):
