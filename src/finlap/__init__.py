@@ -18,8 +18,8 @@ from .hilbert import (FiberPoint, ReebVector, Trajectory, contact_orientation,
 from .katok_ziller import (SphereHarmonicField, SphereOperator, galerkin_matrices,
                            harmonic_action, legendre_block,
                            perturbation_eigenvalue, sphere_closed_form,
-                           sphere_operator, torus_closed_form, torus_eigenvalue,
-                           torus_operator, torus_spectrum)
+                           torus_closed_form, torus_eigenvalue, torus_operator,
+                           torus_spectrum)
 from .laplace import (OperatorCoefficients, SymmetryReport, divergence_form_drift,
                       laplacian_apply, operator_coefficients,
                       weighted_symmetry_residual)

@@ -1,10 +1,11 @@
 """Batch command-line driver.
 
 Subcommands: ``spectrum``, ``symbol``, ``volume``, ``geodesic``,
-``verify``.  Configuration comes from flags or a JSON config file
-(flags override file values).  Each run writes one structured JSON
-result document (atomically); ``--csv`` additionally writes the main
-table as comma-separated values.
+``verify``, each taking only the flags it reads (:data:`_COMMANDS`).
+Configuration comes from flags or a JSON config file (flags override
+file values).  Each run writes one structured JSON result document
+(atomically); ``--csv`` (spectrum, geodesic, verify) additionally
+writes the main table as comma-separated values.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numeric/domain error.
@@ -108,8 +109,9 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _merged(args, cfg: dict):
-    """Flags override config-file values; missing values get defaults."""
+def _merged(args, cfg: dict, eps: Optional[float] = 0.0):
+    """Flags override config-file values; missing values get defaults,
+    ``eps`` the default of metric.eps (None: no eps was given)."""
     metric_cfg = cfg.get("metric", {})
     res_cfg = cfg.get("resolution", {})
 
@@ -122,7 +124,7 @@ def _merged(args, cfg: dict):
 
     merged = argparse.Namespace()
     merged.metric = pick(getattr(args, "metric", None), metric_cfg.get("kind"), "kz-torus")
-    merged.eps = _number(float, pick(getattr(args, "eps", None), metric_cfg.get("eps"), 0.0),
+    merged.eps = _number(float, pick(getattr(args, "eps", None), metric_cfg.get("eps"), eps),
                          "metric.eps")
     merged.g = metric_cfg.get("g")
     merged.theta = metric_cfg.get("theta")
@@ -257,8 +259,11 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    m = _merged(args, _load_config(args.config))
-    params = {"metric": m.metric, "eps": m.eps}
+    # an eps or grid not given is left to each suite's own default
+    m = _merged(args, _load_config(args.config), eps=None)
+    params = {"metric": m.metric}
+    if m.eps is not None:
+        params["eps"] = m.eps
     if m.grid is not None:
         params["grid_n"] = m.grid
     results = run_suite(args.suite, params, seed=m.seed)
@@ -282,17 +287,44 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infin
                               re.IGNORECASE)
 
 
-def _add_common(p):
-    p.add_argument("--metric", choices=METRIC_KINDS, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--fiber-n", dest="fiber_n", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--lmax", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--config", default=None, help="JSON config file; flags override")
+#: every flag of the command line, by name: the keywords of its add_argument
+_FLAGS = {
+    "--metric": dict(choices=METRIC_KINDS),
+    "--eps": dict(type=float),
+    "--fiber-n": dict(type=int),
+    "--grid": dict(type=int),
+    "--lmax": dict(type=int),
+    "--k": dict(type=int),
+    "--pmax": dict(type=int),
+    "--qmax": dict(type=int),
+    "--at": dict(nargs=2, type=float, metavar=("U", "V")),
+    "--start": dict(nargs=3, type=float, required=True, metavar=("U", "V", "PHI")),
+    "--t-end": dict(type=float, default=1.0),
+    "--dt": dict(type=float, default=1e-3),
+    "--suite": dict(default="all"),
+    "--seed": dict(type=int),
+    "--out": dict(),
+    "--csv": dict(action="store_true"),
+    "--config": dict(help="JSON config file; flags override"),
+}
+
+#: each subcommand: its handler, help line and the flags it reads; any
+#: other flag is an argparse error (exit code 2)
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "eigenvalues of the negative operator",
+                 ("--metric", "--eps", "--fiber-n", "--grid", "--lmax", "--k",
+                  "--pmax", "--qmax", "--out", "--csv", "--config")),
+    "symbol": (cmd_symbol, "pointwise symbol, drift and volume density",
+               ("--metric", "--eps", "--fiber-n", "--at", "--out", "--config")),
+    "volume": (cmd_volume, "volume density and Holmes-Thompson check",
+               ("--metric", "--eps", "--fiber-n", "--at", "--out", "--config")),
+    "geodesic": (cmd_geodesic, "integrate a geodesic",
+                 ("--metric", "--eps", "--start", "--t-end", "--dt", "--out", "--csv",
+                  "--config")),
+    "verify": (cmd_verify, "run a named verification suite",
+               ("--suite", "--metric", "--eps", "--grid", "--seed", "--out", "--csv",
+                "--config")),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -301,36 +333,11 @@ def make_parser() -> argparse.ArgumentParser:
         description="Finsler-Laplace operators: symbols, volumes, spectra, verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenvalues of the negative operator")
-    _add_common(p)
-    p.add_argument("--pmax", type=int, default=None)
-    p.add_argument("--qmax", type=int, default=None)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("symbol", help="pointwise symbol, drift and volume density")
-    _add_common(p)
-    p.add_argument("--at", nargs=2, type=float, default=None, metavar=("U", "V"))
-    p.set_defaults(func=cmd_symbol)
-
-    p = sub.add_parser("volume", help="volume density and Holmes-Thompson check")
-    _add_common(p)
-    p.add_argument("--at", nargs=2, type=float, default=None, metavar=("U", "V"))
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("geodesic", help="integrate a geodesic")
-    _add_common(p)
-    p.add_argument("--start", nargs=3, type=float, required=True, metavar=("U", "V", "PHI"))
-    p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(func=cmd_geodesic)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    _add_common(p)
-    p.add_argument("--suite", default="all")
-    p.set_defaults(func=cmd_verify)
-
-    for p in sub.choices.values():
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -133,10 +132,6 @@ class SphereOperator:
         return zeroth * P + first * dP_dphi
 
 
-def sphere_operator(eps: float) -> SphereOperator:
-    return SphereOperator(eps)
-
-
 def _seed_norm(m: int) -> float:
     # normalized P_m^m: sqrt((2m+1)/2 * prod (2k-1)/(2k))
     acc = (2 * m + 1) / 2.0
@@ -210,18 +205,9 @@ def legendre_block(m: int, lmax: int, c: np.ndarray) -> Tuple[np.ndarray, np.nda
     return P, _legendre_dphi(m, P, c)
 
 
-def _quad_order(lmax: int, nquad: Optional[int]) -> int:
-    required = 2 * lmax + 8
-    if nquad is None:
-        return max(required + 16, 80)
-    _check_counts(1, nquad=nquad)
-    if nquad < required:
-        warnings.warn(
-            f"quadrature order {nquad} below 2*lmax+8 = {required}; "
-            "Galerkin entries may lose accuracy",
-            stacklevel=3,
-        )
-    return nquad
+def _quad_order(lmax: int) -> int:
+    """Gauss-Legendre order of the sector matrices up to degree lmax."""
+    return max(2 * lmax + 24, 80)
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,8 +222,7 @@ def _legendre_table(lmax: int, nq: int) -> np.ndarray:
     return table
 
 
-def galerkin_matrices(eps: float, m: int, lmax: int,
-                      nquad: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+def galerkin_matrices(eps: float, m: int, lmax: int) -> Tuple[np.ndarray, np.ndarray]:
     """Stiffness and mass for the harmonic sector e^{i m theta}.
 
     Basis: normalized spherical-harmonic profiles l = |m| .. lmax.  The
@@ -247,15 +232,15 @@ def galerkin_matrices(eps: float, m: int, lmax: int,
     table shared by every sector and every eps (:func:`_legendre_table`),
     and the operator acts on all of them in one
     :meth:`SphereOperator.apply_harmonic` call.  Returns ``(A, M)`` with
-    A_kl = <Y_k, Lap Y_l>, M_kl = <Y_k, Y_l>.  Non-integer counts, or an
-    nquad below 1, are a ConfigError.
+    A_kl = <Y_k, Lap Y_l>, M_kl = <Y_k, Y_l>.  Non-integer counts are a
+    ConfigError.
     """
     _check_counts(0, lmax=lmax)
     _check_counts(-lmax, m=m)
     m = abs(m)
     if lmax < m:
         raise ConfigError(f"lmax = {lmax} below |m| = {m}")
-    nq = _quad_order(lmax, nquad)
+    nq = _quad_order(lmax)
     c, w = _gauss_legendre(nq)
     start = m * (lmax + 1) - m * (m - 1) // 2
     P = _legendre_table(lmax, nq)[start:start + lmax - m + 1]
@@ -269,8 +254,7 @@ def galerkin_matrices(eps: float, m: int, lmax: int,
     return A, M
 
 
-def harmonic_action(eps: float, l: int, m: int, lmax: int,
-                    nquad: Optional[int] = None) -> np.ndarray:
+def harmonic_action(eps: float, l: int, m: int, lmax: int) -> np.ndarray:
     """Expansion of Lap Y_l^m over the basis {Y_k^m, k = |m| .. lmax}.
 
     The action preserves the azimuthal order m; the returned vector c
@@ -282,7 +266,7 @@ def harmonic_action(eps: float, l: int, m: int, lmax: int,
     m = abs(m)
     if not m <= l <= lmax:
         raise ConfigError(f"need |m| <= l <= lmax, got l={l}, m={m}, lmax={lmax}")
-    A, M = galerkin_matrices(eps, m, lmax, nquad)
+    A, M = galerkin_matrices(eps, m, lmax)
     return np.linalg.solve(M, A[:, l - m])
 
 
@@ -296,8 +280,9 @@ def perturbation_eigenvalue(l: int, m: int, eps: float) -> float:
     eigenfunctions for every eps).  Derived from the exact operator by
     first-order perturbation of the volume-weighted Rayleigh quotient;
     validated against the Galerkin eigenvalues (the remainder scales as
-    eps^4).
+    eps^4).  eps must be in [0, 1).
     """
+    _check_eps(eps)
     _check_counts(0, l=l)
     _check_counts(-l, m=m)
     m = abs(m)

@@ -42,6 +42,10 @@ MIN_FIBER_N = 16
 #: large enough that the Python overhead of a block is small against its
 #: arithmetic, small enough that each (P, n, 2) temporary stays at 64 KiB
 BLOCK_RAYS = 4096
+#: relative volume change at which the adaptive fiber rule stops doubling
+ADAPTIVE_RTOL = 1e-9
+#: the most nodes of the adaptive fiber rule
+ADAPTIVE_MAX_N = 1 << 15
 
 log = logging.getLogger("finlap.measures")
 
@@ -124,28 +128,24 @@ def volume_density(metric: FinslerMetric2D, x: ChartPoint,
     return float(_fiber_rule(metric, x, n)[2].mean())
 
 
-def volume_density_adaptive(metric: FinslerMetric2D, x: ChartPoint,
-                            n0: int = DEFAULT_FIBER_N, rtol: float = 1e-9,
-                            n_max: int = 1 << 15) -> float:
+def volume_density_adaptive(metric: FinslerMetric2D, x: ChartPoint) -> float:
     """The volume of :func:`fiber_quadrature_adaptive`: a test oracle for
     the fixed rule of :func:`volume_density`."""
-    return fiber_quadrature_adaptive(metric, x, n0, rtol, n_max).volume
+    return fiber_quadrature_adaptive(metric, x).volume
 
 
-def fiber_quadrature_adaptive(metric: FinslerMetric2D, x: ChartPoint,
-                              n0: int = DEFAULT_FIBER_N, rtol: float = 1e-9,
-                              n_max: int = 1 << 15) -> FiberQuadrature:
-    """:func:`fiber_quadrature` on the smallest doubling of n0 nodes on
-    which the volume moved by less than rtol (rtol = 0 never converges),
-    at most n_max nodes: a test oracle for the fixed rule.  Stopping at
-    n_max unconverged is logged at DEBUG on ``finlap.measures``."""
-    _check_counts(1, n_max=n_max)
-    lam = _fiber_rule(metric, x, n0)[2]
+def fiber_quadrature_adaptive(metric: FinslerMetric2D, x: ChartPoint) -> FiberQuadrature:
+    """:func:`fiber_quadrature` on the smallest doubling of
+    ``DEFAULT_FIBER_N`` nodes on which the volume moved by less than
+    ``ADAPTIVE_RTOL``, at most ``ADAPTIVE_MAX_N`` nodes: a test oracle for
+    the fixed rule.  Stopping at the cap unconverged is logged at DEBUG
+    on ``finlap.measures``."""
+    lam = _fiber_rule(metric, x, DEFAULT_FIBER_N)[2]
     change = math.nan
-    while len(lam) < n_max:
+    while len(lam) < ADAPTIVE_MAX_N:
         coarse, lam = lam.mean(), _fiber_rule(metric, x, 2 * len(lam))[2]
         change = abs(lam.mean() - coarse) / max(abs(lam.mean()), 1e-300)
-        if change < rtol:
+        if change < ADAPTIVE_RTOL:
             break
     else:
         log.debug("fiber quadrature at %s (%.6g, %.6g) stopped at the cap of %d nodes "

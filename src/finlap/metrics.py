@@ -36,11 +36,14 @@ from .charts import ChartPoint, PLANE, SPHERE, TORUS
 from .errors import ConfigError, DomainError, FinlapError, InvalidMetricError
 from .fields import ConstantField, field_values
 
-# dual_norm scan resolution
+#: indicatrix scan points of :func:`dual_norm`
 DUAL_COARSE_N = 256
-#: the fewest scan points or dual rays of a support search: the smallest
-#: polygon whose support :func:`_scan_max` can look up
-MIN_SCAN_N = 3
+#: dual rays of :func:`holmes_thompson_density` and :func:`dual_norm_sampled`
+DUAL_RAYS = 512
+#: indicatrix scan points of :func:`holmes_thompson_density`
+HT_BOUNDARY_N = 2048
+#: indicatrix scan points of :func:`dual_norm_sampled`
+SAMPLED_BOUNDARY_N = 1024
 
 MatrixField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
 CovectorField = Union[np.ndarray, Callable[[ChartPoint], np.ndarray]]
@@ -719,10 +722,10 @@ def _ray_argument(x, a, what: str) -> np.ndarray:
     return a
 
 
-def dual_norm(metric: FinslerMetric2D, x, p, coarse_n: int = DUAL_COARSE_N):
+def dual_norm(metric: FinslerMetric2D, x, p):
     """Dual norm F*(x, p) = sup { p(v) : F(x, v) = 1 }.
 
-    The support search of :func:`_support_max` over a ``coarse_n``-point
+    The support search of :func:`_support_max` over a ``DUAL_COARSE_N``-point
     frame-angle scan of the indicatrix: the scan vertex of largest p(v),
     looked up by the angle of p among the scan's edge normals, and 4
     parabolic rounds.  ``x`` is one base point with a covector of shape
@@ -732,77 +735,68 @@ def dual_norm(metric: FinslerMetric2D, x, p, coarse_n: int = DUAL_COARSE_N):
 
     Raises
     ------
-    ConfigError
-        If ``coarse_n`` is below ``MIN_SCAN_N``.
     DomainError
         If a covector is zero or not finite, or has the wrong shape.
     InvalidMetricError
         If the indicatrix scan is not convex at a point of x.
     """
-    _check_counts(MIN_SCAN_N, coarse_n=coarse_n)
     p = _ray_argument(x, p, "covector")
     q = _frame_coords(x, p, 1)[..., None, :]
-    best = _support_max(metric, x, q, _indicatrix_scan(metric, x, coarse_n))
+    best = _support_max(metric, x, q, _indicatrix_scan(metric, x, DUAL_COARSE_N))
     return float(best[0]) if isinstance(x, ChartPoint) else best[:, 0]
 
 
-def holmes_thompson_density(metric: FinslerMetric2D, x,
-                            n_rays: int = 512, n_boundary: int = 2048):
+def holmes_thompson_density(metric: FinslerMetric2D, x):
     """Area of the dual unit disc {p : F*(x, p) < 1} divided by pi.
 
     Radial quadrature of the dual boundary in frame coordinates: its
-    radius along each of ``n_rays`` directions e(beta) is 1 / F* over one
-    ``n_boundary``-point indicatrix scan, looked up by edge normal at a
-    cost of O((n_rays + n_boundary) log n_boundary) per point, without a
-    support matrix; the area so found is scaled by det A^-T (sin(phi) on
+    radius along each of ``DUAL_RAYS`` directions e(beta) is 1 / F* over
+    one ``HT_BOUNDARY_N``-point indicatrix scan, looked up by edge normal
+    at a cost of O((m + n) log n) per point for m rays and n scan points,
+    without a support matrix; the area so found is scaled by det A^-T (sin(phi) on
     the sphere chart).  Independent of the contact-density route, so it is
     an oracle for :func:`finlap.measures.volume_density`.  A float at one
     base point; over a block of P base points shape (P,), the radii of the
-    block found together.  Both counts must be at least ``MIN_SCAN_N``
-    (ConfigError), and the scan convex (InvalidMetricError).
+    block found together.  The scan must be convex (InvalidMetricError).
     """
-    _check_counts(MIN_SCAN_N, n_rays=n_rays, n_boundary=n_boundary)
-    betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
-    scan = _indicatrix_scan(metric, x, n_boundary)
+    betas = 2.0 * np.pi * np.arange(DUAL_RAYS) / DUAL_RAYS
+    scan = _indicatrix_scan(metric, x, HT_BOUNDARY_N)
     r = 1.0 / _support_max(metric, x, _circle(betas), scan)
-    area = 0.5 * np.sum(r**2, axis=-1) * (2.0 * np.pi / n_rays) / np.pi
+    area = 0.5 * np.sum(r**2, axis=-1) * (2.0 * np.pi / DUAL_RAYS) / np.pi
     stretch = frame_stretch(x)
     if stretch is not None:
         area = area / np.reshape(stretch, np.shape(area))
     return float(area) if isinstance(x, ChartPoint) else area
 
 
-def dual_norm_sampled(metric: FinslerMetric2D, x, v,
-                      n_rays: int = 512, n_boundary: int = 1024):
+def dual_norm_sampled(metric: FinslerMetric2D, x, v):
     """Double dual F**(x, v) = sup { p(v) : F*(x, p) = 1 }.
 
     The dual unit circle in frame coordinates, at radius 1 / F* along
-    ``n_rays`` directions e(beta), is searched for the support of v by 5
-    rounds of :func:`_parabolic_max` in beta.  Every radius, of the
-    first ``n_rays`` and of each round, comes from one
-    ``n_boundary``-point indicatrix scan, whose edge normals are found
-    once and serve every lookup of the call.
+    ``DUAL_RAYS`` directions e(beta), is searched for the support of v by
+    5 rounds of :func:`_parabolic_max` in beta.  Every radius, of the
+    first ``DUAL_RAYS`` and of each round, comes from one
+    ``SAMPLED_BOUNDARY_N``-point indicatrix scan, whose edge normals are
+    found once and serve every lookup of the call.
 
     ``x`` is one base point with a vector of shape (2,), giving a float,
     or a block of P base points with vectors of shape (P, 2), giving shape
-    (P,); the block shares the scan call and each refinement call.  Both
-    counts must be at least ``MIN_SCAN_N`` (ConfigError); a zero or
-    non-finite vector is a DomainError, and a non-convex scan an
+    (P,); the block shares the scan call and each refinement call.  A
+    zero or non-finite vector is a DomainError, and a non-convex scan an
     InvalidMetricError.
     """
-    _check_counts(MIN_SCAN_N, n_rays=n_rays, n_boundary=n_boundary)
     u = _frame_coords(x, _ray_argument(x, v, "vector"), -1)
-    scan = _indicatrix_scan(metric, x, n_boundary)
+    scan = _indicatrix_scan(metric, x, SAMPLED_BOUNDARY_N)
 
     def support_of_v(betas):
         beams = _circle(betas)
         r = 1.0 / _support_max(metric, x, beams, scan)
         return r * _inner(beams, u[..., None, :])
 
-    betas = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    betas = 2.0 * np.pi * np.arange(DUAL_RAYS) / DUAL_RAYS
     vals = support_of_v(betas)
     best = _parabolic_max(support_of_v, betas[np.argmax(vals, axis=-1)],
-                          2.0 * np.pi / n_rays, vals.max(axis=-1), 5)
+                          2.0 * np.pi / DUAL_RAYS, vals.max(axis=-1), 5)
     return float(best) if isinstance(x, ChartPoint) else best
 
 

@@ -84,10 +84,10 @@ def symbol_closed_form(metric: RandersMetric, x: ChartPoint) -> np.ndarray:
     return N @ s @ N.T
 
 
-def symbol_oracle(metric: RandersMetric, x: ChartPoint, n: int = ORACLE_N) -> np.ndarray:
+def symbol_oracle(metric: RandersMetric, x: ChartPoint) -> np.ndarray:
     """Quadrature oracle for the symbol.
 
-    Trapezoid evaluation of the three fiber integrals
+    ``ORACLE_N``-node trapezoid evaluation of the three fiber integrals
 
         sigma_ab = (1/pi) Int_0^{2pi} e_a(t) e_b(t) / (1 + t1 cos t + t2 sin t) dt
 
@@ -95,12 +95,12 @@ def symbol_oracle(metric: RandersMetric, x: ChartPoint, n: int = ORACLE_N) -> np
     pushed to chart coordinates the same way as the closed form.
     """
     N, (t1, t2) = _frame(metric, x)
-    ts = 2.0 * np.pi * np.arange(n) / n
+    ts = 2.0 * np.pi * np.arange(ORACLE_N) / ORACLE_N
     c, s = np.cos(ts), np.sin(ts)
     denom = 1.0 + t1 * c + t2 * s
     if np.any(denom <= 0.0):
         raise InvalidMetricError("|theta|_g >= 1: fiber integrand not positive")
-    w = 2.0 * np.pi / n / np.pi
+    w = 2.0 * np.pi / ORACLE_N / np.pi
     s11 = w * np.sum(c * c / denom)
     s22 = w * np.sum(s * s / denom)
     s12 = w * np.sum(c * s / denom)
@@ -113,15 +113,16 @@ def dual_symbol(metric: RandersMetric, x: ChartPoint) -> np.ndarray:
     return np.linalg.inv(symbol_closed_form(metric, x))
 
 
-def solve_b(mu_prime: float, tol: float = 1e-12) -> float:
-    """Root of b*(1+b)^2/4 = mu'^2 on (0, 1]; the cubic is strictly increasing."""
+def solve_b(mu_prime: float) -> float:
+    """Root of b*(1+b)^2/4 = mu'^2 on (0, 1] to within 1e-12, by bisection;
+    the cubic is strictly increasing."""
     if not 0.0 < mu_prime <= 1.0 + 1e-12:
         raise ConstructionError(f"mu' = {mu_prime} outside (0, 1]")
     if mu_prime >= 1.0:
         return 1.0
     target = mu_prime**2
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if mid * (1.0 + mid) ** 2 / 4.0 < target:
             lo = mid

@@ -42,6 +42,7 @@ from .measures import (DEFAULT_FIBER_N, BaseQuadrature, sphere_base, torus_base,
                        volume_densities)
 from .metrics import FinslerMetric2D, KatokZillerMetric, _check_counts
 
+#: relative gap below which two eigenvalues are merged into one with multiplicity
 MERGE_TOL = 1e-9
 #: largest dimension that ``method="auto"`` solves densely (the name
 #: predates the LAPACK dense solver; perfbench/tracer.py reads it)
@@ -62,7 +63,6 @@ class SphereHarmonicBasis:
 
     lmax: int
     m: int
-    nquad: Optional[int] = None
 
 
 @dataclass
@@ -105,7 +105,7 @@ class SpectrumResult:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_values(cls, values, meta=None, merge_tol: float = MERGE_TOL):
+    def from_values(cls, values, meta=None):
         values = np.sort(np.asarray(values, dtype=float))
         scale = max(1.0, float(np.abs(values).max(initial=0.0)))
         if values.size and values[0] < -1e-9 * scale:
@@ -113,7 +113,7 @@ class SpectrumResult:
         reps: List[float] = []
         counts: List[int] = []
         for v in values:
-            tol = merge_tol * max(1.0, abs(v))
+            tol = MERGE_TOL * max(1.0, abs(v))
             if reps and v - reps[-1] <= tol:
                 counts[-1] += 1
                 reps[-1] += (v - reps[-1]) / counts[-1]
@@ -198,7 +198,7 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
             raise ConfigError("sphere harmonic basis requires a Katok-Ziller sphere metric")
         if basis.lmax < max(4, abs(basis.m)):
             raise ConfigError(f"lmax = {basis.lmax} too small")
-        A, M = galerkin_matrices(metric.eps, basis.m, basis.lmax, basis.nquad)
+        A, M = galerkin_matrices(metric.eps, basis.m, basis.lmax)
         defect = _sym_defect(A)
         S = 0.5 * (A + A.T)
         return SpectralProblem(basis=basis, stiffness=S, mass=M,
@@ -207,20 +207,20 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
     raise ConfigError(f"unknown basis spec {basis!r}")
 
 
-def jacobi_eigh(B: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
+def jacobi_eigh(B: np.ndarray):
     """Cyclic Jacobi diagonalization of a symmetric matrix.
 
     Sweeps rotate away off-diagonal entries until the off-diagonal
-    Frobenius norm falls below ``tol`` times the matrix norm.  Returns
-    ``(eigenvalues ascending, eigenvectors as columns)``.
+    Frobenius norm falls below 1e-12 times the matrix norm, at most 100
+    sweeps.  Returns ``(eigenvalues ascending, eigenvectors as columns)``.
     """
     B = np.array(B, dtype=float)
     n = B.shape[0]
     V = np.eye(n)
     scale = max(np.linalg.norm(B), 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off = math.sqrt(max(np.sum(B**2) - np.sum(np.diag(B) ** 2), 0.0))
-        if off <= tol * scale:
+        if off <= 1e-12 * scale:
             break
         thresh = off / (n * n)
         for p in range(n - 1):
@@ -315,9 +315,7 @@ def solve_eigen(problem: SpectralProblem, k: int,
     return SpectrumResult.from_values(vals, meta=meta)
 
 
-def sphere_spectrum(eps: float, lmax: int, k: int,
-                    nquad: Optional[int] = None,
-                    method: str = "auto") -> SpectrumResult:
+def sphere_spectrum(eps: float, lmax: int, k: int) -> SpectrumResult:
     """The lowest k of the (lmax + 1)^2 values of the union of the sector
     spectra over |m| <= lmax (each |m| > 0 twice); ConfigError unless
     lmax >= 4 and 1 <= k <= (lmax + 1)^2, both integers."""
@@ -329,8 +327,8 @@ def sphere_spectrum(eps: float, lmax: int, k: int,
     metric = kz_sphere(eps)
     values: List[float] = []
     for m in range(0, lmax + 1):
-        prob = assemble_eigenproblem(metric, SphereHarmonicBasis(lmax=lmax, m=m, nquad=nquad))
-        res = solve_eigen(prob, k=prob.dim, method=method)
+        prob = assemble_eigenproblem(metric, SphereHarmonicBasis(lmax=lmax, m=m))
+        res = solve_eigen(prob, k=prob.dim)
         vals = res.expand()
         values.extend(vals.tolist())
         if m > 0:

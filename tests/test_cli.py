@@ -338,10 +338,50 @@ class TestOtherCommands:
         with pytest.raises(ConfigError, match="unknown metric kind"):
             verify_mod._default_metric({"metric": "no-such-kind"})
 
+    def test_verify_eps_defaults_to_the_suites_own(self, tmp_path):
+        # no --eps: each suite runs at its own default eps, not at eps 0
+        from finlap.verify import run_suite
+
+        def rows(params):
+            return [{"check": r.check, "status": r.status, "defect": r.defect,
+                     "tolerance": r.tolerance} for r in run_suite("holmes-thompson", params)]
+
+        out = tmp_path / "ht.json"
+        assert main(["verify", "--suite", "holmes-thompson", "--out", str(out)]) == 0
+        doc = read_json(out)
+        assert doc["config_echo"]["metric"]["eps"] is None
+        assert doc["report"] == rows({"metric": "kz-torus"})
+        assert doc["report"] != rows({"metric": "kz-torus", "eps": 0.0})
+
     def test_invalid_metric_parameter_numeric_error(self, tmp_path):
         rc = main(["symbol", "--metric", "kz-torus", "--eps", "1.7",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 3
+
+
+#: (subcommand, flag) pairs that each subcommand used to parse and ignore
+_UNREAD_FLAGS = (
+    [("spectrum", ["--seed", "1"])]
+    + [(command, flag) for command in ("symbol", "volume")
+       for flag in (["--grid", "16"], ["--lmax", "4"], ["--k", "3"], ["--seed", "1"], ["--csv"])]
+    + [("geodesic", flag) for flag in (["--fiber-n", "64"], ["--grid", "16"], ["--lmax", "4"],
+                                       ["--k", "3"], ["--seed", "1"])]
+    + [("verify", flag) for flag in (["--fiber-n", "64"], ["--lmax", "4"], ["--k", "3"])]
+)
+#: what each subcommand needs besides the flag under test
+_REQUIRED = {"geodesic": ["--start", "0", "0", "0", "--t-end", "0.05"],
+             "verify": ["--suite", "legendre"]}
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in _UNREAD_FLAGS])
+def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED.get(command, []), *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 class TestSolverFailures:

@@ -33,7 +33,7 @@ class TestOperatorCoefficients:
     def test_kz_sphere_closed_form(self):
         eps = 0.3
         m = fl.kz_sphere(eps)
-        op = fl.sphere_operator(eps)
+        op = fl.SphereOperator(eps)
         for phi in (0.5, 1.0, 1.5):
             c = fl.operator_coefficients(m, fl.sphere_point(phi, 0.3))
             assert c.sigma[1, 1] == pytest.approx(float(op.c_theta2(phi)), abs=1e-5)

@@ -127,15 +127,17 @@ class TestAdaptiveQuadrature:
         fl.volume_density_adaptive(m, x)
         assert sizes == expected
 
-    def test_cap_is_logged(self, caplog):
-        # rtol = 0 never converges, so the doubling stops at n_max
+    def test_cap_is_logged(self, caplog, monkeypatch):
+        # a tolerance of 0 never converges, so the doubling stops at the cap
+        cap = 2 * measures.DEFAULT_FIBER_N
+        monkeypatch.setattr(measures, "ADAPTIVE_RTOL", 0.0)
+        monkeypatch.setattr(measures, "ADAPTIVE_MAX_N", cap)
         m = fl.kz_sphere(0.3)
         with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
-            fl.volume_density_adaptive(m, fl.sphere_point(OUTER_PHI, 0.0),
-                                       n0=16, rtol=0.0, n_max=32)
+            fl.volume_density_adaptive(m, fl.sphere_point(OUTER_PHI, 0.0))
         (record,) = [r for r in caplog.records if r.name == "finlap.measures"]
         msg = record.getMessage()
-        assert f"{OUTER_PHI:.6g}" in msg and "32 nodes" in msg
+        assert f"{OUTER_PHI:.6g}" in msg and f"{cap} nodes" in msg
 
     def test_converged_fiber_not_logged(self, caplog):
         # the frame-angle rule converges at the outermost Gauss node too
@@ -251,8 +253,6 @@ class TestBaseQuadrature:
         lambda: fl.torus_base(True),
         lambda: fl.sphere_total_volume(fl.kz_sphere(0.3), n_phi=8.5),
         lambda: fl.sphere_base(4, 2.0),
-        lambda: fl.volume_density_adaptive(fl.kz_torus(0.5), fl.torus_point(0.2, 0.4),
-                                           n0=64.5),
         lambda: fl.solve_eigen(fl.assemble_eigenproblem(
             fl.kz_torus(0.5), fl.TorusGridBasis(n=16)), k=2.5),
         lambda: fl.solve_eigen(fl.assemble_eigenproblem(
@@ -261,7 +261,7 @@ class TestBaseQuadrature:
         lambda: fl.torus_spectrum(0.3, True, 2),
         lambda: fl.torus_spectrum(0.3, 2, -1),
     ], ids=["volume-density", "volume-densities", "grid-fiber-n", "grid-n", "torus-bool",
-            "sphere-volume", "sphere-theta", "adaptive-n0", "solve-k", "solve-k-bool",
+            "sphere-volume", "sphere-theta", "solve-k", "solve-k-bool",
             "closed-form-pmax", "closed-form-pmax-bool", "closed-form-qmax-negative"])
     def test_non_integer_count_is_config_error(self, call):
         # a fiber or grid count is never truncated or rounded
@@ -455,10 +455,10 @@ class TestDualBoundaryScan:
 
         monkeypatch.setattr(metrics, "_indicatrix_scan", counting)
         m = fl.kz_torus(0.6)
-        fl.dual_norm_sampled(m, fl.torus_point(0.2, 0.4), [0.3, -1.1], n_boundary=1024)
+        fl.dual_norm_sampled(m, fl.torus_point(0.2, 0.4), [0.3, -1.1])
         assert sizes == [1024]
         sizes.clear()
-        fl.holmes_thompson_density(m, fl.torus_point(0.2, 0.4), n_boundary=2048)
+        fl.holmes_thompson_density(m, fl.torus_point(0.2, 0.4))
         assert sizes == [2048]
 
     def test_matches_per_call_scan(self):
@@ -529,8 +529,8 @@ class TestSupportSearch:
         ps = rng.normal(size=(7, 2))
         np.testing.assert_array_equal(fl.dual_norm(m, xs, ps),
                                       [fl.dual_norm(m, x, p) for x, p in zip(xs, ps)])
-        np.testing.assert_array_equal(fl.holmes_thompson_density(m, xs, 32, 256),
-                                      [fl.holmes_thompson_density(m, x, 32, 256) for x in xs])
+        np.testing.assert_array_equal(fl.holmes_thompson_density(m, xs),
+                                      [fl.holmes_thompson_density(m, x) for x in xs])
 
     @staticmethod
     def _holmes_thompson_peak(eps, rng):
@@ -603,7 +603,7 @@ class TestBlockDualForms:
         monkeypatch.setattr(metrics, "_indicatrix_scale", counting)
         m = fl.kz_torus(0.6)
         xs, vs = self._samples(m, rng, 5)
-        fl.dual_norm_sampled(m, xs, vs, n_boundary=1024)
+        fl.dual_norm_sampled(m, xs, vs)
         # the scan, and the 4 flank calls (512 rays x 2) of the first radii
         assert sizes[0] == (5, 1024) and sizes.count((5, 1024)) == 1 + 4
         # one scan, then 11 radius calls (the first rays and 5 rounds of
@@ -750,29 +750,6 @@ class TestSupportSearchInput:
             fl.dual_norm(m, xs, [[1.0, 0.0], bad])
         with pytest.raises(fl.DomainError, match="finite"):
             fl.dual_norm_sampled(m, xs, [[1.0, 0.0], bad])
-
-    @pytest.mark.parametrize("call", [
-        lambda m, x: fl.dual_norm(m, x, [1.0, 0.3], coarse_n=0),
-        lambda m, x: fl.dual_norm(m, x, [1.0, 0.3], coarse_n=2),
-        lambda m, x: fl.holmes_thompson_density(m, x, n_rays=0),
-        lambda m, x: fl.holmes_thompson_density(m, x, n_boundary=1),
-        lambda m, x: fl.dual_norm_sampled(m, x, [1.0, 0.3], n_rays=2),
-        lambda m, x: fl.dual_norm_sampled(m, x, [1.0, 0.3], n_boundary=0),
-        lambda m, x: fl.dual_norm(m, x, [1.0, 0.3], coarse_n=256.0),
-        lambda m, x: fl.holmes_thompson_density(m, x, n_rays=512.5),
-    ])
-    def test_bad_counts_are_config_errors(self, call):
-        with pytest.raises(fl.ConfigError, match="integer of at least 3"):
-            call(fl.kz_torus(0.5), fl.torus_point(0.2, 0.4))
-
-    def test_smallest_counts_are_accepted(self):
-        m = fl.kz_torus(0.5)
-        x = fl.torus_point(0.2, 0.4)
-        n = np.int64(metrics.MIN_SCAN_N)
-        for value in (fl.dual_norm(m, x, [1.0, 0.3], coarse_n=n),
-                      fl.holmes_thompson_density(m, x, n_rays=n, n_boundary=n),
-                      fl.dual_norm_sampled(m, x, [1.0, 0.3], n_rays=n, n_boundary=n)):
-            assert math.isfinite(value) and value > 0.0
 
 
 def _kinds_and_poles():
