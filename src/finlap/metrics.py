@@ -753,8 +753,8 @@ def holmes_thompson_density(metric: FinslerMetric2D, x):
     radius along each of ``DUAL_RAYS`` directions e(beta) is 1 / F* over
     one ``HT_BOUNDARY_N``-point indicatrix scan, looked up by edge normal
     at a cost of O((m + n) log n) per point for m rays and n scan points,
-    without a support matrix; the area so found is scaled by det A^-T (sin(phi) on
-    the sphere chart).  Independent of the contact-density route, so it is
+    without a support matrix; the area so found is scaled by det A^-T
+    (sin(phi) on the sphere chart).  Independent of the contact-density route, so it is
     an oracle for :func:`finlap.measures.volume_density`.  A float at one
     base point; over a block of P base points shape (P,), the radii of the
     block found together.  The scan must be convex (InvalidMetricError).
