@@ -2,10 +2,14 @@
 
 Subcommands: ``spectrum``, ``symbol``, ``volume``, ``geodesic``,
 ``verify``, each taking only the flags it reads (:data:`_COMMANDS`).
-Configuration comes from flags or a JSON config file (flags override
-file values).  Each run writes one structured JSON result document
-(atomically); ``--csv`` (spectrum, geodesic, verify) additionally
-writes the main table as comma-separated values.
+Each setting (:data:`_SETTINGS`) comes from its flag, else from a JSON
+config file, and is read with its default where it is used
+(:meth:`_Run.get`).  A setting given but not read by the run's route, a
+config key that is no setting and a config ``task`` naming another
+subcommand are configuration errors.  Each run writes one JSON result
+document (atomically) whose ``config_echo`` holds the settings read;
+``--csv`` (spectrum, geodesic, verify) also writes the main table as
+comma-separated values.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numeric/domain error.
@@ -25,12 +29,12 @@ import tempfile
 from typing import Optional
 
 from . import __version__
-from .catalog import METRIC_KINDS, build_metric
+from .catalog import DEFAULT_EPS, DEFAULT_KIND, METRIC_KINDS, build_metric, read_metric
 from .charts import ChartPoint, SPHERE
 from .errors import ConfigError, FinlapError
 from .hilbert import FiberPoint, geodesic_integrate
 from .laplace import operator_coefficients
-from .measures import holmes_thompson_density, volume_density
+from .measures import DEFAULT_FIBER_N, holmes_thompson_density, volume_density
 from .metrics import FinslerMetric2D
 from .spectral import (TorusGridBasis, assemble_eigenproblem, solve_eigen,
                        sphere_spectrum)
@@ -109,78 +113,100 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _merged(args, cfg: dict, eps: Optional[float] = 0.0):
-    """Flags override config-file values; missing values get defaults,
-    ``eps`` the default of metric.eps (None: no eps was given)."""
-    metric_cfg = cfg.get("metric", {})
-    res_cfg = cfg.get("resolution", {})
-
-    def pick(flag_value, cfg_value, default):
-        if flag_value is not None:
-            return flag_value
-        if cfg_value is not None:
-            return cfg_value
-        return default
-
-    merged = argparse.Namespace()
-    merged.metric = pick(getattr(args, "metric", None), metric_cfg.get("kind"), "kz-torus")
-    merged.eps = _number(float, pick(getattr(args, "eps", None), metric_cfg.get("eps"), eps),
-                         "metric.eps")
-    merged.g = metric_cfg.get("g")
-    merged.theta = metric_cfg.get("theta")
-    merged.conformal = metric_cfg.get("conformal")
-    merged.fiber_n = _number(int, pick(getattr(args, "fiber_n", None),
-                                       res_cfg.get("fiber_n"), 256), "resolution.fiber_n")
-    for key, cfg_key in (("grid", "grid_n"), ("lmax", "lmax"), ("k", "k"),
-                         ("pmax", "pmax"), ("qmax", "qmax")):
-        setattr(merged, key, _number(int, pick(getattr(args, key, None),
-                                               res_cfg.get(cfg_key), None),
-                                     f"resolution.{cfg_key}"))
-    merged.out = pick(getattr(args, "out", None), cfg.get("output"), None)
-    merged.seed = _number(int, pick(getattr(args, "seed", None), cfg.get("seed"), 0), "seed")
-    merged.csv = bool(getattr(args, "csv", False))
-    return merged
+#: every setting of a run: its flag (None: config file only), its
+#: config-file key and its number type (None: taken as given)
+_SETTINGS = {
+    "metric": ("--metric", "metric.kind", None),
+    "eps": ("--eps", "metric.eps", float),
+    "g": (None, "metric.g", None),
+    "theta": (None, "metric.theta", None),
+    "conformal": (None, "metric.conformal", float),
+    "fiber_n": ("--fiber-n", "resolution.fiber_n", int),
+    "grid_n": ("--grid", "resolution.grid_n", int),
+    "lmax": ("--lmax", "resolution.lmax", int),
+    "k": ("--k", "resolution.k", int),
+    "pmax": ("--pmax", "resolution.pmax", int),
+    "qmax": ("--qmax", "resolution.qmax", int),
+    "seed": ("--seed", "seed", int),
+    "output": ("--out", "output", None),
+}
 
 
-def _config_echo(m) -> dict:
-    metric = {"kind": m.metric, "eps": m.eps}
-    for key in ("g", "theta", "conformal"):
-        if getattr(m, key) is not None:
-            metric[key] = getattr(m, key)
-    return {
-        "metric": metric,
-        "resolution": {
-            "fiber_n": m.fiber_n, "grid_n": m.grid, "lmax": m.lmax,
-            "k": m.k, "pmax": m.pmax, "qmax": m.qmax,
-        },
-        "seed": m.seed,
-    }
+class _Run:
+    """The settings of one run, each from its flag, else from the config
+    file.  A config key not in :data:`_SETTINGS`, or a ``task`` other than
+    the subcommand, is a ConfigError; so is, when the result is written,
+    a setting that was given but not read."""
+
+    def __init__(self, args):
+        self.args = args
+        cfg = _load_config(args.config)
+        task = cfg.pop("task", args.command)
+        if task != args.command:
+            raise ConfigError(f"config file task {task!r} is not {args.command!r}")
+        names = {key: name for name, (_, key, _) in _SETTINGS.items()}
+        self.given, self.read = {}, {}
+        flat = {}
+        for key, value in cfg.items():
+            if isinstance(value, dict):
+                flat.update((f"{key}.{leaf}", v) for leaf, v in value.items())
+            else:
+                flat[key] = value
+        for key, value in flat.items():
+            if key not in names:
+                raise ConfigError(f"unknown config key {key!r}")
+            if value is not None:
+                self.given[names[key]] = (value, key)
+        for name, (flag, _, _) in _SETTINGS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
+            if value is not None:
+                self.given[name] = (value, flag)
+
+    def get(self, name: str, default=None):
+        """The setting ``name`` as given, else ``default``; recorded as read."""
+        value, source = self.given.get(name, (default, None))
+        conv = _SETTINGS[name][2]
+        if conv:
+            value = _number(conv, value, source)
+        self.read[name] = value
+        return value
+
+    def write(self, payload: dict, csv_rows=None, csv_header=None):
+        """Write the result: ``config_echo`` (the settings read, defaults
+        filled in, the output path left out), the task and ``payload``."""
+        out = self.get("output")
+        unread = [source for name, (_, source) in self.given.items() if name not in self.read]
+        if unread:
+            raise ConfigError(f"{', '.join(unread)} given but not read by this "
+                              f"{self.args.command} run")
+        echo = {}
+        for name, (_, key, _) in _SETTINGS.items():
+            if name in self.read and name != "output":
+                section, _, leaf = key.rpartition(".")
+                (echo.setdefault(section, {}) if section else echo)[leaf] = self.read[name]
+        doc = {"config_echo": echo, "task": self.args.command, **payload}
+        write_result(out, doc, csv_rows if getattr(self.args, "csv", False) else None,
+                     csv_header)
 
 
 def cmd_spectrum(args) -> int:
-    m = _merged(args, _load_config(args.config))
-    doc = {"config_echo": _config_echo(m), "task": "spectrum"}
-    if m.metric == "kz-torus" and (m.pmax is not None or m.qmax is not None) and m.grid is None:
-        pmax = m.pmax if m.pmax is not None else 2
-        qmax = m.qmax if m.qmax is not None else 2
-        result = torus_spectrum(m.eps, pmax, qmax)
-    elif m.metric == "kz-sphere":
-        lmax = m.lmax if m.lmax is not None else 10
-        k = m.k if m.k is not None else 5
-        result = sphere_spectrum(m.eps, lmax, k)
+    run = _Run(args)
+    kind = run.get("metric", DEFAULT_KIND)
+    if kind == "kz-torus" and "grid_n" not in run.given and run.given.keys() & {"pmax", "qmax"}:
+        result = torus_spectrum(run.get("eps", DEFAULT_EPS), run.get("pmax", 2),
+                                run.get("qmax", 2))
+    elif kind == "kz-sphere":
+        result = sphere_spectrum(run.get("eps", DEFAULT_EPS), run.get("lmax", 10),
+                                 run.get("k", 5))
     else:
-        metric = build_metric(m.metric, m.eps, m.g, m.theta, m.conformal)
-        n = m.grid if m.grid is not None else 32
-        k = m.k if m.k is not None else 10
-        prob = assemble_eigenproblem(metric, TorusGridBasis(n=n, fiber_n=m.fiber_n))
-        result = solve_eigen(prob, k=k)
-    doc["eigenvalues"] = [
-        {"value": float(v), "multiplicity": int(c)}
-        for v, c in zip(result.eigenvalues, result.multiplicities)
-    ]
-    doc["solver_meta"] = result.meta
-    rows = [(f"{v:.12g}", c) for v, c in zip(result.eigenvalues, result.multiplicities)]
-    write_result(m.out, doc, rows if m.csv else None, ("eigenvalue", "multiplicity"))
+        k = run.get("k", 10)
+        basis = TorusGridBasis(n=run.get("grid_n", 32),
+                               fiber_n=run.get("fiber_n", DEFAULT_FIBER_N))
+        result = solve_eigen(assemble_eigenproblem(read_metric(run.get), basis), k=k)
+    rows = list(zip(result.eigenvalues, result.multiplicities))
+    run.write({"eigenvalues": [{"value": float(v), "multiplicity": int(c)} for v, c in rows],
+               "solver_meta": result.meta},
+              [(f"{v:.12g}", c) for v, c in rows], ("eigenvalue", "multiplicity"))
     return 0
 
 
@@ -193,88 +219,70 @@ def _point(metric: FinslerMetric2D, at) -> ChartPoint:
 
 
 def cmd_symbol(args) -> int:
-    m = _merged(args, _load_config(args.config))
-    metric = build_metric(m.metric, m.eps, m.g, m.theta, m.conformal)
+    run = _Run(args)
+    metric = read_metric(run.get)
     x = _point(metric, args.at)
-    c = operator_coefficients(metric, x, fiber_n=m.fiber_n)
-    doc = {
-        "config_echo": _config_echo(m),
-        "task": "symbol",
-        "coefficients": {
-            "at": [x.u, x.v],
-            "sigma": c.sigma.tolist(),
-            "drift": c.drift.tolist(),
-            "vol_density": c.vol_density,
-        },
-    }
-    write_result(m.out, doc)
+    c = operator_coefficients(metric, x, fiber_n=run.get("fiber_n", DEFAULT_FIBER_N))
+    run.write({"coefficients": {
+        "at": [x.u, x.v],
+        "sigma": c.sigma.tolist(),
+        "drift": c.drift.tolist(),
+        "vol_density": c.vol_density,
+    }})
     return 0
 
 
 def cmd_volume(args) -> int:
-    m = _merged(args, _load_config(args.config))
-    metric = build_metric(m.metric, m.eps, m.g, m.theta, m.conformal)
+    run = _Run(args)
+    metric = read_metric(run.get)
     x = _point(metric, args.at)
-    vd = volume_density(metric, x, n=m.fiber_n)
+    vd = volume_density(metric, x, n=run.get("fiber_n", DEFAULT_FIBER_N))
     ht = holmes_thompson_density(metric, x)
-    doc = {
-        "config_echo": _config_echo(m),
-        "task": "volume",
-        "coefficients": {
-            "at": [x.u, x.v],
-            "volume_density": vd,
-            "holmes_thompson_density": ht,
-            "defect": abs(vd - ht),
-        },
-    }
-    write_result(m.out, doc)
+    run.write({"coefficients": {
+        "at": [x.u, x.v],
+        "volume_density": vd,
+        "holmes_thompson_density": ht,
+        "defect": abs(vd - ht),
+    }})
     return 0
 
 
 def cmd_geodesic(args) -> int:
-    m = _merged(args, _load_config(args.config))
+    run = _Run(args)
     _finite("--t-end", args.t_end)
     _finite("--dt", args.dt)
     if args.dt <= 0.0:
         raise ConfigError(f"--dt must be positive, got {args.dt}")
     _finite("--start", *args.start)
-    metric = build_metric(m.metric, m.eps, m.g, m.theta, m.conformal)
+    metric = read_metric(run.get)
     u0, v0, phi0 = args.start
     fp = FiberPoint(ChartPoint(metric.chart, float(u0), float(v0)), float(phi0))
     traj = geodesic_integrate(metric, fp, args.t_end, args.dt)
-    doc = {
-        "config_echo": _config_echo(m),
-        "task": "geodesic",
-        "trajectory": {
-            "status": traj.status,
-            "samples": [
-                {"t": t, "u": p.base.u, "v": p.base.v, "phi": p.phi}
-                for t, p in zip(traj.times, traj.points)
-            ],
-        },
-    }
-    rows = [(t, p.base.u, p.base.v, p.phi) for t, p in zip(traj.times, traj.points)]
-    write_result(m.out, doc, rows if m.csv else None, ("t", "u", "v", "phi"))
+    run.write({"trajectory": {
+        "status": traj.status,
+        "samples": [
+            {"t": t, "u": p.base.u, "v": p.base.v, "phi": p.phi}
+            for t, p in zip(traj.times, traj.points)
+        ],
+    }}, [(t, p.base.u, p.base.v, p.phi) for t, p in zip(traj.times, traj.points)],
+        ("t", "u", "v", "phi"))
     return 0
 
 
 def cmd_verify(args) -> int:
+    run = _Run(args)
     # an eps or grid not given is left to each suite's own default
-    m = _merged(args, _load_config(args.config), eps=None)
-    params = {"metric": m.metric}
-    if m.eps is not None:
-        params["eps"] = m.eps
-    if m.grid is not None:
-        params["grid_n"] = m.grid
-    results = run_suite(args.suite, params, seed=m.seed)
+    params = {"metric": run.get("metric", DEFAULT_KIND), "eps": run.get("eps"),
+              "grid_n": run.get("grid_n")}
+    results = run_suite(args.suite, {key: value for key, value in params.items()
+                                     if value is not None}, seed=run.get("seed", 0))
     report = [
         {"check": r.check, "status": r.status, "defect": r.defect, "tolerance": r.tolerance}
         for r in results
     ]
-    doc = {"config_echo": _config_echo(m), "task": "verify", "report": report}
-    rows = [(r.check, r.status, f"{r.defect:.6e}", f"{r.tolerance:.1e}") for r in results]
-    write_result(m.out, doc, rows if m.csv else None,
-                 ("check", "status", "defect", "tolerance"))
+    run.write({"report": report},
+              [(r.check, r.status, f"{r.defect:.6e}", f"{r.tolerance:.1e}") for r in results],
+              ("check", "status", "defect", "tolerance"))
     failed = [r for r in results if r.status != "pass"]
     for r in results:
         print(f"[{r.status.upper():4s}] {r.check}: defect {r.defect:.3e} "

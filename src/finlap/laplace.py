@@ -187,11 +187,12 @@ def divergence_form_drift(metric: FinslerMetric2D, x: ChartPoint,
     any operator symmetric in L^2(volume); this is the independent check
     of the quadrature drift.  The sign of the gradient term is the one
     forced by symmetry.  K = rho sigma is differenced with the step
-    ``finlap.differences.DRIFT``, its five points in one coefficient call.
+    ``finlap.differences.DRIFT``, its five points in one
+    :func:`symbol_densities` call, independent of the Reeb route.
     """
     h = DRIFT
     shifts = [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]
-    sigma, _, rho = coefficients_at(metric, [x] + [x.shifted(*s) for s in shifts], fiber_n)
+    sigma, rho = symbol_densities(metric, [x] + [x.shifted(*s) for s in shifts], fiber_n)
     K = dict(zip(shifts, rho[1:, None, None] * sigma[1:]))
     d_du = central(lambda t: K[t, 0.0], h)
     d_dv = central(lambda t: K[0.0, t], h)

@@ -27,6 +27,8 @@ from .errors import ConstructionError, InvalidMetricError
 from .metrics import CovectorField, MatrixField, RandersMetric, _Field
 
 ORACLE_N = 4096
+#: samples per torus axis of the :func:`inverse_design` sweep (default K, Z check)
+DESIGN_SAMPLE_N = 192
 
 
 def triangular_factor(g: np.ndarray) -> np.ndarray:
@@ -161,16 +163,16 @@ class InverseDesign:
 
 def inverse_design(g_goal: MatrixField, omega_goal, Z,
                    chart: str = TORUS,
-                   K: Optional[float] = None,
-                   sample_n: int = 192) -> InverseDesign:
+                   K: Optional[float] = None) -> InverseDesign:
     """Randers metric whose symbol-dual is g_goal and whose volume is
     K * omega_goal.
 
     ``omega_goal`` is the goal volume density against du ^ dv and ``Z``
     a vector field (callable or constant 2-array) that must not vanish
     where the construction needs a preferred direction.  K defaults to
-    the sampled supremum of mu = sqrt(det g_goal)/omega_goal, so that
-    mu' = mu/K lies in (0, 1].
+    the supremum of mu = sqrt(det g_goal)/omega_goal over a
+    ``DESIGN_SAMPLE_N`` x ``DESIGN_SAMPLE_N`` grid, so that mu' = mu/K
+    lies in (0, 1].
 
     The pointwise norm of the constructed 1-form is sqrt(1-b^2) with b
     solving b(1+b)^2/4 = mu'^2, and its half-angle in the g-orthonormal
@@ -187,7 +189,7 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
             raise ConstructionError("goal volume density must be positive")
         return math.sqrt(float(np.linalg.det(np.asarray(g_goal_f(x), dtype=float)))) / om
 
-    us = np.arange(sample_n) / sample_n
+    us = np.arange(DESIGN_SAMPLE_N) / DESIGN_SAMPLE_N
     samples = [ChartPoint(TORUS, u, v) for u in us for v in us] if chart == TORUS else []
     # mu once per sample: the whole sweep first when it gives K, else
     # lazily, each sample as the Z check below reaches it

@@ -12,8 +12,8 @@ pencil (S, M): S the volume-weighted discrete operator form, M the
 volume mass matrix.  Torus grids assemble S in divergence form from the
 symbol and volume density alone (:func:`finlap.laplace.conservative_pencil`),
 so it is symmetric with the constants in its kernel by construction;
-sphere sectors use the Galerkin matrices.  ``solve_eigen(method="auto")``
-picks the solver.  When ``(sigma, rho)`` is the same at every grid node,
+sphere sectors use the Galerkin matrices.  :func:`solve_eigen` picks the
+solver.  When ``(sigma, rho)`` is the same at every grid node,
 every row of S is the same 9-point stencil, shifted: the pencil is
 block-circulant, and the 2-D DFT of that stencil gives its eigenvalues
 exactly.  Other pencils of dimension up to 200 go through one LAPACK
@@ -44,7 +44,7 @@ from .metrics import FinslerMetric2D, KatokZillerMetric, _check_counts
 
 #: relative gap below which two eigenvalues are merged into one with multiplicity
 MERGE_TOL = 1e-9
-#: largest dimension that ``method="auto"`` solves densely (the name
+#: largest dimension that :func:`solve_eigen` solves densely (the name
 #: predates the LAPACK dense solver; perfbench/tracer.py reads it)
 JACOBI_MAX_DENSE = 200
 
@@ -259,30 +259,25 @@ def _circulant_eigenvalues(problem: SpectralProblem) -> np.ndarray:
     return np.sort(-symbol / problem.mass.diagonal()[0])
 
 
-def solve_eigen(problem: SpectralProblem, k: int,
-                method: str = "auto") -> SpectrumResult:
+def solve_eigen(problem: SpectralProblem, k: int) -> SpectrumResult:
     """Lowest k eigenvalues of the negative operator for the pencil.
 
-    ``method="dense"`` solves the generalized symmetric problem with
-    LAPACK (``scipy.linalg.eigh``; dimensions up to a few hundred);
-    ``method="lanczos"`` uses shift-invert Lanczos with a fixed start
-    vector, and the dense solve when k >= dim - 1, which ARPACK cannot
-    do.  ``"auto"`` takes the eigenvalues of a translation-invariant torus
-    pencil from the 2-D DFT of its stencil (``meta["solver"] ==
-    "fourier"``, any k), and otherwise solves densely for dim <= 200 and
-    by Lanczos above.  A solver that fails to converge or breaks down
-    raises :class:`NumericError`.
+    A translation-invariant torus pencil's eigenvalues are the 2-D DFT of
+    its stencil (``meta["solver"] == "fourier"``, any k).  Other pencils
+    of dimension up to ``JACOBI_MAX_DENSE`` are solved as one generalized
+    symmetric problem by LAPACK (``scipy.linalg.eigh``, ``"dense"``), and
+    larger ones by shift-invert Lanczos with a fixed start vector
+    (``"lanczos"``; the dense solve when k >= dim - 1, which ARPACK cannot
+    do).  A solver that fails to converge or breaks down raises
+    :class:`NumericError`.
     """
     _check_counts(1, k=k)
     if k > problem.dim:
         raise ConfigError(f"k = {k} outside 1..{problem.dim}")
-    if method == "auto":
-        if problem.translation_invariant:
-            method = "fourier"
-        else:
-            method = "dense" if problem.dim <= JACOBI_MAX_DENSE else "lanczos"
-    elif method not in ("dense", "lanczos"):
-        raise ConfigError(f"unknown solver method {method!r}")
+    if problem.translation_invariant:
+        method = "fourier"
+    else:
+        method = "dense" if problem.dim <= JACOBI_MAX_DENSE else "lanczos"
     S = problem.stiffness
     M = problem.mass
     meta = {

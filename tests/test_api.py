@@ -8,7 +8,7 @@ import pkgutil
 import finlap as fl
 
 RESOLUTION_KEYWORDS = {"nquad", "coarse_n", "n_rays", "n_boundary", "n0", "rtol", "n_max",
-                       "merge_tol", "tol", "max_sweeps"}
+                       "merge_tol", "tol", "max_sweeps", "sample_n"}
 
 
 def _public_callables():
@@ -37,4 +37,5 @@ def test_no_public_callable_takes_a_resolution_keyword():
         assert not params & RESOLUTION_KEYWORDS, f"{name} takes {params & RESOLUTION_KEYWORDS}"
         seen += 1
     assert seen > 100
-    assert "method" not in inspect.signature(fl.sphere_spectrum).parameters
+    for solver in (fl.sphere_spectrum, fl.solve_eigen):
+        assert "method" not in inspect.signature(solver).parameters

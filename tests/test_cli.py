@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from conftest import builtin_metrics
 from finlap import spectral
 from finlap.cli import main
 from finlap.errors import NumericError
-from finlap.metrics import kz_torus
+from finlap.measures import DEFAULT_FIBER_N
 
 
 def read_json(path):
@@ -396,16 +397,18 @@ class TestSolverFailures:
 
     def test_arpack_no_convergence(self, monkeypatch):
         # every torus metric the CLI builds is translation-invariant and
-        # solves by DFT, so ARPACK is reached through the library only;
-        # test_lapack_failure covers the CLI's exit 3
+        # solves by DFT, so ARPACK is reached through the library only, on
+        # a position-dependent metric; test_lapack_failure covers the
+        # CLI's exit 3
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence after 10 iterations",
                                            np.zeros(0), np.zeros((16, 0)))
 
         monkeypatch.setattr(spectral.spla, "eigsh", no_convergence)
-        prob = spectral.assemble_eigenproblem(kz_torus(0.3), spectral.TorusGridBasis(n=16))
+        prob = spectral.assemble_eigenproblem(builtin_metrics()["randers-var"],
+                                              spectral.TorusGridBasis(n=16))
         with pytest.raises(NumericError, match="did not converge"):
-            spectral.solve_eigen(prob, 10, method="lanczos")
+            spectral.solve_eigen(prob, 10)
 
     def test_lapack_failure(self, tmp_path, capsys, monkeypatch):
         def breakdown(*args, **kwargs):
@@ -476,24 +479,25 @@ class TestConfigFile:
         rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("section, key, value", [
-        ("metric", "eps", "abc"),
-        ("resolution", "grid_n", 16.7),
-        ("resolution", "k", 3.9),
-        ("resolution", "fiber_n", 64.5),
-        ("resolution", "grid_n", True),
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("symbol", "metric", "eps", "abc"),
+        ("spectrum", "resolution", "grid_n", 16.7),
+        ("spectrum", "resolution", "k", 3.9),
+        ("symbol", "resolution", "fiber_n", 64.5),
+        ("spectrum", "resolution", "grid_n", True),
     ], ids=["eps-abc", "grid_n-16.7", "k-3.9", "fiber_n-64.5", "grid_n-true"])
-    def test_non_numeric_config_value_is_config_error(self, tmp_path, capsys,
+    def test_non_numeric_config_value_is_config_error(self, tmp_path, capsys, command,
                                                        section, key, value):
-        # an integer setting must be integral: no silent truncation
+        # an integer setting must be integral: no silent truncation; each
+        # subcommand reads the setting, so the type check is what refuses it
         cfg = tmp_path / "bad.json"
         doc = {"metric": {"kind": "kz-torus"}, "resolution": {}}
         doc[section][key] = value
         cfg.write_text(json.dumps(doc))
-        rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert rc == 2
         err = capsys.readouterr().err.strip()
-        assert err.startswith("finlap: config error:") and f"{section}.{key}" in err
+        assert err.startswith(f"finlap: config error: {section}.{key} must be")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o.json").exists()
 
@@ -512,3 +516,88 @@ class TestConfigFile:
               "--qmax", "1", "--out", str(out)])
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".finlap-")]
         assert leftovers == []
+
+
+_GEODESIC = ["geodesic", "--start", "0", "0", "0", "--t-end", "0.05"]
+_VERIFY = ["verify", "--suite", "legendre"]
+
+#: (argv, config file or None, the flag or config key the refusal names):
+#: each setting is given but not read by the route the run takes, or is
+#: not a setting of any run
+_REFUSED = {
+    "kz-sphere-conformal": (["spectrum"], {"metric": {"kind": "kz-sphere", "eps": 0.3,
+                                                      "conformal": 0.5}}, "metric.conformal"),
+    "kz-torus-table-conformal": (["spectrum"], {"metric": {"kind": "kz-torus", "eps": 0.3,
+                                                           "conformal": 0.5},
+                                                "resolution": {"pmax": 2, "qmax": 2}},
+                                 "metric.conformal"),
+    "kz-sphere-grid": (["spectrum", "--metric", "kz-sphere", "--grid", "64"], None, "--grid"),
+    "kz-torus-table-k": (["spectrum", "--pmax", "2", "--k", "5"], None, "--k"),
+    "kz-torus-grid-pmax": (["spectrum", "--grid", "16", "--pmax", "2"], None, "--pmax"),
+    "flat-torus-eps": (["symbol", "--metric", "flat-torus", "--eps", "0.7"], None, "--eps"),
+    "randers-theta-eps": (["symbol", "--metric", "randers", "--eps", "0.3"],
+                          {"metric": {"theta": [0.2, 0.0]}}, "--eps"),
+    "kz-torus-g": (["volume"], {"metric": {"kind": "kz-torus", "g": [[1, 0], [0, 1]]}},
+                   "metric.g"),
+    "geodesic-fiber-n": (_GEODESIC, {"resolution": {"fiber_n": 64}}, "resolution.fiber_n"),
+    "verify-lmax": (_VERIFY, {"resolution": {"lmax": 6}}, "resolution.lmax"),
+    "verify-g": (_VERIFY, {"metric": {"g": [[1, 0], [0, 1]]}}, "metric.g"),
+    "unknown-key": (["spectrum"], {"resolution": {"gird_n": 16}}, "resolution.gird_n"),
+    "unknown-section": (["symbol"], {"metric": "kz-torus"}, "metric"),
+    "other-task": (["spectrum"], {"task": "symbol"}, "task"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_setting_not_read_is_config_error(tmp_path, capsys, case):
+    argv, cfg, name = _REFUSED[case]
+    extra = []
+    if cfg is not None:
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        extra = ["--config", str(tmp_path / "run.json")]
+    out = tmp_path / "o.json"
+    assert main([*argv, *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("finlap: config error:")
+    assert name in err[0]
+    assert sorted(os.listdir(tmp_path)) == (["run.json"] if cfg is not None else [])
+
+
+_METRIC = {"kind": "kz-torus", "eps": 0.0, "conformal": 0.0}
+
+#: each subcommand's default run (and each spectrum route) and the
+#: settings it reads, defaults filled in
+_ECHOED = {
+    "spectrum": (["spectrum"], {"metric": _METRIC, "resolution": {
+        "fiber_n": DEFAULT_FIBER_N, "grid_n": 32, "k": 10}}),
+    "spectrum-table": (["spectrum", "--qmax", "1"], {
+        "metric": {"kind": "kz-torus", "eps": 0.0}, "resolution": {"pmax": 2, "qmax": 1}}),
+    "spectrum-sphere": (["spectrum", "--metric", "kz-sphere"], {
+        "metric": {"kind": "kz-sphere", "eps": 0.0}, "resolution": {"lmax": 10, "k": 5}}),
+    "symbol": (["symbol"], {"metric": _METRIC, "resolution": {"fiber_n": DEFAULT_FIBER_N}}),
+    "volume": (["volume"], {"metric": _METRIC, "resolution": {"fiber_n": DEFAULT_FIBER_N}}),
+    "geodesic": (_GEODESIC, {"metric": _METRIC}),
+    "verify": (_VERIFY, {"metric": {"kind": "kz-torus", "eps": None},
+                         "resolution": {"grid_n": None}, "seed": 0}),
+}
+
+
+@pytest.mark.parametrize("case", list(_ECHOED))
+def test_config_echo_is_what_the_run_read(tmp_path, case):
+    argv, echo = _ECHOED[case]
+    out = tmp_path / "o.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert read_json(out)["config_echo"] == echo
+
+
+def test_config_echo_of_a_config_file_run(tmp_path):
+    # the file's settings are echoed as read, the output path left out
+    cfg = {"task": "symbol", "output": str(tmp_path / "o.json"),
+           "metric": {"kind": "randers", "g": [[2.0, 0.0], [0.0, 1.0]], "conformal": 0.5},
+           "resolution": {"fiber_n": 64}}
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert main(["symbol", "--config", str(tmp_path / "run.json"), "--eps", "0.25"]) == 0
+    assert read_json(tmp_path / "o.json")["config_echo"] == {
+        "metric": {"kind": "randers", "g": [[2.0, 0.0], [0.0, 1.0]], "theta": None,
+                   "eps": 0.25, "conformal": 0.5},
+        "resolution": {"fiber_n": 64}}

@@ -5,6 +5,7 @@ import pytest
 
 import finlap as fl
 from conftest import random_point
+from finlap import randers
 
 
 X0 = fl.torus_point(0.3, 0.55)
@@ -129,8 +130,9 @@ class TestInverseDesign:
             assert np.abs(des.data.theta(x)).max() < 1e-9
             assert np.abs(des.data.g(x) - np.eye(2)).max() < 1e-9
 
-    def test_metric_is_the_data(self):
-        des = fl.inverse_design(np.eye(2), 2.0, np.array([1.0, 0.0]), sample_n=8)
+    def test_metric_is_the_data(self, monkeypatch):
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 8)
+        des = fl.inverse_design(np.eye(2), 2.0, np.array([1.0, 0.0]))
         assert des.metric() is des.data
 
     def test_constant_double_volume(self, rng):
@@ -166,34 +168,36 @@ class TestInverseDesign:
             vd = fl.volume_density(des.metric(), x)
             assert abs(vd - des.K * omega(x)) < 1e-6
 
-    def test_unbounded_ratio_rejected(self):
+    def test_unbounded_ratio_rejected(self, monkeypatch):
         # goal density vanishing somewhere makes the ratio unbounded
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 64)
         omega = fl.CallableField(lambda p: math.sin(math.pi * p.u) ** 2)
         with pytest.raises(fl.ConstructionError):
-            fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), sample_n=64)
+            fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("K", [None, 1.0])
-    def test_one_mu_evaluation_per_sample(self, K):
+    def test_one_mu_evaluation_per_sample(self, monkeypatch, K):
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 16)
         calls = []
 
         def omega(p):
             calls.append(p)
             return 2.0
 
-        fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), K=K, sample_n=16)
+        fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), K=K)
         assert len(calls) == 16**2
 
     def test_one_solve_b_call_per_point(self, monkeypatch):
         # g and theta of a point come from one bisection, at one point, over
         # a block, and over the blocks of a grid
-        from finlap import randers
         from finlap.laplace import grid_symbol_density
 
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 16)
         calls = []
         original = randers.solve_b
         monkeypatch.setattr(randers, "solve_b", lambda mp: calls.append(mp) or original(mp))
         omega = fl.CallableField(lambda p: 1.0 + 0.2 * math.sin(2 * math.pi * p.u))
-        m = fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), sample_n=16).metric()
+        m = fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0])).metric()
         assert calls == []
         fl.eval_f(m, X0, [1.0, 0.3])
         assert len(calls) == 1
@@ -203,15 +207,16 @@ class TestInverseDesign:
         grid_symbol_density(m, 8)
         assert len(calls) == 1 + 7 + 64
 
-    def test_vanishing_direction_field_rejected(self):
+    def test_vanishing_direction_field_rejected(self, monkeypatch):
         # Z = 0 on the locus where the volume ratio attains its supremum
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 64)
         omega = fl.CallableField(lambda p: 1.0 + 0.2 * math.sin(2 * math.pi * p.u))
 
         def Z(p):
             return np.array([math.sin(math.pi * (p.u - 0.75)) ** 2, 0.0])
 
         with pytest.raises(fl.ConstructionError):
-            fl.inverse_design(np.eye(2), omega, Z, sample_n=64)
+            fl.inverse_design(np.eye(2), omega, Z)
 
     def test_constant_norm_form_analog(self):
         # exact volume matching with a constant ratio < 1 needs a nowhere-zero
