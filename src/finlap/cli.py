@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .catalog import DEFAULT_EPS, DEFAULT_KIND, METRIC_KINDS, build_metric, read
 from .charts import ChartPoint, SPHERE
 from .errors import ConfigError, FinlapError
 from .hilbert import FiberPoint, geodesic_integrate
-from .laplace import operator_coefficients
+from .laplace import REEB_FIBER_N, operator_coefficients
 from .measures import DEFAULT_FIBER_N, holmes_thompson_density, volume_density
 from .metrics import FinslerMetric2D
 from .spectral import (TorusGridBasis, assemble_eigenproblem, solve_eigen,
@@ -135,8 +136,9 @@ _SETTINGS = {
 class _Run:
     """The settings of one run, each from its flag, else from the config
     file.  A config key not in :data:`_SETTINGS`, or a ``task`` other than
-    the subcommand, is a ConfigError; so is, when the result is written,
-    a setting that was given but not read."""
+    the subcommand, is a ConfigError; so is a setting that was given but
+    not read, which each handler checks (:meth:`check`) once it has read
+    its settings, before it computes."""
 
     def __init__(self, args):
         self.args = args
@@ -171,14 +173,20 @@ class _Run:
         self.read[name] = value
         return value
 
+    def check(self):
+        """Raise ConfigError for a setting given but not read, the output
+        path aside."""
+        unread = [source for name, (_, source) in self.given.items()
+                  if name not in self.read and name != "output"]
+        if unread:
+            raise ConfigError(f"{', '.join(unread)} given but not read by this "
+                              f"{self.args.command} run")
+
     def write(self, payload: dict, csv_rows=None, csv_header=None):
         """Write the result: ``config_echo`` (the settings read, defaults
         filled in, the output path left out), the task and ``payload``."""
         out = self.get("output")
-        unread = [source for name, (_, source) in self.given.items() if name not in self.read]
-        if unread:
-            raise ConfigError(f"{', '.join(unread)} given but not read by this "
-                              f"{self.args.command} run")
+        self.check()
         echo = {}
         for name, (_, key, _) in _SETTINGS.items():
             if name in self.read and name != "output":
@@ -193,16 +201,21 @@ def cmd_spectrum(args) -> int:
     run = _Run(args)
     kind = run.get("metric", DEFAULT_KIND)
     if kind == "kz-torus" and "grid_n" not in run.given and run.given.keys() & {"pmax", "qmax"}:
-        result = torus_spectrum(run.get("eps", DEFAULT_EPS), run.get("pmax", 2),
-                                run.get("qmax", 2))
+        solve = functools.partial(torus_spectrum, run.get("eps", DEFAULT_EPS),
+                                  run.get("pmax", 2), run.get("qmax", 2))
     elif kind == "kz-sphere":
-        result = sphere_spectrum(run.get("eps", DEFAULT_EPS), run.get("lmax", 10),
-                                 run.get("k", 5))
+        solve = functools.partial(sphere_spectrum, run.get("eps", DEFAULT_EPS),
+                                  run.get("lmax", 10), run.get("k", 5))
     else:
         k = run.get("k", 10)
         basis = TorusGridBasis(n=run.get("grid_n", 32),
                                fiber_n=run.get("fiber_n", DEFAULT_FIBER_N))
-        result = solve_eigen(assemble_eigenproblem(read_metric(run.get), basis), k=k)
+        metric = read_metric(run.get)
+
+        def solve():
+            return solve_eigen(assemble_eigenproblem(metric, basis), k=k)
+    run.check()
+    result = solve()
     rows = list(zip(result.eigenvalues, result.multiplicities))
     run.write({"eigenvalues": [{"value": float(v), "multiplicity": int(c)} for v, c in rows],
                "solver_meta": result.meta},
@@ -222,7 +235,9 @@ def cmd_symbol(args) -> int:
     run = _Run(args)
     metric = read_metric(run.get)
     x = _point(metric, args.at)
-    c = operator_coefficients(metric, x, fiber_n=run.get("fiber_n", DEFAULT_FIBER_N))
+    fiber_n = run.get("fiber_n", REEB_FIBER_N)
+    run.check()
+    c = operator_coefficients(metric, x, fiber_n)
     run.write({"coefficients": {
         "at": [x.u, x.v],
         "sigma": c.sigma.tolist(),
@@ -236,7 +251,9 @@ def cmd_volume(args) -> int:
     run = _Run(args)
     metric = read_metric(run.get)
     x = _point(metric, args.at)
-    vd = volume_density(metric, x, n=run.get("fiber_n", DEFAULT_FIBER_N))
+    fiber_n = run.get("fiber_n", DEFAULT_FIBER_N)
+    run.check()
+    vd = volume_density(metric, x, fiber_n)
     ht = holmes_thompson_density(metric, x)
     run.write({"coefficients": {
         "at": [x.u, x.v],
@@ -257,6 +274,7 @@ def cmd_geodesic(args) -> int:
     metric = read_metric(run.get)
     u0, v0, phi0 = args.start
     fp = FiberPoint(ChartPoint(metric.chart, float(u0), float(v0)), float(phi0))
+    run.check()
     traj = geodesic_integrate(metric, fp, args.t_end, args.dt)
     run.write({"trajectory": {
         "status": traj.status,
@@ -274,8 +292,10 @@ def cmd_verify(args) -> int:
     # an eps or grid not given is left to each suite's own default
     params = {"metric": run.get("metric", DEFAULT_KIND), "eps": run.get("eps"),
               "grid_n": run.get("grid_n")}
+    seed = run.get("seed", 0)
+    run.check()
     results = run_suite(args.suite, {key: value for key, value in params.items()
-                                     if value is not None}, seed=run.get("seed", 0))
+                                     if value is not None}, seed=seed)
     report = [
         {"check": r.check, "status": r.status, "defect": r.defect, "tolerance": r.tolerance}
         for r in results

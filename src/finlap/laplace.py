@@ -50,9 +50,14 @@ from .differences import DRIFT, GEODESIC, central, jet_step, second
 from .errors import ConfigError, NumericError
 from .fields import field_gradient, field_gradients, field_hessian, field_hessians, field_values
 from .hilbert import _rk4_step, _shifted, chart_angles, density_profile, reeb_profile
-from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _fiber_rule, _over_points,
+from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _fiber_densities, _moments, _over_points,
                        _trapezoid_nodes, _weights, fiber_quadrature, torus_base)
 from .metrics import FinslerMetric2D
+
+#: fiber nodes of the Reeb-route oracle: its drift differences the Reeb
+#: field over the fiber, which needs more nodes than ``(sigma, rho)`` do
+#: (at 64 criterion 05 reads 2.07e-6, above its 1e-6)
+REEB_FIBER_N = 256
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,6 @@ def _coefficients(metric: FinslerMetric2D, x, fiber_n: int):
     h = jet_step(metric)
     psis = _trapezoid_nodes(fiber_n)
     lam = density_profile(metric, x, psis)
-    w, rho = _weights(lam), lam.mean(axis=-1)
     nodes = chart_angles(x, psis)
     V, Xphi, _ = reeb_profile(metric, x, nodes)
     dV_du = central(lambda t: reeb_profile(metric, _shifted(x, t, 0.0), nodes)[0], h)
@@ -112,13 +116,13 @@ def _coefficients(metric: FinslerMetric2D, x, fiber_n: int):
     dV_dphi = central(lambda t: reeb_profile(metric, x, nodes + t)[0], h)
     advect = V[..., 0, None] * dV_du + V[..., 1, None] * dV_dv + Xphi[..., None] * dV_dphi
 
-    sigma = (V * w[..., None]).swapaxes(-1, -2) @ V / math.pi
-    drift = (w[..., None, :] @ advect)[..., 0, :] / math.pi
-    return 0.5 * (sigma + sigma.swapaxes(-1, -2)), drift, rho
+    sigma, rho = _moments(V, lam)
+    drift = (_weights(lam)[..., None, :] @ advect)[..., 0, :] / math.pi
+    return sigma, drift, rho
 
 
 def operator_coefficients(metric: FinslerMetric2D, x: ChartPoint,
-                          fiber_n: int = DEFAULT_FIBER_N) -> OperatorCoefficients:
+                          fiber_n: int = REEB_FIBER_N) -> OperatorCoefficients:
     """Symbol, drift and volume density at one base point from the Reeb
     field, the one-point case of :func:`coefficients_at`: one fiber rule
     and seven Reeb-field calls of ``fiber_n`` rays each.  Nothing is kept
@@ -128,7 +132,7 @@ def operator_coefficients(metric: FinslerMetric2D, x: ChartPoint,
 
 
 def coefficients_at(metric: FinslerMetric2D, points,
-                    fiber_n: int = DEFAULT_FIBER_N):
+                    fiber_n: int = REEB_FIBER_N):
     """:func:`operator_coefficients` at a sequence of base points of any
     chart: ``(sigma, drift, rho)`` of shapes (P, 2, 2), (P, 2) and (P,),
     in blocks of base points (read-only broadcasts of one point for a
@@ -150,7 +154,7 @@ def coefficient_form(sigma: np.ndarray, drift: np.ndarray, f, points) -> np.ndar
 
 def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
                     path: str = "coefficient",
-                    fiber_n: int = DEFAULT_FIBER_N) -> float:
+                    fiber_n: int = REEB_FIBER_N) -> float:
     """Apply the operator to a scalar field at a point.
 
     Two routes are exposed and agree to O(h^2), h the geodesic time step
@@ -200,7 +204,7 @@ def divergence_form_drift(metric: FinslerMetric2D, x: ChartPoint,
 
 
 def grid_coefficients(metric: FinslerMetric2D, n: int,
-                      fiber_n: int = DEFAULT_FIBER_N):
+                      fiber_n: int = REEB_FIBER_N):
     """Operator coefficients on the periodic n x n torus grid:
     :func:`coefficients_at` over :func:`finlap.measures.torus_base`.
 
@@ -216,7 +220,7 @@ def grid_coefficients(metric: FinslerMetric2D, n: int,
 
 
 def assemble_torus_operator(metric: FinslerMetric2D, n: int,
-                            fiber_n: int = DEFAULT_FIBER_N):
+                            fiber_n: int = REEB_FIBER_N):
     """Second-order centered discretization of the operator on the torus.
 
     Returns ``(L, vol)`` with L sparse (n^2 x n^2) acting on row-major
@@ -265,26 +269,11 @@ def _coefficient_stencil(sigma: np.ndarray, drift: np.ndarray):
     ])
 
 
-def _symbol_density_block(metric: FinslerMetric2D, xs, fiber_n: int):
-    """``(sigma, rho)`` over a block of P base points, shapes (P, 2, 2) and
-    (P,), in one set of array operations.
-
-    sigma = (1/pi) Sum_k w_k V_k V_k^T over the fiber rule and rho its
-    volume.  The horizontal Reeb component V is the indicatrix point of
-    its direction, rays / F on the samples of the rule, so neither the
-    Reeb field nor any base-point differencing is needed.
-    """
-    rays, f, lam = _fiber_rule(metric, xs, fiber_n)
-    V = rays / f[..., None]
-    sigma = (V * _weights(lam)[..., None]).swapaxes(-1, -2) @ V / math.pi
-    return 0.5 * (sigma + sigma.swapaxes(-1, -2)), lam.mean(axis=-1)
-
-
 def symbol_density(metric: FinslerMetric2D, x: ChartPoint,
                    fiber_n: int = DEFAULT_FIBER_N):
     """Symbol and volume density ``(sigma, rho)`` at one base point of any
     chart, without the drift: the one-point case of the block kernel."""
-    sigma, rho = _symbol_density_block(metric, (x,), fiber_n)
+    sigma, rho = symbol_densities(metric, (x,), fiber_n)
     return sigma[0], float(rho[0])
 
 
@@ -292,8 +281,11 @@ def symbol_densities(metric: FinslerMetric2D, points,
                      fiber_n: int = DEFAULT_FIBER_N):
     """``(sigma, rho)`` at a sequence of base points of any chart, shapes
     (P, 2, 2) and (P,), in blocks of base points (read-only broadcasts of
-    one point for a position-independent metric)."""
-    return _over_points(_symbol_density_block, metric, points, fiber_n)
+    one point for a position-independent metric): the moments of the fiber
+    rule (:func:`finlap.measures._fiber_densities`), in which the horizontal
+    Reeb component is the indicatrix point rays / F, so neither the Reeb
+    field nor any base-point differencing is needed."""
+    return _fiber_densities(metric, points, fiber_n)[:2]
 
 
 def grid_symbol_density(metric: FinslerMetric2D, n: int,
@@ -305,7 +297,12 @@ def grid_symbol_density(metric: FinslerMetric2D, n: int,
     """
     if metric.chart != TORUS:
         raise ConfigError("grid assembly requires the torus chart")
-    sigma, rho = symbol_densities(metric, torus_base(n).points, fiber_n)
+    return _on_grid(n, *symbol_densities(metric, torus_base(n).points, fiber_n))
+
+
+def _on_grid(n: int, sigma: np.ndarray, rho: np.ndarray):
+    """``(sigma, rho)`` of the n^2 grid points as read-only (n, n, 2, 2)
+    and (n, n) arrays, checked by :func:`_check_symbol`."""
     sigma, rho = sigma.reshape(n, n, 2, 2), rho.reshape(n, n)
     _check_symbol(sigma, rho)
     return np.broadcast_to(sigma, sigma.shape), np.broadcast_to(rho, rho.shape)
@@ -369,7 +366,7 @@ class SymmetryReport:
 
 
 def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
-                               f=None, fiber_n: int = DEFAULT_FIBER_N) -> SymmetryReport:
+                               f=None, fiber_n: int = REEB_FIBER_N) -> SymmetryReport:
     """Check that the discrete operator is symmetric for the volume weight.
 
     Assembles L and the diagonal mass M = diag(vol * h^2) on the periodic

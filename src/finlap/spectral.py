@@ -16,9 +16,10 @@ sphere sectors use the Galerkin matrices.  :func:`solve_eigen` picks the
 solver.  When ``(sigma, rho)`` is the same at every grid node,
 every row of S is the same 9-point stencil, shifted: the pencil is
 block-circulant, and the 2-D DFT of that stencil gives its eigenvalues
-exactly.  Other pencils of dimension up to 200 go through one LAPACK
-generalized symmetric solve (``scipy.linalg.eigh``), and larger ones
-through shift-invert Lanczos (deterministic start vector).
+exactly.  Other pencils of dimension up to 200, or with a dense mass, go
+through one LAPACK generalized symmetric solve (``scipy.linalg.eigh``),
+and larger ones, whose mass is diagonal, through shift-invert Lanczos on
+the mass-scaled standard problem (deterministic start vector).
 :func:`jacobi_eigh` is an independent dense eigensolver kept as a test
 oracle.
 """
@@ -37,9 +38,9 @@ import scipy.sparse.linalg as spla
 from .charts import SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradients, field_values
-from .laplace import _sym_defect, conservative_pencil, grid_symbol_density, symbol_densities
-from .measures import (DEFAULT_FIBER_N, BaseQuadrature, sphere_base, torus_base,
-                       volume_densities)
+from .laplace import _on_grid, _sym_defect, conservative_pencil, symbol_densities
+from .measures import (DEFAULT_FIBER_N, BaseQuadrature, _fiber_densities, sphere_base,
+                       torus_base, volume_densities)
 from .metrics import FinslerMetric2D, KatokZillerMetric, _check_counts
 
 #: relative gap below which two eigenvalues are merged into one with multiplicity
@@ -79,6 +80,9 @@ class SpectralProblem:
     #: True for a torus grid pencil whose (sigma, rho) is equal at every
     #: node, so that S commutes with the grid translations
     translation_invariant: bool = False
+    #: worst half-rule defect of the fiber rule over a torus grid (None for
+    #: sphere sectors and odd fiber counts; see :mod:`finlap.measures`)
+    fiber_defect: Optional[float] = None
 
     def __post_init__(self):
         if sp.issparse(self.mass):
@@ -173,8 +177,9 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
     On the torus only the symbol and the volume density are computed at
     the grid points; the stiffness is the conservative divergence-form
     stencil, symmetric and annihilating constants as assembled.  Its
-    asymmetry defect and zero-mode residual are recorded, and whether
-    ``(sigma, rho)`` is exactly equal at every node.  Sphere sectors
+    asymmetry defect and zero-mode residual are recorded, whether
+    ``(sigma, rho)`` is exactly equal at every node, and the worst
+    half-rule defect of their fiber rule.  Sphere sectors
     use the Galerkin matrices, whose quadrature roundoff asymmetry is
     recorded and averaged away.
     """
@@ -183,14 +188,16 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
             raise ConfigError("torus grid basis needs a torus metric")
         if basis.n < 16:
             raise ConfigError(f"torus grid needs n >= 16, got {basis.n}")
-        sigma, rho = grid_symbol_density(metric, basis.n, basis.fiber_n)
+        sigma, rho, fiber_defect = _fiber_densities(metric, torus_base(basis.n).points,
+                                                    basis.fiber_n)
+        sigma, rho = _on_grid(basis.n, sigma, rho)
         S, M = conservative_pencil(sigma, rho)
         zero_mode = float(np.abs(S @ np.ones(S.shape[0])).max() / np.abs(S.data).max())
         uniform = bool(np.all(sigma == sigma[0, 0]) and np.all(rho == rho[0, 0]))
         return SpectralProblem(basis=basis, stiffness=S, mass=M,
                                metric_tag=f"{metric.kind} on torus",
                                sym_defect=_sym_defect(S), zero_mode_residual=zero_mode,
-                               translation_invariant=uniform)
+                               translation_invariant=uniform, fiber_defect=fiber_defect)
     if isinstance(basis, SphereHarmonicBasis):
         from .katok_ziller import galerkin_matrices
 
@@ -264,22 +271,25 @@ def solve_eigen(problem: SpectralProblem, k: int) -> SpectrumResult:
 
     A translation-invariant torus pencil's eigenvalues are the 2-D DFT of
     its stencil (``meta["solver"] == "fourier"``, any k).  Other pencils
-    of dimension up to ``JACOBI_MAX_DENSE`` are solved as one generalized
-    symmetric problem by LAPACK (``scipy.linalg.eigh``, ``"dense"``), and
-    larger ones by shift-invert Lanczos with a fixed start vector
-    (``"lanczos"``; the dense solve when k >= dim - 1, which ARPACK cannot
-    do).  A solver that fails to converge or breaks down raises
-    :class:`NumericError`.
+    of dimension up to ``JACOBI_MAX_DENSE``, or with a dense mass, are
+    solved as one generalized symmetric problem by LAPACK
+    (``scipy.linalg.eigh``, ``"dense"``).  Larger ones, whose mass M is
+    positive diagonal, are the standard problem C = D(-S)D, D = M^(-1/2),
+    solved by shift-invert Lanczos at -1 from one sparse LU of C + I with
+    a fixed start vector (``"lanczos"``; the dense solve when k >= dim - 1,
+    which ARPACK cannot do).  A solver that fails to converge or breaks
+    down raises :class:`NumericError`.  Torus grid pencils record
+    ``fiber_n`` and ``fiber_defect``.
     """
     _check_counts(1, k=k)
     if k > problem.dim:
         raise ConfigError(f"k = {k} outside 1..{problem.dim}")
+    S = problem.stiffness
+    M = problem.mass
     if problem.translation_invariant:
         method = "fourier"
     else:
-        method = "dense" if problem.dim <= JACOBI_MAX_DENSE else "lanczos"
-    S = problem.stiffness
-    M = problem.mass
+        method = "dense" if problem.dim <= JACOBI_MAX_DENSE or not sp.issparse(M) else "lanczos"
     meta = {
         "solver": method,
         "basis": type(problem.basis).__name__,
@@ -289,6 +299,8 @@ def solve_eigen(problem: SpectralProblem, k: int) -> SpectrumResult:
     }
     if problem.zero_mode_residual is not None:
         meta["zero_mode_residual"] = problem.zero_mode_residual
+    if isinstance(problem.basis, TorusGridBasis):
+        meta.update(fiber_n=problem.basis.fiber_n, fiber_defect=problem.fiber_defect)
 
     try:
         if method == "fourier":
@@ -298,11 +310,14 @@ def solve_eigen(problem: SpectralProblem, k: int) -> SpectrumResult:
             Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
             vals = sla.eigh(-Sd, Md, eigvals_only=True)[:k]
         else:
-            Ss = sp.csr_matrix(S) if not sp.issparse(S) else S
-            Ms = sp.csr_matrix(M) if not sp.issparse(M) else M
+            d = 1.0 / np.sqrt(M.diagonal())
+            C = -sp.coo_matrix(S)
+            C.data *= d[C.row] * d[C.col]     # C_ij = C_ji in floating point
+            lu = spla.splu(sp.csc_matrix(C + sp.identity(problem.dim)), permc_spec="MMD_AT_PLUS_A")
             v0 = np.full(problem.dim, 1.0 / math.sqrt(problem.dim))
-            vals = np.sort(spla.eigsh(-Ss, k=k, M=Ms, sigma=-1.0, which="LM",
-                                      v0=v0, return_eigenvectors=False))
+            vals = np.sort(spla.eigsh(C.tocsr(), k=k, sigma=-1.0, which="LM", v0=v0,
+                                      OPinv=spla.LinearOperator(C.shape, lu.solve, dtype=float),
+                                      return_eigenvectors=False))
     except spla.ArpackNoConvergence as exc:
         raise NumericError(f"Lanczos solve did not converge: {exc}") from exc
     except np.linalg.LinAlgError as exc:

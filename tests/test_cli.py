@@ -9,9 +9,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import builtin_metrics
-from finlap import spectral
+from finlap import cli, spectral
 from finlap.cli import main
 from finlap.errors import NumericError
+from finlap.laplace import REEB_FIBER_N
 from finlap.measures import DEFAULT_FIBER_N
 
 
@@ -541,6 +542,8 @@ _REFUSED = {
                    "metric.g"),
     "geodesic-fiber-n": (_GEODESIC, {"resolution": {"fiber_n": 64}}, "resolution.fiber_n"),
     "verify-lmax": (_VERIFY, {"resolution": {"lmax": 6}}, "resolution.lmax"),
+    "verify-all-lmax": (["verify", "--suite", "all"], {"resolution": {"lmax": 6}},
+                        "resolution.lmax"),
     "verify-g": (_VERIFY, {"metric": {"g": [[1, 0], [0, 1]]}}, "metric.g"),
     "unknown-key": (["spectrum"], {"resolution": {"gird_n": 16}}, "resolution.gird_n"),
     "unknown-section": (["symbol"], {"metric": "kz-torus"}, "metric"),
@@ -563,6 +566,26 @@ def test_setting_not_read_is_config_error(tmp_path, capsys, case):
     assert sorted(os.listdir(tmp_path)) == (["run.json"] if cfg is not None else [])
 
 
+#: the computation of every CLI route
+_COMPUTATIONS = ("run_suite", "assemble_eigenproblem", "sphere_spectrum", "torus_spectrum",
+                 "operator_coefficients", "volume_density", "geodesic_integrate")
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_refused_before_computing(tmp_path, monkeypatch, case):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before refusing a setting")
+
+    for name in _COMPUTATIONS:
+        monkeypatch.setattr(cli, name, computed)
+    argv, cfg, _ = _REFUSED[case]
+    extra = []
+    if cfg is not None:
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        extra = ["--config", str(tmp_path / "run.json")]
+    assert main([*argv, *extra, "--out", str(tmp_path / "o.json")]) == 2
+
+
 _METRIC = {"kind": "kz-torus", "eps": 0.0, "conformal": 0.0}
 
 #: each subcommand's default run (and each spectrum route) and the
@@ -574,7 +597,7 @@ _ECHOED = {
         "metric": {"kind": "kz-torus", "eps": 0.0}, "resolution": {"pmax": 2, "qmax": 1}}),
     "spectrum-sphere": (["spectrum", "--metric", "kz-sphere"], {
         "metric": {"kind": "kz-sphere", "eps": 0.0}, "resolution": {"lmax": 10, "k": 5}}),
-    "symbol": (["symbol"], {"metric": _METRIC, "resolution": {"fiber_n": DEFAULT_FIBER_N}}),
+    "symbol": (["symbol"], {"metric": _METRIC, "resolution": {"fiber_n": REEB_FIBER_N}}),
     "volume": (["volume"], {"metric": _METRIC, "resolution": {"fiber_n": DEFAULT_FIBER_N}}),
     "geodesic": (_GEODESIC, {"metric": _METRIC}),
     "verify": (_VERIFY, {"metric": {"kind": "kz-torus", "eps": None},

@@ -783,7 +783,7 @@ class TestFiberRule:
                                       "volume_density", "fiber_quadrature"])
     @pytest.mark.parametrize("name", ["randers-var", "kz-sphere-03", "custom-quartic"])
     def test_one_norm_call_per_block(self, monkeypatch, name, call):
-        # 40 points at 256 nodes: blocks of 16, 16 and 8
+        # 40 points in blocks of BLOCK_RAYS // DEFAULT_FIBER_N
         from finlap.laplace import symbol_densities
 
         m = builtin_metrics()[name]
@@ -810,3 +810,110 @@ class TestFiberRule:
         for k, x in enumerate(points):
             assert np.abs(sigma[k] - symbol_closed_form(m, x)).max() <= 1e-13
         assert np.abs(rho - 1.0).max() <= 1e-13
+
+
+def _design_metric():
+    """The inverse design of diag(a(u)^2, 1), a = 1.2 + 0.3 cos 2pi u +
+    0.1 sin 4pi u, at K = 2 with Z = (cos 2pi v, sin 2pi u + 1.5)."""
+    def a(p):
+        return 1.2 + 0.3 * math.cos(2 * math.pi * p.u) + 0.1 * math.sin(4 * math.pi * p.u)
+
+    return fl.inverse_design(lambda p: np.diag([a(p) ** 2, 1.0]), a,
+                             lambda p: np.array([math.cos(2 * math.pi * p.v),
+                                                 math.sin(2 * math.pi * p.u) + 1.5]),
+                             K=2.0).metric()
+
+
+def _c2_metric():
+    """|v| (1 + 0.05 |sin angle|^3): only C^2 in the angle, so the fiber
+    rule converges algebraically."""
+    def norm(x, vs):
+        angle = np.arctan2(vs[..., 1], vs[..., 0])
+        return np.hypot(vs[..., 0], vs[..., 1]) * (1.0 + 0.05 * np.abs(np.sin(angle)) ** 3)
+
+    return fl.custom(norm, chart=fl.TORUS)
+
+
+def _resolution_cases():
+    return [pytest.param(m, id=name) for name, m in
+            [*builtin_metrics().items(), ("inverse-design", _design_metric())]]
+
+
+def _rule_error(m, points, n):
+    """Per point: the half-rule defect of the n-node rule and its relative
+    error in (sigma, rho) against the 1024-node rule, in the defect's norm."""
+    s_ref, r_ref, _, _ = measures._fiber_block(m, points, 1024)
+    sigma, rho, defect, _ = measures._fiber_block(m, points, n)
+    err = np.maximum(np.abs(sigma - s_ref).max(axis=(-2, -1))
+                     / np.abs(s_ref).max(axis=(-2, -1)), np.abs(rho - r_ref) / r_ref)
+    return defect, err
+
+
+def _resolution_points(m):
+    return fl.sphere_base(12, 4).points if m.chart == fl.SPHERE else fl.torus_base(8).points
+
+
+class TestFiberResolution:
+    """What DEFAULT_FIBER_N serves, and the half-rule defect that reports
+    when it does not."""
+
+    @pytest.mark.parametrize("m", _resolution_cases())
+    def test_default_matches_1024_nodes(self, m):
+        _, err = _rule_error(m, _resolution_points(m), measures.DEFAULT_FIBER_N)
+        assert err.max() <= 1e-13
+
+    # both sides at rounding level (the 1024-node reference has its own)
+    ROUNDING = 5e-15
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("m", _resolution_cases())
+    def test_defect_bounds_the_error(self, m, n):
+        defect, err = _rule_error(m, _resolution_points(m), n)
+        assert np.all(defect + self.ROUNDING >= err)
+
+    def test_odd_count_has_no_defect(self):
+        m = builtin_metrics()["randers-var"]
+        prob = fl.assemble_eigenproblem(m, fl.TorusGridBasis(n=16, fiber_n=63))
+        assert prob.fiber_defect is None
+        assert fl.solve_eigen(prob, k=3).meta["fiber_defect"] is None
+
+    def test_c2_metric_is_logged_and_reported(self, caplog):
+        m = _c2_metric()
+        defect, err = _rule_error(m, fl.torus_base(4).points, measures.DEFAULT_FIBER_N)
+        assert defect.max() > measures.FIBER_DEFECT_WARN > err.max()
+        with caplog.at_level(logging.WARNING, logger="finlap.measures"):
+            res = fl.solve_eigen(fl.assemble_eigenproblem(m, fl.TorusGridBasis(n=16)), k=3)
+        (record,) = [r for r in caplog.records if r.name == "finlap.measures"]
+        assert record.levelno == logging.WARNING
+        assert res.meta["fiber_n"] == measures.DEFAULT_FIBER_N
+        assert res.meta["fiber_defect"] > measures.FIBER_DEFECT_WARN
+        assert f"{res.meta['fiber_defect']:.3g}" in record.getMessage()
+        assert "fiber rule at (0.0, " in record.getMessage()
+
+    @pytest.mark.parametrize("call", [fl.fiber_quadrature, fl.volume_density, symbol_density],
+                             ids=lambda call: call.__name__)
+    def test_one_point_callers_log(self, caplog, call):
+        with caplog.at_level(logging.WARNING, logger="finlap.measures"):
+            call(_c2_metric(), fl.torus_point(0.25, 0.5))
+        (record,) = [r for r in caplog.records if r.name == "finlap.measures"]
+        assert "(0.25, 0.5)" in record.getMessage()
+
+    def test_builtin_metrics_not_logged(self, caplog):
+        from finlap.laplace import symbol_densities
+
+        with caplog.at_level(logging.WARNING, logger="finlap.measures"):
+            for case in _resolution_cases():
+                m = case.values[0]
+                symbol_densities(m, _resolution_points(m))
+        assert not [r for r in caplog.records if r.name == "finlap.measures"]
+
+    def test_one_norm_call_per_block_with_the_estimate(self, monkeypatch):
+        # 324 grid points in blocks of BLOCK_RAYS // DEFAULT_FIBER_N and a short one
+        m = builtin_metrics()["custom-quartic"]
+        calls = count_calls(monkeypatch, m)
+        prob = fl.assemble_eigenproblem(m, fl.TorusGridBasis(n=18))
+        n, size = measures.DEFAULT_FIBER_N, measures.BLOCK_RAYS // measures.DEFAULT_FIBER_N
+        assert 324 % size != 0
+        assert calls["f"] == [min(size, 324 - k) * n for k in range(0, 324, size)]
+        assert calls["d_vf"] == calls["indicatrix_point"] == []
+        assert 0.0 < prob.fiber_defect <= 1e-10

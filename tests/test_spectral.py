@@ -81,13 +81,13 @@ class TestEnergyFromIndicatrix:
     def test_one_norm_call_per_block(self, name, monkeypatch):
         # one F call and no fiber derivative per block of
         # BLOCK_RAYS // fiber_n base points
-        from finlap.measures import BLOCK_RAYS, DEFAULT_FIBER_N
+        from finlap.measures import BLOCK_RAYS
 
         metric = self.metric(name)
         calls = count_calls(monkeypatch, metric)
         base = fl.torus_base(8)
-        fl.energy(metric, fl.SeparableTrigField(1.0, "cos", 1, "one", 0), base)
-        assert len(calls["f"]) == math.ceil(len(base.points) / (BLOCK_RAYS // DEFAULT_FIBER_N))
+        fl.energy(metric, fl.SeparableTrigField(1.0, "cos", 1, "one", 0), base, fiber_n=256)
+        assert len(calls["f"]) == math.ceil(len(base.points) / (BLOCK_RAYS // 256))
         assert len(calls["f"]) == 4
         assert calls["d_vf"] == calls["indicatrix_point"] == []
 
@@ -356,6 +356,34 @@ class TestSolver:
         assert res_l.meta["solver"] == "lanczos"
         ref = sla.eigh(-prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True)
         assert np.abs(ref[:6] - res_l.expand()[:6]).max() < 1e-8
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("name", ["randers-var", "riemannian-var"])
+    def test_scaled_lanczos_matches_generalized_eigh(self, name, n):
+        # Lanczos runs on D(-S)D, D = M^(-1/2); the reference is the pencil
+        prob = fl.assemble_eigenproblem(builtin_metrics()[name], fl.TorusGridBasis(n=n))
+        res = fl.solve_eigen(prob, k=8)
+        assert res.meta["solver"] == "lanczos"
+        ref = sla.eigh(-prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True)[:8]
+        got = res.expand()
+        assert np.abs(got[1:] / ref[1:] - 1.0).max() <= 1e-10
+        assert abs(got[0]) <= 1e-10
+
+    def test_dense_mass_solves_dense(self, rng):
+        # a dense mass above JACOBI_MAX_DENSE (a large sphere sector) is
+        # never handed to the diagonal-mass Lanczos route
+        dim = 210
+        assert dim > fl.spectral.JACOBI_MAX_DENSE
+        A = rng.normal(size=(dim, dim))
+        B = rng.normal(size=(dim, dim))
+        S = -(A @ A.T)
+        M = B @ B.T + dim * np.eye(dim)
+        prob = fl.SpectralProblem(basis=fl.SphereHarmonicBasis(lmax=dim, m=0), stiffness=S,
+                                  mass=M, metric_tag="hand-built", sym_defect=0.0)
+        res = fl.solve_eigen(prob, k=6)
+        assert res.meta["solver"] == "dense"
+        ref = sla.eigh(-S, M, eigvals_only=True)[:6]
+        assert np.abs(res.expand() / ref - 1.0).max() <= 1e-10
 
     def test_sphere_spectrum_matches_jacobi_oracle(self):
         # each sector pencil reduced with the mass Cholesky factor and
