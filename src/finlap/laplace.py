@@ -33,6 +33,8 @@ coefficient stencil :func:`assemble_torus_operator` and the geodesic
 route of :func:`laplacian_apply` are independent evaluations kept for
 tests, ``finlap symbol`` and ``finlap verify``;
 :func:`weighted_symmetry_residual` checks the stencil against the pencil.
+The oracles default to ``REEB_FIBER_N`` fiber nodes, the production path
+to the fewer of ``finlap.measures.DEFAULT_FIBER_N``.
 Both routes walk base points with :func:`finlap.measures._over_points`,
 the one place that chooses blocks or the position-independent shortcut.
 """
