@@ -35,7 +35,7 @@ from .charts import ChartPoint, SPHERE
 from .errors import ConfigError, FinlapError
 from .hilbert import FiberPoint, geodesic_integrate
 from .laplace import REEB_FIBER_N, operator_coefficients
-from .measures import DEFAULT_FIBER_N, holmes_thompson_density, volume_density
+from .measures import DEFAULT_FIBER_N, _fiber_densities, holmes_thompson_density
 from .metrics import FinslerMetric2D
 from .spectral import (TorusGridBasis, assemble_eigenproblem, solve_eigen,
                        sphere_spectrum)
@@ -253,13 +253,16 @@ def cmd_volume(args) -> int:
     x = _point(metric, args.at)
     fiber_n = run.get("fiber_n", DEFAULT_FIBER_N)
     run.check()
-    vd = volume_density(metric, x, fiber_n)
+    _, rho, fiber_defect = _fiber_densities(metric, [x], fiber_n)
+    vd = float(rho[0])
     ht = holmes_thompson_density(metric, x)
     run.write({"coefficients": {
         "at": [x.u, x.v],
         "volume_density": vd,
         "holmes_thompson_density": ht,
         "defect": abs(vd - ht),
+        "fiber_n": fiber_n,
+        "fiber_defect": fiber_defect,
     }})
     return 0
 

@@ -38,7 +38,8 @@ from .fields import ConstantField, field_values
 
 #: indicatrix scan points of :func:`dual_norm`
 DUAL_COARSE_N = 256
-#: dual rays of :func:`holmes_thompson_density` and :func:`dual_norm_sampled`
+#: dual rays of :func:`holmes_thompson_density`, each refined, and the
+#: candidate rays of :func:`dual_norm_sampled`, of which only the best is
 DUAL_RAYS = 512
 #: indicatrix scan points of :func:`holmes_thompson_density`
 HT_BOUNDARY_N = 2048
@@ -534,11 +535,16 @@ def chart_rays(x, phis: np.ndarray) -> np.ndarray:
 def frame_rays(x, psis: np.ndarray) -> np.ndarray:
     """The rays A(x) e(psi) of the frame angles psis, shaped as
     :func:`chart_rays`, which they are where A is the identity."""
+    return _frame_map(x, _circle(psis))
+
+
+def _frame_map(x, e: np.ndarray) -> np.ndarray:
+    """A(x) e for rays e, (n, 2) or per point (P, n, 2), shaped as
+    :func:`at_points`."""
     stretch = frame_stretch(x)
     if stretch is None:
-        return chart_rays(x, psis)
-    c, s = np.broadcast_arrays(np.cos(psis), np.sin(psis) * stretch)
-    return np.stack([c, s], axis=-1)
+        return at_points(x, e)
+    return np.stack(np.broadcast_arrays(e[..., 0], e[..., 1] * stretch), axis=-1)
 
 
 def _frame_coords(x, a: np.ndarray, power: int) -> np.ndarray:
@@ -599,8 +605,8 @@ def _frame_indicatrix(metric: FinslerMetric2D, x, psis: np.ndarray) -> np.ndarra
     point and (P, n, 2) over a block.  In the frame angle the support of a
     covector peaks on a scale of one at every base point; in the chart
     angle it peaks on a scale of sin(phi) near the sphere poles."""
-    scale = _indicatrix_scale(metric, x, frame_rays(x, psis))
-    return _circle(psis) / scale  # A^-1 (A e / F(A e)) = e / F(A e)
+    e = _circle(psis)
+    return e / _indicatrix_scale(metric, x, _frame_map(x, e))  # A^-1 (A e / F(A e)) = e / F(A e)
 
 
 def _indicatrix_scan(metric: FinslerMetric2D, x, n: int) -> tuple:
@@ -772,12 +778,17 @@ def holmes_thompson_density(metric: FinslerMetric2D, x):
 def dual_norm_sampled(metric: FinslerMetric2D, x, v):
     """Double dual F**(x, v) = sup { p(v) : F*(x, p) = 1 }.
 
-    The dual unit circle in frame coordinates, at radius 1 / F* along
-    ``DUAL_RAYS`` directions e(beta), is searched for the support of v by
-    5 rounds of :func:`_parabolic_max` in beta.  Every radius, of the
-    first ``DUAL_RAYS`` and of each round, comes from one
-    ``SAMPLED_BOUNDARY_N``-point indicatrix scan, whose edge normals are
-    found once and serve every lookup of the call.
+    The dual unit circle in frame coordinates lies at radius 1 / F* along
+    the directions e(beta).  One ``SAMPLED_BOUNDARY_N``-point indicatrix
+    scan, whose edge normals are found once, serves every lookup of the
+    call.  The support of v is picked among ``DUAL_RAYS`` equally spaced
+    beta on the scan polygon alone: its support, looked up by edge normal
+    without an F call, gives each candidate p(v) / F*(p).  Only the
+    winning beta gets an accurate radius (:func:`_support_max`), which
+    seeds 5 rounds of :func:`_parabolic_max` in beta.  The seed must be
+    that accurate value and never the polygon's: the polygon lies inside
+    the indicatrix, so its dual radius is too long by up to about 5e-6 and
+    would leak into the maximum.
 
     ``x`` is one base point with a vector of shape (2,), giving a float,
     or a block of P base points with vectors of shape (P, 2), giving shape
@@ -794,9 +805,11 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v):
         return r * _inner(beams, u[..., None, :])
 
     betas = 2.0 * np.pi * np.arange(DUAL_RAYS) / DUAL_RAYS
-    vals = support_of_v(betas)
-    best = _parabolic_max(support_of_v, betas[np.argmax(vals, axis=-1)],
-                          2.0 * np.pi / DUAL_RAYS, vals.max(axis=-1), 5)
+    beams = _circle(betas)
+    coarse = _inner(beams, u[..., None, :]) / _scan_max(beams, scan)[1]
+    center = betas[np.argmax(coarse, axis=-1)]
+    best = _parabolic_max(support_of_v, center, 2.0 * np.pi / DUAL_RAYS,
+                          support_of_v(center[..., None])[..., 0], 5)
     return float(best) if isinstance(x, ChartPoint) else best
 
 

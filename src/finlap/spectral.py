@@ -141,7 +141,10 @@ def energy(metric: FinslerMetric2D, u, base: BaseQuadrature,
     Green identity).  ``(sigma, rho)`` come from
     :func:`finlap.laplace.symbol_densities` at the base points.
     """
-    sigma, rho = symbol_densities(metric, base.points, fiber_n)
+    return _energy(*symbol_densities(metric, base.points, fiber_n), u, base)
+
+
+def _energy(sigma: np.ndarray, rho: np.ndarray, u, base: BaseQuadrature) -> float:
     du = field_gradients(u, base.points)
     return float((base.weights * rho) @ np.einsum("pi,pij,pj->p", du, sigma, du))
 
@@ -149,9 +152,11 @@ def energy(metric: FinslerMetric2D, u, base: BaseQuadrature,
 def omega_norm_sq(metric: FinslerMetric2D, u, base: BaseQuadrature,
                   fiber_n: int = DEFAULT_FIBER_N) -> float:
     """Integral of u^2 against the canonical volume."""
-    w = base.weights * volume_densities(metric, base.points, fiber_n)
-    vals = field_values(u, base.points)
-    return float(w @ vals**2)
+    return _norm_sq(volume_densities(metric, base.points, fiber_n), u, base)
+
+
+def _norm_sq(rho: np.ndarray, u, base: BaseQuadrature) -> float:
+    return float((base.weights * rho) @ field_values(u, base.points) ** 2)
 
 
 def omega_mean(metric: FinslerMetric2D, u, base: BaseQuadrature,
@@ -164,11 +169,13 @@ def omega_mean(metric: FinslerMetric2D, u, base: BaseQuadrature,
 
 def rayleigh(metric: FinslerMetric2D, u, base: BaseQuadrature,
              fiber_n: int = DEFAULT_FIBER_N) -> float:
-    """Rayleigh quotient: energy over the volume-weighted L^2 norm."""
-    nsq = omega_norm_sq(metric, u, base, fiber_n)
+    """Rayleigh quotient: energy over the volume-weighted L^2 norm, both
+    from one walk of the fiber rule over the base."""
+    sigma, rho = symbol_densities(metric, base.points, fiber_n)
+    nsq = _norm_sq(rho, u, base)
     if nsq <= 1e-300:
         raise DomainError("Rayleigh quotient undefined: zero volume-weighted norm")
-    return energy(metric, u, base, fiber_n) / nsq
+    return _energy(sigma, rho, u, base) / nsq
 
 
 def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import finlap as fl
 from conftest import builtin_metrics
 from finlap import cli, spectral
 from finlap.cli import main
@@ -118,6 +119,23 @@ class TestOtherCommands:
         doc = read_json(out)
         assert doc["coefficients"]["volume_density"] == pytest.approx(1.953125, abs=1e-6)
         assert doc["coefficients"]["defect"] < 1e-5
+
+    @pytest.mark.parametrize("fiber_n", [None, "48", "65"])
+    def test_volume_records_fiber_resolution(self, tmp_path, fiber_n):
+        out = tmp_path / "vol.json"
+        flags = [] if fiber_n is None else ["--fiber-n", fiber_n]
+        rc = main(["volume", "--metric", "kz-sphere", "--eps", "0.3", "--at", "1.0", "0.5",
+                   *flags, "--out", str(out)])
+        assert rc == 0
+        coeffs = read_json(out)["coefficients"]
+        n = DEFAULT_FIBER_N if fiber_n is None else int(fiber_n)
+        assert coeffs["fiber_n"] == n
+        assert coeffs["volume_density"] == fl.volume_density(
+            fl.kz_sphere(0.3), fl.sphere_point(1.0, 0.5), n)
+        if n % 2:
+            assert coeffs["fiber_defect"] is None
+        else:
+            assert 0.0 < coeffs["fiber_defect"] < 1e-12
 
     def test_geodesic_csv(self, tmp_path):
         out = tmp_path / "geo.json"
@@ -568,7 +586,7 @@ def test_setting_not_read_is_config_error(tmp_path, capsys, case):
 
 #: the computation of every CLI route
 _COMPUTATIONS = ("run_suite", "assemble_eigenproblem", "sphere_spectrum", "torus_spectrum",
-                 "operator_coefficients", "volume_density", "geodesic_integrate")
+                 "operator_coefficients", "_fiber_densities", "geodesic_integrate")
 
 
 @pytest.mark.parametrize("case", list(_REFUSED))

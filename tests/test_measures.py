@@ -1,3 +1,4 @@
+import collections
 import logging
 import math
 
@@ -474,6 +475,26 @@ class TestDualBoundaryScan:
                 ref = _per_call_holmes_thompson(m, x)
                 assert abs(fl.holmes_thompson_density(m, x) - ref) <= 1e-13 * ref, m.kind
 
+    @pytest.mark.parametrize("seed", [3, 41, 977])
+    def test_coarse_pick_matches_exhaustive_search_on_verify_draws(self, seed):
+        # the draws of the double-dual rows of `verify --suite all --seed S`:
+        # picking the dual ray on the scan polygon loses nothing against
+        # refining all DUAL_RAYS of them
+        from finlap.verify import _metric_family, _random_point, _random_vector
+
+        rng = np.random.default_rng(seed)
+        for m in _metric_family({}):
+            xs, vs = [], []
+            for _ in range(40):
+                xs.append(_random_point(m, rng))
+                vs.append(_random_vector(rng))
+            dds = fl.dual_norm_sampled(m, xs, np.array(vs))
+            for x, v, dd in zip(xs, vs, dds):
+                ref = _per_call_dual_norm_sampled(m, x, v)
+                assert abs(dd - ref) <= 1e-13 * ref, m.kind
+                f = fl.eval_f(m, x, v)
+                assert abs(dd - f) <= 1e-12 * f, m.kind
+
 
 class TestSupportSearch:
     """The one support search behind dual_norm, the Holmes-Thompson radii
@@ -602,13 +623,21 @@ class TestBlockDualForms:
 
         monkeypatch.setattr(metrics, "_indicatrix_scale", counting)
         m = fl.kz_torus(0.6)
+        rays = []
+        f = m.f
+        monkeypatch.setattr(m, "f", lambda x, v: rays.append(np.shape(v)[:-1]) or f(x, v))
         xs, vs = self._samples(m, rng, 5)
         fl.dual_norm_sampled(m, xs, vs)
-        # the scan, and the 4 flank calls (512 rays x 2) of the first radii
-        assert sizes[0] == (5, 1024) and sizes.count((5, 1024)) == 1 + 4
-        # one scan, then 11 radius calls (the first rays and 5 rounds of
-        # flanks and centre), each 4 rounds of 2 indicatrix calls
-        assert len(sizes) == 1 + 11 * 2 * 4
+        # one scan; the candidate dual rays are picked on it without an F call
+        assert sizes[0] == (5, 1024) and sizes.count((5, 1024)) == 1
+        # then only refinement calls of at most 4 rays per point: the seed
+        # radius and 5 rounds of a flank pair and a centre in beta, each
+        # radius 4 rounds of flanks (2 rays a radius) and a centre (1 ray)
+        assert collections.Counter(sizes[1:]) == {(5, 4): 5 * 4, (5, 2): 4 + 5 * 4 + 5 * 4,
+                                                  (5, 1): 4 + 5 * 4}
+        # the scan, the seed radius and 5 rounds of 3 radii, each radius
+        # 4 rounds of 3 rays: 1024 + 12 + 5 * 3 * 12 rays per point
+        assert sum(math.prod(r) for r in rays) == 5 * 1216
 
     def test_block_shape_and_zero_rejected(self):
         m = fl.kz_torus(0.6)
@@ -889,6 +918,14 @@ class TestFiberResolution:
         assert res.meta["fiber_defect"] > measures.FIBER_DEFECT_WARN
         assert f"{res.meta['fiber_defect']:.3g}" in record.getMessage()
         assert "fiber rule at (0.0, " in record.getMessage()
+
+    def test_rayleigh_logs_once_per_quotient(self, caplog):
+        # the energy and the norm of a quotient share one walk of the rule
+        u = fl.SeparableTrigField(1.0, "cos", 1, "one", 0)
+        with caplog.at_level(logging.WARNING, logger="finlap.measures"):
+            fl.rayleigh(_c2_metric(), u, fl.torus_base(8))
+        (record,) = [r for r in caplog.records if r.name == "finlap.measures"]
+        assert record.levelno == logging.WARNING
 
     @pytest.mark.parametrize("call", [fl.fiber_quadrature, fl.volume_density, symbol_density],
                              ids=lambda call: call.__name__)

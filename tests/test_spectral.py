@@ -179,6 +179,24 @@ class TestRayleigh:
         with pytest.raises(fl.DomainError):
             fl.rayleigh(m, fl.ConstantField(0.0), fl.torus_base(16))
 
+    @pytest.mark.parametrize("name", ["randers-var", "riemannian-var"])
+    def test_one_fiber_walk_per_quotient(self, name, monkeypatch):
+        # 144 points: one F call for each of the blocks of 64, 64 and 16
+        from finlap.measures import BLOCK_RAYS, DEFAULT_FIBER_N
+
+        metric = builtin_metrics()[name]
+        u = fl.SumField([fl.SeparableTrigField(1.0, "cos", 1, "one", 0),
+                         fl.SeparableTrigField(0.5, "one", 0, "sin", 2),
+                         fl.ConstantField(0.3)])
+        base = fl.torus_base(12)
+        quotient = fl.energy(metric, u, base) / fl.omega_norm_sq(metric, u, base)
+        calls = count_calls(monkeypatch, metric)
+        assert fl.rayleigh(metric, u, base) == quotient
+        size = BLOCK_RAYS // DEFAULT_FIBER_N
+        assert calls["f"] == [min(size, 144 - k) * DEFAULT_FIBER_N for k in range(0, 144, size)]
+        assert len(calls["f"]) == 3
+        assert calls["d_vf"] == calls["indicatrix_point"] == []
+
     def test_minmax_lower_bound_100_random_mean_zero(self, rng):
         # any volume-mean-zero u has Rayleigh quotient >= first nonzero
         # eigenvalue; geometry data is precomputed once per base point
