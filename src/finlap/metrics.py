@@ -39,7 +39,8 @@ from .fields import ConstantField, field_values
 #: indicatrix scan points of :func:`dual_norm`
 DUAL_COARSE_N = 256
 #: dual rays of :func:`holmes_thompson_density`, each refined, and the
-#: candidate rays of :func:`dual_norm_sampled`, of which only the best is
+#: grid of :func:`dual_norm_sampled`, of which only the rays of a bracket
+#: are evaluated and only the best is refined
 DUAL_RAYS = 512
 #: indicatrix scan points of :func:`holmes_thompson_density`
 HT_BOUNDARY_N = 2048
@@ -779,16 +780,26 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v):
     """Double dual F**(x, v) = sup { p(v) : F*(x, p) = 1 }.
 
     The dual unit circle in frame coordinates lies at radius 1 / F* along
-    the directions e(beta).  One ``SAMPLED_BOUNDARY_N``-point indicatrix
-    scan, whose edge normals are found once, serves every lookup of the
-    call.  The support of v is picked among ``DUAL_RAYS`` equally spaced
-    beta on the scan polygon alone: its support, looked up by edge normal
-    without an F call, gives each candidate p(v) / F*(p).  Only the
-    winning beta gets an accurate radius (:func:`_support_max`), which
-    seeds 5 rounds of :func:`_parabolic_max` in beta.  The seed must be
-    that accurate value and never the polygon's: the polygon lies inside
-    the indicatrix, so its dual radius is too long by up to about 5e-6 and
-    would leak into the maximum.
+    the directions e(beta), so F**(v) is the largest
+    <e(beta), u> / F*(e(beta)) for u = A^-1 v: a linear function on a
+    convex curve, with one maximum in beta, at the outward normal of the
+    indicatrix where the ray of u crosses it.  One
+    ``SAMPLED_BOUNDARY_N``-point indicatrix scan, whose edge normals are
+    found once, serves every support lookup of the call.  Its vertices lie
+    on the rays of equally spaced frame angles, so the angle of u names the
+    scan edge k that the ray crosses, and by convexity the maximizer lies
+    between the normals of edges k - 1 and k + 1.  The ``DUAL_RAYS`` grid
+    rays from the last at or below that bracket to the first above it
+    include the two on either side of the maximizer, so the best of them by
+    accurate radius (:func:`_support_max`) is the best of all
+    ``DUAL_RAYS``; it seeds 5 rounds of :func:`_parabolic_max` in beta.
+    The bracket is one grid step wide on a round indicatrix, 3 grid rays,
+    and wider where the indicatrix turns sharply between scan points: some
+    50 grid rays near the major axis of riemannian(diag(1, 100)).  A block
+    evaluates at each point as many grid rays as its widest bracket needs.
+    The scan polygon gives the bracket, never a value: it lies inside the
+    indicatrix, so its dual radius is too long, by a relative amount that
+    grows with the turn of the indicatrix between scan points.
 
     ``x`` is one base point with a vector of shape (2,), giving a float,
     or a block of P base points with vectors of shape (P, 2), giving shape
@@ -804,12 +815,25 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v):
         r = 1.0 / _support_max(metric, x, beams, scan)
         return r * _inner(beams, u[..., None, :])
 
-    betas = 2.0 * np.pi * np.arange(DUAL_RAYS) / DUAL_RAYS
-    beams = _circle(betas)
-    coarse = _inner(beams, u[..., None, :]) / _scan_max(beams, scan)[1]
-    center = betas[np.argmax(coarse, axis=-1)]
-    best = _parabolic_max(support_of_v, center, 2.0 * np.pi / DUAL_RAYS,
-                          support_of_v(center[..., None])[..., 0], 5)
+    # the normals of edges k - 1 and k + 1 of the edge k that the ray of u
+    # crosses, read from the normals extended by one edge on either side
+    normals = scan[2]
+    n = normals.shape[-1]
+    turn = np.concatenate([normals[..., -1:] - 2.0 * np.pi, normals,
+                           normals[..., :1] + 2.0 * np.pi], axis=-1)
+    angle = np.mod(np.arctan2(u[..., 1], u[..., 0]), 2.0 * np.pi)
+    k = np.minimum((angle * (n / (2.0 * np.pi))).astype(int), n - 1)[..., None]
+    lo = np.take_along_axis(turn, k, axis=-1)[..., 0]
+    hi = np.take_along_axis(turn, k + 2, axis=-1)[..., 0]
+    step = 2.0 * np.pi / DUAL_RAYS
+    first, last = np.floor(lo / step), np.floor(hi / step) + 1.0
+    rays = first[..., None] + np.arange(int(np.max(last - first)) + 1)
+    betas = 2.0 * np.pi * np.mod(np.minimum(rays, last[..., None]), DUAL_RAYS) / DUAL_RAYS
+    vals = support_of_v(betas)
+    pick = np.argmax(vals, axis=-1)[..., None]
+    center = np.take_along_axis(betas, pick, axis=-1)[..., 0]
+    best = _parabolic_max(support_of_v, center, step,
+                          np.take_along_axis(vals, pick, axis=-1)[..., 0], 5)
     return float(best) if isinstance(x, ChartPoint) else best
 
 

@@ -478,8 +478,8 @@ class TestDualBoundaryScan:
     @pytest.mark.parametrize("seed", [3, 41, 977])
     def test_coarse_pick_matches_exhaustive_search_on_verify_draws(self, seed):
         # the draws of the double-dual rows of `verify --suite all --seed S`:
-        # picking the dual ray on the scan polygon loses nothing against
-        # refining all DUAL_RAYS of them
+        # picking the dual ray among the grid rays of the bracket that the
+        # scan gives loses nothing against refining all DUAL_RAYS of them
         from finlap.verify import _metric_family, _random_point, _random_vector
 
         rng = np.random.default_rng(seed)
@@ -494,6 +494,26 @@ class TestDualBoundaryScan:
                 assert abs(dd - ref) <= 1e-13 * ref, m.kind
                 f = fl.eval_f(m, x, v)
                 assert abs(dd - f) <= 1e-12 * f, m.kind
+
+    @pytest.mark.parametrize("aspect", [9.0, 100.0])
+    def test_pick_on_sharply_turning_indicatrix(self, aspect):
+        # Near the major axis of riemannian(diag(1, 100)) the indicatrix
+        # normal turns by up to 0.6 rad between scan points, far more than
+        # the parabolic rounds reach from one grid ray (about 0.016 rad);
+        # the maximizer is picked among all grid rays of the crossed edge's
+        # bracket.
+        m = fl.riemannian(np.diag([1.0, aspect]))
+        x = fl.torus_point(0.2, 0.4)
+        angles = np.concatenate([[5e-4, -5e-4, 2e-3], np.linspace(-0.05, 0.05, 7)])
+        vs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        vs = np.concatenate([vs, -vs])
+        dds = fl.dual_norm_sampled(m, [x] * len(vs), vs)
+        for v, dd in zip(vs, dds):
+            ref = _per_call_dual_norm_sampled(m, x, v)
+            assert abs(dd - ref) <= 1e-13 * ref
+            f = fl.eval_f(m, x, v)
+            assert abs(dd - f) <= 1e-12 * f
+            assert abs(fl.dual_norm_sampled(m, x, v) - dd) <= 1e-13 * f
 
 
 class TestSupportSearch:
@@ -622,22 +642,36 @@ class TestBlockDualForms:
             return original(metric, x, rays)
 
         monkeypatch.setattr(metrics, "_indicatrix_scale", counting)
-        m = fl.kz_torus(0.6)
-        rays = []
-        f = m.f
-        monkeypatch.setattr(m, "f", lambda x, v: rays.append(np.shape(v)[:-1]) or f(x, v))
-        xs, vs = self._samples(m, rng, 5)
-        fl.dual_norm_sampled(m, xs, vs)
-        # one scan; the candidate dual rays are picked on it without an F call
-        assert sizes[0] == (5, 1024) and sizes.count((5, 1024)) == 1
-        # then only refinement calls of at most 4 rays per point: the seed
-        # radius and 5 rounds of a flank pair and a centre in beta, each
-        # radius 4 rounds of flanks (2 rays a radius) and a centre (1 ray)
-        assert collections.Counter(sizes[1:]) == {(5, 4): 5 * 4, (5, 2): 4 + 5 * 4 + 5 * 4,
-                                                  (5, 1): 4 + 5 * 4}
-        # the scan, the seed radius and 5 rounds of 3 radii, each radius
-        # 4 rounds of 3 rays: 1024 + 12 + 5 * 3 * 12 rays per point
-        assert sum(math.prod(r) for r in rays) == 5 * 1216
+        spread = {}
+        for name, m in [("euclidean", fl.riemannian(np.eye(2))), ("kz-torus", fl.kz_torus(0.6)),
+                        ("riemannian-1-100", fl.riemannian(np.diag([1.0, 100.0])))]:
+            sizes.clear()
+            rays = []
+            f = m.f
+            monkeypatch.setattr(m, "f", lambda x, v, f=f: rays.append(np.shape(v)[:-1]) or f(x, v))
+            xs, vs = self._samples(m, rng, 5)
+            if name == "riemannian-1-100":
+                # near the major axis the indicatrix turns sharply between
+                # scan points, and the bracket holds many grid rays
+                vs[:, 1] *= 1e-3
+            fl.dual_norm_sampled(m, xs, vs)
+            # one scan; the bracket of grid rays is read off it without an F call
+            assert sizes[0] == (5, 1024) and sizes.count((5, 1024)) == 1, name
+            # then the accurate radii of c grid rays a point, c the most that
+            # a point's bracket needs, each radius 4 rounds of flanks (2 rays
+            # a radius) and a centre (1 ray); then 5 rounds of a flank pair
+            # and a centre in beta, refined alike
+            c = spread[name] = sizes[1][1] // 2
+            seed = collections.Counter({(5, 2 * c): 4, (5, c): 4})
+            rounds = collections.Counter({(5, 4): 5 * 4, (5, 2): 5 * 4 + 5 * 4, (5, 1): 5 * 4})
+            assert collections.Counter(sizes[1:]) == seed + rounds, name
+            # the scan, c seed radii and 5 rounds of 3 radii, each radius 4
+            # rounds of 3 rays: 1024 + 12 c + 5 * 3 * 12 rays per point
+            assert sum(math.prod(r) for r in rays) == 5 * (1204 + 12 * c), name
+        # a round indicatrix: the bracket is one grid step wide, and the grid
+        # ray in it and one on either side are evaluated
+        assert spread["euclidean"] == 3
+        assert 3 <= spread["kz-torus"] <= 6 and spread["riemannian-1-100"] > 10
 
     def test_block_shape_and_zero_rejected(self):
         m = fl.kz_torus(0.6)
