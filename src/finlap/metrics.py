@@ -794,9 +794,10 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v):
     accurate radius (:func:`_support_max`) is the best of all
     ``DUAL_RAYS``; it seeds 5 rounds of :func:`_parabolic_max` in beta.
     The bracket is one grid step wide on a round indicatrix, 3 grid rays,
-    and wider where the indicatrix turns sharply between scan points: some
-    50 grid rays near the major axis of riemannian(diag(1, 100)).  A block
-    evaluates at each point as many grid rays as its widest bracket needs.
+    and wider where the indicatrix turns sharply between scan points: up
+    to 11 grid rays for riemannian(diag(1, 9)) and 87 for
+    riemannian(diag(1, 100)), near the major axis.  A block evaluates at
+    each point as many grid rays as its widest bracket needs.
     The scan polygon gives the bracket, never a value: it lies inside the
     indicatrix, so its dual radius is too long, by a relative amount that
     grows with the turn of the indicatrix between scan points.
