@@ -41,6 +41,7 @@ the one place that chooses blocks or the position-independent shortcut.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -231,7 +232,7 @@ def assemble_torus_operator(metric: FinslerMetric2D, n: int,
     for the mixed term, centered first differences for the drift.
     """
     sigma, drift, vol = grid_coefficients(metric, n, fiber_n)
-    return _coefficient_stencil(sigma, drift), vol
+    return _stencil_matrix(_coefficient_stencil(sigma, drift)), vol
 
 
 def _at(a: np.ndarray, du: int, dv: int) -> np.ndarray:
@@ -240,35 +241,79 @@ def _at(a: np.ndarray, du: int, dv: int) -> np.ndarray:
     return np.roll(a, (-du, -dv), axis=(0, 1))
 
 
+@functools.lru_cache(maxsize=4)
+def _stencil_pattern(n: int, offsets: tuple):
+    """The CSR pattern of a periodic stencil with ``offsets`` on the n x n
+    grid, which depends on nothing else: ``(indices, slots, indptr)``,
+    read-only, with the column indices of each row sorted (int32, as scipy
+    stores them) and ``slots[k]`` the positions in the CSR data of the
+    entries of offset k, one per grid node (intp, so that scattering with
+    them converts nothing).  Computed once per ``(n, offsets)``: 1.83 MiB
+    for the 9-point stencil at n = 128."""
+    k, size = len(offsets), n * n
+    idx = np.arange(size).reshape(n, n)
+    cols = np.stack([_at(idx, du, dv).ravel() for du, dv in offsets], axis=1)
+    rank = np.argsort(cols, axis=1)
+    indices = np.take_along_axis(cols, rank, axis=1).astype(np.int32).ravel()
+    slots = np.empty((size, k), dtype=np.intp)
+    np.put_along_axis(slots, rank, np.arange(size * k).reshape(size, k), axis=1)
+    indptr = np.arange(0, size * k + 1, k, dtype=np.int32)
+    arrays = indices, np.ascontiguousarray(slots.T), indptr
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def _stencil_matrix(stencil) -> sp.csr_matrix:
     """The sparse matrix of a periodic stencil on the n x n grid, acting on
     row-major grid vectors: ``stencil`` lists ``((du, dv), values)`` with
     values (n, n), the entry of row (i, j) in the column of its neighbour
-    (i + du, j + dv).  Every row holds the same offsets."""
+    (i + du, j + dv).  Every row holds the same offsets, so the sorted
+    column indices come from :func:`_stencil_pattern`, computed once per
+    grid size, and each offset's values are scattered into their slots;
+    the matrix gets its own copy of the index arrays."""
     n = stencil[0][1].shape[0]
-    idx = np.arange(n * n).reshape(n, n)
-    cols = np.stack([_at(idx, du, dv).ravel() for (du, dv), _ in stencil], axis=1)
-    vals = np.stack([v.ravel() for _, v in stencil], axis=1)
-    indptr = np.arange(0, vals.size + 1, len(stencil))
-    A = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n * n, n * n))
-    A.sort_indices()
+    indices, slots, indptr = _stencil_pattern(n, tuple(d for d, _ in stencil))
+    data = np.empty(indices.size)
+    for at, (_, v) in zip(slots, stencil):
+        data[at] = v.ravel()
+    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n * n, n * n))
+    A.has_sorted_indices = True
     return A
 
 
+def _stencil_defect(stencil) -> float:
+    """:func:`_sym_defect` of the matrix of a periodic stencil, from its
+    values: its entries (p, p + d) and (p + d, p) are ``A_d(p)`` and
+    ``A_-d(p + d)``, so the defect is
+
+        max_d |A_d - A_-d(. + d)| / max_d |A_d|
+
+    (0 for a zero stencil), the same float as from the matrix.  The
+    offsets must come in pairs d, -d; as |x - y| = |y - x| in floating
+    point, each pair is read once."""
+    vals = dict(stencil)
+    num = np.max([np.abs(a - _at(vals[-du, -dv], du, dv)).max()
+                  for (du, dv), a in stencil if (du, dv) >= (-du, -dv)])
+    den = np.max([np.abs(a).max() for _, a in stencil])
+    return float(num / den) if den > 0 else 0.0
+
+
 def _coefficient_stencil(sigma: np.ndarray, drift: np.ndarray):
-    """The sparse L of :func:`assemble_torus_operator` from grid coefficients."""
+    """The stencil of the L of :func:`assemble_torus_operator` from grid
+    coefficients, for :func:`_stencil_matrix`."""
     h = 1.0 / sigma.shape[0]
     s11 = sigma[..., 0, 0] / h**2
     s22 = sigma[..., 1, 1] / h**2
     s12 = sigma[..., 0, 1] / (2.0 * h**2)   # coefficient of the cross stencil
     du = drift[..., 0] / (2.0 * h)
     dv = drift[..., 1] / (2.0 * h)
-    return _stencil_matrix([
+    return [
         ((0, 0), -2.0 * (s11 + s22)),
         ((1, 0), s11 + du), ((-1, 0), s11 - du), ((0, 1), s22 + dv), ((0, -1), s22 - dv),
         # 2*sigma_12*f_uv with the centered 4-corner stencil
         ((1, 1), s12), ((-1, -1), s12), ((1, -1), -s12), ((-1, 1), -s12),
-    ])
+    ]
 
 
 def symbol_density(metric: FinslerMetric2D, x: ChartPoint,
@@ -325,36 +370,41 @@ def conservative_pencil(sigma: np.ndarray, rho: np.ndarray):
     v fluxes use edge-midpoint averages of K11 and K22 and the mixed term
     is D0u K12 D0v + D0v K12 D0u with central differences D0; for
     constant K this is the centered 9-point stencil of
-    :func:`assemble_torus_operator`.  M = diag(rho h^2).
+    :func:`assemble_torus_operator`.  M = diag(rho h^2).  S is built by
+    :func:`_stencil_matrix` on the grid's pattern, computed once per n.
     """
-    n = rho.shape[0]
-    K = rho[..., None, None] * sigma
-    k11, k22, k12 = K[..., 0, 0], K[..., 1, 1], K[..., 0, 1]
+    return _pencil(_conservative_stencil(sigma, rho), rho)
+
+
+def _conservative_stencil(sigma: np.ndarray, rho: np.ndarray):
+    """The stencil of the S of :func:`conservative_pencil`."""
+    # the entries of K = rho sigma that the stencil reads
+    k11, k22, k12 = rho * sigma[..., 0, 0], rho * sigma[..., 1, 1], rho * sigma[..., 0, 1]
     e1 = 0.5 * (k11 + _at(k11, 1, 0))    # on the edge (i, j) -- (i+1, j)
     e2 = 0.5 * (k22 + _at(k22, 0, 1))    # on the edge (i, j) -- (i, j+1)
     e1m, e2m = _at(e1, -1, 0), _at(e2, 0, -1)
-    S = _stencil_matrix([
+    return [
         ((0, 0), -(e1 + e1m + e2 + e2m)),
         ((1, 0), e1), ((-1, 0), e1m), ((0, 1), e2), ((0, -1), e2m),
         ((1, 1), 0.25 * (_at(k12, 1, 0) + _at(k12, 0, 1))),
         ((-1, -1), 0.25 * (_at(k12, -1, 0) + _at(k12, 0, -1))),
         ((1, -1), -0.25 * (_at(k12, 0, -1) + _at(k12, 1, 0))),
         ((-1, 1), -0.25 * (_at(k12, 0, 1) + _at(k12, -1, 0))),
-    ])
-    M = sp.diags(rho.ravel() * (1.0 / n**2)).tocsr()
-    return S, M
+    ]
 
 
-def _sym_defect(a) -> float:
-    """max |a - a^T| / max |a| of a dense or sparse matrix (0 for a zero
-    matrix), from the stored entries alone when it is sparse."""
-    if sp.issparse(a):
-        diff = (a - a.T).tocoo()
-        num = np.abs(diff.data).max() if diff.nnz else 0.0
-        den = np.abs(a.tocoo().data).max()
-    else:
-        num = np.abs(a - a.T).max()
-        den = np.abs(a).max()
+def _pencil(stencil, rho: np.ndarray):
+    """``(S, M)``: the matrices of a conservative stencil and of
+    diag(rho h^2), the one-offset stencil."""
+    n = rho.shape[0]
+    return _stencil_matrix(stencil), _stencil_matrix([((0, 0), rho * (1.0 / n**2))])
+
+
+def _sym_defect(a: np.ndarray) -> float:
+    """max |a - a^T| / max |a| of a dense matrix (0 for a zero matrix);
+    :func:`_stencil_defect` is the same for the matrix of a stencil."""
+    num = np.abs(a - a.T).max()
+    den = np.abs(a).max()
     return float(num / den) if den > 0 else 0.0
 
 
@@ -371,10 +421,12 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
                                f=None, fiber_n: int = REEB_FIBER_N) -> SymmetryReport:
     """Check that the discrete operator is symmetric for the volume weight.
 
-    Assembles L and the diagonal mass M = diag(vol * h^2) on the periodic
-    grid and reports the relative asymmetry max |S - S^T| / max |S| of
-    S = M L, from the stored entries of the sparse matrices alone (no
-    dense n^2 x n^2 copy at any grid size).  Also compares the
+    Reports the relative asymmetry max |S - S^T| / max |S| of S = M L,
+    with L the coefficient stencil and M = diag(vol * h^2) the mass on
+    the periodic grid, from the stencil's values alone: each entry of S
+    is the one product of L's entry and its row's mass that ``M @ L``
+    forms, and :func:`_stencil_defect` reads the defect off those values
+    without assembling L or S.  Also compares the
     coefficient path against (1/rho) div(rho sigma grad f) of a smooth
     test field f, discretized by :func:`conservative_pencil` as production
     spectra are; that defect decays at second order under refinement.
@@ -388,10 +440,9 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
         ])
     # one coefficient evaluation serves the stencil and the divergence form
     sigma, drift, vol = grid_coefficients(metric, n, fiber_n)
-    L = _coefficient_stencil(sigma, drift)
     h = 1.0 / n
-    M = sp.diags(vol.ravel() * h**2)
-    S = M @ L
+    mass = vol * h**2
+    sym_defect = _stencil_defect([(d, mass * a) for d, a in _coefficient_stencil(sigma, drift)])
 
     # the divergence form is the conservative pencil's S f / (rho h^2)
     points = torus_base(n).points
@@ -402,5 +453,5 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
                              points).reshape(n, n)
     scale = np.abs(coeff).max()
     div_defect = float(np.abs(coeff - div_form).max() / scale)
-    return SymmetryReport(symmetry_defect=_sym_defect(S), divergence_defect=div_defect,
+    return SymmetryReport(symmetry_defect=sym_defect, divergence_defect=div_defect,
                           grid_n=n)

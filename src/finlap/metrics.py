@@ -845,14 +845,14 @@ def scale_conformal(metric: FinslerMetric2D, f) -> ConformalMetric:
 
 def hessian_f2(metric: FinslerMetric2D, x: ChartPoint, v) -> np.ndarray:
     """Finite-difference Hessian of F^2/2 in v, with the fiber step
-    ``differences.CONVEXITY_REL * |v|``; SPD by strong convexity."""
+    ``differences.CONVEXITY_REL * |v|``; SPD by strong convexity.  The
+    nine nodes of the stencil, v + (du, dv) with du, dv in {0, h, -h}, go
+    to F in one call, and :func:`differences.hessian` reads their values."""
     v = np.asarray(v, dtype=float)
-
-    def e(du, dv):
-        return 0.5 * float(metric.f(x, v + np.array([du, dv]))) ** 2
-
-    return differences.hessian(e, e(0.0, 0.0),
-                               differences.CONVEXITY_REL * float(np.linalg.norm(v)))
+    h = differences.CONVEXITY_REL * float(np.linalg.norm(v))
+    steps = [(du, dv) for du in (0.0, h, -h) for dv in (0.0, h, -h)]
+    e = {step: 0.5 * float(f) ** 2 for step, f in zip(steps, metric.f(x, v + np.array(steps)))}
+    return differences.hessian(lambda du, dv: e[du, dv], e[0.0, 0.0], h)
 
 
 def convexity_margin(metric: FinslerMetric2D, x: ChartPoint, phi: float) -> float:

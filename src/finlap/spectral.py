@@ -38,7 +38,8 @@ import scipy.sparse.linalg as spla
 from .charts import SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradients, field_values
-from .laplace import _on_grid, _sym_defect, conservative_pencil, symbol_densities
+from .laplace import (_conservative_stencil, _on_grid, _pencil, _stencil_defect, _sym_defect,
+                      symbol_densities)
 from .measures import (DEFAULT_FIBER_N, BaseQuadrature, _fiber_densities, sphere_base,
                        torus_base, volume_densities)
 from .metrics import FinslerMetric2D, KatokZillerMetric, _check_counts
@@ -183,8 +184,11 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
 
     On the torus only the symbol and the volume density are computed at
     the grid points; the stiffness is the conservative divergence-form
-    stencil, symmetric and annihilating constants as assembled.  Its
-    asymmetry defect and zero-mode residual are recorded, whether
+    stencil of :func:`finlap.laplace.conservative_pencil`, symmetric and
+    annihilating constants as assembled, built on the grid's sparsity
+    pattern (computed once per grid size).  Its asymmetry defect, read
+    off the stencil's values without transposing S, and its zero-mode
+    residual are recorded, whether
     ``(sigma, rho)`` is exactly equal at every node, and the worst
     half-rule defect of their fiber rule.  Sphere sectors
     use the Galerkin matrices, whose quadrature roundoff asymmetry is
@@ -198,12 +202,13 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
         sigma, rho, fiber_defect = _fiber_densities(metric, torus_base(basis.n).points,
                                                     basis.fiber_n)
         sigma, rho = _on_grid(basis.n, sigma, rho)
-        S, M = conservative_pencil(sigma, rho)
+        stencil = _conservative_stencil(sigma, rho)
+        S, M = _pencil(stencil, rho)
         zero_mode = float(np.abs(S @ np.ones(S.shape[0])).max() / np.abs(S.data).max())
         uniform = bool(np.all(sigma == sigma[0, 0]) and np.all(rho == rho[0, 0]))
         return SpectralProblem(basis=basis, stiffness=S, mass=M,
                                metric_tag=f"{metric.kind} on torus",
-                               sym_defect=_sym_defect(S), zero_mode_residual=zero_mode,
+                               sym_defect=_stencil_defect(stencil), zero_mode_residual=zero_mode,
                                translation_invariant=uniform, fiber_defect=fiber_defect)
     if isinstance(basis, SphereHarmonicBasis):
         from .katok_ziller import galerkin_matrices

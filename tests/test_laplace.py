@@ -225,6 +225,118 @@ class TestSymmetryAndDivergenceForm:
             assert np.abs(c.drift - z).max() < 1e-4
 
 
+    def test_kz_torus_report_pinned(self):
+        rep = fl.weighted_symmetry_residual(fl.kz_torus(0.6), 32)
+        assert (rep.symmetry_defect, rep.divergence_defect, rep.grid_n) == (
+            0.0, 0.0032086359550493005, 32)
+
+
+def _reference_matrix(stencil):
+    """A periodic stencil's CSR built from a rolled index grid, one column
+    per offset, sorted afterwards by scipy."""
+    import scipy.sparse as sp
+
+    n = stencil[0][1].shape[0]
+    idx = np.arange(n * n).reshape(n, n)
+    cols = np.stack([np.roll(idx, (-du, -dv), axis=(0, 1)).ravel()
+                     for (du, dv), _ in stencil], axis=1)
+    vals = np.stack([v.ravel() for _, v in stencil], axis=1)
+    indptr = np.arange(0, vals.size + 1, len(stencil))
+    A = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n * n, n * n))
+    A.sort_indices()
+    return A
+
+
+def _random_coefficients(n, seed):
+    """SPD sigma (n, n, 2, 2), positive rho (n, n) and a drift (n, n, 2)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n, 2, 2))
+    sigma = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(2)
+    return sigma, rng.uniform(0.5, 2.0, size=(n, n)), rng.normal(size=(n, n, 2))
+
+
+def _stencils(n, seed=7):
+    from finlap.laplace import _coefficient_stencil, _conservative_stencil
+
+    sigma, rho, drift = _random_coefficients(n, seed)
+    return {"conservative": _conservative_stencil(sigma, rho),
+            "coefficient": _coefficient_stencil(sigma, drift)}
+
+
+class TestStencilPattern:
+    @pytest.mark.parametrize("n", [16, 17, 31, 128])
+    @pytest.mark.parametrize("kind", ["conservative", "coefficient"])
+    def test_matrix_equals_reference(self, n, kind):
+        from finlap.laplace import _stencil_matrix
+
+        stencil = _stencils(n)[kind]
+        A, ref = _stencil_matrix(stencil), _reference_matrix(stencil)
+        assert (A.format, A.shape) == (ref.format, ref.shape)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(A, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    def test_pattern_cached_read_only_and_not_shared(self):
+        from finlap.laplace import _stencil_matrix, _stencil_pattern
+
+        stencil = _stencils(24)["conservative"]
+        _stencil_matrix(stencil)
+        before = _stencil_pattern.cache_info()
+        A = _stencil_matrix(stencil)
+        after = _stencil_pattern.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        pattern = _stencil_pattern(24, tuple(d for d, _ in stencil))
+        assert not any(arr.flags.writeable for arr in pattern)
+        assert not any(np.shares_memory(getattr(A, name), arr)
+                       for name in ("data", "indices", "indptr") for arr in pattern)
+
+    def test_eliminate_zeros_leaves_the_pattern_intact(self):
+        from finlap.laplace import _stencil_matrix
+
+        stencil = _stencils(20)["coefficient"]
+        holed = [(d, np.zeros_like(v)) if d == (1, 1) else (d, v) for d, v in stencil]
+        _stencil_matrix(holed).eliminate_zeros()
+        A, ref = _stencil_matrix(stencil), _reference_matrix(stencil)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.indptr, ref.indptr)
+
+
+class TestStencilDefect:
+    """The defect read off a stencil's values equals the dense defect of
+    its assembled matrix."""
+
+    @pytest.mark.parametrize("n", [16, 17, 32])
+    def test_conservative_stencil_is_exactly_symmetric(self, n):
+        from finlap.laplace import _stencil_defect, _stencil_matrix, _sym_defect
+
+        stencil = _stencils(n)["conservative"]
+        assert _stencil_defect(stencil) == 0.0
+        assert _sym_defect(_stencil_matrix(stencil).toarray()) == 0.0
+
+    @pytest.mark.parametrize("n", [16, 17, 32])
+    def test_weighted_coefficient_stencil_variable_randers(self, n):
+        import scipy.sparse as sp
+        from finlap.laplace import (_coefficient_stencil, _stencil_defect, _stencil_matrix,
+                                    _sym_defect, grid_coefficients)
+
+        m = builtin_metrics()["randers-var"]
+        sigma, drift, vol = grid_coefficients(m, n, 64)
+        stencil = _coefficient_stencil(sigma, drift)
+        mass = vol * (1.0 / n) ** 2
+        S = sp.diags(mass.ravel()) @ _stencil_matrix(stencil)
+        defect = _stencil_defect([(d, mass * v) for d, v in stencil])
+        assert defect > 0.0
+        assert defect == _sym_defect(S.toarray())
+        assert defect == fl.weighted_symmetry_residual(m, n, fiber_n=64).symmetry_defect
+
+    def test_zero_stencil(self):
+        from finlap.laplace import _stencil_defect
+
+        zero = [(d, np.zeros((16, 16))) for d, _ in _stencils(16)["coefficient"]]
+        assert _stencil_defect(zero) == 0.0
+
+
 class TestRoundSphereHarmonics:
     @pytest.mark.parametrize("l,m_", [(1, 0), (2, 1), (3, 3), (4, 2), (5, 0)])
     def test_round_sphere_eigenfunctions(self, l, m_, rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finlap as fl
-from conftest import builtin_metrics, quartic_norm, random_point, random_vector
+from conftest import builtin_metrics, count_calls, quartic_norm, random_point, random_vector
 from finlap.laplace import grid_symbol_density
 
 
@@ -324,6 +324,34 @@ class TestConvexity:
                 x = random_point(m, rng)
                 phi = rng.uniform(0, 2 * math.pi)
                 assert fl.convexity_margin(m, x, phi) > 0.0, name
+
+
+    @pytest.mark.parametrize("name", list(builtin_metrics()))
+    def test_hessian_in_one_call_equals_nine_call_stencil(self, name, rng, monkeypatch):
+        from finlap import differences
+        from finlap.metrics import hessian_f2
+
+        m = builtin_metrics()[name]
+        f = m.f
+        calls = count_calls(monkeypatch, m)["f"]
+        for _ in range(5):
+            x, v = random_point(m, rng), random_vector(rng)
+
+            def e(du, dv):
+                return 0.5 * float(f(x, v + np.array([du, dv]))) ** 2
+
+            want = differences.hessian(e, e(0.0, 0.0),
+                                       differences.CONVEXITY_REL * float(np.linalg.norm(v)))
+            calls.clear()
+            got = hessian_f2(m, x, v)
+            assert calls == [9]
+            if m.kind == "custom":
+                # the user's evaluator on nine rays need not round as it
+                # does on one (quartic_norm's ** 0.25 differs in the last
+                # bit), and the second difference scales that by 1/h^2
+                np.testing.assert_allclose(got, want, rtol=1e-6)
+            else:
+                assert np.array_equal(got, want)
 
 
 class TestCustomEvaluator:

@@ -355,6 +355,22 @@ class TestConservativePencil:
         assert w[1] > 1e-6 * scale
 
 
+    def test_torus_assembly_sorts_transposes_and_converts_nothing(self, monkeypatch):
+        # the pattern comes sorted from its cache and the symmetry defect
+        # from the stencil's values, so no CSR matrix is sorted, transposed
+        # or converted to CSC while a torus pencil is assembled
+        import scipy.sparse as sp
+
+        calls = []
+        for name in ("sort_indices", "transpose", "tocsc"):
+            def counting(self, *args, _name=name, _fn=getattr(sp.csr_matrix, name), **kwargs):
+                calls.append(_name)
+                return _fn(self, *args, **kwargs)
+            monkeypatch.setattr(sp.csr_matrix, name, counting)
+        fl.assemble_eigenproblem(fl.kz_torus(0.5), fl.TorusGridBasis(128))
+        assert calls == []
+
+
 class TestSolver:
     def test_jacobi_against_lapack(self, rng):
         n = 40
