@@ -23,7 +23,9 @@ base points, in blocks, from one F call per block, the fiber rule of
 :mod:`finlap.measures` (V is the indicatrix point of its direction), and
 :func:`conservative_pencil` assembles the torus pencil in divergence
 form; it is symmetric, negative semidefinite and annihilates constants
-by construction.
+by construction.  Every torus stencil matrix is built on a sparsity
+pattern computed once per grid size, and the symmetry defect of a
+stencil's matrix is read off the stencil's values.
 
 Oracles: :func:`coefficients_at` (symbol, drift and density from the
 Reeb field and the Hilbert-form jet, in blocks of base points;
@@ -246,11 +248,12 @@ def _stencil_pattern(n: int, offsets: tuple):
     """The CSR pattern of a periodic stencil with ``offsets`` on the n x n
     grid, which depends on nothing else: ``(indices, indptr, order, rows,
     perm)``.  ``indices`` lists the columns of each row sorted (int32, as
-    scipy stores them).  Sorted, the centre node lists its offsets in
-    ``order``, and so does every row except ``rows``, near the edges,
-    whose columns the periodic wrap reorders: each lists them in ``perm``,
-    positions in ``order``.  Computed once per ``(n, offsets)``, read-only:
-    0.66 MiB for the 9-point stencil at n = 128."""
+    scipy stores them).  Sorted by column, the centre node's offsets come
+    in ``order``, and so do those of every row except ``rows``, near the
+    edges, whose columns the periodic wrap reorders; ``perm[r]`` gives,
+    for each sorted entry of ``rows[r]``, its position in ``order``.
+    Computed once per ``(n, offsets)``, read-only: 0.66 MiB for the
+    9-point stencil at n = 128."""
     k, size = len(offsets), n * n
     idx = np.arange(size).reshape(n, n)
     cols = np.stack([_at(idx, du, dv).ravel() for du, dv in offsets], axis=1)
