@@ -18,8 +18,7 @@ from .hilbert import (FiberPoint, ReebVector, Trajectory, contact_orientation,
 from .katok_ziller import (SphereHarmonicField, SphereOperator, galerkin_matrices,
                            harmonic_action, legendre_block,
                            perturbation_eigenvalue, sphere_closed_form,
-                           torus_closed_form, torus_eigenvalue, torus_operator,
-                           torus_spectrum)
+                           torus_closed_form, torus_eigenvalue, torus_operator)
 from .laplace import (OperatorCoefficients, SymmetryReport, divergence_form_drift,
                       laplacian_apply, operator_coefficients,
                       weighted_symmetry_residual)
@@ -37,6 +36,7 @@ from .randers import (InverseDesign, dual_symbol, inverse_design, randers_data,
 from .spectral import (BaseQuadrature, SphereHarmonicBasis, SpectralProblem,
                        SpectrumResult, TorusGridBasis, assemble_eigenproblem,
                        energy, jacobi_eigh, omega_mean, omega_norm_sq, rayleigh,
-                       solve_eigen, sphere_base, sphere_spectrum, torus_base)
+                       solve_eigen, sphere_base, sphere_spectrum, torus_base,
+                       torus_spectrum)
 
 __version__ = "0.1.0"

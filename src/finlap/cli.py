@@ -38,8 +38,7 @@ from .laplace import REEB_FIBER_N, operator_coefficients
 from .measures import DEFAULT_FIBER_N, _fiber_densities, holmes_thompson_density
 from .metrics import FinslerMetric2D
 from .spectral import (TorusGridBasis, assemble_eigenproblem, solve_eigen,
-                       sphere_spectrum)
-from .katok_ziller import torus_spectrum
+                       sphere_spectrum, torus_spectrum)
 from .verify import run_suite
 
 

@@ -65,22 +65,6 @@ def torus_eigenvalue(eps: float, p: int, q: int) -> float:
     return 4.0 * math.pi**2 * (a * p**2 + b * q**2)
 
 
-def torus_spectrum(eps: float, pmax: int, qmax: int) -> "SpectrumResult":
-    """Sorted closed-form spectrum over |p| <= pmax, |q| <= qmax."""
-    from .spectral import SpectrumResult  # deferred: spectral assembles from here
-
-    _check_counts(0, pmax=pmax, qmax=qmax)
-    values = [
-        torus_eigenvalue(eps, p, q)
-        for p in range(-pmax, pmax + 1)
-        for q in range(-qmax, qmax + 1)
-    ]
-    return SpectrumResult.from_values(
-        np.sort(values),
-        meta={"solver": "closed-form", "eps": eps, "pmax": pmax, "qmax": qmax},
-    )
-
-
 @dataclass(frozen=True)
 class SphereOperator:
     """Coefficient functions of the sphere operator.

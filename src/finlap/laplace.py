@@ -53,7 +53,8 @@ import scipy.sparse as sp
 from .charts import ChartPoint, TORUS
 from .differences import DRIFT, GEODESIC, central, jet_step, second
 from .errors import ConfigError, NumericError
-from .fields import field_gradient, field_gradients, field_hessian, field_hessians, field_values
+from .fields import (SeparableTrigField, SumField, field_gradient, field_gradients, field_hessian,
+                     field_hessians, field_values)
 from .hilbert import _rk4_step, _shifted, chart_angles, density_profile, reeb_profile
 from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _fiber_densities, _moments, _over_points,
                        _trapezoid_nodes, _weights, fiber_quadrature, torus_base)
@@ -435,8 +436,6 @@ def weighted_symmetry_residual(metric: FinslerMetric2D, n: int,
     test field f, discretized by :func:`conservative_pencil` as production
     spectra are; that defect decays at second order under refinement.
     """
-    from .fields import SeparableTrigField, SumField
-
     if f is None:
         f = SumField([
             SeparableTrigField(1.0, "cos", 1, "one", 0),

@@ -11,7 +11,9 @@ operator has the closed form (in that frame)
 with det(sigma) = 4 / (b*(1+b)^2).  The quadrature oracle evaluates the
 fiber integrals directly.  Both take a :class:`~finlap.metrics.RandersMetric`
 and one base point.  The inverse design map reconstructs a Randers metric
-realizing a prescribed (symbol-dual metric, volume) pair.
+realizing a prescribed (symbol-dual metric, volume) pair in closed form:
+b from the root of a cubic (:func:`solve_b`), g and theta from one
+triangular factor of the goal (:func:`inverse_design`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .charts import ChartPoint, TORUS
 from .errors import ConstructionError, InvalidMetricError
-from .metrics import CovectorField, MatrixField, RandersMetric, _Field
+from .metrics import CovectorField, MatrixField, RandersMetric, _Field, _randers_norm_sq
 
 ORACLE_N = 4096
 #: samples per torus axis of the :func:`inverse_design` sweep (default K, Z check)
@@ -57,11 +59,12 @@ def randers_data(g: MatrixField, theta: CovectorField,
 
 
 def _frame(metric: RandersMetric, x: ChartPoint):
-    """``(N, t)``: the g-orthonormal frame N at x (:func:`orthonormal_frame`)
-    and the components t of theta in it, t = N^T theta."""
+    """``(N, t, b)`` from one gather of the fields at x: the g-orthonormal
+    frame N (:func:`orthonormal_frame`), the components t = N^T theta of
+    theta in it and b = sqrt(1 - |theta|_g^2), with the norm checked."""
     g, theta = metric._fields(x)
     N = orthonormal_frame(g)
-    return N, N.T @ theta
+    return N, N.T @ theta, np.sqrt(1.0 - _randers_norm_sq(g, theta, x))
 
 
 def _symbol_frame(b: float, varphi: float) -> np.ndarray:
@@ -81,8 +84,8 @@ def symbol_closed_form(metric: RandersMetric, x: ChartPoint) -> np.ndarray:
     varphi = arg(t1 + i*t2) of the frame components (t1, t2) of theta is
     the convention fixed by the quadrature oracle.
     """
-    N, t = _frame(metric, x)
-    s = _symbol_frame(metric.b(x), math.atan2(t[1], t[0]))
+    N, t, b = _frame(metric, x)
+    s = _symbol_frame(b, math.atan2(t[1], t[0]))
     return N @ s @ N.T
 
 
@@ -96,12 +99,10 @@ def symbol_oracle(metric: RandersMetric, x: ChartPoint) -> np.ndarray:
     in the orthonormal frame (t1, t2 the frame components of theta),
     pushed to chart coordinates the same way as the closed form.
     """
-    N, (t1, t2) = _frame(metric, x)
+    N, (t1, t2), _ = _frame(metric, x)
     ts = 2.0 * np.pi * np.arange(ORACLE_N) / ORACLE_N
     c, s = np.cos(ts), np.sin(ts)
     denom = 1.0 + t1 * c + t2 * s
-    if np.any(denom <= 0.0):
-        raise InvalidMetricError("|theta|_g >= 1: fiber integrand not positive")
     w = 2.0 * np.pi / ORACLE_N / np.pi
     s11 = w * np.sum(c * c / denom)
     s22 = w * np.sum(s * s / denom)
@@ -116,21 +117,20 @@ def dual_symbol(metric: RandersMetric, x: ChartPoint) -> np.ndarray:
 
 
 def solve_b(mu_prime: float) -> float:
-    """Root of b*(1+b)^2/4 = mu'^2 on (0, 1] to within 1e-12, by bisection;
-    the cubic is strictly increasing."""
+    """The root b in (0, 1] of b*(1+b)^2/4 = m^2, m = mu' in (0, 1], in
+    closed form: b = t - 2/3 turns it into t^3 - t/3 = 2A, A = 1/27 + 2m^2,
+    whose one real root is t = u + 1/(9u), u = cbrt(A + sqrt(A^2 - 1/729)),
+    so b = (3u - 1)^2 / (9u), with 3u - 1 = 3 (u^3 - 1/27) / (u^2 + u/3 + 1/9)
+    free of cancellation as m -> 0."""
     if not 0.0 < mu_prime <= 1.0 + 1e-12:
         raise ConstructionError(f"mu' = {mu_prime} outside (0, 1]")
     if mu_prime >= 1.0:
         return 1.0
-    target = mu_prime**2
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid * (1.0 + mid) ** 2 / 4.0 < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    m2 = mu_prime**2
+    rise = 2.0 * m2 + 2.0 * mu_prime * math.sqrt(1.0 / 27.0 + m2)   # u^3 - 1/27
+    u = math.cbrt(1.0 / 27.0 + rise)
+    lift = 3.0 * rise / (u * u + u / 3.0 + 1.0 / 9.0)                 # 3u - 1
+    return lift * lift / (9.0 * u)
 
 
 class _DesignMetric(RandersMetric):
@@ -174,10 +174,14 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
     ``DESIGN_SAMPLE_N`` x ``DESIGN_SAMPLE_N`` grid, so that mu' = mu/K
     lies in (0, 1].
 
-    The pointwise norm of the constructed 1-form is sqrt(1-b^2) with b
-    solving b(1+b)^2/4 = mu'^2, and its half-angle in the g-orthonormal
-    frame aligned with Z is pi/4 (theta is the g-dual of Z rotated by
-    pi/2).
+    The pointwise norm of the constructed 1-form is sqrt(1-b^2) with b =
+    :func:`solve_b` (mu'), and its components in the g-orthonormal frame
+    of the chart rotated by R to put Z on the first axis are
+    t = sqrt(1-b^2) (1, -1)/sqrt 2 (argument -pi/4).  There the symbol-dual
+    T^T S_b^-1 T of the triangular factor T of R^T g R factors as
+    S_b^-1 = U_b^T U_b, U_b = [[(1+b)/2, (1-b)/2], [0, sqrt b]], so
+    T = U_b^-1 triangular_factor(R^T g_goal R), and then g = R T^T T R^T
+    and theta = R T^T t.
     """
     g_goal_f = _Field(g_goal, (2, 2))
     omega_f = omega_goal if callable(omega_goal) else (lambda x, c=float(omega_goal): c)
@@ -187,64 +191,50 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
         om = float(omega_f(x))
         if om <= 0.0:
             raise ConstructionError("goal volume density must be positive")
-        return math.sqrt(float(np.linalg.det(np.asarray(g_goal_f(x), dtype=float)))) / om
+        g = np.asarray(g_goal_f(x), dtype=float)
+        return math.sqrt(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) / om
 
     us = np.arange(DESIGN_SAMPLE_N) / DESIGN_SAMPLE_N
     samples = [ChartPoint(TORUS, u, v) for u in us for v in us] if chart == TORUS else []
-    # mu once per sample: the whole sweep first when it gives K, else
-    # lazily, each sample as the Z check below reaches it
-    mus = map(mu, samples)
+    mus = np.array([mu(x) for x in samples])
     if K is None:
         # sampled supremum; mu' is clamped to 1 at evaluation, so a slight
         # between-sample overshoot only flattens theta to 0 there.  Pass K
         # explicitly when the supremum is known exactly.
         if chart != TORUS:
             raise ConstructionError("automatic K estimation implemented on the torus")
-        mus = list(mus)
-        K = max(mus)
+        K = mus.max()
     K = float(K)
     if not math.isfinite(K) or K <= 0.0:
         raise ConstructionError(f"volume ratio supremum K = {K} unusable")
 
     # Z must not vanish on the locus mu' = 1 (where the construction
     # degenerates to theta = 0 but smoothness needs a direction nearby).
-    for x, m in zip(samples, mus):
-        if m / K >= 1.0 - 1e-9 and np.linalg.norm(Z_f(x)) < 1e-13:
+    for k in np.flatnonzero(mus / K >= 1.0 - 1e-9):
+        x = samples[k]
+        if math.hypot(*Z_f(x)) < 1e-13:
             raise ConstructionError(
                 f"direction field Z vanishes on the mu'=1 locus near ({x.u}, {x.v})"
             )
 
-    def pointwise(x: ChartPoint):
+    def pointwise(x: ChartPoint) -> np.ndarray:
         g1 = np.asarray(g_goal_f(x), dtype=float)
-        mp = min(mu(x) / K, 1.0)
-        b = solve_b(mp)
-        zvec = np.asarray(Z_f(x), dtype=float)
-        nz = float(np.linalg.norm(zvec))
+        b = solve_b(min(mu(x) / K, 1.0))
         if b >= 1.0 - 1e-13:
-            return g1, np.zeros(2)
+            return np.column_stack((g1, np.zeros(2)))
+        zvec = np.asarray(Z_f(x), dtype=float)
+        nz = math.hypot(*zvec)
         if nz < 1e-13:
             raise ConstructionError(
                 f"direction field Z vanishes at ({x.u}, {x.v}) where theta != 0"
             )
-        # rotate the chart so that Z is along the first axis
-        beta = math.atan2(zvec[1], zvec[0])
-        R = np.array([[math.cos(beta), -math.sin(beta)],
-                      [math.sin(beta), math.cos(beta)]])
-        gz = R.T @ g1 @ R
-        u_, v_, w_ = gz[0, 0], gz[0, 1], gz[1, 1]
-        root = math.sqrt(u_ * w_ - v_ * v_) / mp
-        one_b2 = 1.0 - b * b
-        den = (1.0 + b) ** 2
-        g11 = 4.0 * u_ / den
-        g12 = (4.0 * v_ - one_b2 * root) / den
-        g22 = (4.0 * w_ - 2.0 * one_b2 * root * ((4.0 * v_ - one_b2 * root) / (4.0 * u_))) / den
-        gz_new = np.array([[g11, g12], [g12, g22]])
-        # theta with norm sqrt(1-b^2) and half-angle pi/4 in the frame of gz_new
-        t_frame = math.sqrt(one_b2) * np.array([math.cos(math.pi / 4.0),
-                                                -math.sin(math.pi / 4.0)])
-        T = triangular_factor(gz_new)
-        theta_z = T.T @ t_frame
-        return R @ gz_new @ R.T, R @ theta_z
+        c, s = zvec / nz
+        R = np.array([[c, -s], [s, c]])
+        rb = math.sqrt(b)
+        U_inv = np.array([[2.0 / (1.0 + b), (b - 1.0) / ((1.0 + b) * rb)],
+                          [0.0, 1.0 / rb]])
+        TR = U_inv @ triangular_factor(R.T @ g1 @ R) @ R.T      # T R^T
+        t = math.sqrt(0.5 * (1.0 - b * b)) * np.array([1.0, -1.0])
+        return np.column_stack((TR.T @ TR, TR.T @ t))
 
-    return InverseDesign(data=_DesignMetric(lambda x: np.column_stack(pointwise(x)), chart),
-                         K=K)
+    return InverseDesign(data=_DesignMetric(pointwise, chart), K=K)

@@ -38,11 +38,12 @@ import scipy.sparse.linalg as spla
 from .charts import SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradients, field_values
+from .katok_ziller import galerkin_matrices, torus_eigenvalue
 from .laplace import (_conservative_stencil, _on_grid, _pencil, _stencil_defect, _sym_defect,
                       symbol_densities)
 from .measures import (DEFAULT_FIBER_N, BaseQuadrature, _fiber_densities, sphere_base,
                        torus_base, volume_densities)
-from .metrics import FinslerMetric2D, KatokZillerMetric, _check_counts
+from .metrics import FinslerMetric2D, KatokZillerMetric, _check_counts, kz_sphere
 
 #: relative gap below which two eigenvalues are merged into one with multiplicity
 MERGE_TOL = 1e-9
@@ -211,8 +212,6 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
                                sym_defect=_stencil_defect(stencil), zero_mode_residual=zero_mode,
                                translation_invariant=uniform, fiber_defect=fiber_defect)
     if isinstance(basis, SphereHarmonicBasis):
-        from .katok_ziller import galerkin_matrices
-
         if not isinstance(metric, KatokZillerMetric) or metric.chart != SPHERE:
             raise ConfigError("sphere harmonic basis requires a Katok-Ziller sphere metric")
         if basis.lmax < max(4, abs(basis.m)):
@@ -337,12 +336,25 @@ def solve_eigen(problem: SpectralProblem, k: int) -> SpectrumResult:
     return SpectrumResult.from_values(vals, meta=meta)
 
 
+def torus_spectrum(eps: float, pmax: int, qmax: int) -> SpectrumResult:
+    """Sorted closed-form Katok-Ziller torus spectrum over |p| <= pmax,
+    |q| <= qmax (:func:`finlap.katok_ziller.torus_eigenvalue`)."""
+    _check_counts(0, pmax=pmax, qmax=qmax)
+    values = [
+        torus_eigenvalue(eps, p, q)
+        for p in range(-pmax, pmax + 1)
+        for q in range(-qmax, qmax + 1)
+    ]
+    return SpectrumResult.from_values(
+        np.sort(values),
+        meta={"solver": "closed-form", "eps": eps, "pmax": pmax, "qmax": qmax},
+    )
+
+
 def sphere_spectrum(eps: float, lmax: int, k: int) -> SpectrumResult:
     """The lowest k of the (lmax + 1)^2 values of the union of the sector
     spectra over |m| <= lmax (each |m| > 0 twice); ConfigError unless
     lmax >= 4 and 1 <= k <= (lmax + 1)^2, both integers."""
-    from .metrics import kz_sphere
-
     _check_counts(1, lmax=lmax, k=k)
     if lmax < 4 or not 1 <= k <= (lmax + 1) ** 2:
         raise ConfigError(f"need lmax >= 4 and 1 <= k <= (lmax + 1)^2, got lmax = {lmax}, k = {k}")

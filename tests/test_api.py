@@ -1,8 +1,11 @@
 """The public API takes no resolution keyword: quadrature orders, scan
-sizes and stopping tolerances are module constants, not arguments."""
+sizes and stopping tolerances are module constants, not arguments.  Every
+module imports at its top, never inside a function."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import finlap as fl
@@ -39,3 +42,22 @@ def test_no_public_callable_takes_a_resolution_keyword():
     assert seen > 100
     for solver in (fl.sphere_spectrum, fl.solve_eigen):
         assert "method" not in inspect.signature(solver).parameters
+
+
+def _imports_in_functions(source: str):
+    """Sorted (function, line) of each import statement inside a function."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {(fn.name, node.lineno) for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted(found)
+
+
+def test_no_import_inside_a_function():
+    assert _imports_in_functions("def f():\n    def g():\n        import os\n") == [
+        ("f", 3), ("g", 3)]
+    modules = sorted(pathlib.Path(fl.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = {path.name: _imports_in_functions(path.read_text()) for path in modules}
+    assert {name: where for name, where in found.items() if where} == {}

@@ -6,6 +6,7 @@ import pytest
 import finlap as fl
 from conftest import random_point
 from finlap import randers
+from finlap.measures import volume_densities
 
 
 X0 = fl.torus_point(0.3, 0.55)
@@ -121,6 +122,14 @@ class TestSolveB:
         with pytest.raises(fl.ConstructionError):
             fl.solve_b(1.5)
 
+    def test_closed_form_root_to_rounding(self):
+        # relative residual of the cubic down to mu' = 1e-8, where a 1e-12
+        # bracket on b would leave it off by a factor of about 1e3
+        mps = np.logspace(-8, 0, 801)
+        bs = np.array([fl.solve_b(mp) for mp in mps])
+        assert (np.abs(bs * (1 + bs) ** 2 / 4.0 - mps**2) / mps**2).max() <= 1e-14
+        assert np.all(np.diff(bs) > 0.0) and bs[-1] == 1.0
+
 
 class TestInverseDesign:
     def test_identity_fixed_point(self, rng):
@@ -206,6 +215,83 @@ class TestInverseDesign:
         assert len(calls) == 1 + 7
         grid_symbol_density(m, 8)
         assert len(calls) == 1 + 7 + 64
+
+    def test_one_solve_b_call_per_closed_form_symbol(self, monkeypatch):
+        # the closed-form symbol and its dual gather g and theta once
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 16)
+        m = fl.inverse_design(np.eye(2), 2.0, np.array([1.0, 0.0]), K=4.0).metric()
+        calls = []
+        original = randers.solve_b
+        monkeypatch.setattr(randers, "solve_b", lambda mp: calls.append(mp) or original(mp))
+        fl.symbol_closed_form(m, X0)
+        assert len(calls) == 1
+        fl.dual_symbol(m, X0)
+        assert len(calls) == 2
+
+    def test_varying_goal_roundtrip_to_rounding(self):
+        # goal diag(a^2, 1) with volume a (1 + 0.3 sin 2 pi v): g, theta and
+        # the volume ratio all vary, and the default K is the sampled supremum
+        def a(p):
+            return 1.2 + 0.3 * math.cos(2 * math.pi * p.u) + 0.1 * math.sin(4 * math.pi * p.u)
+
+        def omega(p):
+            return a(p) * (1.0 + 0.3 * math.sin(2 * math.pi * p.v))
+
+        def g_goal(p):
+            return np.diag([a(p) ** 2, 1.0])
+
+        des = fl.inverse_design(g_goal, omega,
+                                lambda p: np.array([math.cos(2 * math.pi * p.v),
+                                                    math.sin(2 * math.pi * p.u) + 1.5]))
+        points = fl.torus_base(64).points
+        worst_g = max(np.abs(fl.dual_symbol(des.data, x) - g_goal(x)).max() for x in points)
+        goal_vol = des.K * np.array([omega(x) for x in points])
+        worst_v = (np.abs(volume_densities(des.metric(), points) - goal_vol) / goal_vol).max()
+        assert worst_g <= 1e-14
+        assert worst_v <= 1e-14
+
+    def test_factorization_matches_hand_expanded_entries(self, monkeypatch):
+        # reference: the entries of g and theta expanded by hand in the
+        # frame rotated onto Z, fed the b of solve_b and mu' = sqrt(b)(1+b)/2
+        def reference(G, z, b):
+            mp = math.sqrt(b) * (1.0 + b) / 2.0
+            beta = math.atan2(z[1], z[0])
+            R = np.array([[math.cos(beta), -math.sin(beta)],
+                          [math.sin(beta), math.cos(beta)]])
+            gz = R.T @ G @ R
+            u_, v_, w_ = gz[0, 0], gz[0, 1], gz[1, 1]
+            root = math.sqrt(u_ * w_ - v_ * v_) / mp
+            one_b2 = 1.0 - b * b
+            den = (1.0 + b) ** 2
+            g12 = (4.0 * v_ - one_b2 * root) / den
+            g22 = (4.0 * w_ - 2.0 * one_b2 * root * ((4.0 * v_ - one_b2 * root) / (4.0 * u_))) / den
+            gz_new = np.array([[4.0 * u_ / den, g12], [g12, g22]])
+            t = math.sqrt(one_b2) * np.array([math.cos(math.pi / 4.0), -math.sin(math.pi / 4.0)])
+            return R @ gz_new @ R.T, R @ randers.triangular_factor(gz_new).T @ t
+
+        rng = np.random.default_rng(25)
+        P = 2000
+        A = rng.normal(size=(P, 2, 2))
+        Gs = A @ A.transpose(0, 2, 1) + 0.05 * np.eye(2)
+        Zs = rng.normal(size=(P, 2))
+        bs = rng.uniform(1e-3, 1.0 - 1e-6, P)
+        omegas = np.sqrt(np.linalg.det(Gs)) / (np.sqrt(bs) * (1.0 + bs) / 2.0)
+
+        def at(values):
+            return lambda p: values[int(round(p.u * P)) % P]
+
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 4)
+        m = fl.inverse_design(at(Gs), at(omegas), at(Zs), K=1.0).metric()
+        points = [fl.torus_point(k / P, 0.5) for k in range(P)]
+        gs, thetas = m.g(points), m.theta(points)
+        worst_g = worst_t = 0.0
+        for k, x in enumerate(points):
+            mu = math.sqrt(Gs[k, 0, 0] * Gs[k, 1, 1] - Gs[k, 0, 1] * Gs[k, 1, 0]) / omegas[k]
+            g_ref, t_ref = reference(Gs[k], Zs[k], fl.solve_b(mu))
+            worst_g = max(worst_g, np.abs(gs[k] - g_ref).max() / np.abs(g_ref).max())
+            worst_t = max(worst_t, np.abs(thetas[k] - t_ref).max() / np.abs(t_ref).max())
+        assert worst_g <= 1e-12
+        assert worst_t <= 1e-12
 
     def test_vanishing_direction_field_rejected(self, monkeypatch):
         # Z = 0 on the locus where the volume ratio attains its supremum
