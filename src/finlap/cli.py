@@ -2,6 +2,9 @@
 
 Subcommands: ``spectrum``, ``symbol``, ``volume``, ``geodesic``,
 ``verify``, each taking only the flags it reads (:data:`_COMMANDS`).
+``spectrum``, ``symbol`` and ``volume`` read (sigma, rho) off the fiber
+rule of :mod:`finlap.measures`; the Reeb route runs only in ``geodesic``
+and as an oracle in ``verify``.
 Each setting (:data:`_SETTINGS`) comes from its flag, else from a JSON
 config file, and is read with its default where it is used
 (:meth:`_Run.get`).  A setting given but not read by the run's route, a
@@ -34,9 +37,8 @@ from .catalog import DEFAULT_EPS, DEFAULT_KIND, METRIC_KINDS, build_metric, read
 from .charts import ChartPoint, SPHERE
 from .errors import ConfigError, FinlapError
 from .hilbert import FiberPoint, geodesic_integrate
-from .laplace import REEB_FIBER_N, operator_coefficients
+from .laplace import _divergence_form
 from .measures import DEFAULT_FIBER_N, _fiber_densities, holmes_thompson_density
-from .metrics import FinslerMetric2D
 from .spectral import (TorusGridBasis, assemble_eigenproblem, solve_eigen,
                        sphere_spectrum, torus_spectrum)
 from .verify import run_suite
@@ -222,39 +224,32 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _point(metric: FinslerMetric2D, at) -> ChartPoint:
-    if at is None:
-        return (ChartPoint(SPHERE, math.pi / 2.0, 0.0) if metric.chart == SPHERE
-                else ChartPoint(metric.chart, 0.0, 0.0))
+def _at_point(args):
+    """The run, metric, point (``--at``, else a default) and fiber count of
+    ``symbol`` and ``volume``, settings checked."""
+    run = _Run(args)
+    metric = read_metric(run.get)
+    at = args.at or (math.pi / 2.0 if metric.chart == SPHERE else 0.0, 0.0)
     _finite("--at", *at)
-    return ChartPoint(metric.chart, float(at[0]), float(at[1]))
+    x = ChartPoint(metric.chart, float(at[0]), float(at[1]))
+    fiber_n = run.get("fiber_n", DEFAULT_FIBER_N)
+    run.check()
+    return run, metric, x, fiber_n
 
 
 def cmd_symbol(args) -> int:
-    run = _Run(args)
-    metric = read_metric(run.get)
-    x = _point(metric, args.at)
-    fiber_n = run.get("fiber_n", REEB_FIBER_N)
-    run.check()
-    c = operator_coefficients(metric, x, fiber_n)
+    run, metric, x, fiber_n = _at_point(args)
+    c, fiber_defect = _divergence_form(metric, x, fiber_n)
     run.write({"coefficients": {
-        "at": [x.u, x.v],
-        "sigma": c.sigma.tolist(),
-        "drift": c.drift.tolist(),
-        "vol_density": c.vol_density,
-    }})
+        "at": [x.u, x.v], "sigma": c.sigma.tolist(), "drift": c.drift.tolist(),
+        "vol_density": c.vol_density, "fiber_n": fiber_n, "fiber_defect": fiber_defect}})
     return 0
 
 
 def cmd_volume(args) -> int:
-    run = _Run(args)
-    metric = read_metric(run.get)
-    x = _point(metric, args.at)
-    fiber_n = run.get("fiber_n", DEFAULT_FIBER_N)
-    run.check()
+    run, metric, x, fiber_n = _at_point(args)
     _, rho, fiber_defect = _fiber_densities(metric, [x], fiber_n)
-    vd = float(rho[0])
-    ht = holmes_thompson_density(metric, x)
+    vd, ht = float(rho[0]), holmes_thompson_density(metric, x)
     run.write({"coefficients": {
         "at": [x.u, x.v],
         "volume_density": vd,

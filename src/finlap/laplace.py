@@ -20,25 +20,25 @@ so the pair (sigma, rho) determines the operator.
 
 Production path: :func:`symbol_densities` computes (sigma, rho) at any
 base points, in blocks, from one F call per block, the fiber rule of
-:mod:`finlap.measures` (V is the indicatrix point of its direction), and
-:func:`conservative_pencil` assembles the torus pencil in divergence
-form; it is symmetric, negative semidefinite and annihilates constants
-by construction.  Every torus stencil matrix is built on a sparsity
-pattern computed once per grid size, and the symmetry defect of a
-stencil's matrix is read off the stencil's values.
+:mod:`finlap.measures` (V is the indicatrix point of its direction);
+:func:`divergence_form_drift` differences rho sigma over one such call at
+a point and its four neighbours, and :func:`conservative_pencil`
+assembles the torus pencil in divergence form; it is symmetric, negative
+semidefinite and annihilates constants by construction.  Every torus
+stencil matrix is built on a sparsity pattern computed once per grid
+size, and the symmetry defect of a stencil's matrix is read off its values.
 
 Oracles: :func:`coefficients_at` (symbol, drift and density from the
 Reeb field and the Hilbert-form jet, in blocks of base points;
 :func:`operator_coefficients` is its one-point case,
-:func:`grid_coefficients` the torus grid), the
-coefficient stencil :func:`assemble_torus_operator` and the geodesic
-route of :func:`laplacian_apply` are independent evaluations kept for
-tests, ``finlap symbol`` and ``finlap verify``;
-:func:`weighted_symmetry_residual` checks the stencil against the pencil.
-The oracles default to ``REEB_FIBER_N`` fiber nodes, the production path
-to the fewer of ``finlap.measures.DEFAULT_FIBER_N``.
-Both routes walk base points with :func:`finlap.measures._over_points`,
-the one place that chooses blocks or the position-independent shortcut.
+:func:`grid_coefficients` the torus grid), the coefficient stencil
+:func:`assemble_torus_operator` and the geodesic route of
+:func:`laplacian_apply` are independent evaluations kept for tests and
+``finlap verify``; :func:`weighted_symmetry_residual` checks the stencil
+against the pencil.  The oracles default to ``REEB_FIBER_N`` fiber nodes,
+the production path to ``finlap.measures.DEFAULT_FIBER_N``.  Both walk
+base points with :func:`finlap.measures._over_points`, the one place that
+chooses blocks or the position-independent shortcut.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .charts import ChartPoint, TORUS
+from .charts import ChartPoint, PHI_MIN, SPHERE, TORUS
 from .differences import DRIFT, GEODESIC, central, jet_step, second
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DomainError, NumericError
 from .fields import (SeparableTrigField, SumField, field_gradient, field_gradients, field_hessian,
                      field_hessians, field_values)
 from .hilbert import _rk4_step, _shifted, chart_angles, density_profile, reeb_profile
@@ -60,9 +60,9 @@ from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _fiber_densities, _moments, 
                        _trapezoid_nodes, _weights, fiber_quadrature, torus_base)
 from .metrics import FinslerMetric2D
 
-#: fiber nodes of the Reeb-route oracle: its drift differences the Reeb
-#: field over the fiber, which needs more nodes than ``(sigma, rho)`` do
-#: (at 64 criterion 05 reads 2.07e-6, above its 1e-6)
+#: fiber nodes of the Reeb-route oracle of tests, ``verify`` and criteria
+#: 05, 06 and 09: its drift differences the Reeb field over the fiber, which
+#: needs more nodes than ``(sigma, rho)`` do (criterion 05 reads 2.07e-6 at 64)
 REEB_FIBER_N = 256
 
 
@@ -191,22 +191,27 @@ def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
 
 def divergence_form_drift(metric: FinslerMetric2D, x: ChartPoint,
                           fiber_n: int = DEFAULT_FIBER_N) -> np.ndarray:
-    """Drift implied by symmetry: Z_j = (1/rho) d_i (rho sigma_ij).
+    """Drift implied by symmetry: Z_j = (1/rho) d_i (rho sigma_ij), the
+    first-order part that (sigma, rho) fix for any operator symmetric in
+    L^2(volume); the drift of :func:`_divergence_form`."""
+    return _divergence_form(metric, x, fiber_n)[0].drift
 
-    The pair (symbol, volume density) determines the first-order part of
-    any operator symmetric in L^2(volume); this is the independent check
-    of the quadrature drift.  The sign of the gradient term is the one
-    forced by symmetry.  K = rho sigma is differenced with the step
-    ``finlap.differences.DRIFT``, its five points in one
-    :func:`symbol_densities` call, independent of the Reeb route.
-    """
+
+def _divergence_form(metric: FinslerMetric2D, x: ChartPoint, fiber_n: int):
+    """``(OperatorCoefficients at x, worst half-rule defect)`` from one
+    :func:`finlap.measures._fiber_densities` call over x and its four
+    neighbours ``finlap.differences.DRIFT`` away, of which K = rho sigma is
+    differenced for the drift.  On the sphere chart x needs phi at least
+    ``PHI_MIN + DRIFT`` from a pole, else :class:`DomainError`."""
     h = DRIFT
+    if x.chart == SPHERE and not PHI_MIN <= x.u - h <= x.u + h <= math.pi - PHI_MIN:
+        raise DomainError(f"the drift at ({x.u}, {x.v}) needs phi in "
+                          f"[{PHI_MIN + h}, pi-{PHI_MIN + h}]")
     shifts = [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]
-    sigma, rho = symbol_densities(metric, [x] + [x.shifted(*s) for s in shifts], fiber_n)
+    sigma, rho, defect = _fiber_densities(metric, [x] + [x.shifted(*s) for s in shifts], fiber_n)
     K = dict(zip(shifts, rho[1:, None, None] * sigma[1:]))
-    d_du = central(lambda t: K[t, 0.0], h)
-    d_dv = central(lambda t: K[0.0, t], h)
-    return (d_du[0, :] + d_dv[1, :]) / rho[0]
+    drift = (central(lambda t: K[t, 0.0], h)[0] + central(lambda t: K[0.0, t], h)[1]) / rho[0]
+    return OperatorCoefficients(sigma=sigma[0], drift=drift, vol_density=float(rho[0])), defect
 
 
 def grid_coefficients(metric: FinslerMetric2D, n: int,

@@ -192,7 +192,11 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
         if om <= 0.0:
             raise ConstructionError("goal volume density must be positive")
         g = np.asarray(g_goal_f(x), dtype=float)
-        return math.sqrt(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) / om
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        if not (g[0, 0] > 0.0 and det > 0.0):     # NaN fails both
+            raise InvalidMetricError(f"goal metric tensor not positive definite at "
+                                     f"({x.u}, {x.v})")
+        return math.sqrt(det) / om
 
     us = np.arange(DESIGN_SAMPLE_N) / DESIGN_SAMPLE_N
     samples = [ChartPoint(TORUS, u, v) for u in us for v in us] if chart == TORUS else []

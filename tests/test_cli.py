@@ -10,10 +10,9 @@ import scipy.sparse.linalg as spla
 
 import finlap as fl
 from conftest import builtin_metrics
-from finlap import cli, spectral
+from finlap import cli, hilbert, spectral
 from finlap.cli import main
 from finlap.errors import NumericError
-from finlap.laplace import REEB_FIBER_N
 from finlap.measures import DEFAULT_FIBER_N
 
 
@@ -110,6 +109,27 @@ class TestOtherCommands:
         sig = doc["coefficients"]["sigma"]
         assert sig[0][0] == pytest.approx(0.568889, abs=1e-5)
         assert sig[1][1] == pytest.approx(0.711111, abs=1e-5)
+
+    def test_symbol_records_fiber_resolution(self, tmp_path):
+        out = tmp_path / "sym.json"
+        assert main(["symbol", "--metric", "kz-sphere", "--eps", "0.3", "--at", "1.1", "0.4",
+                     "--out", str(out)]) == 0
+        coeffs = read_json(out)["coefficients"]
+        assert coeffs["fiber_n"] == DEFAULT_FIBER_N
+        assert 0.0 < coeffs["fiber_defect"] < 1e-13
+        assert coeffs["drift"][0] == pytest.approx(
+            float(fl.SphereOperator(0.3).c_phi(1.1)), rel=1e-8)
+
+    def test_symbol_near_a_pole_names_the_point(self, tmp_path, capsys):
+        # the drift differences the symbol DRIFT away from the point, so
+        # the point needs that margin inside the chart
+        out = tmp_path / "sym.json"
+        assert main(["symbol", "--metric", "kz-sphere", "--at", "5e-5", "0",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("finlap: numeric error:")
+        assert "(5e-05, 0.0)" in err[0] and "0.000101" in err[0]
+        assert not out.exists()
 
     def test_volume(self, tmp_path):
         out = tmp_path / "vol.json"
@@ -586,7 +606,7 @@ def test_setting_not_read_is_config_error(tmp_path, capsys, case):
 
 #: the computation of every CLI route
 _COMPUTATIONS = ("run_suite", "assemble_eigenproblem", "sphere_spectrum", "torus_spectrum",
-                 "operator_coefficients", "_fiber_densities", "geodesic_integrate")
+                 "_divergence_form", "_fiber_densities", "geodesic_integrate")
 
 
 @pytest.mark.parametrize("case", list(_REFUSED))
@@ -615,7 +635,7 @@ _ECHOED = {
         "metric": {"kind": "kz-torus", "eps": 0.0}, "resolution": {"pmax": 2, "qmax": 1}}),
     "spectrum-sphere": (["spectrum", "--metric", "kz-sphere"], {
         "metric": {"kind": "kz-sphere", "eps": 0.0}, "resolution": {"lmax": 10, "k": 5}}),
-    "symbol": (["symbol"], {"metric": _METRIC, "resolution": {"fiber_n": REEB_FIBER_N}}),
+    "symbol": (["symbol"], {"metric": _METRIC, "resolution": {"fiber_n": DEFAULT_FIBER_N}}),
     "volume": (["volume"], {"metric": _METRIC, "resolution": {"fiber_n": DEFAULT_FIBER_N}}),
     "geodesic": (_GEODESIC, {"metric": _METRIC}),
     "verify": (_VERIFY, {"metric": {"kind": "kz-torus", "eps": None},
@@ -642,3 +662,26 @@ def test_config_echo_of_a_config_file_run(tmp_path):
         "metric": {"kind": "randers", "g": [[2.0, 0.0], [0.0, 1.0]], "theta": None,
                    "eps": 0.25, "conformal": 0.5},
         "resolution": {"fiber_n": 64}}
+
+
+#: a run of every CLI route that reads (sigma, rho) off the fiber rule
+_FIBER_RULE_RUNS = {
+    "spectrum-grid": ["spectrum", "--grid", "16", "--k", "3"],
+    "spectrum-sphere": ["spectrum", "--metric", "kz-sphere", "--eps", "0.3", "--lmax", "6"],
+    "spectrum-table": ["spectrum", "--qmax", "1"],
+    "symbol": ["symbol", "--metric", "kz-sphere", "--eps", "0.3", "--at", "1.1", "0.4"],
+    "volume": ["volume", "--metric", "kz-sphere", "--eps", "0.3", "--at", "1.1", "0.4"],
+}
+
+
+@pytest.mark.parametrize("case", list(_FIBER_RULE_RUNS))
+def test_production_reads_no_reeb_route(tmp_path, monkeypatch, case):
+    for name in ("reeb_profile", "density_profile"):
+        def refused(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called by a production route")
+
+        fn = getattr(hilbert, name)
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("finlap") and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, refused)
+    assert main([*_FIBER_RULE_RUNS[case], "--out", str(tmp_path / "o.json")]) == 0

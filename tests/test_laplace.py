@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import finlap as fl
 from conftest import builtin_metrics, count_calls, random_point
+from finlap.measures import DEFAULT_FIBER_N
 from finlap.randers import symbol_closed_form
 
 
@@ -229,6 +230,63 @@ class TestSymmetryAndDivergenceForm:
         rep = fl.weighted_symmetry_residual(fl.kz_torus(0.6), 32)
         assert (rep.symmetry_defect, rep.divergence_defect, rep.grid_n) == (
             0.0, 0.0032086359550493005, 32)
+
+
+def _laplace_beltrami_drift(x):
+    """(1/sqrt det g) d_i (sqrt det g g^ij) of the riemannian-var metric of
+    conftest, from its hand-written derivatives: with g = [[a, b], [b, c]],
+    D = det g and M = D g^-1, Z_j = (d_i M_ij) / D - (1/2) M_ij d_i D / D^2."""
+    w = 2.0 * math.pi
+    cu, su, cv, sv = math.cos(w * x.u), math.sin(w * x.u), math.cos(w * x.v), math.sin(w * x.v)
+    a, b, c = 1.0 + 0.3 * sv, 0.1 * cu, 1.2 + 0.2 * cu
+    a_v, b_u, c_u = 0.3 * w * cv, -0.1 * w * su, -0.2 * w * su
+    D = a * c - b * b
+    grad_D = np.array([a * c_u - 2.0 * b * b_u, a_v * c])
+    M = np.array([[c, -b], [-b, a]])
+    return np.array([c_u, a_v - b_u]) / D - 0.5 * (grad_D @ M) / D**2
+
+
+class TestDriftClosedForms:
+    """Both drift routes against closed forms: the Reeb-route oracle reads
+    2.7e-7 relative on riemannian-var and up to 2.9e-7 on kz-sphere(0.3),
+    the divergence form 1.25e-7 and 3.1e-9 (20 points, seed 3)."""
+
+    @pytest.mark.parametrize("route", ["divergence-form", "reeb"])
+    def test_riemannian_var_is_laplace_beltrami(self, route):
+        m = builtin_metrics()["riemannian-var"]
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x = fl.torus_point(rng.uniform(0, 1), rng.uniform(0, 1))
+            z = (fl.divergence_form_drift(m, x) if route == "divergence-form"
+                 else fl.operator_coefficients(m, x).drift)
+            exact = _laplace_beltrami_drift(x)
+            assert np.abs(z - exact).max() <= 1e-6 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("phi", [0.3, 1.1, 2.5])
+    def test_kz_sphere(self, phi):
+        from finlap.laplace import symbol_density
+
+        m, op, x = fl.kz_sphere(0.3), fl.SphereOperator(0.3), fl.sphere_point(phi, 0.4)
+        c_phi = float(op.c_phi(phi))
+        z = fl.divergence_form_drift(m, x)
+        assert np.abs(z - [c_phi, 0.0]).max() <= 1e-8 * abs(c_phi)
+        sigma, _ = symbol_density(m, x)
+        exact = np.diag([float(op.c_phi2(phi)), float(op.c_theta2(phi))])
+        assert np.abs(sigma - exact).max() <= 1e-13
+
+    @pytest.mark.parametrize("metric, rays", [(fl.kz_sphere(0.3), [5 * DEFAULT_FIBER_N]),
+                                              (fl.kz_torus(0.6), [DEFAULT_FIBER_N])],
+                             ids=["kz-sphere", "kz-torus"])
+    def test_one_f_call_and_no_fiber_derivative(self, monkeypatch, metric, rays):
+        # what finlap symbol computes: one fiber rule over the point and its
+        # four neighbours, or over the point alone for a position-independent
+        # metric
+        from finlap.laplace import _divergence_form
+
+        calls = count_calls(monkeypatch, metric)
+        x = fl.ChartPoint(metric.chart, 1.1, 0.4)
+        _divergence_form(metric, x, DEFAULT_FIBER_N)
+        assert (calls["f"], calls["d_vf"]) == (rays, [])
 
 
 def _reference_matrix(stencil):

@@ -76,14 +76,17 @@ def test_finlap_names_used_by_the_benchmark_exist(source):
 def test_benchmark_structure_check(monkeypatch):
     """The benchmark's structure gate (one operator_coefficients call makes
     7 reeb_profile, 1 density_profile and 52 vertical_derivative calls)
-    runs here too, so a change to the Reeb route's call pattern fails the
-    test suite and not only ``perfbench/run.py --self-check``.  The
-    benchmark's files are imported as they are, and no bytecode is written
-    next to them."""
+    runs here too, at the Reeb-route oracle's own ``REEB_FIBER_N`` rays, so
+    a change to the Reeb route's call pattern fails the test suite and not
+    only ``perfbench/run.py --self-check``.  The benchmark's files are
+    imported as they are, and no bytecode is written next to them."""
     import sys
+
+    from finlap.laplace import REEB_FIBER_N
 
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
-    ok, detail = tracer.structure_check()
+    ok, detail = tracer.structure_check(REEB_FIBER_N)
     assert ok, detail
+    assert detail.endswith(f"[{REEB_FIBER_N}]")

@@ -139,6 +139,23 @@ class TestInverseDesign:
             assert np.abs(des.data.theta(x)).max() < 1e-9
             assert np.abs(des.data.g(x) - np.eye(2)).max() < 1e-9
 
+    @pytest.mark.parametrize("goal", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]],
+                                      [[1.0, math.nan], [math.nan, 1.0]]],
+                             ids=["det<0", "g11<0<det", "nan"])
+    def test_goal_not_positive_definite_is_typed(self, monkeypatch, goal):
+        # the sweep of mu refuses the goal at its first sample, naming it
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 8)
+        with pytest.raises(fl.InvalidMetricError, match=r"at \(0\.0, 0\.0\)"):
+            fl.inverse_design(np.array(goal), 1.0, np.array([1.0, 0.0]))
+
+    def test_sphere_goal_not_positive_definite_is_typed_on_evaluation(self):
+        # with K given, a sphere-chart design samples nothing: the goal is
+        # refused where the metric is evaluated
+        des = fl.inverse_design(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0,
+                                np.array([1.0, 0.0]), chart=fl.SPHERE, K=1.0)
+        with pytest.raises(fl.InvalidMetricError, match=r"at \(1\.0, 0\.5\)"):
+            des.metric().f(fl.sphere_point(1.0, 0.5), np.array([1.0, 0.0]))
+
     def test_metric_is_the_data(self, monkeypatch):
         monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 8)
         des = fl.inverse_design(np.eye(2), 2.0, np.array([1.0, 0.0]))
