@@ -60,4 +60,6 @@ def _array(value, name: str, shape) -> np.ndarray:
         raise ConfigError(f"{name} must hold numbers, got {value!r}") from exc
     if arr.shape != shape:
         raise ConfigError(f"{name} must have shape {shape}, got {value!r}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return arr

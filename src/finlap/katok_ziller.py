@@ -101,11 +101,9 @@ class SphereOperator:
                        P: np.ndarray, dP_dphi: np.ndarray) -> np.ndarray:
         """Pointwise action on Y = P(cos phi) e^{i m theta}, phi part only.
 
-        ``l`` is one degree, with P and dP_dphi of shape (len(c),), or a
-        column of degrees, shape (n, 1), with one row of P and dP_dphi
-        each: the coefficient profiles are computed once and the whole
-        sector is acted on in one broadcast.  P'' is eliminated through
-        the Legendre equation
+        The strong form, drift c_phi included, kept as the oracle of the
+        energy-form Galerkin matrices (:func:`galerkin_matrices`).  P'' is
+        eliminated through the Legendre equation
         P'' = -cot(phi) P' - (l(l+1) - m^2/sin^2) P, so no numerical
         differentiation enters.
         """
@@ -211,13 +209,15 @@ def galerkin_matrices(eps: float, m: int, lmax: int) -> Tuple[np.ndarray, np.nda
 
     Basis: normalized spherical-harmonic profiles l = |m| .. lmax.  The
     inner product is weighted by the canonical volume density
-    (1 - E)^{-3/2} sin(phi); Gauss-Legendre quadrature in cos(phi), all
-    nodes interior.  The profiles are the sector's rows of the Legendre
-    table shared by every sector and every eps (:func:`_legendre_table`),
-    and the operator acts on all of them in one
-    :meth:`SphereOperator.apply_harmonic` call.  Returns ``(A, M)`` with
-    A_kl = <Y_k, Lap Y_l>, M_kl = <Y_k, Y_l>.  Non-integer counts are a
-    ConfigError.
+    rho = (1 - E)^{-3/2} sin(phi); Gauss-Legendre quadrature in cos(phi),
+    all nodes interior.  The profiles are the sector's rows of the
+    Legendre table shared by every sector and every eps
+    (:func:`_legendre_table`).  Returns ``(S, M)``: S_kl = -Int rho
+    (c_phi2 dY_k dY_l + m^2 c_theta2 Y_k Y_l), the negative energy form,
+    and M_kl = <Y_k, Y_l>, both Gram matrices of the quadrature rows, so
+    they are symmetric to the bit, -S is positive semidefinite and at
+    m = 0 the row and column of Y_0 are exactly zero.  Non-integer counts
+    are a ConfigError.
     """
     _check_counts(0, lmax=lmax)
     _check_counts(-lmax, m=m)
@@ -228,14 +228,13 @@ def galerkin_matrices(eps: float, m: int, lmax: int) -> Tuple[np.ndarray, np.nda
     c, w = _gauss_legendre(nq)
     start = m * (lmax + 1) - m * (m - 1) // 2
     P = _legendre_table(lmax, nq)[start:start + lmax - m + 1]
-    dP = _legendre_dphi(m, P, c)
-    G = SphereOperator(eps).apply_harmonic(np.arange(m, lmax + 1)[:, None], m, c, P, dP)
-    rho = (1.0 - eps**2 * (1.0 - c * c)) ** (-1.5)
-    wr = w * rho
-    A = (P * wr) @ G.T
-    M = (P * wr) @ P.T
-    M = 0.5 * (M + M.T)
-    return A, M
+    s2 = 1.0 - c * c
+    c_theta2, c_phi2 = SphereOperator(eps)._profiles(c, s2)[:2]
+    wr = w * (1.0 - eps**2 * s2) ** (-1.5)
+    B_phi = _legendre_dphi(m, P, c) * np.sqrt(wr * c_phi2)
+    B_theta = m * P * np.sqrt(wr * c_theta2)
+    B = P * np.sqrt(wr)
+    return -(B_phi @ B_phi.T + B_theta @ B_theta.T), B @ B.T
 
 
 def harmonic_action(eps: float, l: int, m: int, lmax: int) -> np.ndarray:
@@ -250,8 +249,8 @@ def harmonic_action(eps: float, l: int, m: int, lmax: int) -> np.ndarray:
     m = abs(m)
     if not m <= l <= lmax:
         raise ConfigError(f"need |m| <= l <= lmax, got l={l}, m={m}, lmax={lmax}")
-    A, M = galerkin_matrices(eps, m, lmax)
-    return np.linalg.solve(M, A[:, l - m])
+    S, M = galerkin_matrices(eps, m, lmax)
+    return np.linalg.solve(M, S[:, l - m])
 
 
 def perturbation_eigenvalue(l: int, m: int, eps: float) -> float:

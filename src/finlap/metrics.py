@@ -97,9 +97,19 @@ def _failing(x, bad: np.ndarray):
     return k, f"({p.u}, {p.v})"
 
 
+def _check_finite(ok: np.ndarray, x, what: str):
+    """Raise InvalidMetricError naming ``what`` at the first point of x
+    whose flag in ``ok``, shaped as :func:`_failing` takes it, is False."""
+    bad = _failing(x, ~ok)
+    if bad is not None:
+        raise InvalidMetricError(f"{what} not finite at {bad[1]}")
+
+
 def _check_spd(g: np.ndarray, x):
     """Raise InvalidMetricError at the first point of x where the tensor g,
-    (2, 2) or (P, 2, 2), is not symmetric or not positive definite."""
+    (2, 2) or (P, 2, 2), is not finite, not symmetric or not positive
+    definite."""
+    _check_finite(np.isfinite(g).all(axis=(-2, -1)), x, "metric tensor")
     g01 = g[..., 0, 1]
     asym = np.abs(g01 - g[..., 1, 0]) > 1e-12 * (1.0 + np.abs(g01))
     bad = _failing(x, asym | (g[..., 0, 0] <= 0.0) | (np.linalg.det(g) <= 0.0))
@@ -226,6 +236,8 @@ class _TensorFieldMetric(FinslerMetric2D):
 
     #: the gathered fields of a constant pair, set on its first evaluation
     _gathered = None
+    #: what the 1-form field is called in error messages
+    _form_name = "1-form"
 
     def __init__(self, g: MatrixField, form: CovectorField, chart: str):
         self.chart = chart
@@ -240,9 +252,10 @@ class _TensorFieldMetric(FinslerMetric2D):
         return self.g_field.at(x), self.form_field.at(x)
 
     def _fields(self, x):
-        """:meth:`_pair` with g checked."""
+        """:meth:`_pair` with g checked and the 1-form checked finite."""
         g, form = self._pair(x)
         _check_spd(g, x)
+        _check_finite(np.isfinite(form).all(axis=-1), x, self._form_name)
         return g, form
 
     def g(self, x) -> np.ndarray:
@@ -293,6 +306,7 @@ class RandersMetric(_TensorFieldMetric):
     reported."""
 
     kind = "randers"
+    _form_name = "Randers 1-form"
 
     def __init__(self, g: MatrixField, theta: CovectorField, chart: str = TORUS):
         super().__init__(g, theta, chart)
@@ -341,6 +355,7 @@ class KatokZillerMetric(_TensorFieldMetric):
     """
 
     kind = "katok-ziller"
+    _form_name = "Killing field"
 
     def __init__(self, g: MatrixField, killing: CovectorField, eps: float,
                  chart: str = TORUS):
@@ -448,8 +463,11 @@ class ConformalMetric(FinslerMetric2D):
 
     def _scale(self, x) -> np.ndarray:
         """exp(f): () at one point, (P, 1) over a block, to broadcast
-        against F values."""
-        s = np.exp(field_values(self.factor, x))
+        against F values; InvalidMetricError at the first point where it
+        is not finite (f NaN, infinite or overflowing)."""
+        with np.errstate(over="ignore"):
+            s = np.exp(field_values(self.factor, x))
+        _check_finite(np.isfinite(s), x, "conformal factor exp(f)")
         return s if s.ndim == 0 else s[:, None]
 
     def _f(self, x, vs):

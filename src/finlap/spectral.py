@@ -12,9 +12,10 @@ pencil (S, M): S the volume-weighted discrete operator form, M the
 volume mass matrix.  Torus grids assemble S in divergence form from the
 symbol and volume density alone (:func:`finlap.laplace.conservative_pencil`),
 so it is symmetric with the constants in its kernel by construction;
-sphere sectors use the Galerkin matrices.  :func:`solve_eigen` picks the
-solver.  When ``(sigma, rho)`` is the same at every grid node,
-every row of S is the same 9-point stencil, shifted: the pencil is
+sphere sectors assemble the same energy form as Gram matrices
+(:func:`finlap.katok_ziller.galerkin_matrices`), which are too.
+:func:`solve_eigen` picks the solver.  When ``(sigma, rho)`` is the same
+at every grid node, every row of S is the same 9-point stencil, shifted: the pencil is
 block-circulant, and the 2-D DFT of that stencil gives its eigenvalues
 exactly.  Other pencils of dimension up to 200, or with a dense mass, go
 through one LAPACK generalized symmetric solve (``scipy.linalg.eigh``),
@@ -191,9 +192,9 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
     off the stencil's values without transposing S, and its zero-mode
     residual are recorded, whether
     ``(sigma, rho)`` is exactly equal at every node, and the worst
-    half-rule defect of their fiber rule.  Sphere sectors
-    use the Galerkin matrices, whose quadrature roundoff asymmetry is
-    recorded and averaged away.
+    half-rule defect of their fiber rule.  Sphere sectors use the
+    Galerkin matrices of the same energy form, Gram matrices that are
+    symmetric as assembled; their defect is recorded too.
     """
     if isinstance(basis, TorusGridBasis):
         if metric.chart != TORUS:
@@ -216,12 +217,10 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
             raise ConfigError("sphere harmonic basis requires a Katok-Ziller sphere metric")
         if basis.lmax < max(4, abs(basis.m)):
             raise ConfigError(f"lmax = {basis.lmax} too small")
-        A, M = galerkin_matrices(metric.eps, basis.m, basis.lmax)
-        defect = _sym_defect(A)
-        S = 0.5 * (A + A.T)
+        S, M = galerkin_matrices(metric.eps, basis.m, basis.lmax)
         return SpectralProblem(basis=basis, stiffness=S, mass=M,
                                metric_tag=f"katok-ziller sphere eps={metric.eps}",
-                               sym_defect=defect)
+                               sym_defect=_sym_defect(S))
     raise ConfigError(f"unknown basis spec {basis!r}")
 
 

@@ -518,6 +518,26 @@ class TestConfigFile:
         rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("g", [[math.nan, 0.0], [0.0, 1.0]]),
+        ("g", [[1.0, 0.0], [0.0, math.inf]]),
+        ("theta", [-math.inf, 0.0]),
+    ], ids=["g-nan", "g-inf", "theta-inf"])
+    def test_non_finite_config_tensor_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"metric": {"kind": "randers", key: value}}))
+        rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert f"metric.{key} must be finite" in capsys.readouterr().err
+
+    def test_overflowing_conformal_factor_names_the_point(self, tmp_path, capsys):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"metric": {"kind": "kz-torus", "conformal": 800}}))
+        rc = main(["volume", "--config", str(cfg), "--at", "0.2", "0.3",
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == 3
+        assert "conformal factor exp(f) not finite at (0.2, 0.3)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, section, key, value", [
         ("symbol", "metric", "eps", "abc"),
         ("spectrum", "resolution", "grid_n", 16.7),
@@ -685,3 +705,12 @@ def test_production_reads_no_reeb_route(tmp_path, monkeypatch, case):
             if key.startswith("finlap") and vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, refused)
     assert main([*_FIBER_RULE_RUNS[case], "--out", str(tmp_path / "o.json")]) == 0
+
+
+def test_sphere_spectrum_reads_no_strong_form(tmp_path, monkeypatch):
+    # sphere sectors assemble the energy form; the drift form is an oracle
+    def refused(*args, **kwargs):
+        raise AssertionError("SphereOperator.apply_harmonic called by a production route")
+
+    monkeypatch.setattr(fl.SphereOperator, "apply_harmonic", refused)
+    assert main([*_FIBER_RULE_RUNS["spectrum-sphere"], "--out", str(tmp_path / "o.json")]) == 0

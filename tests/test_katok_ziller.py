@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.special import lpmv
 
 import finlap as fl
@@ -156,7 +157,7 @@ class TestLegendreTable:
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6])
     @pytest.mark.parametrize("m", [0, 1, 40])
     def test_sector_matches_per_degree_reference(self, eps, m):
-        # the operator applied one degree at a time, as a scalar l
+        # the strong form <Y_k, Lap Y_l>, drift included, one degree at a time
         lmax = 40
         nq = kz._quad_order(lmax)
         c, w = kz._gauss_legendre(nq)
@@ -165,10 +166,27 @@ class TestLegendreTable:
         G = np.array([op.apply_harmonic(m + i, m, c, P[i], dP[i]) for i in range(len(P))])
         wr = w * (1.0 - eps**2 * (1.0 - c * c)) ** (-1.5)
         A_ref = (P * wr) @ G.T
+        A_ref = 0.5 * (A_ref + A_ref.T)
         M_ref = (P * wr) @ P.T
-        A, M = fl.galerkin_matrices(eps, m, lmax)
-        assert np.abs(A - A_ref).max() <= 1e-15 * np.abs(A_ref).max()
-        assert np.abs(M - 0.5 * (M_ref + M_ref.T)).max() <= 1e-15 * np.abs(M_ref).max()
+        M_ref = 0.5 * (M_ref + M_ref.T)
+        S, M = fl.galerkin_matrices(eps, m, lmax)
+        assert np.abs(S - A_ref).max() <= 1e-12 * np.abs(A_ref).max()
+        assert np.abs(M - M_ref).max() <= 1e-15 * np.abs(M_ref).max()
+        lam = sla.eigh(-S, M, eigvals_only=True)
+        lam_ref = sla.eigh(-A_ref, M_ref, eigvals_only=True)
+        assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
+
+    @pytest.mark.parametrize("lmax", [10, 20, 40])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 0.9])
+    def test_sector_pencil_is_symmetric_and_nonnegative_as_assembled(self, lmax, eps):
+        for m in (0, 1, lmax // 2, lmax):
+            S, M = fl.galerkin_matrices(eps, m, lmax)
+            assert np.array_equal(S, S.T) and np.array_equal(M, M.T)
+            if m == 0:
+                assert not S[0].any() and not S[:, 0].any()
+            assert np.linalg.eigvalsh(-S).min() >= -1e-14 * np.abs(S).max()
+            prob = fl.assemble_eigenproblem(fl.kz_sphere(eps), fl.SphereHarmonicBasis(lmax, m))
+            assert prob.sym_defect == 0.0
 
 
 _SPHERE_BAD_COUNTS = {

@@ -237,6 +237,22 @@ class TestFieldChecks:
         "kz-deformation": (lambda f: fl.KatokZillerMetric(np.eye(2), f, 0.5),
                            lambda p: np.array([1.0, 0.2 * math.cos(2 * math.pi * p.u)]),
                            [3.0, 0.0], "eps^2 * g(V,V) >= 1 at"),
+        "nan-g": (lambda f: fl.riemannian(f, chart=fl.TORUS),
+                  lambda p: np.eye(2), [[math.nan, 0.0], [0.0, 1.0]],
+                  "metric tensor not finite at"),
+        "inf-g": (lambda f: fl.RandersMetric(f, [0.3, 0.0]),
+                  lambda p: np.eye(2), [[math.inf, 0.0], [0.0, 1.0]],
+                  "metric tensor not finite at"),
+        "nan-randers-form": (lambda f: fl.RandersMetric(np.eye(2), f),
+                             lambda p: np.array([0.3, 0.0]), [math.nan, 0.0],
+                             "Randers 1-form not finite at"),
+        "nan-killing": (lambda f: fl.KatokZillerMetric(np.eye(2), f, 0.5),
+                        lambda p: np.array([1.0, 0.0]), [1.0, math.nan],
+                        "Killing field not finite at"),
+        "overflowing-conformal": (
+            lambda f: fl.scale_conformal(
+                fl.kz_torus(0.3), fl.CallableField(f) if callable(f) else fl.ConstantField(f)),
+            lambda p: 0.1 * p.u, 800.0, "conformal factor exp(f) not finite at"),
     }
 
     @staticmethod
