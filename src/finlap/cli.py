@@ -46,8 +46,8 @@ from .verify import run_suite
 
 def _number(conv, value, name: str):
     """``conv(value)`` (float or int), None kept.  A value ``conv`` rejects,
-    a boolean, or for an int a number it would truncate is a config
-    error."""
+    a boolean, for an int a number it would truncate and for a float a
+    value that is not finite is a config error."""
     if value is None:
         return None
     kind = "an integer" if conv is int else "a number"
@@ -57,6 +57,8 @@ def _number(conv, value, name: str):
         raise ConfigError(f"{name} must be {kind}, got {value!r}") from exc
     if isinstance(value, bool) or (conv is int and isinstance(value, float) and number != value):
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if conv is float and not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return number
 
 

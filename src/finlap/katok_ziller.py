@@ -204,6 +204,15 @@ def _legendre_table(lmax: int, nq: int) -> np.ndarray:
     return table
 
 
+def _sector_floor(eps: float, lmax: int) -> float:
+    """min of c_theta2 over the Gauss nodes of the sector matrices up to
+    degree lmax, the node values :func:`galerkin_matrices` weights with:
+    -S_m >= m^2 * (this) * M_m, so every Ritz value of sector m is at
+    least m^2 times it."""
+    c = _gauss_legendre(_quad_order(lmax))[0]
+    return float(SphereOperator(eps)._profiles(c, 1.0 - c * c)[0].min())
+
+
 def galerkin_matrices(eps: float, m: int, lmax: int) -> Tuple[np.ndarray, np.ndarray]:
     """Stiffness and mass for the harmonic sector e^{i m theta}.
 

@@ -464,10 +464,13 @@ class ConformalMetric(FinslerMetric2D):
     def _scale(self, x) -> np.ndarray:
         """exp(f): () at one point, (P, 1) over a block, to broadcast
         against F values; InvalidMetricError at the first point where it
-        is not finite (f NaN, infinite or overflowing)."""
-        with np.errstate(over="ignore"):
+        is not finite (f NaN, infinite or overflowing) or underflows to 0."""
+        with np.errstate(over="ignore", under="ignore"):
             s = np.exp(field_values(self.factor, x))
         _check_finite(np.isfinite(s), x, "conformal factor exp(f)")
+        bad = _failing(x, s == 0.0)
+        if bad is not None:
+            raise InvalidMetricError(f"conformal factor exp(f) underflows to 0 at {bad[1]}")
         return s if s.ndim == 0 else s[:, None]
 
     def _f(self, x, vs):

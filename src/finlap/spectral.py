@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 from .charts import SPHERE, TORUS
 from .errors import ConfigError, DomainError, NumericError
 from .fields import field_gradients, field_values
-from .katok_ziller import galerkin_matrices, torus_eigenvalue
+from .katok_ziller import _sector_floor, galerkin_matrices, torus_eigenvalue
 from .laplace import (_conservative_stencil, _on_grid, _pencil, _stencil_defect, _sym_defect,
                       symbol_densities)
 from .measures import (DEFAULT_FIBER_N, BaseQuadrature, _fiber_densities, sphere_base,
@@ -353,20 +353,36 @@ def torus_spectrum(eps: float, pmax: int, qmax: int) -> SpectrumResult:
 def sphere_spectrum(eps: float, lmax: int, k: int) -> SpectrumResult:
     """The lowest k of the (lmax + 1)^2 values of the union of the sector
     spectra over |m| <= lmax (each |m| > 0 twice); ConfigError unless
-    lmax >= 4 and 1 <= k <= (lmax + 1)^2, both integers."""
+    lmax >= 4 and 1 <= k <= (lmax + 1)^2, both integers.
+
+    Sectors are solved in order m = 0, 1, ... and the walk stops before
+    sector m once m^2 c_min > lambda_k (1 + MERGE_TOL), lambda_k the k-th
+    smallest value found so far and c_min the least c_theta2 at the
+    sector quadrature's nodes (:func:`finlap.katok_ziller._sector_floor`).
+    This is safe: -S_m = B_phi B_phi^T + m^2 P diag(w rho c_theta2) P^T
+    >= m^2 c_min P diag(w rho) P^T = m^2 c_min M_m, so every value of
+    sector m, and of every later one, is at least m^2 c_min, above the
+    k values already found; the margin makes a tie at rounding level be
+    solved, never skipped.  The result is the exhaustive union's to the
+    bit.  Each sector solved is assembled and checked as by
+    :func:`assemble_eigenproblem` and :func:`solve_eigen`; ``meta``
+    records their number in ``sectors``.
+    """
     _check_counts(1, lmax=lmax, k=k)
     if lmax < 4 or not 1 <= k <= (lmax + 1) ** 2:
         raise ConfigError(f"need lmax >= 4 and 1 <= k <= (lmax + 1)^2, got lmax = {lmax}, k = {k}")
     metric = kz_sphere(eps)
+    floor = _sector_floor(eps, lmax)
     values: List[float] = []
-    for m in range(0, lmax + 1):
+    sectors = 0
+    for m in range(lmax + 1):
+        if len(values) >= k:
+            lambda_k = np.partition(values, k - 1)[k - 1]
+            if m * m * floor > lambda_k * (1.0 + MERGE_TOL):
+                break
         prob = assemble_eigenproblem(metric, SphereHarmonicBasis(lmax=lmax, m=m))
-        res = solve_eigen(prob, k=prob.dim)
-        vals = res.expand()
-        values.extend(vals.tolist())
-        if m > 0:
-            values.extend(vals.tolist())
-    values = np.sort(values)[:k]
-    return SpectrumResult.from_values(values, meta={
-        "solver": "galerkin-union", "lmax": lmax, "eps": eps,
+        values.extend(solve_eigen(prob, k=prob.dim).expand().tolist() * (1 if m == 0 else 2))
+        sectors += 1
+    return SpectrumResult.from_values(np.sort(values)[:k], meta={
+        "solver": "galerkin-union", "lmax": lmax, "eps": eps, "sectors": sectors,
     })

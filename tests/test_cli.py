@@ -66,6 +66,16 @@ class TestSpectrumCommand:
         nonzero = [v for v in values if v > 1e-6]
         assert nonzero[0] == pytest.approx(1.82, abs=1e-8)
 
+    @pytest.mark.parametrize("lmax, k, sectors", [(40, 6, 3), (6, 49, 7)])
+    def test_kz_sphere_records_sectors_solved(self, tmp_path, lmax, k, sectors):
+        # the walk over orders stops once no later sector can reach the
+        # k-th value; every order is solved when all (lmax + 1)^2 are asked
+        out = tmp_path / "sphere.json"
+        assert main(["spectrum", "--metric", "kz-sphere", "--eps", "0.3", "--lmax", str(lmax),
+                     "--k", str(k), "--out", str(out)]) == 0
+        assert read_json(out)["solver_meta"] == {
+            "solver": "galerkin-union", "lmax": lmax, "eps": 0.3, "sectors": sectors}
+
     @pytest.mark.parametrize("flags", [["--lmax", "-1"], ["--lmax", "3"], ["--k", "0"],
                                        ["--lmax", "4", "--k", "26"]])
     def test_kz_sphere_bad_resolution_is_config_error(self, tmp_path, capsys, flags):
@@ -529,6 +539,31 @@ class TestConfigFile:
         rc = main(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert rc == 2
         assert f"metric.{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, metric", [
+        (["spectrum", "--eps", "nan"], None),
+        (["volume", "--eps", "inf"], None),
+        (["verify", "--suite", "legendre", "--eps", "-inf"], None),
+        (["spectrum"], {"kind": "kz-torus", "eps": math.inf}),
+        (["volume"], {"kind": "kz-torus", "conformal": math.nan}),
+        (["verify", "--suite", "legendre"], {"kind": "kz-torus", "eps": math.nan}),
+    ], ids=["spectrum-flag-nan", "volume-flag-inf", "verify-flag-neg-inf",
+            "spectrum-config-inf", "volume-config-conformal-nan", "verify-config-nan"])
+    def test_non_finite_float_setting_is_config_error(self, tmp_path, capsys, argv, metric):
+        if metric is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({"metric": metric}))     # NaN / Infinity literals
+            argv = [*argv, "--config", str(cfg)]
+        out = tmp_path / "o.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("finlap: config error: ") and "must be finite, got" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["spectrum"], ["volume"], ["verify", "--suite", "legendre"]])
+    def test_finite_out_of_range_eps_stays_numeric_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--eps", "-0.5", "--out", str(tmp_path / "o.json")]) == 3
+        assert "eps must be in [0, 1), got -0.5" in capsys.readouterr().err
 
     def test_overflowing_conformal_factor_names_the_point(self, tmp_path, capsys):
         cfg = tmp_path / "big.json"

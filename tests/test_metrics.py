@@ -216,6 +216,15 @@ class TestConformal:
         fl.vertical_derivative(scaled, xs, rays)
         assert calls == {"_norm": 1, "_grad": 1}
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_factor_names_the_point(self):
+        # exp(-800) is 0.0: a typed error naming the factor, not a
+        # degenerate contact density downstream
+        scaled = fl.scale_conformal(fl.kz_torus(0.3), fl.ConstantField(-800.0))
+        with pytest.raises(fl.InvalidMetricError,
+                           match=r"^conformal factor exp\(f\) underflows to 0 at \(0.2, 0.3\)$"):
+            fl.volume_density(scaled, fl.torus_point(0.2, 0.3))
+
 
 class TestFieldChecks:
     """Each field check runs over a whole block and names the first failing
@@ -253,6 +262,10 @@ class TestFieldChecks:
             lambda f: fl.scale_conformal(
                 fl.kz_torus(0.3), fl.CallableField(f) if callable(f) else fl.ConstantField(f)),
             lambda p: 0.1 * p.u, 800.0, "conformal factor exp(f) not finite at"),
+        "underflowing-conformal": (
+            lambda f: fl.scale_conformal(
+                fl.kz_torus(0.3), fl.CallableField(f) if callable(f) else fl.ConstantField(f)),
+            lambda p: 0.1 * p.u, -800.0, "conformal factor exp(f) underflows to 0 at"),
     }
 
     @staticmethod

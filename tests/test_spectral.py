@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import finlap as fl
 from conftest import builtin_metrics, count_calls
+from finlap import katok_ziller, spectral
 from finlap.laplace import assemble_torus_operator, symbol_density
 
 
@@ -515,6 +516,56 @@ class TestSolver:
                                         fl.SphereHarmonicBasis(lmax=8, m=0))
         with pytest.raises(fl.ConfigError):
             fl.solve_eigen(prob, k=100)
+
+
+def _exhaustive_union(eps, lmax):
+    """Every value of every sector |m| <= lmax (|m| > 0 twice), sorted."""
+    values = []
+    for m_ in range(lmax + 1):
+        prob = fl.assemble_eigenproblem(fl.kz_sphere(eps), fl.SphereHarmonicBasis(lmax=lmax, m=m_))
+        values.extend(fl.solve_eigen(prob, k=prob.dim).expand().tolist() * (1 if m_ == 0 else 2))
+    return np.sort(values)
+
+
+class TestSphereStoppingRule:
+    """sphere_spectrum stops before sector m once m^2 c_min exceeds the
+    k-th value found, c_min the least c_theta2 at the quadrature nodes."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 0.9, 0.99])
+    def test_equals_exhaustive_union_to_the_bit(self, eps):
+        unions = {}
+        for lmax, k in [(40, 6), (10, 6), (12, 20), (4, 25), (40, 200), (8, 81)]:
+            if lmax not in unions:
+                unions[lmax] = _exhaustive_union(eps, lmax)
+            ref = fl.SpectrumResult.from_values(unions[lmax][:k])
+            got = fl.sphere_spectrum(eps, lmax, k)
+            assert np.array_equal(got.eigenvalues, ref.eigenvalues), (lmax, k)
+            assert np.array_equal(got.multiplicities, ref.multiplicities), (lmax, k)
+
+    @pytest.mark.parametrize("lmax", [10, 20, 40])
+    @pytest.mark.parametrize("eps", [0.0, 0.6, 0.9])
+    def test_every_sector_lies_above_its_floor(self, lmax, eps):
+        floor = katok_ziller._sector_floor(eps, lmax)
+        assert floor > 0.0
+        for m_ in range(lmax + 1):
+            prob = fl.assemble_eigenproblem(fl.kz_sphere(eps), fl.SphereHarmonicBasis(lmax, m_))
+            lowest = fl.solve_eigen(prob, k=1).eigenvalues[0]
+            assert lowest >= m_ * m_ * floor * (1.0 - 1e-12), m_
+
+    @pytest.mark.parametrize("eps, lmax, k, sectors", [
+        (0.3, 40, 6, 3), (0.3, 10, 121, 11), (0.9, 40, 1681, 41)])
+    def test_sectors_assembled(self, monkeypatch, eps, lmax, k, sectors):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return build(*args)
+
+        build = spectral.galerkin_matrices
+        monkeypatch.setattr(spectral, "galerkin_matrices", counting)
+        res = fl.sphere_spectrum(eps, lmax, k)
+        assert calls == list(range(sectors))
+        assert res.meta["sectors"] == sectors
 
 
 def translation_invariant_metrics():
