@@ -354,7 +354,10 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser of :func:`main`, built once per process:
+    parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="finlap",
         description="Finsler-Laplace operators: symbols, volumes, spectra, verification",

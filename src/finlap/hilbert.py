@@ -36,7 +36,11 @@ from .errors import DegenerateContactError, DomainError
 from .metrics import (FinslerMetric2D, _failing, chart_rays, frame_rays, frame_stretch,
                       vertical_derivative)
 
+#: contact densities below this, times the squared conformal factor, are
+#: degenerate (:func:`_contact_density`)
 DENSITY_FLOOR = 1e-12
+#: the least normal float: a density below it has underflowed
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -125,12 +129,17 @@ def _curl(metric: FinslerMetric2D, x, phis: np.ndarray, h) -> np.ndarray:
     return pq_du[..., 1] - pq_dv[..., 0]
 
 
-def _contact_density(x, s: np.ndarray) -> np.ndarray:
-    """The signed contact density s, (n,) at one point or (P, n) over a
-    block, unchanged.  Raise :class:`DegenerateContactError` naming the
-    first point of x where its absolute value is below ``DENSITY_FLOOR``
-    or not a number."""
-    bad = _failing(x, ~(np.abs(s) >= DENSITY_FLOOR))
+def _contact_density(metric: FinslerMetric2D, x, s: np.ndarray) -> np.ndarray:
+    """The signed contact density s of the metric, (n,) at one point or
+    (P, n) over a block, unchanged.  Raise :class:`DegenerateContactError`
+    naming the first point of x where its absolute value is below
+    ``DENSITY_FLOOR`` times the square of the metric's conformal factors
+    there (``metric._density_scale``), below the least normal float, or
+    not a number.  A conformal factor scales F, and so the density by its
+    square: relative to it, the floor refuses the same points whatever
+    constant factor scales the metric."""
+    floor = np.maximum(DENSITY_FLOOR * metric._density_scale(x), _NORMAL_MIN)
+    bad = _failing(x, ~(np.abs(s) >= floor))
     if bad is not None:
         raise DegenerateContactError(f"contact density below {DENSITY_FLOOR} at {bad[1]}")
     return s
@@ -141,7 +150,7 @@ def _signed_density(metric: FinslerMetric2D, x, psis) -> np.ndarray:
     :func:`_contact_density`."""
     psis = np.atleast_1d(np.asarray(psis, dtype=float))
     pq, dpq = _angle_jet(metric, x, frame_rays, psis, jet_step(metric))
-    return _contact_density(x, pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1])
+    return _contact_density(metric, x, pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1])
 
 
 def density_profile(metric: FinslerMetric2D, x, psis) -> np.ndarray:
@@ -151,8 +160,9 @@ def density_profile(metric: FinslerMetric2D, x, psis) -> np.ndarray:
 
     ``x`` is one base point, or a block of P base points (a sequence of
     ChartPoint), for which the result has shape (P, len(psis)).  A
-    density below ``DENSITY_FLOOR``, or not a number, raises
-    :class:`DegenerateContactError` naming the first point where it occurs.
+    density below the floor of :func:`_contact_density`, or not a number,
+    raises :class:`DegenerateContactError` naming the first point where it
+    occurs.
     """
     return np.abs(_signed_density(metric, x, psis))
 
@@ -188,9 +198,9 @@ def reeb_profile(metric: FinslerMetric2D, x, phis):
     ``phis`` of shape (n,) shared by the block or (P, n), one row per
     point; the results then have shapes (P, n, 2), (P, n) and (P, n), and
     the block makes the seven fiber-derivative calls of one point.  A
-    contact density below ``DENSITY_FLOOR``, or not a number, raises
-    :class:`DegenerateContactError` naming the first point of the block
-    where it occurs.
+    contact density below the floor of :func:`_contact_density`, or not a
+    number, raises :class:`DegenerateContactError` naming the first point
+    of the block where it occurs.
 
     With A = p du + q dv, A(X) = 1 and i_X dA = 0 have the closed-form
     solution X = (-q_phi, p_phi, q_u - p_v) / s, where
@@ -204,7 +214,7 @@ def reeb_profile(metric: FinslerMetric2D, x, phis):
     pq, dpq = _angle_jet(metric, x, chart_rays, phis, h)
     curl = _curl(metric, x, phis, h)
 
-    s = _contact_density(x, pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1])
+    s = _contact_density(metric, x, pq[..., 1] * dpq[..., 0] - pq[..., 0] * dpq[..., 1])
     V = np.stack([-dpq[..., 1], dpq[..., 0]], axis=-1) / s[..., None]
     return V, curl / s, np.abs(s)
 

@@ -114,7 +114,7 @@ def _fiber_rule(metric: FinslerMetric2D, x, n: int) -> tuple:
     :func:`finlap.hilbert._contact_density`."""
     rays = frame_rays(x, _trapezoid_nodes(n))
     f = metric.f(x, rays)
-    return rays, f, np.abs(_contact_density(x, _density(x, f)))
+    return rays, f, np.abs(_contact_density(metric, x, _density(x, f)))
 
 
 def _moments(V: np.ndarray, lam: np.ndarray) -> tuple:
@@ -259,15 +259,19 @@ def _gauss_legendre(n: int) -> tuple:
     return c, w
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
     """Gauss-Legendre in phi (pole-free; the cached rule of
-    :func:`_gauss_legendre`) times uniform theta, phi-major."""
+    :func:`_gauss_legendre`) times uniform theta, phi-major.  Built once
+    per ``(n_phi, n_theta)``, with read-only weights; a size of another
+    type, 2.0 for 2, is not the cached one and is refused."""
     _check_counts(1, n_phi=n_phi, n_theta=n_theta)
     t, w = _gauss_legendre(n_phi)
     phis = 0.5 * math.pi * (t + 1.0)
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     pts = tuple(ChartPoint(SPHERE, p, th) for p in phis for th in thetas)
     wts = np.repeat(0.5 * math.pi * w * (2.0 * math.pi / n_theta), n_theta)
+    wts.flags.writeable = False
     return BaseQuadrature(points=pts, weights=wts)
 
 

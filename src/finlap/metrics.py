@@ -206,6 +206,13 @@ class FinslerMetric2D:
         self._check_chart(x)
         return self._d_vf(x, np.asarray(vs, dtype=float))
 
+    def _density_scale(self, x):
+        """The factor by which conformal factors scale the contact density
+        at x, () at one point or (P, 1) over a block: 1 for a metric with
+        none.  The contact-density floor of :mod:`finlap.hilbert` is
+        relative to it."""
+        return 1.0
+
     def _check_chart(self, x):
         _nonempty(x)
         for p in (x,) if isinstance(x, ChartPoint) else x:
@@ -478,6 +485,10 @@ class ConformalMetric(FinslerMetric2D):
 
     def _d_vf(self, x, vs):
         return self._scale(x)[..., None] * self.base._d_vf(x, vs)
+
+    def _density_scale(self, x):
+        # the density is quadratic in F: exp(2f) times the base metric's
+        return self._scale(x) ** 2 * self.base._density_scale(x)
 
 
 def riemannian(g: MatrixField, chart: str = TORUS) -> RiemannianMetric:

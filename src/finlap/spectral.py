@@ -15,7 +15,8 @@ so it is symmetric with the constants in its kernel by construction;
 sphere sectors assemble the same energy form as Gram matrices
 (:func:`finlap.katok_ziller.galerkin_matrices`), which are too.
 :func:`solve_eigen` picks the solver.  When ``(sigma, rho)`` is the same
-at every grid node, every row of S is the same 9-point stencil, shifted: the pencil is
+at every grid node, every row of S is the same 9-point stencil, shifted,
+so the stencil is computed at one node and repeated: the pencil is
 block-circulant, and the 2-D DFT of that stencil gives its eigenvalues
 exactly.  Other pencils of dimension up to 200, or with a dense mass, go
 through one LAPACK generalized symmetric solve (``scipy.linalg.eigh``),
@@ -190,9 +191,12 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
     annihilating constants as assembled, built on the grid's sparsity
     pattern (computed once per grid size).  Its asymmetry defect, read
     off the stencil's values without transposing S, and its zero-mode
-    residual are recorded, whether
-    ``(sigma, rho)`` is exactly equal at every node, and the worst
-    half-rule defect of their fiber rule.  Sphere sectors use the
+    residual are recorded, whether ``(sigma, rho)`` is exactly equal at
+    every node, and the worst half-rule defect of their fiber rule.  When
+    it is equal, the stencil and its defect are computed at node (0, 0)
+    alone, the same floats as at every node, and repeated over the grid;
+    S is still assembled, as the DFT solve and the zero-mode residual
+    read it.  Sphere sectors use the
     Galerkin matrices of the same energy form, Gram matrices that are
     symmetric as assembled; their defect is recorded too.
     """
@@ -204,13 +208,16 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
         sigma, rho, fiber_defect = _fiber_densities(metric, torus_base(basis.n).points,
                                                     basis.fiber_n)
         sigma, rho = _on_grid(basis.n, sigma, rho)
-        stencil = _conservative_stencil(sigma, rho)
-        S, M = _pencil(stencil, rho)
-        zero_mode = float(np.abs(S @ np.ones(S.shape[0])).max() / np.abs(S.data).max())
         uniform = bool(np.all(sigma == sigma[0, 0]) and np.all(rho == rho[0, 0]))
+        # a uniform grid has the stencil of node (0, 0) at every node
+        k = 1 if uniform else basis.n
+        stencil = _conservative_stencil(sigma[:k, :k], rho[:k, :k])
+        defect = _stencil_defect(stencil)
+        S, M = _pencil([(d, np.broadcast_to(a, rho.shape)) for d, a in stencil], rho)
+        zero_mode = float(np.abs(S @ np.ones(S.shape[0])).max() / np.abs(S.data).max())
         return SpectralProblem(basis=basis, stiffness=S, mass=M,
                                metric_tag=f"{metric.kind} on torus",
-                               sym_defect=_stencil_defect(stencil), zero_mode_residual=zero_mode,
+                               sym_defect=defect, zero_mode_residual=zero_mode,
                                translation_invariant=uniform, fiber_defect=fiber_defect)
     if isinstance(basis, SphereHarmonicBasis):
         if not isinstance(metric, KatokZillerMetric) or metric.chart != SPHERE:

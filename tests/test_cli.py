@@ -749,3 +749,34 @@ def test_sphere_spectrum_reads_no_strong_form(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fl.SphereOperator, "apply_harmonic", refused)
     assert main([*_FIBER_RULE_RUNS["spectrum-sphere"], "--out", str(tmp_path / "o.json")]) == 0
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    """One parser serves every main call of a process: a refused call
+    leaves nothing behind, and no flag carries over to the next call."""
+    import finlap
+
+    cli.make_parser.cache_clear()
+    table = ["spectrum", "--qmax", "1"]
+    assert main([*table, "--eps", "0.4", "--out", str(tmp_path / "a.json")]) == 0
+    assert read_json(tmp_path / "a.json")["config_echo"]["metric"]["eps"] == 0.4
+    with pytest.raises(SystemExit) as unknown:
+        main([*table, "--no-such-flag"])
+    assert unknown.value.code == 2
+    assert main(["spectrum", "--pmax", "2", "--k", "5"]) == 2     # --k given, not read
+    assert main([*table, "--out", str(tmp_path / "b.json")]) == 0
+    assert cli.make_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(finlap.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "finlap", *table,
+                           "--out", str(tmp_path / "fresh.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    reused, fresh = read_json(tmp_path / "b.json"), read_json(tmp_path / "fresh.json")
+    for doc in (reused, fresh):
+        del doc["meta"]["timestamp"]
+    assert reused == fresh
+    assert reused["config_echo"]["metric"]["eps"] == 0.0

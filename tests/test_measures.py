@@ -233,6 +233,16 @@ class TestFrameRule:
 class TestBaseQuadrature:
     """Base quadratures reject sizes that hold no point, with ConfigError."""
 
+    def test_sphere_base_built_once_read_only(self):
+        base = fl.sphere_base(6, 3)
+        assert fl.sphere_base(6, 3) is base
+        assert not base.weights.flags.writeable
+        with pytest.raises(ValueError):
+            base.weights[0] = 1.0
+        fl.sphere_base(4, 2)
+        with pytest.raises(fl.ConfigError):
+            fl.sphere_base(4, 2.0)
+
     @pytest.mark.parametrize("call", [
         lambda: fl.torus_base(0),
         lambda: fl.sphere_base(0, 4),
@@ -327,6 +337,52 @@ def test_empty_block_is_config_error(entry, name):
     empty base is, whether the metric is position-independent or not."""
     with pytest.raises(fl.ConfigError, match="at least one point"):
         _EMPTY_BLOCK_CALLS[entry](builtin_metrics()[name])
+
+
+def _boxy_right_half(x, vs):
+    """Euclidean on u < 0.5; a nearly flat unit ball, whose contact
+    density vanishes at the chart angle 0, on u >= 0.5."""
+    k = 2.0 if x.u < 0.5 else 16.0
+    return (np.abs(vs[..., 0]) ** k + np.abs(vs[..., 1]) ** k) ** (1.0 / k)
+
+
+class TestDensityFloorScale:
+    """A constant conformal factor exp(f) scales every contact density by
+    exp(2f), and the floor with it: it never changes which points are
+    refused."""
+
+    X = fl.torus_point(0.2, 0.3)
+    PSIS = [0.0, 1.0, 2.5, 4.0]
+
+    @pytest.mark.parametrize("f", [-14.0, -20.0, -300.0])
+    def test_scaled_density_is_exp_2f_times(self, f):
+        m = fl.kz_torus(0.3)
+        scaled = fl.scale_conformal(m, fl.ConstantField(f))
+        factor = math.exp(2.0 * f)
+        assert fl.volume_density(scaled, self.X) == pytest.approx(
+            factor * fl.volume_density(m, self.X), rel=1e-12, abs=0.0)
+        # the jet routes difference d_vF in the angle, which magnifies the
+        # rounding of exp(f) d_vF by about 1 / jet step
+        for route in (fl.hilbert.density_profile, lambda *a: fl.reeb_profile(*a)[2]):
+            np.testing.assert_allclose(route(scaled, self.X, self.PSIS),
+                                       factor * route(m, self.X, self.PSIS), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("f", [-14.0, 0.0, 14.0])
+    def test_factor_keeps_the_refused_points(self, f):
+        m = fl.scale_conformal(fl.custom(_boxy_right_half, chart=fl.TORUS), fl.ConstantField(f))
+        good, bad = fl.torus_point(0.2, 0.1), fl.torus_point(0.7, 0.3)
+        fl.reeb_profile(m, good, [0.0])
+        for call in (lambda m, x: fl.reeb_profile(m, x, [0.0]),
+                     lambda m, x: fl.hilbert.density_profile(m, x, [0.0])):
+            with pytest.raises(fl.DegenerateContactError, match=r"at \(0.7, 0.3\)$"):
+                call(m, bad)
+
+    def test_underflowed_density_is_refused(self):
+        # exp(f) is a normal float, the density exp(2f) |...| underflows to 0
+        m = fl.scale_conformal(fl.kz_torus(0.3), fl.ConstantField(-400.0))
+        for call in (fl.volume_density, lambda m, x: fl.hilbert.density_profile(m, x, [0.0])):
+            with pytest.raises(fl.DegenerateContactError, match=r"at \(0.2, 0.3\)$"):
+                call(m, self.X)
 
 
 def _nan_right_half(x, vs):

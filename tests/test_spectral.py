@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import finlap as fl
 from conftest import builtin_metrics, count_calls
-from finlap import katok_ziller, spectral
+from finlap import katok_ziller, laplace, measures, spectral
 from finlap.laplace import assemble_torus_operator, symbol_density
 
 
@@ -628,3 +628,54 @@ class TestFourierRoute:
         res = fl.solve_eigen(prob, k=3)
         assert res.meta["solver"] == "dense"
         assert "sym_defect" in res.meta and "zero_mode_residual" not in res.meta
+
+
+def uniform_metrics():
+    """:func:`translation_invariant_metrics` and a constant metric given as
+    a callable, equal at every node without being position-independent."""
+    G = np.array([[1.2, -0.25], [-0.25, 0.7]])
+    return {**translation_invariant_metrics(),
+            "riemannian-callable": fl.riemannian(lambda p: G, chart=fl.TORUS)}
+
+
+class TestOneNodeStencil:
+    """A uniform grid's pencil comes from the stencil of one node, with the
+    floats of the full-grid stencil."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize("name", sorted(uniform_metrics()))
+    def test_same_floats_as_full_grid(self, name, n):
+        metric = uniform_metrics()[name]
+        prob = fl.assemble_eigenproblem(metric, fl.TorusGridBasis(n=n))
+        assert prob.translation_invariant
+        sigma, rho, fiber_defect = measures._fiber_densities(
+            metric, fl.torus_base(n).points, measures.DEFAULT_FIBER_N)
+        sigma, rho = laplace._on_grid(n, sigma, rho)
+        S, M = laplace.conservative_pencil(sigma, rho)
+        for got, ref in ((prob.stiffness, S), (prob.mass, M)):
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(self._bits(got.data), self._bits(ref.data))
+        defect = laplace._stencil_defect(laplace._conservative_stencil(sigma, rho))
+        assert self._bits(prob.sym_defect) == self._bits(defect)
+        zero_mode = np.abs(S @ np.ones(S.shape[0])).max() / np.abs(S.data).max()
+        assert self._bits(prob.zero_mode_residual) == self._bits(zero_mode)
+        assert prob.fiber_defect == fiber_defect
+
+    @pytest.mark.parametrize("name, shape", [("kz-torus-03", (1, 1)), ("randers-var", (32, 32))])
+    def test_stencil_grid_shape(self, monkeypatch, name, shape):
+        metric = {**builtin_metrics(), **uniform_metrics()}[name]
+        shapes = []
+
+        def counting(sigma, rho):
+            shapes.append((sigma.shape, rho.shape))
+            return original(sigma, rho)
+
+        original = spectral._conservative_stencil
+        monkeypatch.setattr(spectral, "_conservative_stencil", counting)
+        fl.assemble_eigenproblem(metric, fl.TorusGridBasis(n=32))
+        assert shapes == [(shape + (2, 2), shape)]
