@@ -192,11 +192,12 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
     pattern (computed once per grid size).  Its asymmetry defect, read
     off the stencil's values without transposing S, and its zero-mode
     residual are recorded, whether ``(sigma, rho)`` is exactly equal at
-    every node, and the worst half-rule defect of their fiber rule.  When
-    it is equal, the stencil and its defect are computed at node (0, 0)
-    alone, the same floats as at every node, and repeated over the grid;
-    S is still assembled, as the DFT solve and the zero-mode residual
-    read it.  Sphere sectors use the
+    every node (so by construction for a position-independent metric,
+    whose values are computed at one point), and the worst half-rule
+    defect of their fiber rule.  When it is equal, the stencil and its
+    defect are computed at node (0, 0) alone, the same floats as at every
+    node, and repeated over the grid; S is still assembled, as the DFT
+    solve and the zero-mode residual read it.  Sphere sectors use the
     Galerkin matrices of the same energy form, Gram matrices that are
     symmetric as assembled; their defect is recorded too.
     """
@@ -208,7 +209,9 @@ def assemble_eigenproblem(metric: FinslerMetric2D, basis) -> SpectralProblem:
         sigma, rho, fiber_defect = _fiber_densities(metric, torus_base(basis.n).points,
                                                     basis.fiber_n)
         sigma, rho = _on_grid(basis.n, sigma, rho)
-        uniform = bool(np.all(sigma == sigma[0, 0]) and np.all(rho == rho[0, 0]))
+        # a position-independent metric's values are those of one point
+        uniform = metric.position_independent or bool(
+            np.all(sigma == sigma[0, 0]) and np.all(rho == rho[0, 0]))
         # a uniform grid has the stencil of node (0, 0) at every node
         k = 1 if uniform else basis.n
         stencil = _conservative_stencil(sigma[:k, :k], rho[:k, :k])
