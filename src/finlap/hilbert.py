@@ -137,11 +137,18 @@ def _contact_density(metric: FinslerMetric2D, x, s: np.ndarray) -> np.ndarray:
     there (``metric._density_scale``), below the least normal float, or
     not a number.  A conformal factor scales F, and so the density by its
     square: relative to it, the floor refuses the same points whatever
-    constant factor scales the metric."""
-    floor = np.maximum(DENSITY_FLOOR * metric._density_scale(x), _NORMAL_MIN)
-    bad = _failing(x, ~(np.abs(s) >= floor))
+    constant factor scales the metric.  The message gives |s| and the
+    floor at the first refused entry of that point."""
+    floor = np.broadcast_to(np.maximum(DENSITY_FLOOR * metric._density_scale(x), _NORMAL_MIN),
+                            s.shape)
+    refused = ~(np.abs(s) >= floor)
+    bad = _failing(x, refused)
     if bad is not None:
-        raise DegenerateContactError(f"contact density below {DENSITY_FLOOR} at {bad[1]}")
+        # the first refused entry in row-major order lies in the row _failing names
+        j = int(np.argmax(refused))
+        raise DegenerateContactError(
+            f"contact density |s| = {abs(s.flat[j]):.3e} is not at least the floor "
+            f"{floor.flat[j]:.3e} at {bad[1]}")
     return s
 
 
@@ -257,24 +264,38 @@ def _spray(metric: FinslerMetric2D, chart: str, s: np.ndarray) -> np.ndarray:
 
 
 def _rk4_step(metric: FinslerMetric2D, chart: str, state: np.ndarray,
-              dt: float) -> np.ndarray:
+              dt: float, k1=None) -> np.ndarray:
     """One classical RK4 step of the Reeb flow from the state (u, v, phi),
-    shape (3,), or from each row of a (B, 3) batch of states."""
-    k1 = _spray(metric, chart, state)
-    k2 = _spray(metric, chart, state + 0.5 * dt * k1)
-    k3 = _spray(metric, chart, state + 0.5 * dt * k2)
-    k4 = _spray(metric, chart, state + dt * k3)
+    shape (3,), or from each row of a (B, 3) batch of states.
+
+    ``k1``, the spray at ``state``, is computed unless given; it does not
+    depend on dt, so steps of several sizes from one state can share it.
+    The spray of a position-independent metric depends on phi alone, and
+    its X_phi is exactly 0.0 (:func:`_curl`), so every stage sees the phi
+    of ``state`` and the later stages equal k1 to the bit: they are k1,
+    and a step given k1 makes no spray call.  The combination below is
+    kept as written, so such a step gives the floats of four calls.
+    """
+    if k1 is None:
+        k1 = _spray(metric, chart, state)
+    if metric.position_independent:
+        k2 = k3 = k4 = k1
+    else:
+        k2 = _spray(metric, chart, state + 0.5 * dt * k1)
+        k3 = _spray(metric, chart, state + 0.5 * dt * k2)
+        k4 = _spray(metric, chart, state + dt * k3)
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _batch_step(metric: FinslerMetric2D, chart: str, states: np.ndarray,
-                dt: float) -> tuple:
-    """``(new states, left)``: one RK4 step of a (B, 3) batch, and for each
-    row whether a stage left the chart (its new row is then NaN).  The
-    batch steps as one; when a stage raises :class:`DomainError`, the rows
-    step one at a time to find those that left."""
+                dt: float, k1=None) -> tuple:
+    """``(new states, left)``: one RK4 step of a (B, 3) batch, its first
+    stage ``k1`` when given, and for each row whether a stage left the
+    chart (its new row is then NaN).  The batch steps as one; when a stage
+    raises :class:`DomainError`, the rows step one at a time, each
+    computing its own first stage, to find those that left."""
     try:
-        return _rk4_step(metric, chart, states, dt), np.zeros(len(states), dtype=bool)
+        return _rk4_step(metric, chart, states, dt, k1), np.zeros(len(states), dtype=bool)
     except DomainError:
         pass
     new = np.full_like(states, np.nan)
@@ -297,8 +318,13 @@ def geodesic_integrate(metric: FinslerMetric2D, fp, t_end: float, dt: float):
     of them, giving a list of trajectories in the same order.  A batch
     integrates together: each RK4 stage is one block
     :func:`reeb_profile` call over the trajectories still running, and a
-    trajectory that leaves the chart stops while the others go on, so
-    each trajectory is the one its own integration gives.
+    trajectory that leaves the chart, or whose state overflows, stops
+    while the others go on, so each trajectory is the one its own
+    integration gives.  A position-independent metric keeps phi fixed and
+    its spray is the same at every state of a trajectory, so the whole
+    integration makes one block call, over the start states, and every
+    stage of every step is that call's row (:func:`_rk4_step`); the
+    floats are those of four calls per step.
 
     Raises
     ------
@@ -319,12 +345,16 @@ def geodesic_integrate(metric: FinslerMetric2D, fp, t_end: float, dt: float):
     running = np.arange(len(fps))
     t = 0.0
     n_steps = int(math.ceil(t_end / dt - 1e-12))
+    spray = (_spray(metric, chart, states)
+             if metric.position_independent and n_steps > 0 and running.size else None)
     for _ in range(n_steps):
         step = min(dt, t_end - t)
         if step <= 0.0 or running.size == 0:
             break
-        new, left = _batch_step(metric, chart, states[running], step)
+        new, left = _batch_step(metric, chart, states[running], step,
+                                None if spray is None else spray[running])
         t += step
+        left |= ~np.isfinite(new).all(axis=1)
         if chart == SPHERE:
             left |= ~((PHI_MIN <= new[:, 0]) & (new[:, 0] <= math.pi - PHI_MIN))
         for k, state, gone in zip(running, new, left):

@@ -55,7 +55,8 @@ from .differences import DRIFT, GEODESIC, central, jet_step, second
 from .errors import ConfigError, DomainError, NumericError
 from .fields import (SeparableTrigField, SumField, field_gradient, field_gradients, field_hessian,
                      field_hessians, field_values)
-from .hilbert import _rk4_step, _shifted, chart_angles, density_profile, reeb_profile
+from .hilbert import (_rk4_step, _shifted, _spray, chart_angles, density_profile,
+                      reeb_profile)
 from .measures import (BLOCK_RAYS, DEFAULT_FIBER_N, _fiber_densities, _moments, _over_points,
                        _trapezoid_nodes, _weights, fiber_quadrature, torus_base)
 from .metrics import FinslerMetric2D
@@ -171,7 +172,10 @@ def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
     * ``"geodesic"`` -- fiber average of the centered second difference
       of f along the geodesic through x in each fiber direction; the
       backward branch is the flow for -h, and each branch is one RK4
-      step of the batch of all fiber nodes.
+      step of the batch of all fiber nodes.  Both branches start from
+      the same states, so they share the first stage, one block Reeb
+      call: seven calls in all, and one for a position-independent
+      metric (:func:`finlap.hilbert._rk4_step`).
     """
     if path == "coefficient":
         coeffs = operator_coefficients(metric, x, fiber_n)
@@ -179,9 +183,10 @@ def laplacian_apply(metric: FinslerMetric2D, f, x: ChartPoint,
     if path == "geodesic":
         quad = fiber_quadrature(metric, x, fiber_n)
         states = np.column_stack([np.full(fiber_n, x.u), np.full(fiber_n, x.v), quad.nodes])
+        k1 = _spray(metric, metric.chart, states)
 
         def f_after(dt):
-            ends = _rk4_step(metric, metric.chart, states, dt)
+            ends = _rk4_step(metric, metric.chart, states, dt, k1)
             return field_values(f, [ChartPoint(metric.chart, u, v) for u, v in ends[:, :2]])
 
         d2f = second(f_after, float(f(x)), GEODESIC)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 import finlap as fl
 from conftest import builtin_metrics
-from finlap import cli, hilbert, spectral
+from finlap import cli, hilbert, spectral, verify
 from finlap.cli import main
 from finlap.errors import NumericError
 from finlap.measures import DEFAULT_FIBER_N
@@ -176,6 +177,35 @@ class TestOtherCommands:
         doc = read_json(out)
         assert doc["trajectory"]["status"] == "ok"
         assert (tmp_path / "geo.csv").exists()
+
+    def test_geodesic_outputs_equal_the_general_path(self, monkeypatch, tmp_path):
+        # kz-torus is position-independent: its spray, evaluated once per
+        # integration, gives the verify rows and geodesic samples of the
+        # general path, which evaluates it at every RK4 stage
+        out = tmp_path / "out.json"
+
+        def outputs():
+            rows = {}
+            for seed in ("3", "41", "977"):
+                assert main(["verify", "--suite", "all", "--seed", seed, "--out", str(out)]) == 0
+                rows[seed] = read_json(out)["report"]
+            assert main(["geodesic", "--metric", "kz-torus", "--start", "0.1", "0.2", "0.7",
+                         "--t-end", "1.37", "--dt", "0.05", "--out", str(out)]) == 0
+            return rows, read_json(out)["trajectory"]
+
+        shortcut = outputs()
+        forced = []
+
+        def general(metric, *args):
+            assert metric.position_independent
+            forced.append(copy.copy(metric))
+            forced[-1].position_independent = False
+            return hilbert.geodesic_integrate(forced[-1], *args)
+
+        monkeypatch.setattr(cli, "geodesic_integrate", general)
+        monkeypatch.setattr(verify, "geodesic_integrate", general)
+        assert outputs() == shortcut
+        assert len(forced) == 4
 
     @pytest.mark.parametrize("flag, value", [("--t-end", "nan"), ("--t-end", "inf"),
                                              ("--dt", "nan"), ("--dt", "0"),

@@ -418,3 +418,103 @@ class TestGeodesicBatch:
         with pytest.raises(fl.DomainError):
             fl.geodesic_integrate(fl.kz_torus(0.1),
                                   fl.FiberPoint(fl.torus_point(0, 0), 0.0), t_end, dt)
+
+
+def _general(metric):
+    """The metric with its spray re-evaluated at every RK4 stage: a copy
+    marked position-dependent, whose differenced curl is exactly 0.0."""
+    general = copy.copy(metric)
+    general.position_independent = False
+    return general
+
+
+def _count_reeb_calls(monkeypatch):
+    import finlap.hilbert as hilbert
+
+    calls = []
+    original = hilbert.reeb_profile
+
+    def counting(metric, x, phis):
+        calls.append(len(x) if isinstance(x, list) else 1)
+        return original(metric, x, phis)
+
+    monkeypatch.setattr(hilbert, "reeb_profile", counting)
+    return calls
+
+
+POSITION_INDEPENDENT = {
+    "kz-torus": lambda: fl.kz_torus(0.6),
+    "randers-const": lambda: fl.RandersMetric(np.array([[1.2, 0.1], [0.1, 0.9]]),
+                                              np.array([0.2, -0.3]), chart=fl.TORUS),
+    "plane": lambda: fl.euclidean(),
+    "conformal-kz": lambda: fl.scale_conformal(fl.kz_torus(0.3), fl.ConstantField(0.4)),
+}
+
+
+class TestPositionIndependentSpray:
+    """A position-independent metric's spray depends on phi alone and
+    keeps phi fixed, so an integration evaluates it once, over the start
+    states, and gives the floats of four evaluations per step."""
+
+    @staticmethod
+    def _starts(m, rng, k):
+        return [fl.FiberPoint(random_point(m, rng), rng.uniform(0, 2 * math.pi))
+                for _ in range(k)]
+
+    @staticmethod
+    def _assert_bitwise(got, want):
+        assert got.status == want.status
+        assert got.times == want.times
+        for a, b in zip(got.points, want.points, strict=True):
+            assert (a.base.u, a.base.v, a.phi) == (b.base.u, b.base.v, b.phi)
+
+    @pytest.mark.parametrize("name", sorted(POSITION_INDEPENDENT))
+    @pytest.mark.parametrize("t_end, dt", [(0.37, 0.05), (1.0, 1e-2)])
+    def test_trajectories_equal_the_general_path(self, name, t_end, dt, rng):
+        m = POSITION_INDEPENDENT[name]()
+        assert m.position_independent
+        starts = self._starts(m, rng, 4)
+        batch = fl.geodesic_integrate(m, starts, t_end, dt)
+        for got, want in zip(batch, fl.geodesic_integrate(_general(m), starts, t_end, dt)):
+            self._assert_bitwise(got, want)
+        single = fl.geodesic_integrate(m, starts[1], t_end, dt)
+        self._assert_bitwise(single, fl.geodesic_integrate(_general(m), starts[1], t_end, dt))
+        # t_end is not a multiple of dt at 0.37: the last step is shorter
+        assert single.times[-1] == pytest.approx(t_end, abs=1e-12)
+        assert len(single.points) == math.ceil(t_end / dt - 1e-12) + 1
+
+    @pytest.mark.parametrize("name", sorted(POSITION_INDEPENDENT))
+    def test_one_reeb_call_per_integration(self, name, monkeypatch, rng):
+        m = POSITION_INDEPENDENT[name]()
+        starts = self._starts(m, rng, 3)
+        calls = _count_reeb_calls(monkeypatch)
+        fl.geodesic_integrate(m, starts, 0.37, 0.05)
+        assert calls == [3]
+        calls.clear()
+        fl.geodesic_integrate(m, starts[0], 0.37, 0.05)
+        assert calls == [1]
+        calls.clear()
+        fl.geodesic_integrate(m, starts, 0.0, 0.05)     # no step, no call
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [builtin_metrics()["randers-var"], fl.kz_sphere(0.3)],
+                             ids=["randers-var", "kz-sphere"])
+    def test_position_dependent_metric_calls_four_times_a_step(self, m, monkeypatch, rng):
+        assert not m.position_independent
+        starts = self._starts(m, rng, 3)
+        calls = _count_reeb_calls(monkeypatch)
+        trajs = fl.geodesic_integrate(m, starts, 0.37, 0.05)
+        assert [t.status for t in trajs] == ["ok"] * 3
+        assert calls == [3] * (4 * 8)
+
+    def test_overflowing_state_stops_the_trajectory(self):
+        # a step of 1e308 at speed 1.9 leaves the floats: the trajectory
+        # stops as on the general path, whose stage raises there
+        m = fl.kz_torus(0.9)
+        start = fl.FiberPoint(fl.torus_point(0.0, 0.0), 0.0)
+        for metric in (m, _general(m)):
+            with np.errstate(over="ignore"):
+                traj = fl.geodesic_integrate(metric, start, 1e308, 1e308)
+                ok = fl.geodesic_integrate(metric, [start, start], 5e307, 5e307)
+            assert traj.status == "chart_exit" and traj.times == [0.0]
+            assert [t.status for t in ok] == ["ok", "ok"]

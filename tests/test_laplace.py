@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import finlap as fl
 from conftest import builtin_metrics, count_calls, random_point
+from finlap import hilbert
+from finlap.differences import GEODESIC, second
 from finlap.measures import DEFAULT_FIBER_N
 from finlap.randers import symbol_closed_form
 
@@ -137,6 +140,39 @@ class TestLaplacianApply:
         c = fl.laplacian_apply(m, f, x, path="coefficient")
         g = fl.laplacian_apply(m, f, x, path="geodesic")
         assert abs(c - g) <= 1e-4 * max(1.0, abs(c))
+
+    @pytest.mark.parametrize("name, reeb_calls", [("kz-torus-06", 1), ("randers-06", 1),
+                                                  ("randers-var", 7), ("kz-sphere-03", 7)])
+    def test_geodesic_branches_share_the_first_stage(self, name, reeb_calls, monkeypatch, rng):
+        # the +h and -h branches start from the same states, so the spray
+        # there is one block call; the value is the one of two branches
+        # that each compute it, and of the general path
+        m = builtin_metrics()[name]
+        f = fl.SeparableTrigField(1.0, "cos", 1, "sin", 1)
+        x = random_point(m, rng)
+
+        def separate_branches(metric):
+            quad = fl.fiber_quadrature(metric, x, DEFAULT_FIBER_N)
+            states = np.column_stack([np.full(DEFAULT_FIBER_N, x.u),
+                                      np.full(DEFAULT_FIBER_N, x.v), quad.nodes])
+
+            def f_after(dt):
+                ends = hilbert._rk4_step(metric, metric.chart, states, dt)
+                return fl.field_values(f, [fl.ChartPoint(metric.chart, u, v)
+                                           for u, v in ends[:, :2]])
+
+            return float(quad.weights @ second(f_after, float(f(x)), GEODESIC)) / math.pi
+
+        general = copy.copy(m)
+        general.position_independent = False
+        want = separate_branches(general)
+        calls = []
+        original = hilbert.reeb_profile
+        monkeypatch.setattr(hilbert, "reeb_profile",
+                            lambda *args: calls.append(1) or original(*args))
+        got = fl.laplacian_apply(m, f, x, path="geodesic", fiber_n=DEFAULT_FIBER_N)
+        assert len(calls) == reeb_calls
+        assert got == want
 
     def test_conformal_invariance(self, rng):
         m = fl.kz_torus(0.3)

@@ -1,6 +1,7 @@
 import collections
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -383,6 +384,30 @@ class TestDensityFloorScale:
         for call in (fl.volume_density, lambda m, x: fl.hilbert.density_profile(m, x, [0.0])):
             with pytest.raises(fl.DegenerateContactError, match=r"at \(0.2, 0.3\)$"):
                 call(m, self.X)
+
+    @pytest.mark.parametrize("make, density, floor", [
+        (lambda: fl.scale_conformal(fl.kz_torus(0.3), fl.ConstantField(-400.0)),
+         "0.000e+00", "2.225e-308"),                # underflowed, least normal floor
+        (lambda: fl.riemannian(1e-14 * np.eye(2)), "1.000e-14", "1.000e-12"),
+    ], ids=["f=-400", "riemannian-1e-14"])
+    def test_message_names_density_and_floor(self, make, density, floor):
+        m = make()
+        message = re.escape(f"contact density |s| = {density} is not at least the floor "
+                            f"{floor} at (0.2, 0.3)")
+        for call in (fl.volume_density,
+                     lambda m, x: fl.hilbert.density_profile(m, x, self.PSIS),
+                     lambda m, x: fl.reeb_profile(m, [x, fl.torus_point(0.5, 0.5)], [0.0])):
+            with pytest.raises(fl.DegenerateContactError, match=f"^{message}$"):
+                call(m, self.X)
+
+    def test_message_names_the_refused_entry_of_a_block(self):
+        # the first refused point is the block's second; its first refused
+        # angle is 0, where the flat side of the unit ball lies
+        m = fl.scale_conformal(fl.custom(_boxy_right_half, chart=fl.TORUS),
+                               fl.ConstantField(-14.0))
+        with pytest.raises(fl.DegenerateContactError,
+                           match=r"is not at least the floor 6\.914e-25 at \(0\.7, 0\.3\)$"):
+            fl.hilbert.density_profile(m, [self.X, fl.torus_point(0.7, 0.3)], [1.0, 0.0])
 
 
 def _nan_right_half(x, vs):
