@@ -139,8 +139,7 @@ def _contact_density(metric: FinslerMetric2D, x, s: np.ndarray) -> np.ndarray:
     square: relative to it, the floor refuses the same points whatever
     constant factor scales the metric.  The message gives |s| and the
     floor at the first refused entry of that point."""
-    floor = np.broadcast_to(np.maximum(DENSITY_FLOOR * metric._density_scale(x), _NORMAL_MIN),
-                            s.shape)
+    floor = np.maximum(DENSITY_FLOOR * metric._density_scale(x), _NORMAL_MIN)
     refused = ~(np.abs(s) >= floor)
     bad = _failing(x, refused)
     if bad is not None:
@@ -148,7 +147,7 @@ def _contact_density(metric: FinslerMetric2D, x, s: np.ndarray) -> np.ndarray:
         j = int(np.argmax(refused))
         raise DegenerateContactError(
             f"contact density |s| = {abs(s.flat[j]):.3e} is not at least the floor "
-            f"{floor.flat[j]:.3e} at {bad[1]}")
+            f"{np.broadcast_to(floor, s.shape).flat[j]:.3e} at {bad[1]}")
     return s
 
 
