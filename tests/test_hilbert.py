@@ -429,16 +429,15 @@ def _general(metric):
 
 
 def _count_reeb_calls(monkeypatch):
-    import finlap.hilbert as hilbert
-
+    """Record the block size of each hilbert.reeb_profile call."""
     calls = []
-    original = hilbert.reeb_profile
+    original = fl.hilbert.reeb_profile
 
     def counting(metric, x, phis):
         calls.append(len(x) if isinstance(x, list) else 1)
         return original(metric, x, phis)
 
-    monkeypatch.setattr(hilbert, "reeb_profile", counting)
+    monkeypatch.setattr(fl.hilbert, "reeb_profile", counting)
     return calls
 
 
