@@ -22,6 +22,10 @@ PLANE = "plane"
 
 CHARTS = (TORUS, SPHERE, PLANE)
 
+#: the invariant coordinates (``invariant_coords``) of a metric or field
+#: that depends on neither chart coordinate
+BOTH_COORDS = frozenset({"u", "v"})
+
 # Polar-coordinate degeneracy guard: pointwise operations stay inside
 # [PHI_MIN, pi - PHI_MIN].
 PHI_MIN = 1e-6

@@ -11,8 +11,9 @@ Array form: a field may also provide ``values(x)``, ``gradients(x)`` and
 sequence of ChartPoint) and return arrays of shapes (P,), (P, 2) and
 (P, 2, 2) on a block, (), (2,) and (2, 2) at one point.  They read the
 chart coordinates of the block with :func:`coords`, from the block's
-``coords`` array when it has one (the torus grid of
-:func:`finlap.measures.torus_base`), so no point is built.
+``coords`` array when it has one (the points of
+:func:`finlap.measures.torus_base` and :func:`finlap.measures.sphere_base`),
+without a loop over the points.
 :func:`field_values`, :func:`field_gradients` and :func:`field_hessians`
 use a field's array form when it has one and otherwise call the field
 once per point.  Every built-in field except :class:`CallableField` has
@@ -30,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import differences
-from .charts import ChartPoint
+from .charts import BOTH_COORDS, ChartPoint
 
 _TRIG = {
     "one": (np.ones_like, np.zeros_like, np.zeros_like),
@@ -147,6 +148,10 @@ class CallableField:
 
 
 class ConstantField(ArrayField):
+    #: a constant depends on neither coordinate; no other field declares
+    #: an invariant coordinate (``finlap.metrics.ConformalMetric``)
+    invariant_coords = BOTH_COORDS
+
     def __init__(self, c: float):
         self.c = float(c)
 

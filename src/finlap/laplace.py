@@ -38,7 +38,7 @@ Reeb field and the Hilbert-form jet, in blocks of base points;
 against the pencil.  The oracles default to ``REEB_FIBER_N`` fiber nodes,
 the production path to ``finlap.measures.DEFAULT_FIBER_N``.  Both walk
 base points with :func:`finlap.measures._over_points`, the one place that
-chooses blocks or the position-independent shortcut.
+chooses blocks and the points a metric's invariant coordinates let it skip.
 """
 
 from __future__ import annotations
@@ -142,9 +142,10 @@ def coefficients_at(metric: FinslerMetric2D, points,
                     fiber_n: int = REEB_FIBER_N):
     """:func:`operator_coefficients` at a sequence of base points of any
     chart: ``(sigma, drift, rho)`` of shapes (P, 2, 2), (P, 2) and (P,),
-    in blocks of base points (read-only broadcasts of one point for a
-    position-independent metric).  Raises :class:`NumericError` unless
-    sigma is positive definite and rho positive everywhere.
+    from the walk of :func:`finlap.measures._over_points` (one point per
+    line of a coordinate the metric declares invariant).  Raises
+    :class:`NumericError` unless sigma is positive definite and rho
+    positive everywhere.
     """
     sigma, drift, rho = _over_points(_coefficients, metric, points, fiber_n)
     _check_symbol(sigma, rho)
@@ -342,11 +343,12 @@ def symbol_density(metric: FinslerMetric2D, x: ChartPoint,
 def symbol_densities(metric: FinslerMetric2D, points,
                      fiber_n: int = DEFAULT_FIBER_N):
     """``(sigma, rho)`` at a sequence of base points of any chart, shapes
-    (P, 2, 2) and (P,), in blocks of base points (read-only broadcasts of
-    one point for a position-independent metric): the moments of the fiber
-    rule (:func:`finlap.measures._fiber_densities`), in which the horizontal
-    Reeb component is the indicatrix point rays / F, so neither the Reeb
-    field nor any base-point differencing is needed."""
+    (P, 2, 2) and (P,), from the walk of :func:`finlap.measures._over_points`
+    (one point per line of a coordinate the metric declares invariant): the
+    moments of the fiber rule (:func:`finlap.measures._fiber_densities`),
+    in which the horizontal Reeb component is the indicatrix point
+    rays / F, so neither the Reeb field nor any base-point differencing is
+    needed."""
     return _fiber_densities(metric, points, fiber_n)[:2]
 
 

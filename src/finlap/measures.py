@@ -21,7 +21,8 @@ defect exceeds ``FIBER_DEFECT_WARN`` logs one WARNING naming its point.
 
 The base quadratures live here too, with the one walk over their points
 (:func:`_over_points`) behind :func:`volume_densities` and
-:func:`finlap.laplace.symbol_densities`.
+:func:`finlap.laplace.symbol_densities`: it evaluates one point per line
+of the coordinates the metric declares invariant.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import ChartPoint, SPHERE, TORUS
+from .charts import BOTH_COORDS, ChartPoint, SPHERE, TORUS
 from .errors import ConfigError, DomainError
+from .fields import coords
 from .hilbert import _contact_density, chart_angles
 from .metrics import (FinslerMetric2D, _check_counts, _nonempty,
                       dual_norm_sampled,  # noqa: F401 (re-exported)
@@ -259,39 +261,78 @@ def _gauss_legendre(n: int) -> tuple:
     return c, w
 
 
+class _SphereGrid(Sequence):
+    """The points (phi_i, theta_j) of a sphere base, phi-major, built once,
+    with their coordinates as one read-only array."""
+
+    def __init__(self, phis: np.ndarray, thetas: np.ndarray):
+        self._points = tuple(ChartPoint(SPHERE, p, th) for p in phis for th in thetas)
+        self.coords = np.stack(np.meshgrid(phis, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
+        self.coords.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, k):
+        return self._points[k]
+
+
 @functools.lru_cache(maxsize=8, typed=True)
 def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
     """Gauss-Legendre in phi (pole-free; the cached rule of
     :func:`_gauss_legendre`) times uniform theta, phi-major.  Built once
-    per ``(n_phi, n_theta)``, with read-only weights; a size of another
-    type, 2.0 for 2, is not the cached one and is refused."""
+    per ``(n_phi, n_theta)``, with read-only weights and the points of
+    :class:`_SphereGrid`; a size of another type, 2.0 for 2, is not the
+    cached one and is refused."""
     _check_counts(1, n_phi=n_phi, n_theta=n_theta)
     t, w = _gauss_legendre(n_phi)
     phis = 0.5 * math.pi * (t + 1.0)
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    pts = tuple(ChartPoint(SPHERE, p, th) for p in phis for th in thetas)
     wts = np.repeat(0.5 * math.pi * w * (2.0 * math.pi / n_theta), n_theta)
     wts.flags.writeable = False
-    return BaseQuadrature(points=pts, weights=wts)
+    return BaseQuadrature(points=_SphereGrid(phis, thetas), weights=wts)
 
 
 def _over_points(kernel, metric: FinslerMetric2D, points, n: int) -> tuple:
-    """``kernel(metric, block, n)`` over blocks of the base points of
-    ``BLOCK_RAYS`` rays each, its per-point arrays concatenated.
+    """``kernel(metric, block, n)`` over the base points, in blocks of
+    ``BLOCK_RAYS`` rays each, its per-point arrays concatenated, and
+    evaluated once per line of the coordinates it drops: those the metric
+    declares invariant (``invariant_coords``), less phi on the sphere
+    chart, whose frame depends on it:
 
-    A position-independent metric is evaluated at the first point only,
-    and each array is a read-only broadcast of that value over the points.
-    An empty sequence of points, or a fiber count ``n`` that is not an
-    integer of at least ``MIN_FIBER_N``, is a ConfigError.
+    * both: at the first point only, each array a read-only broadcast of
+      its value over the points, no coordinate read;
+    * one: at one representative per distinct value of the other
+      coordinate, the first point with it, in the order the points come,
+      and gathered back to every point.  Each point's values are then the
+      floats of the full walk, and a failure names the point it names;
+    * none: at every point, no coordinate read.
+
+    Logs at DEBUG on ``finlap.measures``, before it evaluates, the points
+    it evaluates, the points given and the coordinates dropped.  An empty
+    sequence of points, or a fiber count ``n`` that is not an integer of
+    at least ``MIN_FIBER_N``, is a ConfigError.
     """
     _nonempty(points)
     _check_counts(MIN_FIBER_N, fiber_n=n)
-    if metric.position_independent:
+    dropped = metric.invariant_coords - ({"u"} if metric.chart == SPHERE else set())
+    walk, where = points, None
+    if dropped == BOTH_COORDS:
+        walk = points[:1]
+    elif dropped:
+        line = coords(points)[0 if "v" in dropped else 1]
+        _, first, inverse = np.unique(line, return_index=True, return_inverse=True)
+        reps = np.sort(first)
+        walk, where = [points[k] for k in reps], np.searchsorted(reps, first[inverse])
+    log.debug("base walk evaluates %d of %d points, dropping %s",
+              len(walk), len(points), ", ".join(sorted(dropped)) or "no coordinate")
+    if dropped == BOTH_COORDS:
         return tuple(np.broadcast_to(a, (len(points),) + a.shape[1:])
-                     for a in kernel(metric, points[:1], n))
+                     for a in kernel(metric, walk, n))
     size = max(1, BLOCK_RAYS // n)
-    blocks = [kernel(metric, points[k:k + size], n) for k in range(0, len(points), size)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+    blocks = [kernel(metric, walk[k:k + size], n) for k in range(0, len(walk), size)]
+    out = tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+    return out if where is None else tuple(a[where] for a in out)
 
 
 def _densities_block(metric: FinslerMetric2D, xs, n: int) -> tuple:
@@ -317,6 +358,8 @@ def sphere_total_volume(metric: FinslerMetric2D, n_phi: int = 96,
                         n_theta: int = 16) -> float:
     """Total canonical volume of a sphere-chart metric: the volume densities
     of :func:`volume_densities` at ``DEFAULT_FIBER_N`` fiber nodes,
-    integrated over :func:`sphere_base`."""
+    integrated over :func:`sphere_base`.  A metric that declares theta
+    invariant (``kz_sphere``) has its densities evaluated on one meridian,
+    n_phi points, and the floats of all n_phi * n_theta."""
     base = sphere_base(n_phi, n_theta)
     return float(base.weights @ volume_densities(metric, base.points))

@@ -32,9 +32,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import differences
-from .charts import ChartPoint, PLANE, SPHERE, TORUS
+from .charts import BOTH_COORDS, ChartPoint, PLANE, SPHERE, TORUS
 from .errors import ConfigError, DomainError, FinlapError, InvalidMetricError
-from .fields import ConstantField, field_values
+from .fields import field_values
 
 #: indicatrix scan points of :func:`dual_norm`
 DUAL_COARSE_N = 256
@@ -169,16 +169,32 @@ class FinslerMetric2D:
     point with rays of any leading shape ``(..., 2)`` and for a sequence
     of P base points with rays of shape ``(P, n, 2)``.  Without it, d_vF
     is the central difference of ``_f`` in each component of v.
+
+    ``invariant_coords`` names the chart coordinates F is declared not to
+    depend on.  Only a constructor that knows it declares it: ``kz_sphere``
+    theta, a tensor-field metric whose fields are both constant both
+    coordinates, a conformal metric those of its base and its factor.  A
+    custom metric or a callable field declares none, and nothing is
+    inferred by sampling.  ``position_independent`` follows from it.
     """
 
     chart: str = TORUS
     kind: str = "custom"
-    #: True when F(x, v) does not depend on the base point x; a walk over
-    #: base points (measures._over_points) then evaluates only the first.
-    position_independent: bool = False
+    #: the chart coordinates, of "u" and "v", on which F(x, v) is declared
+    #: not to depend: set only by the constructors that know it, never
+    #: inferred.  A walk over base points (measures._over_points) evaluates
+    #: one point per line of the coordinates it may drop.
+    invariant_coords: frozenset = frozenset()
     #: False when d_vF is differenced; the jet of the Hilbert form then
     #: takes the wider step of :func:`finlap.differences.jet_step`.
     analytic_fiber_derivative: bool = True
+
+    @property
+    def position_independent(self) -> bool:
+        """True when F(x, v) is declared not to depend on the base point x
+        (both coordinates invariant) off the sphere chart, whose frame
+        depends on phi: the metric is then one Minkowski norm."""
+        return self.invariant_coords == BOTH_COORDS and self.chart != SPHERE
 
     def _f(self, x, vs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -236,8 +252,9 @@ class _TensorFieldMetric(FinslerMetric2D):
     block, in the message the point alone would give.
 
     When both fields are constant, the gathered fields are checked on the
-    first evaluation and kept, and the metric is position-independent off
-    the sphere chart.  A constant pair that fails its check raises at
+    first evaluation and kept, and the metric declares both coordinates
+    invariant: it is position-independent off the sphere chart.  A
+    constant pair that fails its check raises at
     every evaluation, naming the point, or the first point of the block.
     """
 
@@ -251,7 +268,8 @@ class _TensorFieldMetric(FinslerMetric2D):
         self.g_field = _Field(g, (2, 2))
         self.form_field = _Field(form, (2,))
         self._constant = self.g_field.constant and self.form_field.constant
-        self.position_independent = self._constant and chart != SPHERE
+        if self._constant:
+            self.invariant_coords = BOTH_COORDS
 
     def _pair(self, x):
         """``(g, form)`` at x, unchecked: (2, 2) and (2,) at one point or
@@ -454,8 +472,10 @@ class ConformalMetric(FinslerMetric2D):
     """exp(f(x)) * F for a base metric F and a scalar field f.
 
     A block of base points takes one call of the base metric, and the
-    factor over the block through :func:`~finlap.fields.field_values`.  A
-    constant factor keeps a position-independent base position-independent.
+    factor over the block through :func:`~finlap.fields.field_values`.  Its
+    invariant coordinates are those of the base that the factor declares
+    too: all of them for a :class:`~finlap.fields.ConstantField`, none for
+    any other factor.
     """
 
     kind = "conformal"
@@ -464,8 +484,8 @@ class ConformalMetric(FinslerMetric2D):
         self.chart = base.chart
         self.base = base
         self.factor = factor
-        self.position_independent = (base.position_independent
-                                     and isinstance(factor, ConstantField))
+        self.invariant_coords = base.invariant_coords & getattr(
+            factor, "invariant_coords", frozenset())
         self.analytic_fiber_derivative = base.analytic_fiber_derivative
 
     def _scale(self, x) -> np.ndarray:
@@ -513,8 +533,11 @@ def _round_sphere_g(x: ChartPoint) -> np.ndarray:
 
 
 def kz_sphere(eps: float) -> KatokZillerMetric:
-    """Katok-Ziller deformation of the round 2-sphere along the rotation field."""
-    return KatokZillerMetric(_round_sphere_g, np.array([0.0, 1.0]), eps, chart=SPHERE)
+    """Katok-Ziller deformation of the round 2-sphere along the rotation field.
+    Its F does not depend on theta, which it declares."""
+    metric = KatokZillerMetric(_round_sphere_g, np.array([0.0, 1.0]), eps, chart=SPHERE)
+    metric.invariant_coords = frozenset({"v"})
+    return metric
 
 
 def custom(f: Callable, chart: str = PLANE) -> CustomMetric:

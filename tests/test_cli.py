@@ -199,7 +199,7 @@ class TestOtherCommands:
         def general(metric, *args):
             assert metric.position_independent
             forced.append(copy.copy(metric))
-            forced[-1].position_independent = False
+            forced[-1].invariant_coords = frozenset()
             return hilbert.geodesic_integrate(forced[-1], *args)
 
         monkeypatch.setattr(cli, "geodesic_integrate", general)

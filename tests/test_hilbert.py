@@ -210,7 +210,7 @@ class TestFiberJet:
     def test_zero_curl_is_bit_identical(self, eps):
         m = fl.kz_torus(eps)
         differenced = copy.copy(m)
-        differenced.position_independent = False    # the curl is differenced
+        differenced.invariant_coords = frozenset()    # the curl is differenced
         rng = np.random.default_rng(7)
         xs = [random_point(m, rng) for _ in range(6)]
         phis = rng.uniform(0.0, 2.0 * math.pi, (6, 5))
@@ -422,9 +422,10 @@ class TestGeodesicBatch:
 
 def _general(metric):
     """The metric with its spray re-evaluated at every RK4 stage: a copy
-    marked position-dependent, whose differenced curl is exactly 0.0."""
+    that declares no invariant coordinate, whose differenced curl is
+    exactly 0.0."""
     general = copy.copy(metric)
-    general.position_independent = False
+    general.invariant_coords = frozenset()
     return general
 
 

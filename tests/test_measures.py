@@ -1,4 +1,5 @@
 import collections
+import copy
 import logging
 import math
 import re
@@ -188,7 +189,9 @@ class TestFrameRule:
         with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
             total = fl.sphere_total_volume(fl.kz_sphere(eps), 96, 2)
         assert abs(total / (8.0 * math.pi / (2.0 - 2.0 * eps**2)) - 1.0) <= 1e-13
-        assert not [r for r in caplog.records if r.name == "finlap.measures"]
+        # no warning and no other record: only the walk's, over one meridian
+        assert [r.getMessage() for r in caplog.records if r.name == "finlap.measures"] == [
+            "base walk evaluates 96 of 192 points, dropping v"]
 
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
     def test_sphere_total_volume_closed_form_at_32_nodes(self, eps):
@@ -314,6 +317,155 @@ class TestBaseQuadrature:
         np.testing.assert_array_equal([p.u for p in base.points[::2]],
                                       0.5 * math.pi * (t_ref + 1.0))
         np.testing.assert_array_equal(base.weights[::2], 0.5 * math.pi * w_ref * math.pi)
+
+
+    def test_sphere_points_carry_their_coordinates(self):
+        base = fl.sphere_base(7, 3)
+        assert not base.points.coords.flags.writeable
+        assert np.array_equal(base.points.coords, [(p.u, p.v) for p in base.points])
+        assert base.points[4:9] == tuple(list(base.points)[4:9])
+        # the array form reads the coords array; a list of the same points
+        # is read point by point, to the same floats
+        u = fl.SphereHarmonicField(3, 2)
+        for method in ("values", "gradients", "hessians"):
+            assert np.array_equal(getattr(u, method)(base.points),
+                                  getattr(u, method)(list(base.points)))
+
+
+def _full_walk(metric):
+    """The metric with its declaration withdrawn: the walk evaluates every
+    base point."""
+    full = copy.copy(metric)
+    full.invariant_coords = frozenset()
+    return full
+
+
+def _walk_records(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "finlap.measures" and r.getMessage().startswith("base walk")]
+
+
+def _walk_outputs(metric, n_phi, n_theta):
+    """Every walk over a sphere base that the issue of a declaration can
+    change: densities, coefficients, energy and the total volume."""
+    base = fl.sphere_base(n_phi, n_theta)
+    coarse = fl.sphere_base(6, n_theta)
+    u = fl.SphereHarmonicField(2, 1)
+    return {"volume_densities": measures.volume_densities(metric, base.points),
+            "symbol_densities": fl.laplace.symbol_densities(metric, base.points),
+            "coefficients_at": fl.laplace.coefficients_at(metric, coarse.points),
+            "energy": fl.energy(metric, u, base),
+            "sphere_total_volume": fl.sphere_total_volume(metric, n_phi, n_theta)}
+
+
+def _assert_same_floats(got, want):
+    assert got.keys() == want.keys()
+    for key in got:
+        pairs = zip(got[key], want[key]) if isinstance(got[key], tuple) else [(got[key], want[key])]
+        for a, b in pairs:
+            assert np.array_equal(a, b), key
+
+
+class TestLineWalk:
+    """A metric that declares a coordinate invariant is walked one point
+    per line of the other, to the floats of the walk over every point."""
+
+    @pytest.mark.parametrize("n_theta", [1, 2, 16])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 0.9])
+    def test_kz_sphere_equals_the_full_walk(self, eps, n_theta, caplog):
+        m = fl.kz_sphere(eps)
+        assert m.invariant_coords == {"v"} and not m.position_independent
+        with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
+            got = _walk_outputs(m, 24, n_theta)
+        assert set(_walk_records(caplog)) == {
+            f"base walk evaluates 24 of {24 * n_theta} points, dropping v",
+            f"base walk evaluates 6 of {6 * n_theta} points, dropping v"}
+        _assert_same_floats(got, _walk_outputs(_full_walk(m), 24, n_theta))
+
+    @pytest.mark.parametrize("make", [
+        lambda: fl.RandersMetric(np.array([[1.2, 0.1], [0.1, 0.9]]), [0.3, -0.2],
+                                 chart=fl.SPHERE),
+        lambda: fl.scale_conformal(fl.kz_sphere(0.3), fl.ConstantField(0.2)),
+    ], ids=["constant-randers", "kz-sphere-constant-factor"])
+    def test_other_declared_sphere_metrics(self, make, caplog):
+        # a constant tensor declares both coordinates, but the sphere frame
+        # depends on phi: only theta is dropped
+        m = make()
+        assert "v" in m.invariant_coords and not m.position_independent
+        with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
+            got = _walk_outputs(m, 12, 4)
+        assert set(_walk_records(caplog)) == {"base walk evaluates 12 of 48 points, dropping v",
+                                              "base walk evaluates 6 of 24 points, dropping v"}
+        _assert_same_floats(got, _walk_outputs(_full_walk(m), 12, 4))
+
+    def test_unsorted_points_with_repeated_lines(self, caplog):
+        m = fl.kz_sphere(0.6)
+        base = fl.sphere_base(10, 3)
+        pick = np.random.default_rng(5).integers(0, len(base.points), 40)
+        points = [base.points[k] for k in pick]
+        lines = len({p.u for p in points})
+        assert lines < len(points)
+        with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
+            got = fl.laplace.symbol_densities(m, points)
+        assert _walk_records(caplog) == [f"base walk evaluates {lines} of 40 points, dropping v"]
+        for a, b in zip(got, fl.laplace.symbol_densities(_full_walk(m), points)):
+            assert np.array_equal(a, b)
+
+    def test_position_independent_walk_reads_one_point(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
+            measures.volume_densities(fl.kz_torus(0.3), fl.torus_base(8).points)
+        assert _walk_records(caplog) == ["base walk evaluates 1 of 64 points, dropping u, v"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: fl.custom(lambda x, vs: np.sqrt(vs[..., 0] ** 2
+                                                + (math.sin(x.u) * vs[..., 1]) ** 2),
+                          chart=fl.SPHERE),
+        lambda: fl.RandersMetric(lambda x: np.diag([1.0, math.sin(x.u) ** 2]), [0.2, 0.0],
+                                 chart=fl.SPHERE),
+        lambda: fl.scale_conformal(fl.kz_sphere(0.3), fl.SphereHarmonicField(2, 0)),
+    ], ids=["custom", "randers-callable-g", "kz-sphere-harmonic-factor"])
+    def test_nothing_is_inferred(self, make, monkeypatch, caplog):
+        # each F ignores theta, but none declares it: every point is walked
+        m = make()
+        assert m.invariant_coords == frozenset()
+        calls = count_calls(monkeypatch, m)
+        points = fl.sphere_base(8, 4).points
+        with caplog.at_level(logging.DEBUG, logger="finlap.measures"):
+            measures.volume_densities(m, points)
+        assert sum(calls["f"]) == 32 * measures.DEFAULT_FIBER_N
+        assert _walk_records(caplog) == ["base walk evaluates 32 of 32 points, "
+                                         "dropping no coordinate"]
+
+    def test_degenerate_contact_names_the_full_walks_point(self, caplog):
+        # NaN from phi 2 on: the first refused point in the given order is
+        # (2.5, 1.0), though the line of phi 2.2 sorts first
+        m = fl.custom(lambda x, vs: np.hypot(vs[..., 0], math.sin(x.u) * vs[..., 1])
+                      * (math.nan if x.u >= 2.0 else 1.0), chart=fl.SPHERE)
+        m.invariant_coords = frozenset({"v"})      # declared by hand: F ignores theta
+        points = [fl.sphere_point(*uv) for uv in [(1.0, 0.5), (2.5, 1.0), (2.2, 3.0),
+                                                  (2.5, 0.2), (1.0, 4.0)]]
+        messages = []
+        for metric, walked in ((m, 3), (_full_walk(m), 5)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="finlap.measures"), \
+                    pytest.raises(fl.DegenerateContactError, match=r"at \(2.5, 1.0\)$") as err:
+                measures.volume_densities(metric, points)
+            messages.append(str(err.value))
+            assert _walk_records(caplog) == [f"base walk evaluates {walked} of 5 points, "
+                                             f"dropping {'v' if walked == 3 else 'no coordinate'}"]
+        assert messages[0] == messages[1]
+
+    def test_half_rule_warning_names_the_full_walks_point(self, caplog):
+        points = fl.sphere_base(24, 4).points
+        warnings = []
+        for m in (fl.kz_sphere(0.95), _full_walk(fl.kz_sphere(0.95))):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="finlap.measures"):
+                measures.volume_densities(m, points, 16)
+            warnings.append([r.getMessage() for r in caplog.records
+                             if r.levelno == logging.WARNING])
+        assert len(warnings[0]) == 1 and "half-rule defect" in warnings[0][0]
+        assert warnings[0] == warnings[1]
 
 
 _EMPTY_BLOCK_CALLS = {

@@ -195,7 +195,7 @@ class TestConformal:
     def test_constant_factor_shortcut_is_bit_identical(self):
         scaled = fl.scale_conformal(fl.kz_torus(0.3), fl.ConstantField(0.7))
         sigma, rho = grid_symbol_density(scaled, 16)
-        scaled.position_independent = False     # every grid point evaluated
+        scaled.invariant_coords = frozenset()     # every grid point evaluated
         sigma_all, rho_all = grid_symbol_density(scaled, 16)
         assert np.array_equal(sigma, sigma_all) and np.array_equal(rho, rho_all)
 
@@ -326,6 +326,42 @@ class TestFieldChecks:
             m = make(g, lambda p: form, chart)
             # a Riemannian metric takes no 1-form
             assert m.position_independent is (m.kind == "riemannian" and chart != fl.SPHERE)
+
+
+BOTH = frozenset({"u", "v"})
+
+
+class TestInvariantCoords:
+    """Only constructors that know it declare the coordinates F ignores."""
+
+    def test_declarations(self):
+        const, trig = fl.ConstantField(0.2), fl.SeparableTrigField(0.2, "sin", 1, "one", 0)
+        cases = [
+            (fl.kz_sphere(0.3), {"v"}),
+            (fl.kz_torus(0.3), BOTH),
+            (fl.euclidean(), BOTH),
+            (fl.RandersMetric(np.eye(2), [0.3, 0.0], chart=fl.SPHERE), BOTH),
+            (fl.RandersMetric(lambda x: np.eye(2), [0.3, 0.0]), frozenset()),
+            (fl.custom(quartic_norm), frozenset()),
+            (fl.scale_conformal(fl.kz_sphere(0.3), const), {"v"}),
+            (fl.scale_conformal(fl.kz_torus(0.3), const), BOTH),
+            # a factor that ignores v declares nothing either
+            (fl.scale_conformal(fl.kz_torus(0.3), trig), frozenset()),
+            (fl.scale_conformal(fl.kz_sphere(0.3), fl.SphereHarmonicField(2, 0)), frozenset()),
+            (fl.scale_conformal(fl.custom(quartic_norm), const), frozenset()),
+            (fl.scale_conformal(fl.scale_conformal(fl.kz_sphere(0.3), const), const), {"v"}),
+        ]
+        for m, declared in cases:
+            assert m.invariant_coords == declared, m.kind
+            assert m.position_independent is (declared == BOTH and m.chart != fl.SPHERE)
+
+    def test_position_independent_is_read_only(self):
+        m = fl.kz_torus(0.3)
+        with pytest.raises(AttributeError):
+            m.position_independent = False
+        m.invariant_coords = frozenset({"u"})
+        assert not m.position_independent
+        assert fl.kz_torus(0.3).position_independent
 
 
 class TestChartCheck:
