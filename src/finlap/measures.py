@@ -49,10 +49,13 @@ DEFAULT_FIBER_N = 64
 FIBER_DEFECT_WARN = 1e-6
 #: the fewest nodes of a fiber rule
 MIN_FIBER_N = 16
-#: rays per block of base points evaluated together by :func:`_over_points`:
-#: large enough that the Python overhead of a block is small against its
-#: arithmetic, small enough that each (P, n, 2) temporary stays at 64 KiB
-BLOCK_RAYS = 4096
+#: rays per block of base points evaluated together by :func:`_over_points`,
+#: the one block-size constant: large enough that a 32 x 32 torus grid at 64
+#: fiber nodes is walked in 8 blocks, whose Python overhead is small against
+#: their arithmetic, and small enough that a block's temporaries, 128 KiB
+#: for each (P, n, 2) array, leave a grid walk's peak memory where it was at
+#: half this size; twice this size is no faster and raises it by 0.6 MiB
+BLOCK_RAYS = 8192
 #: relative volume change at which the adaptive fiber rule stops doubling
 ADAPTIVE_RTOL = 1e-9
 #: the most nodes of the adaptive fiber rule
@@ -222,12 +225,15 @@ class BaseQuadrature:
 
 
 class _TorusGrid(Sequence):
-    """The points (i/n, j/n) of the n x n torus grid, row-major, each built
-    when read: a position-independent walk reads one, not n^2.  Their
+    """The points (i/n, j/n) of the n x n torus grid, row-major.  One point
+    read alone is built alone, so a position-independent walk, which
+    reads one, builds one, not n^2; the first read of more than one point
+    builds them all, once, and every later read returns those.  Their
     coordinates come as one array, without building a point."""
 
     def __init__(self, n: int):
         self.n = n
+        self._points = None
 
     def __len__(self) -> int:
         return self.n * self.n
@@ -237,18 +243,31 @@ class _TorusGrid(Sequence):
         """The (u, v) of every point, shape (n^2, 2)."""
         return np.stack(np.divmod(np.arange(len(self)), self.n), axis=-1) / self.n
 
-    def __getitem__(self, k):
-        ks = range(len(self))[k]
-        if isinstance(ks, range):
-            return tuple(self[i] for i in ks)
-        i, j = divmod(ks, self.n)
+    def _point(self, k: int) -> ChartPoint:
+        i, j = divmod(k, self.n)
         return ChartPoint(TORUS, i / self.n, j / self.n)
 
+    def __getitem__(self, k):
+        ks = range(len(self))[k]
+        if isinstance(ks, int):
+            return self._point(ks) if self._points is None else self._points[ks]
+        if len(ks) < 2:
+            return tuple(self[i] for i in ks)
+        if self._points is None:
+            self._points = tuple(self._point(i) for i in range(len(self)))
+        return self._points[k]
 
+
+@functools.lru_cache(maxsize=8, typed=True)
 def torus_base(n: int) -> BaseQuadrature:
-    """The periodic n x n grid (i/n, j/n), row-major, with equal weights."""
+    """The periodic n x n grid (i/n, j/n), row-major, with equal weights.
+    Built once per n, with read-only weights and the points of
+    :class:`_TorusGrid`; a size of another type, 2.0 for 2, is not the
+    cached one and is refused."""
     _check_counts(1, n=n)
-    return BaseQuadrature(points=_TorusGrid(n), weights=np.full(n * n, 1.0 / n**2))
+    wts = np.full(n * n, 1.0 / n**2)
+    wts.flags.writeable = False
+    return BaseQuadrature(points=_TorusGrid(n), weights=wts)
 
 
 @functools.lru_cache(maxsize=32)

@@ -75,10 +75,12 @@ class _Field:
 
     def at(self, x) -> np.ndarray:
         """The field in its one-point shape at one point or when constant,
-        and stacked as (P, ...) over a block of P points."""
+        and stacked as (P, ...) over a block of P points: from one call of
+        a callable whose ``takes_blocks`` attribute is true, and otherwise
+        from one call per point."""
         if self.constant:
             return self._value
-        if isinstance(x, ChartPoint):
+        if isinstance(x, ChartPoint) or getattr(self._value, "takes_blocks", False):
             return np.asarray(self._value(x), dtype=float)
         return np.array([self._value(p) for p in x], dtype=float)
 
@@ -248,7 +250,8 @@ class _TensorFieldMetric(FinslerMetric2D):
     in their one-point shapes, and over a block g as (P, 2, 2), a 1-form
     (P, 1, 2) and a scalar (P, 1), to broadcast against rays (P, n, 2),
     while a constant field keeps its one-point shape.  A callable field is
-    called once per point.  Each check names the first failing point of a
+    called once per point, or once per block when it takes blocks (the
+    round tensor of ``kz_sphere``).  Each check names the first failing point of a
     block, in the message the point alone would give.
 
     When both fields are constant, the gathered fields are checked on the
@@ -528,8 +531,18 @@ def kz_torus(eps: float) -> KatokZillerMetric:
     return KatokZillerMetric(np.eye(2), np.array([1.0, 0.0]), eps, chart=TORUS)
 
 
-def _round_sphere_g(x: ChartPoint) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, math.sin(x.u) ** 2]])
+def _round_sphere_g(x) -> np.ndarray:
+    """The round tensor diag(1, sin^2 phi), (2, 2) at one point and
+    (P, 2, 2) over a block of P points in one call, each sin that of
+    ``math.sin``."""
+    s2 = [math.sin(p.u) ** 2 for p in ((x,) if isinstance(x, ChartPoint) else x)]
+    g = np.zeros((len(s2), 2, 2))
+    g[:, 0, 0] = 1.0
+    g[:, 1, 1] = s2
+    return g[0] if isinstance(x, ChartPoint) else g
+
+
+_round_sphere_g.takes_blocks = True
 
 
 def kz_sphere(eps: float) -> KatokZillerMetric:

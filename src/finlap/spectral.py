@@ -286,6 +286,23 @@ def _circulant_eigenvalues(problem: SpectralProblem) -> np.ndarray:
     return np.sort(-symbol / problem.mass.diagonal()[0])
 
 
+def _scaled_pencil(S: sp.spmatrix, M: sp.spmatrix) -> tuple:
+    """``(C, C + I)`` in CSC for a torus grid pencil, C = D(-S)D with
+    D = M^(-1/2): S, symmetric to the bit with its diagonal stored, has
+    CSR arrays that are its CSC arrays too, and C's, scaled entry by entry
+    (C_ij = C_ji in floating point).  C + I drops the entries that sum to
+    zero, as a sparse sum does."""
+    S = S.tocsr()
+    d = 1.0 / np.sqrt(M.diagonal())
+    rows = S.indices
+    cols = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    data = -S.data * (d[rows] * d[cols])
+    C = sp.csc_matrix((data, rows, S.indptr), shape=S.shape)
+    shifted = sp.csc_matrix((data + (rows == cols), rows.copy(), S.indptr.copy()), shape=S.shape)
+    shifted.eliminate_zeros()
+    return C, shifted
+
+
 def solve_eigen(problem: SpectralProblem, k: int) -> SpectrumResult:
     """Lowest k eigenvalues of the negative operator for the pencil.
 
@@ -297,8 +314,10 @@ def solve_eigen(problem: SpectralProblem, k: int) -> SpectrumResult:
     positive diagonal, are the standard problem C = D(-S)D, D = M^(-1/2),
     solved by shift-invert Lanczos at -1 from one sparse LU of C + I with
     a fixed start vector (``"lanczos"``; the dense solve when k >= dim - 1,
-    which ARPACK cannot do).  A solver that fails to converge or breaks
-    down raises :class:`NumericError`.  Torus grid pencils record
+    which ARPACK cannot do).  C and C + I are built in CSC straight from
+    the CSR arrays of S, which is symmetric to the bit, with no format
+    conversion (:func:`_scaled_pencil`).  A solver that fails to converge
+    or breaks down raises :class:`NumericError`.  Torus grid pencils record
     ``fiber_n`` and ``fiber_defect``.
     """
     _check_counts(1, k=k)
@@ -330,12 +349,10 @@ def solve_eigen(problem: SpectralProblem, k: int) -> SpectrumResult:
             Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
             vals = sla.eigh(-Sd, Md, eigvals_only=True)[:k]
         else:
-            d = 1.0 / np.sqrt(M.diagonal())
-            C = -sp.coo_matrix(S)
-            C.data *= d[C.row] * d[C.col]     # C_ij = C_ji in floating point
-            lu = spla.splu(sp.csc_matrix(C + sp.identity(problem.dim)), permc_spec="MMD_AT_PLUS_A")
+            C, shifted = _scaled_pencil(S, M)
+            lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
             v0 = np.full(problem.dim, 1.0 / math.sqrt(problem.dim))
-            vals = np.sort(spla.eigsh(C.tocsr(), k=k, sigma=-1.0, which="LM", v0=v0,
+            vals = np.sort(spla.eigsh(C, k=k, sigma=-1.0, which="LM", v0=v0,
                                       OPinv=spla.LinearOperator(C.shape, lu.solve, dtype=float),
                                       return_eigenvectors=False))
     except spla.ArpackNoConvergence as exc:

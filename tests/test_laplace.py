@@ -485,14 +485,16 @@ class TestBlockedGrid:
     agree with the one-point kernel, and it and the Reeb-route oracle with
     the closed forms, and fail as the one-point path fails."""
 
-    # (n, fiber_n): n^2 is not a multiple of the BLOCK_RAYS // fiber_n points
-    # of a block, so the last block is short
+    # (n, fiber_n): n^2 is more than the BLOCK_RAYS // fiber_n points of a
+    # block and not a multiple of it, so the grid is walked in at least two
+    # blocks, the last one short
     @pytest.mark.parametrize("n, fiber_n", [(16, 96), (18, 256)])
     @pytest.mark.parametrize("name", ["riemannian-var", "randers-var", "custom-quartic"])
     def test_matches_points_and_oracle(self, name, n, fiber_n):
         from finlap.laplace import BLOCK_RAYS, grid_symbol_density, symbol_density
 
-        assert (n * n) % (BLOCK_RAYS // fiber_n) != 0
+        size = BLOCK_RAYS // fiber_n
+        assert size < n * n and (n * n) % size != 0
         m = builtin_metrics()[name]
         sigma, rho = grid_symbol_density(m, n, fiber_n)
         for k in range(n * n):
@@ -604,13 +606,14 @@ class TestReebRouteBlocks:
             assert after.keys() == before.keys(), m.kind
             assert all(after[k] is v for k, v in before.items()), m.kind
 
-    # n = 6 with fiber_n = 128 walks a block of 32 points and a short one of 4
+    # n = 9 with fiber_n = 128 walks a block of 64 points and a short one of 17
     @pytest.mark.parametrize("name", ["riemannian-var", "randers-var", "custom-quartic"])
     def test_block_equals_points(self, name):
         from finlap.laplace import BLOCK_RAYS, coefficients_at, grid_coefficients
 
-        n, fiber_n = 6, 128
-        assert (n * n) % (BLOCK_RAYS // fiber_n) != 0
+        n, fiber_n = 9, 128
+        size = BLOCK_RAYS // fiber_n
+        assert size < n * n and (n * n) % size != 0
         m = builtin_metrics()[name]
         sigma, drift, rho = coefficients_at(m, fl.torus_base(n).points, fiber_n)
         gs, gd, gr = grid_coefficients(m, n, fiber_n)

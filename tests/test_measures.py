@@ -247,6 +247,16 @@ class TestBaseQuadrature:
         with pytest.raises(fl.ConfigError):
             fl.sphere_base(4, 2.0)
 
+    def test_torus_base_built_once_read_only(self):
+        base = fl.torus_base(6)
+        assert fl.torus_base(6) is base
+        assert not base.weights.flags.writeable
+        with pytest.raises(ValueError):
+            base.weights[0] = 1.0
+        for size in (6.0, True):
+            with pytest.raises(fl.ConfigError):
+                fl.torus_base(size)
+
     @pytest.mark.parametrize("call", [
         lambda: fl.torus_base(0),
         lambda: fl.sphere_base(0, 4),
@@ -300,6 +310,42 @@ class TestBaseQuadrature:
         assert points[3:17:2] == tuple(expected[3:17:2])
         with pytest.raises(IndexError):
             points[n * n]
+
+    def test_torus_points_built_when_read(self, monkeypatch):
+        # one point read alone is built alone; the first read of more builds
+        # every point once, and later reads build none
+        built = []
+        init = fl.ChartPoint.__post_init__
+
+        def counted(point):
+            built.append((point.u, point.v))
+            init(point)
+
+        expected = [fl.torus_point(i / 4, j / 4) for i in range(4) for j in range(4)]
+        measures.torus_base.cache_clear()
+        points = fl.torus_base(4).points
+        monkeypatch.setattr(fl.ChartPoint, "__post_init__", counted)
+        assert points[5] == expected[5] and len(built) == 1
+        assert points[:1] == (expected[0],) and len(built) == 2
+        assert points[2:4] == tuple(expected[2:4]) and len(built) == 2 + 16
+        assert list(points) == expected and len(built) == 2 + 16
+        assert points[7] is points[4:8][3]
+
+    def test_position_independent_walk_builds_one_point(self, monkeypatch):
+        built = []
+        init = fl.ChartPoint.__post_init__
+
+        def counted(point):
+            built.append((point.u, point.v))
+            init(point)
+
+        measures.torus_base.cache_clear()
+        monkeypatch.setattr(fl.ChartPoint, "__post_init__", counted)
+        prob = fl.assemble_eigenproblem(fl.kz_torus(0.3), fl.TorusGridBasis(n=128))
+        assert prob.translation_invariant
+        assert built == [(0.0, 0.0)]
+        measures.volume_densities(fl.kz_torus(0.3), fl.torus_base(128).points)
+        assert built == [(0.0, 0.0)] * 2
 
     def test_sphere_weights_total_area(self):
         base = fl.sphere_base(12, 5)
@@ -1221,3 +1267,35 @@ class TestFiberResolution:
         assert calls["f"] == [min(size, 324 - k) * n for k in range(0, 324, size)]
         assert calls["d_vf"] == calls["indicatrix_point"] == []
         assert 0.0 < prob.fiber_defect <= 1e-10
+
+
+def _variable_randers(phase):
+    """Randers torus metric with theta = (0.3 sin 2pi(v + phase), 0)."""
+    return fl.RandersMetric(np.eye(2),
+                            lambda p: np.array([0.3 * math.sin(2.0 * math.pi * (p.v + phase)), 0.0]),
+                            chart=fl.TORUS)
+
+
+def _block_walks():
+    """(sigma, rho, defect) of every torus built-in metric on a 12 x 12 grid
+    and of kz_sphere(0.3) on its meridian, and the ten lowest eigenvalues
+    of a variable Randers torus at n = 32."""
+    walks = [measures._fiber_densities(m, fl.torus_base(12).points, measures.DEFAULT_FIBER_N)
+             for m in builtin_metrics().values() if m.chart == fl.TORUS]
+    walks.append(measures._fiber_densities(fl.kz_sphere(0.3), fl.sphere_base(96, 16).points,
+                                           measures.DEFAULT_FIBER_N))
+    prob = fl.assemble_eigenproblem(_variable_randers(0.37), fl.TorusGridBasis(n=32))
+    return walks, fl.solve_eigen(prob, k=10).expand()
+
+
+def test_walk_floats_do_not_depend_on_the_block_size(monkeypatch):
+    # one point per block, the default block and the whole grid in one block
+    results = []
+    for rays in (1, measures.BLOCK_RAYS, 1 << 40):
+        monkeypatch.setattr(measures, "BLOCK_RAYS", rays)
+        results.append(_block_walks())
+    (walks, eigs), others = results[0], results[1:]
+    for other_walks, other_eigs in others:
+        for (sigma, rho, defect), (s2, r2, d2) in zip(walks, other_walks):
+            assert np.array_equal(sigma, s2) and np.array_equal(rho, r2) and defect == d2
+        assert np.array_equal(eigs, other_eigs)

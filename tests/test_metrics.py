@@ -607,3 +607,32 @@ class TestBlockEvaluation:
         d = fl.vertical_derivative(m, xs, vs)
         euler = np.einsum("...i,...i->...", d, vs)
         assert np.all(np.abs(euler - f) <= tol * f), name
+
+
+class TestRoundSphereTensor:
+    def test_block_form_equals_points(self):
+        from finlap.metrics import _round_sphere_g
+
+        xs = fl.sphere_base(7, 3).points
+        g = _round_sphere_g(xs)
+        assert g.shape == (21, 2, 2)
+        for k, x in enumerate(xs):
+            assert np.array_equal(g[k], _round_sphere_g(x))
+            assert np.array_equal(g[k], [[1.0, 0.0], [0.0, math.sin(x.u) ** 2]])
+
+    def test_one_tensor_call_per_block(self, monkeypatch):
+        # the 96 points of one meridian are one block, and one tensor call
+        from finlap import metrics
+
+        calls = []
+        tensor = metrics._round_sphere_g
+
+        def counted(x):
+            calls.append(x)
+            return tensor(x)
+
+        counted.takes_blocks = tensor.takes_blocks
+        monkeypatch.setattr(metrics, "_round_sphere_g", counted)
+        fl.sphere_total_volume(fl.kz_sphere(0.3), 96, 2)
+        assert not [x for x in calls if isinstance(x, fl.ChartPoint)]
+        assert [len(x) for x in calls] == [96]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -81,12 +82,13 @@ class TestEnergyFromIndicatrix:
     @pytest.mark.parametrize("name", sorted(REEB_VALUES))
     def test_one_norm_call_per_block(self, name, monkeypatch):
         # one F call and no fiber derivative per block of
-        # BLOCK_RAYS // fiber_n base points
+        # BLOCK_RAYS // fiber_n base points: 121 points in blocks of 32,
+        # the last one short
         from finlap.measures import BLOCK_RAYS
 
         metric = self.metric(name)
         calls = count_calls(monkeypatch, metric)
-        base = fl.torus_base(8)
+        base = fl.torus_base(11)
         fl.energy(metric, fl.SeparableTrigField(1.0, "cos", 1, "one", 0), base, fiber_n=256)
         assert len(calls["f"]) == math.ceil(len(base.points) / (BLOCK_RAYS // 256))
         assert len(calls["f"]) == 4
@@ -121,7 +123,7 @@ class TestBlockedBaseIntegrals:
     they must equal the per-point fiber-node formulas."""
 
     CASES = {
-        # 35 points: blocks of 16, 16 and 3
+        # kz_sphere is walked on the 5 points of one meridian
         "kz-sphere-03": (lambda: fl.kz_sphere(0.3), lambda: fl.sphere_base(5, 7),
                          lambda: fl.SumField([fl.SphereHarmonicField(1, 1, "cos"),
                                               fl.SphereHarmonicField(2, 0, "cos")])),
@@ -182,19 +184,19 @@ class TestRayleigh:
 
     @pytest.mark.parametrize("name", ["randers-var", "riemannian-var"])
     def test_one_fiber_walk_per_quotient(self, name, monkeypatch):
-        # 144 points: one F call for each of the blocks of 64, 64 and 16
+        # 289 points: one F call for each of the blocks of 128, 128 and 33
         from finlap.measures import BLOCK_RAYS, DEFAULT_FIBER_N
 
         metric = builtin_metrics()[name]
         u = fl.SumField([fl.SeparableTrigField(1.0, "cos", 1, "one", 0),
                          fl.SeparableTrigField(0.5, "one", 0, "sin", 2),
                          fl.ConstantField(0.3)])
-        base = fl.torus_base(12)
+        base = fl.torus_base(17)
         quotient = fl.energy(metric, u, base) / fl.omega_norm_sq(metric, u, base)
         calls = count_calls(monkeypatch, metric)
         assert fl.rayleigh(metric, u, base) == quotient
         size = BLOCK_RAYS // DEFAULT_FIBER_N
-        assert calls["f"] == [min(size, 144 - k) * DEFAULT_FIBER_N for k in range(0, 144, size)]
+        assert calls["f"] == [min(size, 289 - k) * DEFAULT_FIBER_N for k in range(0, 289, size)]
         assert len(calls["f"]) == 3
         assert calls["d_vf"] == calls["indicatrix_point"] == []
 
@@ -403,6 +405,39 @@ class TestSolver:
         got = res.expand()
         assert np.abs(got[1:] / ref[1:] - 1.0).max() <= 1e-10
         assert abs(got[0]) <= 1e-10
+
+    @staticmethod
+    def _sparse_sum_pencil(S, M):
+        """``(C, C + I)`` by the sparse sum: C = D(-S)D entry by entry in COO,
+        plus the identity, converted to CSC."""
+        d = 1.0 / np.sqrt(M.diagonal())
+        C = -sp.coo_matrix(S)
+        C.data *= d[C.row] * d[C.col]
+        return C, sp.csc_matrix(C + sp.identity(S.shape[0]))
+
+    @pytest.mark.parametrize("name", ["randers-var", "riemannian-var"])
+    def test_scaled_pencil_equals_the_sparse_sum(self, name):
+        prob = fl.assemble_eigenproblem(builtin_metrics()[name], fl.TorusGridBasis(n=16))
+        C, shifted = spectral._scaled_pencil(prob.stiffness, prob.mass)
+        ref_c, ref_shifted = self._sparse_sum_pencil(prob.stiffness, prob.mass)
+        assert C.format == shifted.format == "csc"
+        assert np.array_equal(C.toarray(), ref_c.toarray())
+        for a in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(shifted, a), getattr(ref_shifted, a))
+
+    def test_scaled_pencil_drops_zero_sums(self):
+        # the stored zeros at (0, 1) and (1, 0), and C_00 = -1, which sums to
+        # zero with I, are dropped from C + I as from the sparse sum
+        S = sp.csr_matrix((np.array([1.0, 0.0, 0.0, -2.0, 0.5, 0.5, -4.0]),
+                           np.array([0, 1, 0, 1, 2, 1, 2]), np.array([0, 2, 5, 7])),
+                          shape=(3, 3))
+        M = sp.diags([1.0, 0.5, 0.25]).tocsr()
+        C, shifted = spectral._scaled_pencil(S, M)
+        ref_c, ref_shifted = self._sparse_sum_pencil(S, M)
+        assert np.array_equal(C.toarray(), ref_c.toarray())
+        assert shifted.nnz == ref_shifted.nnz == 4
+        for a in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(shifted, a), getattr(ref_shifted, a))
 
     def test_dense_mass_solves_dense(self, rng):
         # a dense mass above JACOBI_MAX_DENSE (a large sphere sector) is
