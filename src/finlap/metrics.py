@@ -251,8 +251,8 @@ class _TensorFieldMetric(FinslerMetric2D):
     (P, 1, 2) and a scalar (P, 1), to broadcast against rays (P, n, 2),
     while a constant field keeps its one-point shape.  A callable field is
     called once per point, or once per block when it takes blocks (the
-    round tensor of ``kz_sphere``).  Each check names the first failing point of a
-    block, in the message the point alone would give.
+    round tensor of ``kz_sphere``).  Each check names the first failing
+    point of a block, in the message the point alone would give.
 
     When both fields are constant, the gathered fields are checked on the
     first evaluation and kept, and the metric declares both coordinates

@@ -1271,9 +1271,10 @@ class TestFiberResolution:
 
 def _variable_randers(phase):
     """Randers torus metric with theta = (0.3 sin 2pi(v + phase), 0)."""
-    return fl.RandersMetric(np.eye(2),
-                            lambda p: np.array([0.3 * math.sin(2.0 * math.pi * (p.v + phase)), 0.0]),
-                            chart=fl.TORUS)
+    def theta(p):
+        return np.array([0.3 * math.sin(2.0 * math.pi * (p.v + phase)), 0.0])
+
+    return fl.RandersMetric(np.eye(2), theta, chart=fl.TORUS)
 
 
 def _block_walks():
