@@ -7,7 +7,14 @@ the Holmes-Thompson density and the double dual.  That search scans the
 indicatrix in the orthonormal frame, looks up each covector's best scan
 point among the edge normals of the convex scan polygon, without a
 matrix of every covector against every scan point, and refines it by
-parabolic steps.
+parabolic steps.  Its per-block work is done once per search: the metric
+is bound to the point or block once (:meth:`FinslerMetric2D._bind`: the
+chart checked, the fields gathered and checked, the frame stretch found),
+and the scan and every refinement round evaluate on that binding; for a
+position-independent metric the scan is made at the block's first point
+alone, and the Holmes-Thompson density, whose dual rays are then shared,
+is one value.  The refinement rounds stay per point, on each point's own
+covectors.
 
 All vector/covector arguments are numpy arrays of shape ``(..., 2)`` in
 the chart basis.  Metric evaluators take either one base point, with rays
@@ -20,11 +27,13 @@ one function that takes a point or a block, with each kind's formulas
 written once over them: a field carries a leading point axis on a block
 and none at one point or when it is constant.  A conformal metric scales
 one call of its base metric; only a custom metric loops over a block's
-points.
+points.  ``F`` and ``d_vF`` are a binding used once, so that ``F`` has one
+evaluation path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import Callable, Optional, Union
@@ -166,11 +175,15 @@ def _nonempty(x):
 class FinslerMetric2D:
     """Base class: a Finsler norm F(x, v) on a chart.
 
-    Subclasses implement ``_f(x, vs)`` and, when available, the analytic
-    vertical derivative ``_d_vf(x, vs) -> (..., 2)``, each for one base
-    point with rays of any leading shape ``(..., 2)`` and for a sequence
-    of P base points with rays of shape ``(P, n, 2)``.  Without it, d_vF
-    is the central difference of ``_f`` in each component of v.
+    Subclasses implement ``_f(fields, vs)`` and, when available, the
+    analytic vertical derivative ``_d_vf(fields, vs) -> (..., 2)``, each
+    over the ``fields`` that ``_gather(x)`` returns for one base point,
+    with rays of any leading shape ``(..., 2)``, or for a sequence of P
+    base points with rays of shape ``(P, n, 2)``: the point or block
+    itself unless overridden.  Without an analytic d_vF it is the central
+    difference of ``_f`` in each component of v.  :meth:`_bind` gathers
+    once for any number of evaluations on the rays of x, and :meth:`f`
+    and :meth:`d_vf` are a binding used once: F has one evaluation path.
 
     ``invariant_coords`` names the chart coordinates F is declared not to
     depend on.  Only a constructor that knows it declares it: ``kz_sphere``
@@ -198,16 +211,24 @@ class FinslerMetric2D:
         depends on phi: the metric is then one Minkowski norm."""
         return self.invariant_coords == BOTH_COORDS and self.chart != SPHERE
 
-    def _f(self, x, vs: np.ndarray) -> np.ndarray:
+    def _gather(self, x):
+        return x
+
+    def _f(self, fields, vs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _d_vf(self, x, vs: np.ndarray) -> np.ndarray:
+    def _d_vf(self, fields, vs: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(vs, axis=-1)
         if np.any(norms == 0.0):
             raise DomainError("vertical derivative undefined at the zero vector")
         h = differences.FIBER_REL * norms
-        return np.stack([differences.central(lambda t: self._f(x, vs + t[..., None] * e), h)
+        return np.stack([differences.central(lambda t: self._f(fields, vs + t[..., None] * e), h)
                          for e in np.eye(2)], axis=-1)
+
+    def _bind(self, x) -> "_Binding":
+        """The metric bound to one base point or a block of them
+        (:class:`_Binding`)."""
+        return _Binding(self, x)
 
     def f(self, x, vs: np.ndarray) -> np.ndarray:
         """Vectorized norm evaluation; no zero-vector check.
@@ -215,14 +236,12 @@ class FinslerMetric2D:
         ``x`` is one base point, or a block of base points (a sequence of
         ChartPoint) for which ``vs`` has shape ``(len(x), n, 2)``.
         """
-        self._check_chart(x)
-        return self._f(x, np.asarray(vs, dtype=float))
+        return self._bind(x).f(vs)
 
     def d_vf(self, x, vs: np.ndarray) -> np.ndarray:
         """The fiber derivative at one point or over a block (as :meth:`f`,
         with the same chart check): analytic when the metric has it."""
-        self._check_chart(x)
-        return self._d_vf(x, np.asarray(vs, dtype=float))
+        return self._bind(x).d_vf(vs)
 
     def _density_scale(self, x):
         """The factor by which conformal factors scale the contact density
@@ -240,24 +259,54 @@ class FinslerMetric2D:
                 )
 
 
+class _Binding:
+    """A metric bound to one base point or a block of them, ``x``: the
+    chart is checked and the fields are gathered and checked (a conformal
+    factor's exp(f) among them) once, when it is made, and the frame
+    stretch is found once, on first use.  ``f`` and ``d_vf`` then evaluate
+    any rays of x, shaped as :meth:`FinslerMetric2D.f` takes them, without
+    repeating that work.  A support search makes one for all its rounds.
+    It keeps nothing on the metric."""
+
+    def __init__(self, metric: FinslerMetric2D, x):
+        metric._check_chart(x)
+        self.metric = metric
+        self.x = x
+        self._fields = metric._gather(x)
+
+    @functools.cached_property
+    def stretch(self):
+        """:func:`frame_stretch` of x."""
+        return frame_stretch(self.x)
+
+    def f(self, vs) -> np.ndarray:
+        return self.metric._f(self._fields, np.asarray(vs, dtype=float))
+
+    def d_vf(self, vs) -> np.ndarray:
+        return self.metric._d_vf(self._fields, np.asarray(vs, dtype=float))
+
+
 class _TensorFieldMetric(FinslerMetric2D):
     """A metric built on the pair of an SPD tensor field g and a 1-form
     field (:class:`_Field`, zero for a Riemannian metric).
 
     ``_gather(x)``, at one point or over a block, checks g and then the
     pair (the subclass's ``_check``), which returns the fields that the
-    subclass's ``_norm`` and ``_grad`` are written over, once: at one point
+    subclass's ``_f`` and ``_d_vf`` are written over, once: at one point
     in their one-point shapes, and over a block g as (P, 2, 2), a 1-form
     (P, 1, 2) and a scalar (P, 1), to broadcast against rays (P, n, 2),
     while a constant field keeps its one-point shape.  A callable field is
     called once per point, or once per block when it takes blocks (the
-    round tensor of ``kz_sphere``).  Each check names the first failing
-    point of a block, in the message the point alone would give.
+    round tensor of ``kz_sphere``), and once per binding
+    (:meth:`FinslerMetric2D._bind`): a support search over a block calls
+    it once per point, whatever its number of rounds.  Each check names
+    the first failing point of a block, in the message the point alone
+    would give.
 
     When both fields are constant, the gathered fields are checked on the
-    first evaluation and kept, and the metric declares both coordinates
-    invariant: it is position-independent off the sphere chart.  A
-    constant pair that fails its check raises at
+    first evaluation and kept on the metric, and the metric declares both
+    coordinates invariant: it is position-independent off the sphere
+    chart.  A constant pair that fails its check raises at
     every evaluation, naming the point, or the first point of the block.
     """
 
@@ -299,12 +348,6 @@ class _TensorFieldMetric(FinslerMetric2D):
             self._gathered = fields
         return fields
 
-    def _f(self, x, vs):
-        return self._norm(self._gather(x), vs)
-
-    def _d_vf(self, x, vs):
-        return self._grad(self._gather(x), vs)
-
 
 class RiemannianMetric(_TensorFieldMetric):
     """F = sqrt(g(v, v)) for an SPD tensor field g."""
@@ -319,11 +362,11 @@ class RiemannianMetric(_TensorFieldMetric):
         return g
 
     @staticmethod
-    def _norm(g, vs):
+    def _f(g, vs):
         return np.sqrt(_inner(vs, vs @ g))
 
     @staticmethod
-    def _grad(g, vs):
+    def _d_vf(g, vs):
         gv = vs @ g
         return gv / np.sqrt(_inner(vs, gv))[..., None]
 
@@ -355,12 +398,12 @@ class RandersMetric(_TensorFieldMetric):
         return g, th if th.ndim == 1 else th[:, None]
 
     @staticmethod
-    def _norm(fields, vs):
+    def _f(fields, vs):
         g, th = fields
         return np.sqrt(_inner(vs, vs @ g)) + _dot(vs, th)
 
     @staticmethod
-    def _grad(fields, vs):
+    def _d_vf(fields, vs):
         g, th = fields
         gv = vs @ g
         return gv / np.sqrt(_inner(vs, gv))[..., None] + th
@@ -401,13 +444,13 @@ class KatokZillerMetric(_TensorFieldMetric):
                 f"eps^2 * g(V,V) >= 1 at {bad[1]}; deformation too large")
         return (g, gV, c) if gV.ndim == 1 else (g, gV[:, None], c[:, None])
 
-    def _norm(self, fields, vs):
+    def _f(self, fields, vs):
         g, gV, c = fields
         w = _dot(vs, gV)
         q = _inner(vs, vs @ g)
         return (np.sqrt(q * c + (self.eps * w) ** 2) - self.eps * w) / c
 
-    def _grad(self, fields, vs):
+    def _d_vf(self, fields, vs):
         g, gV, c = fields
         w = _dot(vs, gV)
         gvs = vs @ g
@@ -503,11 +546,16 @@ class ConformalMetric(FinslerMetric2D):
             raise InvalidMetricError(f"conformal factor exp(f) underflows to 0 at {bad[1]}")
         return s if s.ndim == 0 else s[:, None]
 
-    def _f(self, x, vs):
-        return self._scale(x) * self.base._f(x, vs)
+    def _gather(self, x):
+        return self._scale(x), self.base._gather(x)
 
-    def _d_vf(self, x, vs):
-        return self._scale(x)[..., None] * self.base._d_vf(x, vs)
+    def _f(self, fields, vs):
+        s, base = fields
+        return s * self.base._f(base, vs)
+
+    def _d_vf(self, fields, vs):
+        s, base = fields
+        return s[..., None] * self.base._d_vf(base, vs)
 
     def _density_scale(self, x):
         # the density is quadratic in F: exp(2f) times the base metric's
@@ -604,24 +652,23 @@ def chart_rays(x, phis: np.ndarray) -> np.ndarray:
 def frame_rays(x, psis: np.ndarray) -> np.ndarray:
     """The rays A(x) e(psi) of the frame angles psis, shaped as
     :func:`chart_rays`, which they are where A is the identity."""
-    return _frame_map(x, _circle(psis))
+    return _frame_map(x, _circle(psis), frame_stretch(x))
 
 
-def _frame_map(x, e: np.ndarray) -> np.ndarray:
+def _frame_map(x, e: np.ndarray, stretch) -> np.ndarray:
     """A(x) e for rays e, (n, 2) or per point (P, n, 2), shaped as
-    :func:`at_points`."""
-    stretch = frame_stretch(x)
+    :func:`at_points`; ``stretch`` is :func:`frame_stretch` of x."""
     if stretch is None:
         return at_points(x, e)
     return np.stack(np.broadcast_arrays(e[..., 0], e[..., 1] * stretch), axis=-1)
 
 
-def _frame_coords(x, a: np.ndarray, power: int) -> np.ndarray:
+def _frame_coords(stretch, a: np.ndarray, power: int) -> np.ndarray:
     """(Co)vectors a, (2,) at one base point or (P, 2) over a block, with
-    their second component times ``frame_stretch(x)**power``: the frame
-    coordinates A^T p of covectors p for power 1 and A^-1 v of vectors v
-    for power -1, in which p(v) is unchanged."""
-    stretch = frame_stretch(x)
+    their second component times ``stretch**power``, ``stretch`` the
+    :func:`frame_stretch` of the point or block: the frame coordinates
+    A^T p of covectors p for power 1 and A^-1 v of vectors v for power -1,
+    in which p(v) is unchanged."""
     if stretch is None:
         return a
     a = a.copy()
@@ -629,10 +676,10 @@ def _frame_coords(x, a: np.ndarray, power: int) -> np.ndarray:
     return a
 
 
-def _indicatrix_scale(metric: FinslerMetric2D, x, rays: np.ndarray) -> np.ndarray:
-    """F(x, rays) with a trailing axis: the rays over it lie on the unit
-    level set {F(x, .) = 1}."""
-    vals = metric.f(x, at_points(x, rays))
+def _indicatrix_scale(bound: _Binding, rays: np.ndarray) -> np.ndarray:
+    """F(x, rays) with a trailing axis, x the point or block of the
+    binding: the rays over it lie on the unit level set {F(x, .) = 1}."""
+    vals = bound.f(at_points(bound.x, rays))
     if np.any(vals <= 0.0):
         raise InvalidMetricError("F is not positive on the unit circle")
     return np.asarray(vals)[..., None]
@@ -647,7 +694,7 @@ def indicatrix_point(metric: FinslerMetric2D, x, phi) -> np.ndarray:
     block or (P, n) angles, one row per point.
     """
     e = _circle(phi)
-    return e / _indicatrix_scale(metric, x, e)
+    return e / _indicatrix_scale(metric._bind(x), e)
 
 
 def vertical_derivative(metric: FinslerMetric2D, x, v) -> np.ndarray:
@@ -668,17 +715,19 @@ def legendre_forward(metric: FinslerMetric2D, x: ChartPoint, v) -> np.ndarray:
     return np.asarray(f)[..., None] * vertical_derivative(metric, x, v)
 
 
-def _frame_indicatrix(metric: FinslerMetric2D, x, psis: np.ndarray) -> np.ndarray:
-    """The indicatrix at x on the rays of the frame angles psis
-    (:func:`frame_rays`), in frame coordinates A^-1 v: (n, 2) at one base
-    point and (P, n, 2) over a block.  In the frame angle the support of a
-    covector peaks on a scale of one at every base point; in the chart
-    angle it peaks on a scale of sin(phi) near the sphere poles."""
+def _frame_indicatrix(bound: _Binding, psis: np.ndarray) -> np.ndarray:
+    """The indicatrix at the point or block x of the binding on the rays
+    of the frame angles psis (:func:`frame_rays`), in frame coordinates
+    A^-1 v: (n, 2) at one base point and (P, n, 2) over a block.  In the
+    frame angle the support of a covector peaks on a scale of one at every
+    base point; in the chart angle it peaks on a scale of sin(phi) near
+    the sphere poles."""
     e = _circle(psis)
-    return e / _indicatrix_scale(metric, x, _frame_map(x, e))  # A^-1 (A e / F(A e)) = e / F(A e)
+    # A^-1 (A e / F(A e)) = e / F(A e)
+    return e / _indicatrix_scale(bound, _frame_map(bound.x, e, bound.stretch))
 
 
-def _indicatrix_scan(metric: FinslerMetric2D, x, n: int) -> tuple:
+def _indicatrix_scan(bound: _Binding, n: int) -> tuple:
     """``(psis, ws, normals)``: :func:`_frame_indicatrix` on n equally
     spaced frame angles, and the unwrapped angles of the outward normals of
     the edges ws[k] -> ws[k + 1] of the polygon they span, (n,) at one base
@@ -689,7 +738,7 @@ def _indicatrix_scan(metric: FinslerMetric2D, x, n: int) -> tuple:
     Raise InvalidMetricError at the first point of x where it is not.
     """
     psis = 2.0 * np.pi * np.arange(n) / n
-    ws = _frame_indicatrix(metric, x, psis)
+    ws = _frame_indicatrix(bound, psis)
     edges = np.roll(ws, -1, axis=-2) - ws
     angles = np.arctan2(-edges[..., 0], edges[..., 1])
     # Each fall of the angles is taken for a wrap through pi; where the
@@ -699,16 +748,30 @@ def _indicatrix_scan(metric: FinslerMetric2D, x, n: int) -> tuple:
     normals = angles + 2.0 * np.pi * np.cumsum(falls, axis=-1)
     convex = (np.all(np.diff(normals, axis=-1) > 0.0, axis=-1)
               & (normals[..., -1] < normals[..., 0] + 2.0 * np.pi))
-    bad = _failing(x, ~convex)
+    bad = _failing(bound.x, ~convex)
     if bad is not None:
         raise InvalidMetricError(f"indicatrix is not convex at {bad[1]}")
     return psis, ws, normals
 
 
+def _block_scan(bound: _Binding, n: int) -> tuple:
+    """The :func:`_indicatrix_scan` a search over the binding's points
+    looks its covectors up in: at every point, or, when the metric is
+    position-independent (F is then one norm, the same floats at every
+    point), at the block's first point alone, one row (1, n) for the whole
+    block."""
+    x = bound.x
+    if bound.metric.position_independent and not isinstance(x, ChartPoint):
+        bound = bound.metric._bind(x[:1])
+    return _indicatrix_scan(bound, n)
+
+
 def _scan_max(ps: np.ndarray, scan: tuple) -> tuple:
     """Index and value of the largest p(w) of each covector ps over the
-    ``scan`` of :func:`_indicatrix_scan`: (m, 2) at one point, giving
-    (m,), or (P, m, 2) or shared (m, 2) over a block, giving (P, m).
+    ``scan`` of :func:`_indicatrix_scan` or :func:`_block_scan`: (m, 2) at
+    one point, giving (m,), or (P, m, 2) or shared (m, 2) over a block,
+    giving (P, m), against a row of scan normals per point or one row,
+    (1, n), for the whole block.
 
     Vertex k of the convex scan polygon is the maximizer of p exactly when
     the angle of p lies between the normals of the edges into and out of
@@ -716,17 +779,20 @@ def _scan_max(ps: np.ndarray, scan: tuple) -> tuple:
     times its index, finds that vertex for every covector at once; of it
     and its two neighbours the largest p(w) is kept, the first on a tie as
     by argmax, so that the rounding of the angles cannot move the result.
+    A single row of normals takes every covector of the block in one
+    search without an offset, as one point's would be.
     """
     _, ws, normals = scan
-    lead, n, m = normals.shape[:-1], normals.shape[-1], ps.shape[-2]
+    n, m = normals.shape[-1], ps.shape[-2]
+    lead = np.broadcast_shapes(normals.shape[:-1], ps.shape[:-2])
     rows = normals.reshape(-1, n)
     r = np.arange(len(rows))[:, None]
-    ps = np.broadcast_to(ps, lead + (m, 2)).reshape(len(rows), m, 2)
+    ps = np.broadcast_to(ps, lead + (m, 2)).reshape(len(rows), -1, 2)
     start = rows[:, :1]
     angles = start + np.mod(np.arctan2(ps[..., 1], ps[..., 0]) - start, 2.0 * np.pi)
     offset = 4.0 * np.pi * r
     found = np.searchsorted((rows + offset).ravel(), (angles + offset).ravel())
-    k = found.reshape(len(rows), m) - n * r
+    k = found.reshape(angles.shape) - n * r
     cand = np.sort((k[..., None] + np.array([-1, 0, 1])) % n, axis=-1)
     vals = _inner(ws.reshape(len(rows), n, 2)[r[..., None], cand], ps[..., None, :])
     best = np.argmax(vals, axis=-1)[..., None]
@@ -755,19 +821,20 @@ def _parabolic_max(values_at, center: np.ndarray, half: float,
     return best
 
 
-def _support_max(metric: FinslerMetric2D, x, ps: np.ndarray, scan: tuple) -> np.ndarray:
-    """F*(x, p) = max p(v) over the indicatrix for covectors ps in frame
-    coordinates (:func:`_frame_coords`), (m, 2) at one point, giving (m,),
-    or (P, m, 2) or shared (m, 2) over a block, giving (P, m): the scan
+def _support_max(bound: _Binding, ps: np.ndarray, scan: tuple) -> np.ndarray:
+    """F*(x, p) = max p(v) over the indicatrix, x the point or block of
+    the binding, for covectors ps in frame coordinates
+    (:func:`_frame_coords`), (m, 2) at one point, giving (m,), or
+    (P, m, 2) or shared (m, 2) over a block, giving (P, m): the scan
     maximum that :func:`_scan_max` looks up on the ``scan`` of
-    :func:`_indicatrix_scan`, in O((m + n) log n) per point for n scan
-    points, sharpened by 4 rounds of :func:`_parabolic_max` in the frame
-    angle."""
+    :func:`_block_scan`, in O((m + n) log n) per point for n scan points,
+    sharpened by 4 rounds of :func:`_parabolic_max` in the frame angle,
+    each point on its own rays."""
     psis = scan[0]
 
     def support_at(angles):
         # angles (..., m, k): one indicatrix call on (..., m * k) angles
-        w = _frame_indicatrix(metric, x, angles.reshape(angles.shape[:-2] + (-1,)))
+        w = _frame_indicatrix(bound, angles.reshape(angles.shape[:-2] + (-1,)))
         return _inner(w.reshape(angles.shape + (2,)), ps[..., None, :])
 
     idx, y2 = _scan_max(ps, scan)
@@ -806,7 +873,9 @@ def dual_norm(metric: FinslerMetric2D, x, p):
     parabolic rounds.  ``x`` is one base point with a covector of shape
     (2,), giving a float, or a block of P base points with covectors of
     shape (P, 2), giving shape (P,), the block's scan and each refinement
-    step made in one call.
+    step made in one call on one binding of the block, and the scan made
+    at the first point alone for a position-independent metric
+    (:func:`_block_scan`).
 
     Raises
     ------
@@ -816,8 +885,9 @@ def dual_norm(metric: FinslerMetric2D, x, p):
         If the indicatrix scan is not convex at a point of x.
     """
     p = _ray_argument(x, p, "covector")
-    q = _frame_coords(x, p, 1)[..., None, :]
-    best = _support_max(metric, x, q, _indicatrix_scan(metric, x, DUAL_COARSE_N))
+    bound = metric._bind(x)
+    q = _frame_coords(bound.stretch, p, 1)[..., None, :]
+    best = _support_max(bound, q, _block_scan(bound, DUAL_COARSE_N))
     return float(best[0]) if isinstance(x, ChartPoint) else best[:, 0]
 
 
@@ -832,15 +902,23 @@ def holmes_thompson_density(metric: FinslerMetric2D, x):
     (sin(phi) on the sphere chart).  Independent of the contact-density route, so it is
     an oracle for :func:`finlap.measures.volume_density`.  A float at one
     base point; over a block of P base points shape (P,), the radii of the
-    block found together.  The scan must be convex (InvalidMetricError).
+    block found together on one binding of the block.  A
+    position-independent metric shares its dual rays and the whole result
+    over the block: it is found at the first point alone, every point's
+    chart checked, and returned as a read-only broadcast of shape (P,), as
+    :func:`finlap.measures._over_points` returns it.  The scan must be
+    convex (InvalidMetricError).
     """
+    if metric.position_independent and not isinstance(x, ChartPoint):
+        metric._check_chart(x)
+        return np.broadcast_to(holmes_thompson_density(metric, x[0]), (len(x),))
     betas = 2.0 * np.pi * np.arange(DUAL_RAYS) / DUAL_RAYS
-    scan = _indicatrix_scan(metric, x, HT_BOUNDARY_N)
-    r = 1.0 / _support_max(metric, x, _circle(betas), scan)
+    bound = metric._bind(x)
+    scan = _indicatrix_scan(bound, HT_BOUNDARY_N)
+    r = 1.0 / _support_max(bound, _circle(betas), scan)
     area = 0.5 * np.sum(r**2, axis=-1) * (2.0 * np.pi / DUAL_RAYS) / np.pi
-    stretch = frame_stretch(x)
-    if stretch is not None:
-        area = area / np.reshape(stretch, np.shape(area))
+    if bound.stretch is not None:
+        area = area / np.reshape(bound.stretch, np.shape(area))
     return float(area) if isinstance(x, ChartPoint) else area
 
 
@@ -872,24 +950,32 @@ def dual_norm_sampled(metric: FinslerMetric2D, x, v):
 
     ``x`` is one base point with a vector of shape (2,), giving a float,
     or a block of P base points with vectors of shape (P, 2), giving shape
-    (P,); the block shares the scan call and each refinement call.  A
-    zero or non-finite vector is a DomainError, and a non-convex scan an
+    (P,).  The block is bound once (:meth:`FinslerMetric2D._bind`): its
+    chart check, fields and frame stretch serve the scan and every
+    refinement call.  The scan covers every point, or the first point
+    alone for a position-independent metric (:func:`_block_scan`); the
+    refinements are per point, on each point's own vector.  A zero or
+    non-finite vector is a DomainError, and a non-convex scan an
     InvalidMetricError.
     """
-    u = _frame_coords(x, _ray_argument(x, v, "vector"), -1)
-    scan = _indicatrix_scan(metric, x, SAMPLED_BOUNDARY_N)
+    v = _ray_argument(x, v, "vector")
+    bound = metric._bind(x)
+    u = _frame_coords(bound.stretch, v, -1)
+    scan = _block_scan(bound, SAMPLED_BOUNDARY_N)
 
     def support_of_v(betas):
         beams = _circle(betas)
-        r = 1.0 / _support_max(metric, x, beams, scan)
+        r = 1.0 / _support_max(bound, beams, scan)
         return r * _inner(beams, u[..., None, :])
 
     # the normals of edges k - 1 and k + 1 of the edge k that the ray of u
-    # crosses, read from the normals extended by one edge on either side
+    # crosses, read from the normals extended by one edge on either side,
+    # a row per point (one row serves a block's every point)
     normals = scan[2]
     n = normals.shape[-1]
     turn = np.concatenate([normals[..., -1:] - 2.0 * np.pi, normals,
                            normals[..., :1] + 2.0 * np.pi], axis=-1)
+    turn = np.broadcast_to(turn, u.shape[:-1] + turn.shape[-1:])
     angle = np.mod(np.arctan2(u[..., 1], u[..., 0]), 2.0 * np.pi)
     k = np.minimum((angle * (n / (2.0 * np.pi))).astype(int), n - 1)[..., None]
     lo = np.take_along_axis(turn, k, axis=-1)[..., 0]

@@ -729,9 +729,9 @@ class TestDualBoundaryScan:
         sizes = []
         original = metrics._indicatrix_scan
 
-        def counting(metric, x, n):
+        def counting(bound, n):
             sizes.append(n)
-            return original(metric, x, n)
+            return original(bound, n)
 
         monkeypatch.setattr(metrics, "_indicatrix_scan", counting)
         m = fl.kz_torus(0.6)
@@ -844,20 +844,26 @@ class TestSupportSearch:
                                    measures.volume_densities(m, xs), rtol=1e-10)
 
     def test_block_equals_one_point_calls(self, rng):
-        m = fl.kz_torus(0.6)
-        xs = [random_point(m, rng) for _ in range(7)]
-        ps = rng.normal(size=(7, 2))
-        np.testing.assert_array_equal(fl.dual_norm(m, xs, ps),
-                                      [fl.dual_norm(m, x, p) for x, p in zip(xs, ps)])
-        np.testing.assert_array_equal(fl.holmes_thompson_density(m, xs),
-                                      [fl.holmes_thompson_density(m, x) for x in xs])
+        # one scan for the position-independent kz-torus, one per point
+        # for the variable Randers metric
+        for m in (fl.kz_torus(0.6), builtin_metrics()["randers-var"]):
+            xs = [random_point(m, rng) for _ in range(7)]
+            ps = rng.normal(size=(7, 2))
+            np.testing.assert_array_equal(fl.dual_norm(m, xs, ps),
+                                          [fl.dual_norm(m, x, p) for x, p in zip(xs, ps)])
+            np.testing.assert_array_equal(fl.holmes_thompson_density(m, xs),
+                                          [fl.holmes_thompson_density(m, x) for x in xs])
 
     @staticmethod
-    def _holmes_thompson_peak(eps, rng):
-        """tracemalloc peak of holmes_thompson_density on 20 kz-torus points."""
+    def _holmes_thompson_peak(amplitude, rng):
+        """tracemalloc peak of holmes_thompson_density on 20 points of the
+        variable Randers metric theta = (amplitude sin 2 pi v, 0), which
+        depends on the point: a 20-point block of scans and radii."""
         import tracemalloc
 
-        m = fl.kz_torus(eps)
+        m = fl.RandersMetric(np.eye(2), lambda p: np.array(
+            [amplitude * math.sin(2 * math.pi * p.v), 0.0]), chart=fl.TORUS)
+        assert not m.position_independent
         xs = [random_point(m, rng) for _ in range(20)]
         tracemalloc.start()
         try:
@@ -867,7 +873,7 @@ class TestSupportSearch:
             tracemalloc.stop()
 
     def test_holmes_thompson_block_peak_memory(self, rng):
-        assert self._holmes_thompson_peak(0.6, rng) < 12 * 2**20
+        assert self._holmes_thompson_peak(0.3, rng) < 12 * 2**20
 
     def test_holmes_thompson_block_peak_memory_without_support_matrix(self, rng):
         # the block's scans and edge normals, no (P, m, n) support matrix
@@ -914,28 +920,29 @@ class TestBlockDualForms:
 
     def test_one_scan_per_block(self, monkeypatch, rng):
         sizes = []
-        original = metrics._indicatrix_scale
+        original = metrics._Binding.f
 
-        def counting(metric, x, rays):
-            sizes.append(np.shape(rays)[:-1])
-            return original(metric, x, rays)
+        def counting(bound, vs):
+            sizes.append(np.shape(vs)[:-1])
+            return original(bound, vs)
 
-        monkeypatch.setattr(metrics, "_indicatrix_scale", counting)
+        monkeypatch.setattr(metrics._Binding, "f", counting)
         spread = {}
         for name, m in [("euclidean", fl.riemannian(np.eye(2))), ("kz-torus", fl.kz_torus(0.6)),
-                        ("riemannian-1-100", fl.riemannian(np.diag([1.0, 100.0])))]:
-            sizes.clear()
-            rays = []
-            f = m.f
-            monkeypatch.setattr(m, "f", lambda x, v, f=f: rays.append(np.shape(v)[:-1]) or f(x, v))
+                        ("riemannian-1-100", fl.riemannian(np.diag([1.0, 100.0]))),
+                        ("randers-var", builtin_metrics()["randers-var"])]:
             xs, vs = self._samples(m, rng, 5)
             if name == "riemannian-1-100":
                 # near the major axis the indicatrix turns sharply between
                 # scan points, and the bracket holds many grid rays
                 vs[:, 1] *= 1e-3
+            sizes.clear()
             fl.dual_norm_sampled(m, xs, vs)
-            # one scan; the bracket of grid rays is read off it without an F call
-            assert sizes[0] == (5, 1024) and sizes.count((5, 1024)) == 1, name
+            # one scan, at the first point alone where F is one norm; the
+            # bracket of grid rays is read off it without an F call
+            scan = (1, 1024) if m.position_independent else (5, 1024)
+            assert m.position_independent == (name != "randers-var")
+            assert sizes[0] == scan and sizes.count(scan) == 1, name
             # then the accurate radii of c grid rays a point, c the most that
             # a point's bracket needs, each radius 4 rounds of flanks (2 rays
             # a radius) and a centre (1 ray); then 5 rounds of a flank pair
@@ -944,9 +951,9 @@ class TestBlockDualForms:
             seed = collections.Counter({(5, 2 * c): 4, (5, c): 4})
             rounds = collections.Counter({(5, 4): 5 * 4, (5, 2): 5 * 4 + 5 * 4, (5, 1): 5 * 4})
             assert collections.Counter(sizes[1:]) == seed + rounds, name
-            # the scan, c seed radii and 5 rounds of 3 radii, each radius 4
-            # rounds of 3 rays: 1024 + 12 c + 5 * 3 * 12 rays per point
-            assert sum(math.prod(r) for r in rays) == 5 * (1204 + 12 * c), name
+            # the scan, then per point c seed radii and 5 rounds of 3 radii,
+            # each radius 4 rounds of 3 rays: 12 c + 5 * 3 * 12 rays
+            assert sum(math.prod(r) for r in sizes) == math.prod(scan) + 5 * (180 + 12 * c), name
         # a round indicatrix: the bracket is one grid step wide, and the grid
         # ray in it and one on either side are evaluated
         assert spread["euclidean"] == 3
@@ -963,6 +970,102 @@ class TestBlockDualForms:
             fl.dual_norm_sampled(m, xs, [[1.0, 0.0]])
         with pytest.raises(fl.DomainError):
             fl.dual_norm_sampled(m, xs, [[1.0, 0.0], [0.0, 0.0]])
+
+
+def _position_independent_metrics():
+    """Every position-independent built-in torus metric and a kz-torus
+    scaled by a constant conformal factor."""
+    cases = {name: m for name, m in builtin_metrics().items() if m.position_independent}
+    cases["conformal-const"] = fl.scale_conformal(fl.kz_torus(0.6), fl.ConstantField(0.3))
+    return cases
+
+
+def _counted_randers(theta_at):
+    """A Randers metric on the torus whose callable 1-form ``theta_at(p)``
+    is counted: the metric and the list of points it was called at."""
+    calls = []
+
+    def theta(p):
+        calls.append(p)
+        return np.asarray(theta_at(p))
+
+    return fl.RandersMetric(np.eye(2), theta, chart=fl.TORUS), calls
+
+
+def _searches(m, xs, rng):
+    """The three support searches over the block xs, by name, each a
+    thunk on its own covectors or vectors."""
+    args = rng.normal(size=(len(xs), 2))
+    return {"dual_norm": lambda: fl.dual_norm(m, xs, args),
+            "dual_norm_sampled": lambda: fl.dual_norm_sampled(m, xs, args),
+            "holmes_thompson_density": lambda: fl.holmes_thompson_density(m, xs)}
+
+
+class TestSearchBlockWork:
+    """Per-block work of the support searches: one scan for a
+    position-independent metric, one gather of the fields per search."""
+
+    @pytest.mark.parametrize("name", list(_position_independent_metrics()))
+    def test_shared_scan_equals_one_point_calls(self, name, rng):
+        m = _position_independent_metrics()[name]
+        xs = [random_point(m, rng) for _ in range(6)]
+        ps = rng.normal(size=(6, 2))
+        vs = rng.normal(size=(6, 2))
+        np.testing.assert_array_equal(fl.dual_norm(m, xs, ps),
+                                      [fl.dual_norm(m, x, p) for x, p in zip(xs, ps)])
+        np.testing.assert_array_equal(fl.dual_norm_sampled(m, xs, vs),
+                                      [fl.dual_norm_sampled(m, x, v) for x, v in zip(xs, vs)])
+        ht = fl.holmes_thompson_density(m, xs)
+        np.testing.assert_array_equal(ht, [fl.holmes_thompson_density(m, x) for x in xs])
+        assert ht.shape == (6,) and not ht.flags.writeable
+
+    def test_one_round_tensor_call_per_search(self, monkeypatch, rng):
+        # every round of a kz-sphere search used to gather the block again:
+        # 89 tensor calls for one dual_norm_sampled on 40 points
+        calls = []
+        tensor = metrics._round_sphere_g
+
+        def counted(x):
+            calls.append(x)
+            return tensor(x)
+
+        counted.takes_blocks = tensor.takes_blocks
+        monkeypatch.setattr(metrics, "_round_sphere_g", counted)
+        m = fl.kz_sphere(0.3)
+        xs = [random_point(m, rng) for _ in range(40)]
+        for name, search in _searches(m, xs, rng).items():
+            calls.clear()
+            search()
+            assert [len(x) for x in calls] == [40], name
+
+    def test_callable_form_called_once_per_point_per_search(self, rng):
+        m, calls = _counted_randers(lambda p: [0.3 * math.sin(2 * math.pi * p.v), 0.0])
+        xs = [random_point(m, rng) for _ in range(40)]
+        for name, search in _searches(m, xs, rng).items():
+            calls.clear()
+            search()
+            assert calls == xs, name
+
+    def test_failing_point_is_named_by_every_search(self, rng):
+        # the 1-form's g-norm is 1.2 at the third point alone
+        xs = [fl.torus_point(k / 8, 0.25) for k in range(1, 6)]
+        m, _ = _counted_randers(lambda p: [1.2 if p == xs[2] else 0.3, 0.0])
+        for name, search in _searches(m, xs, rng).items():
+            with pytest.raises(fl.InvalidMetricError,
+                               match=r"^Randers 1-form has g-norm 1\.200000 >= 1 at \(0\.375, 0\.25\)$"):
+                search()
+
+    @pytest.mark.parametrize("name", list(builtin_metrics()) + ["conformal-const"])
+    def test_a_search_keeps_nothing_on_the_metric(self, name, rng):
+        m = {**builtin_metrics(), **_position_independent_metrics()}[name]
+        xs = [random_point(m, rng) for _ in range(4)]
+        m.f(xs[0], np.array([1.0, 0.0]))       # a constant pair's fields are kept here
+        before = dict(vars(m))
+        for search in _searches(m, xs, rng).values():
+            search()
+        fl.dual_norm_sampled(m, xs[0], [0.3, -1.1])
+        assert vars(m).keys() == before.keys()
+        assert all(vars(m)[key] is value for key, value in before.items()), name
 
 
 def _brute_scan_max(ps, ws):
@@ -995,7 +1098,7 @@ class TestScanLookup:
     def test_matches_brute_force(self, case, n):
         _, m, xs = case
         rng = np.random.default_rng(n)
-        scan = metrics._indicatrix_scan(m, xs, n)
+        scan = metrics._indicatrix_scan(m._bind(xs), n)
         ws = scan[1]
         shared = rng.normal(size=(300, 2))
         own = rng.normal(size=(len(xs), 300, 2))
@@ -1005,7 +1108,7 @@ class TestScanLookup:
             np.testing.assert_array_equal(idx, ref_idx)
             np.testing.assert_allclose(val, ref_val, rtol=4e-16, atol=0.0)
         # one point, covectors (m, 2)
-        one = metrics._indicatrix_scan(m, xs[0], n)
+        one = metrics._indicatrix_scan(m._bind(xs[0]), n)
         idx, val = metrics._scan_max(shared, one)
         ref_idx, ref_val = _brute_scan_max(shared, one[1])
         np.testing.assert_array_equal(idx, ref_idx)
@@ -1025,7 +1128,7 @@ class TestScanLookup:
 
     def test_scan_normals_increase_by_one_turn(self):
         m = fl.kz_torus(0.6)
-        psis, ws, normals = metrics._indicatrix_scan(m, fl.torus_point(0.2, 0.4), 64)
+        psis, ws, normals = metrics._indicatrix_scan(m._bind(fl.torus_point(0.2, 0.4)), 64)
         assert psis.shape == normals.shape == (64,) and ws.shape == (64, 2)
         assert np.all(np.diff(normals) > 0.0)
         assert normals[-1] < normals[0] + 2.0 * np.pi
@@ -1036,7 +1139,7 @@ class TestScanLookup:
         m = builtin_metrics()[name]
         xs = [random_point(m, rng) for _ in range(4)]
         for n in (256, 2048):
-            metrics._indicatrix_scan(m, xs, n)
+            metrics._indicatrix_scan(m._bind(xs), n)
 
 
 def _flower(c):

@@ -202,7 +202,7 @@ class TestConformal:
     def test_block_makes_one_base_kernel_call(self, monkeypatch):
         kz = fl.KatokZillerMetric(_g_var, lambda x: np.array([1.0, _wave(0.3, 0, 1)(x)]), 0.5)
         scaled = fl.scale_conformal(kz, fl.SeparableTrigField(0.2, "sin", 1, "cos", 1))
-        calls = {"_norm": 0, "_grad": 0}
+        calls = {"_f": 0, "_d_vf": 0}
         for name in calls:
             original = getattr(fl.KatokZillerMetric, name)
 
@@ -214,7 +214,7 @@ class TestConformal:
         rays = np.broadcast_to(np.array([[1.0, 0.0], [0.3, -1.2], [-0.5, 0.4]]), (16, 3, 2))
         scaled.f(xs, rays)
         fl.vertical_derivative(scaled, xs, rays)
-        assert calls == {"_norm": 1, "_grad": 1}
+        assert calls == {"_f": 1, "_d_vf": 1}
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_factor_names_the_point(self):
