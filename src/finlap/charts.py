@@ -11,8 +11,12 @@ Three charts are used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -69,3 +73,42 @@ def sphere_point(phi: float, theta: float) -> ChartPoint:
 
 def plane_point(x: float, y: float) -> ChartPoint:
     return ChartPoint(PLANE, x, y)
+
+
+class _Grid(Sequence):
+    """The points (us[i], vs[j]) on one chart, row-major: the product of
+    two read-only axes.  One point read alone is built alone, so a
+    position-independent walk, which reads one, builds one; the first read
+    of more than one point, iteration included, builds them all, once, and
+    every later read returns those.  ``coords`` holds their coordinates as
+    one read-only array, built on first use without building a point."""
+
+    def __init__(self, chart: str, us, vs):
+        self.chart, self._points = chart, None
+        self.us, self.vs = np.array(us, dtype=float), np.array(vs, dtype=float)
+        self.us.flags.writeable = self.vs.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.us) * len(self.vs)
+
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        """The (u, v) of every point, shape (len, 2)."""
+        uv = np.stack(np.meshgrid(self.us, self.vs, indexing="ij"), axis=-1).reshape(-1, 2)
+        uv.flags.writeable = False
+        return uv
+
+    def __getitem__(self, k):
+        ks = range(len(self))[k]
+        if isinstance(ks, range) and len(ks) < 2:
+            return tuple(self[i] for i in ks)
+        if self._points is None and isinstance(ks, int):
+            i, j = divmod(ks, len(self.vs))
+            return ChartPoint(self.chart, float(self.us[i]), float(self.vs[j]))
+        if self._points is None:
+            vs = self.vs.tolist()
+            self._points = tuple(ChartPoint(self.chart, u, v) for u in self.us.tolist() for v in vs)
+        return self._points[k]
+
+    def __iter__(self):
+        return iter(self[:])

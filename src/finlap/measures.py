@@ -36,11 +36,11 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import BOTH_COORDS, ChartPoint, SPHERE, TORUS
+from .charts import BOTH_COORDS, ChartPoint, SPHERE, TORUS, _Grid
 from .errors import ConfigError, DomainError
 from .fields import coords
 from .hilbert import _contact_density, chart_angles
-from .metrics import (FinslerMetric2D, _check_counts, _nonempty,
+from .metrics import (FinslerMetric2D, _check_counts,
                       dual_norm_sampled,  # noqa: F401 (re-exported)
                       frame_rays, frame_stretch, holmes_thompson_density)
 
@@ -224,50 +224,17 @@ class BaseQuadrature:
                               f"for {len(self.points)} points")
 
 
-class _TorusGrid(Sequence):
-    """The points (i/n, j/n) of the n x n torus grid, row-major.  One point
-    read alone is built alone, so a position-independent walk, which
-    reads one, builds one, not n^2; the first read of more than one point
-    builds them all, once, and every later read returns those.  Their
-    coordinates come as one array, without building a point."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._points = None
-
-    def __len__(self) -> int:
-        return self.n * self.n
-
-    @property
-    def coords(self) -> np.ndarray:
-        """The (u, v) of every point, shape (n^2, 2)."""
-        return np.stack(np.divmod(np.arange(len(self)), self.n), axis=-1) / self.n
-
-    def _point(self, k: int) -> ChartPoint:
-        i, j = divmod(k, self.n)
-        return ChartPoint(TORUS, i / self.n, j / self.n)
-
-    def __getitem__(self, k):
-        ks = range(len(self))[k]
-        if isinstance(ks, int):
-            return self._point(ks) if self._points is None else self._points[ks]
-        if len(ks) < 2:
-            return tuple(self[i] for i in ks)
-        if self._points is None:
-            self._points = tuple(self._point(i) for i in range(len(self)))
-        return self._points[k]
-
-
 @functools.lru_cache(maxsize=8, typed=True)
 def torus_base(n: int) -> BaseQuadrature:
     """The periodic n x n grid (i/n, j/n), row-major, with equal weights.
-    Built once per n, with read-only weights and the points of
-    :class:`_TorusGrid`; a size of another type, 2.0 for 2, is not the
-    cached one and is refused."""
+    Built once per n, with read-only weights and its points a
+    :class:`finlap.charts._Grid` on the axis i/n; a size of another type,
+    2.0 for 2, is not the cached one and is refused."""
     _check_counts(1, n=n)
     wts = np.full(n * n, 1.0 / n**2)
     wts.flags.writeable = False
-    return BaseQuadrature(points=_TorusGrid(n), weights=wts)
+    axis = np.arange(n) / n
+    return BaseQuadrature(points=_Grid(TORUS, axis, axis), weights=wts)
 
 
 @functools.lru_cache(maxsize=32)
@@ -280,36 +247,20 @@ def _gauss_legendre(n: int) -> tuple:
     return c, w
 
 
-class _SphereGrid(Sequence):
-    """The points (phi_i, theta_j) of a sphere base, phi-major, built once,
-    with their coordinates as one read-only array."""
-
-    def __init__(self, phis: np.ndarray, thetas: np.ndarray):
-        self._points = tuple(ChartPoint(SPHERE, p, th) for p in phis for th in thetas)
-        self.coords = np.stack(np.meshgrid(phis, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
-        self.coords.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __getitem__(self, k):
-        return self._points[k]
-
-
 @functools.lru_cache(maxsize=8, typed=True)
 def sphere_base(n_phi: int, n_theta: int) -> BaseQuadrature:
     """Gauss-Legendre in phi (pole-free; the cached rule of
     :func:`_gauss_legendre`) times uniform theta, phi-major.  Built once
-    per ``(n_phi, n_theta)``, with read-only weights and the points of
-    :class:`_SphereGrid`; a size of another type, 2.0 for 2, is not the
-    cached one and is refused."""
+    per ``(n_phi, n_theta)``, with read-only weights and its points a
+    :class:`finlap.charts._Grid` on the axes phi and theta; a size of
+    another type, 2.0 for 2, is not the cached one and is refused."""
     _check_counts(1, n_phi=n_phi, n_theta=n_theta)
     t, w = _gauss_legendre(n_phi)
     phis = 0.5 * math.pi * (t + 1.0)
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     wts = np.repeat(0.5 * math.pi * w * (2.0 * math.pi / n_theta), n_theta)
     wts.flags.writeable = False
-    return BaseQuadrature(points=_SphereGrid(phis, thetas), weights=wts)
+    return BaseQuadrature(points=_Grid(SPHERE, phis, thetas), weights=wts)
 
 
 def _over_points(kernel, metric: FinslerMetric2D, points, n: int) -> tuple:
@@ -323,17 +274,20 @@ def _over_points(kernel, metric: FinslerMetric2D, points, n: int) -> tuple:
       its value over the points, no coordinate read;
     * one: at one representative per distinct value of the other
       coordinate, the first point with it, in the order the points come,
-      and gathered back to every point.  Each point's values are then the
-      floats of the full walk, and a failure names the point it names;
+      from one read of every point, and gathered back to every point.
+      Each point's values are then the floats of the full walk, and a
+      failure names the point it names;
     * none: at every point, no coordinate read.
 
-    Logs at DEBUG on ``finlap.measures``, before it evaluates, the points
-    it evaluates, the points given and the coordinates dropped.  An empty
+    Every point's chart is checked first, a grid's by its one chart: a
+    point on another chart than the metric's is a DomainError.  Logs at
+    DEBUG on ``finlap.measures``, before it evaluates, the points it
+    evaluates, the points given and the coordinates dropped.  An empty
     sequence of points, or a fiber count ``n`` that is not an integer of
     at least ``MIN_FIBER_N``, is a ConfigError.
     """
-    _nonempty(points)
     _check_counts(MIN_FIBER_N, fiber_n=n)
+    metric._check_chart(points)
     dropped = metric.invariant_coords - ({"u"} if metric.chart == SPHERE else set())
     walk, where = points, None
     if dropped == BOTH_COORDS:
@@ -341,8 +295,8 @@ def _over_points(kernel, metric: FinslerMetric2D, points, n: int) -> tuple:
     elif dropped:
         line = coords(points)[0 if "v" in dropped else 1]
         _, first, inverse = np.unique(line, return_index=True, return_inverse=True)
-        reps = np.sort(first)
-        walk, where = [points[k] for k in reps], np.searchsorted(reps, first[inverse])
+        reps, every = np.sort(first), points[:]
+        walk, where = [every[k] for k in reps], np.searchsorted(reps, first[inverse])
     log.debug("base walk evaluates %d of %d points, dropping %s",
               len(walk), len(points), ", ".join(sorted(dropped)) or "no coordinate")
     if dropped == BOTH_COORDS:

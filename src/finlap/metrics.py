@@ -41,7 +41,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import differences
-from .charts import BOTH_COORDS, ChartPoint, PLANE, SPHERE, TORUS
+from .charts import BOTH_COORDS, ChartPoint, PLANE, SPHERE, TORUS, _Grid
 from .errors import ConfigError, DomainError, FinlapError, InvalidMetricError
 from .fields import field_values
 
@@ -252,7 +252,7 @@ class FinslerMetric2D:
 
     def _check_chart(self, x):
         _nonempty(x)
-        for p in (x,) if isinstance(x, ChartPoint) else x:
+        for p in (x,) if isinstance(x, (ChartPoint, _Grid)) else x:
             if p.chart != self.chart:
                 raise DomainError(
                     f"metric lives on chart {self.chart!r}, point is on {p.chart!r}"
@@ -605,25 +605,27 @@ def custom(f: Callable, chart: str = PLANE) -> CustomMetric:
     return CustomMetric(f, chart)
 
 
-def eval_f(metric: FinslerMetric2D, x: ChartPoint, v) -> float:
-    """The Finsler norm F(x, v); positively 1-homogeneous in v.
+def eval_f(metric: FinslerMetric2D, x, v):
+    """The Finsler norm F(x, v); positively 1-homogeneous in v.  ``x`` is
+    one base point with a vector of shape (2,), giving a float, or a block
+    of P base points with vectors (P, 2), giving shape (P,) from one
+    :meth:`FinslerMetric2D.f` call.
 
     Raises
     ------
     DomainError
-        If v is the zero vector.
+        If a vector is zero or not finite, or has the wrong shape.
     InvalidMetricError
-        If the metric parameters are invalid at x.
+        If the metric is invalid or F not positive at a point of x (the
+        first such point named).
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2,):
-        raise DomainError(f"tangent vector must have shape (2,), got {v.shape}")
-    if np.hypot(v[0], v[1]) == 0.0:
-        raise DomainError("F is evaluated away from the zero vector")
-    value = float(metric.f(x, v))
-    if not value > 0.0:
-        raise InvalidMetricError(f"F(x, v) = {value} is not positive")
-    return value
+    v = _ray_argument(x, v, "tangent vector")
+    one = isinstance(x, ChartPoint)
+    values = metric.f(x, v) if one else metric.f(x, v[:, None, :])[:, 0]
+    bad = _failing(x, ~(values > 0.0))
+    if bad is not None:
+        raise InvalidMetricError(f"F(x, v) = {values.flat[bad[0]]} is not positive at {bad[1]}")
+    return float(values) if one else values
 
 
 def _circle(phis) -> np.ndarray:

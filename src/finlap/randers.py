@@ -26,6 +26,7 @@ import numpy as np
 
 from .charts import ChartPoint, TORUS
 from .errors import ConstructionError, InvalidMetricError
+from .measures import torus_base
 from .metrics import CovectorField, MatrixField, RandersMetric, _Field, _randers_norm_sq
 
 ORACLE_N = 4096
@@ -170,9 +171,9 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
     ``omega_goal`` is the goal volume density against du ^ dv and ``Z``
     a vector field (callable or constant 2-array) that must not vanish
     where the construction needs a preferred direction.  K defaults to
-    the supremum of mu = sqrt(det g_goal)/omega_goal over a
-    ``DESIGN_SAMPLE_N`` x ``DESIGN_SAMPLE_N`` grid, so that mu' = mu/K
-    lies in (0, 1].
+    the supremum of mu = sqrt(det g_goal)/omega_goal over the points of
+    the cached grid :func:`finlap.measures.torus_base` (``DESIGN_SAMPLE_N``),
+    so that mu' = mu/K lies in (0, 1]; Z is checked on the same points.
 
     The pointwise norm of the constructed 1-form is sqrt(1-b^2) with b =
     :func:`solve_b` (mu'), and its components in the g-orthonormal frame
@@ -198,8 +199,7 @@ def inverse_design(g_goal: MatrixField, omega_goal, Z,
                                      f"({x.u}, {x.v})")
         return math.sqrt(det) / om
 
-    us = np.arange(DESIGN_SAMPLE_N) / DESIGN_SAMPLE_N
-    samples = [ChartPoint(TORUS, u, v) for u in us for v in us] if chart == TORUS else []
+    samples = torus_base(DESIGN_SAMPLE_N).points if chart == TORUS else ()
     mus = np.array([mu(x) for x in samples])
     if K is None:
         # sampled supremum; mu' is clamped to 1 at evaluation, so a slight

@@ -7,10 +7,10 @@ it returned.  The random samples are driven by a seed so runs are
 reproducible.
 
 Each suite draws its samples first, in a fixed order from the seeded
-generator, and then checks them in block calls: the dual norms, the
-Holmes-Thompson and volume densities, the operator coefficients and the
-Reeb residuals take a block of base points, and the geodesics integrate
-as one batch.  A suite's draws do not depend on its checks, so the
+generator, and then checks them in block calls: F, the Legendre
+transform, the dual norms, the Holmes-Thompson and volume densities, the
+operator coefficients and the Reeb residuals take a block of base points,
+and the geodesics integrate as one batch.  A suite's draws do not depend on its checks, so the
 stream that later suites see is fixed by the seed alone.
 """
 
@@ -85,14 +85,12 @@ def _metric_family(params: Dict) -> List[FinslerMetric2D]:
 def suite_legendre(params: Dict, rng) -> List[CheckResult]:
     rows = []
     for metric in _metric_family(params):
-        xs, vs = [], []
-        for _ in range(40):
-            xs.append(_random_point(metric, rng))
-            vs.append(_random_vector(rng))
-        f = np.array([eval_f(metric, x, v) for x, v in zip(xs, vs)])
-        ps = np.array([legendre_forward(metric, x, v) for x, v in zip(xs, vs)])
+        draws = [(_random_point(metric, rng), _random_vector(rng)) for _ in range(40)]
+        xs, vs = [x for x, _ in draws], np.array([v for _, v in draws])
+        f = eval_f(metric, xs, vs)
+        ps = legendre_forward(metric, xs, vs[:, None, :])[:, 0]
         worst_rt = float(np.max(np.abs(dual_norm(metric, xs, ps) - f) / f))
-        worst_dd = float(np.max(np.abs(dual_norm_sampled(metric, xs, np.array(vs)) - f) / f))
+        worst_dd = float(np.max(np.abs(dual_norm_sampled(metric, xs, vs) - f) / f))
         rows.append(CheckResult.from_defect(f"legendre-roundtrip[{metric.kind}]", worst_rt, 1e-6))
         rows.append(CheckResult.from_defect(f"double-dual[{metric.kind}]", worst_dd, 1e-6))
     return rows
@@ -210,11 +208,12 @@ def suite_geodesic(params: Dict, rng) -> List[CheckResult]:
 
 def _speed_drift(metric, trajs) -> float:
     """Largest |F(X) - 1| of the Reeb field at about ten points sampled
-    along each trajectory, from one block Reeb call."""
+    along each trajectory, from one block Reeb call and one block F call."""
     pts = [pt for traj in trajs
            for pt in traj.points[:: max(1, len(traj.points) // 10)]]
-    V, _, _ = reeb_profile(metric, [pt.base for pt in pts], [[pt.phi] for pt in pts])
-    return max(abs(eval_f(metric, pt.base, v) - 1.0) for pt, v in zip(pts, V[:, 0]))
+    bases = [pt.base for pt in pts]
+    V, _, _ = reeb_profile(metric, bases, [[pt.phi] for pt in pts])
+    return float(np.max(np.abs(eval_f(metric, bases, V[:, 0]) - 1.0)))
 
 
 SUITES: Dict[str, Callable] = {

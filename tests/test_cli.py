@@ -300,6 +300,35 @@ class TestOtherCommands:
             assert reeb_rows[2 * k + 1].defect == pytest.approx(worst_da, rel=1e-9, abs=1e-15)
         assert ref.random() == after
 
+    def test_legendre_suite_one_block_call_per_metric(self, monkeypatch):
+        # one eval_f and one legendre_forward call per metric, to the rows of
+        # one call per sample; the geodesic suite's speed drift is one more
+        calls = {"eval_f": 0, "legendre_forward": 0}
+
+        def counted(name):
+            real = getattr(verify, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counted(name))
+        rows = verify.suite_legendre({}, np.random.default_rng(3))
+        assert calls == {"eval_f": 4, "legendre_forward": 4}
+        ref = np.random.default_rng(3)
+        for k, m in enumerate(verify._metric_family({})):
+            xs, vs = [], []
+            for _ in range(40):
+                xs.append(verify._random_point(m, ref))
+                vs.append(verify._random_vector(ref))
+            f = np.array([fl.eval_f(m, x, v) for x, v in zip(xs, vs)])
+            ps = np.array([fl.legendre_forward(m, x, v) for x, v in zip(xs, vs)])
+            assert rows[2 * k].defect == float(np.max(np.abs(fl.dual_norm(m, xs, ps) - f) / f))
+        verify.suite_geodesic({}, ref)
+        assert calls["eval_f"] == 5
+
     def test_verify_pass(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
         rc = main(["verify", "--suite", "randers-symbol", "--out", str(out)])

@@ -106,7 +106,7 @@ class TestArrayForm:
         field method is called, and each walk builds only the one grid point
         that a position-independent metric is evaluated at."""
         from finlap.laplace import weighted_symmetry_residual
-        from finlap.measures import _TorusGrid
+        from finlap.charts import _Grid
 
         def forbidden(self, x):
             raise AssertionError("per-point field method called")
@@ -114,14 +114,14 @@ class TestArrayForm:
         for name in ("__call__", "gradient", "hessian"):
             monkeypatch.setattr(fl.fields.ArrayField, name, forbidden)
         built = []
-        read = _TorusGrid.__getitem__
+        read = _Grid.__getitem__
 
         def counted(self, k):
             if isinstance(k, int):
                 built.append(k)
             return read(self, k)
 
-        monkeypatch.setattr(_TorusGrid, "__getitem__", counted)
+        monkeypatch.setattr(_Grid, "__getitem__", counted)
         m = fl.kz_torus(0.4)
         u = fl.SumField([fl.SeparableTrigField(1.0, "cos", 1, "one", 0),
                          fl.SeparableTrigField(0.5, "one", 0, "sin", 2)])

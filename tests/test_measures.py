@@ -377,6 +377,84 @@ class TestBaseQuadrature:
             assert np.array_equal(getattr(u, method)(base.points),
                                   getattr(u, method)(list(base.points)))
 
+    def test_sphere_points_row_major(self):
+        t, _ = np.polynomial.legendre.leggauss(7)
+        expected = [fl.ChartPoint(fl.SPHERE, phi, 2.0 * math.pi * j / 3)
+                    for phi in 0.5 * math.pi * (t + 1.0) for j in range(3)]
+        assert list(fl.sphere_base(7, 3).points) == expected
+
+    def test_grid_coords_built_once_on_first_read(self):
+        # the torus-kz spectrum's walk reads no coordinate, so builds none
+        measures.torus_base.cache_clear()
+        measures.sphere_base.cache_clear()
+        fl.assemble_eigenproblem(fl.kz_torus(0.3), fl.TorusGridBasis(n=32))
+        for points in (fl.torus_base(32).points, fl.sphere_base(7, 3).points):
+            assert "coords" not in vars(points)
+            uv = points.coords
+            assert points.coords is uv and not uv.flags.writeable
+
+    def test_second_sphere_volume_builds_no_point(self, monkeypatch):
+        # the meridian walk reads every point once, and a later call reads
+        # the cached grid's points
+        built = _built_points(monkeypatch)
+        measures.sphere_base.cache_clear()
+        volume = fl.sphere_total_volume(fl.kz_sphere(0.3), 96, 2)
+        assert len(built) == 96 * 2
+        assert fl.sphere_total_volume(fl.kz_sphere(0.3), 96, 2) == volume
+        assert len(built) == 96 * 2
+
+
+def _built_points(monkeypatch) -> list:
+    """The (u, v) of every ChartPoint built from now on, in order."""
+    built = []
+    init = fl.ChartPoint.__post_init__
+
+    def counted(point):
+        built.append((point.u, point.v))
+        init(point)
+
+    monkeypatch.setattr(fl.ChartPoint, "__post_init__", counted)
+    return built
+
+
+_OTHER_CHART_BLOCKS = {
+    "torus": (lambda: fl.kz_torus(0.5), [fl.torus_point(0.1, 0.2), fl.sphere_point(1.0, 0.3)]),
+    "sphere": (lambda: fl.kz_sphere(0.3), [fl.sphere_point(0.5, 0.1), fl.torus_point(0.5, 0.2)]),
+}
+
+
+class TestWalkChartCheck:
+    """A base walk checks the chart of every point before it drops any,
+    with the DomainError of the support searches."""
+
+    @pytest.mark.parametrize("walk", [
+        measures.volume_densities,
+        fl.laplace.symbol_densities,
+        fl.laplace.coefficients_at,
+        lambda m, points: fl.omega_norm_sq(m, fl.ConstantField(1.0),
+                                           fl.BaseQuadrature(points, np.ones(len(points)))),
+    ], ids=["volume_densities", "symbol_densities", "coefficients_at", "omega_norm_sq"])
+    @pytest.mark.parametrize("block", sorted(_OTHER_CHART_BLOCKS))
+    def test_point_on_another_chart(self, block, walk):
+        make, points = _OTHER_CHART_BLOCKS[block]
+        m = make()
+        with pytest.raises(fl.DomainError) as searched:
+            fl.holmes_thompson_density(m, points)
+        with pytest.raises(fl.DomainError) as walked:
+            walk(m, points)
+        assert str(walked.value) == str(searched.value) == (
+            f"metric lives on chart {m.chart!r}, point is on {points[1].chart!r}")
+
+    def test_grid_on_another_chart_builds_no_point(self, monkeypatch):
+        measures.torus_base.cache_clear()
+        measures.sphere_base.cache_clear()
+        built = _built_points(monkeypatch)
+        for m, base in ((fl.kz_sphere(0.3), fl.torus_base(4)),
+                        (fl.kz_torus(0.5), fl.sphere_base(3, 2))):
+            with pytest.raises(fl.DomainError, match=f"point is on {base.points.chart!r}$"):
+                measures.volume_densities(m, base.points)
+        assert built == []
+
 
 def _full_walk(metric):
     """The metric with its declaration withdrawn: the walk evaluates every

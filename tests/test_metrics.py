@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,39 @@ class TestEvalF:
     def test_kz_eps_bound(self):
         with pytest.raises(fl.InvalidMetricError):
             fl.kz_torus(1.0)
+
+    def test_block_equals_one_point_calls(self, rng):
+        for name, m in builtin_metrics().items():
+            xs = [random_point(m, rng) for _ in range(7)]
+            vs = np.array([random_vector(rng) for _ in xs])
+            got = fl.eval_f(m, xs, vs)
+            assert got.shape == (7,), name
+            assert np.array_equal(got, [fl.eval_f(m, x, v) for x, v in zip(xs, vs)]), name
+
+    @pytest.mark.parametrize("v, vs, message", [
+        ([math.inf, 0.0], [[1.0, 0.0], [math.inf, 0.0]], "must be finite"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], "must be nonzero"),
+        ([1.0, 0.0, 0.0], [[1.0, 0.0]], "must have shape"),
+    ], ids=["inf", "zero", "shape"])
+    def test_bad_vector_is_domain_error(self, v, vs, message):
+        # checked before F is evaluated, at one point and over a block: no
+        # RuntimeWarning and no NaN value
+        x = fl.torus_point(0.1, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point, arg in ((x, v), ([x, x], vs)):
+                with pytest.raises(fl.DomainError, match=f"^tangent vector {message}"):
+                    fl.eval_f(fl.kz_torus(0.5), point, arg)
+
+    def test_non_positive_value_names_its_point(self):
+        m = fl.custom(lambda x, vs: np.full(vs.shape[:-1], 1.0 if x.u < 0.5 else -1.0),
+                      chart=fl.TORUS)
+        xs = [fl.torus_point(0.1, 0.2), fl.torus_point(0.7, 0.3), fl.torus_point(0.8, 0.1)]
+        with pytest.raises(fl.InvalidMetricError,
+                           match=r"^F\(x, v\) = -1.0 is not positive at \(0.7, 0.3\)$"):
+            fl.eval_f(m, xs, np.ones((3, 2)))
+        with pytest.raises(fl.InvalidMetricError, match=r"at \(0.8, 0.1\)$"):
+            fl.eval_f(m, xs[2], [1.0, 0.0])
 
     def test_homogeneity(self, rng):
         for name, m in builtin_metrics().items():

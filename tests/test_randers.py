@@ -213,6 +213,20 @@ class TestInverseDesign:
         fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]), K=K)
         assert len(calls) == 16**2
 
+    def test_sweep_reads_the_cached_torus_base(self, monkeypatch):
+        monkeypatch.setattr(randers, "DESIGN_SAMPLE_N", 16)
+        seen = []
+
+        def omega(p):
+            seen.append(p)
+            return 2.0
+
+        for _ in range(2):
+            fl.inverse_design(np.eye(2), omega, np.array([1.0, 0.0]))
+        points = fl.torus_base(16).points
+        assert len(seen) == 2 * 16**2
+        assert all(a is b for a, b in zip(seen, 2 * list(points)))
+
     def test_one_solve_b_call_per_point(self, monkeypatch):
         # g and theta of a point come from one bisection, at one point, over
         # a block, and over the blocks of a grid
